@@ -41,13 +41,12 @@ type campusOptions struct {
 // campusSim builds the default 4-junction campus and a fleet per opt.
 func campusSim(opt campusOptions, set *telemetry.Set) (*tubenet.Campus, error) {
 	return tubenet.New(tubenet.Options{
-		Carts:         opt.carts,
-		TripsPerCart:  opt.trips,
-		Seed:          opt.seed,
-		EpochEvery:    units.Seconds(opt.epoch),
-		Alpha:         opt.alpha,
-		RouterWorkers: opt.workers,
-		Telemetry:     set,
+		Carts:        opt.carts,
+		TripsPerCart: opt.trips,
+		Seed:         opt.seed,
+		EpochEvery:   units.Seconds(opt.epoch),
+		Alpha:        opt.alpha,
+		Telemetry:    set,
 	})
 }
 
@@ -141,11 +140,10 @@ func runCampusStudy(opt campusOptions) {
 		scenario = faults.ScenarioCampusPartition
 	}
 	base := tubenet.Options{
-		Carts:         opt.carts,
-		TripsPerCart:  opt.trips,
-		EpochEvery:    units.Seconds(opt.epoch),
-		Alpha:         opt.alpha,
-		RouterWorkers: 1,
+		Carts:        opt.carts,
+		TripsPerCart: opt.trips,
+		EpochEvery:   units.Seconds(opt.epoch),
+		Alpha:        opt.alpha,
 	}
 	ctx := context.Background()
 	h := campusHorizon(opt)

@@ -66,7 +66,7 @@ func main() {
 		campusTrips   = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
 		campusEpoch   = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
 		campusAlpha   = flag.Float64("campus-alpha", 0.25, "queue-depth weight in the congestion-aware edge cost")
-		campusWorkers = flag.Int("campus-workers", 1, "sweep workers for route recomputes and studies (output identical at any count)")
+		campusWorkers = flag.Int("campus-workers", 1, "sweep workers for -campus-study replicas (output identical at any count)")
 		campusStudy   = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")
 		benchOut      = flag.String("bench-out", "", "campus mode: write p50/p99 transit and reroute counts as benchmark JSON to this file")
 	)

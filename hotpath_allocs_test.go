@@ -13,6 +13,7 @@ package repro
 // which would fail the zero budgets without measuring the model.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dhlsys"
@@ -256,5 +257,45 @@ func TestHotPathAllocsCampusDispatch(t *testing.T) {
 	})
 	if drained {
 		t.Fatal("campus drained mid-measurement; grow TripsPerCart")
+	}
+}
+
+// TestHotPathAllocsRouterRecompute pins tubenet.Router.Recompute: a warm
+// router on the default campus, replanning around one dead segment under
+// non-zero entry queues, must rebuild its tables without allocating.
+func TestHotPathAllocsRouterRecompute(t *testing.T) {
+	topo, err := tubenet.NewCampus(tubenet.DefaultCampusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := topo.TransitTimes(tubenet.DefaultCartMass, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tubenet.NewRouter(topo, base, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := tubenet.Liveness{NodeUp: make([]bool, topo.NumNodes()), EdgeUp: make([]bool, topo.NumEdges())}
+	for i := range live.NodeUp {
+		live.NodeUp[i] = true
+	}
+	for i := range live.EdgeUp {
+		live.EdgeUp[i] = true
+	}
+	live.EdgeUp[0] = false
+	queues := make([]int, topo.NumEdges())
+	for i := range queues {
+		queues[i] = i % 3
+	}
+	ctx := context.Background()
+	var failed error
+	zeroAllocs(t, "router recompute", func() {
+		if err := r.Recompute(ctx, live, queues); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
 	}
 }

@@ -49,13 +49,6 @@ type slot struct {
 	nextFree int32  // next free slot, -1 at the list tail
 }
 
-// tracerEntry is one registered tracer. The legacy flag marks the single
-// slot the deprecated SetTracer shim manages.
-type tracerEntry struct {
-	fn     func(Event)
-	legacy bool
-}
-
 // Engine is the simulation clock and event queue.
 type Engine struct {
 	now units.Seconds
@@ -65,7 +58,7 @@ type Engine struct {
 	freeHead  int32 // head of the free-slot list, -1 when empty
 	seq       uint64
 	processed int
-	tracers   []tracerEntry
+	tracers   []func(Event)
 }
 
 // New returns an engine at time 0.
@@ -85,35 +78,7 @@ func (e *Engine) AddTracer(fn func(Event)) {
 	if fn == nil {
 		return
 	}
-	e.tracers = append(e.tracers, tracerEntry{fn: fn})
-}
-
-// SetTracer installs a hook called before each event fires (nil disables).
-//
-// Deprecated: SetTracer manages a single legacy slot — calling it again
-// replaces only the tracer it installed previously, at that tracer's
-// position in the chain; tracers registered with AddTracer are never
-// affected. New code should use AddTracer.
-func (e *Engine) SetTracer(fn func(Event)) {
-	for i := range e.tracers {
-		if !e.tracers[i].legacy {
-			continue
-		}
-		if fn == nil {
-			n := len(e.tracers) - 1
-			copy(e.tracers[i:], e.tracers[i+1:])
-			// Zero the vacated tail slot so the backing array does not pin
-			// the dropped tracer's closure (and whatever it captured).
-			e.tracers[n] = tracerEntry{}
-			e.tracers = e.tracers[:n]
-		} else {
-			e.tracers[i].fn = fn
-		}
-		return
-	}
-	if fn != nil {
-		e.tracers = append(e.tracers, tracerEntry{fn: fn, legacy: true})
-	}
+	e.tracers = append(e.tracers, fn)
 }
 
 // ErrPastEvent is returned when scheduling before the current time.
@@ -249,7 +214,7 @@ func (e *Engine) Step() bool {
 	if len(e.tracers) > 0 {
 		ev := Event{Time: s.time, Name: s.name}
 		for j := range e.tracers {
-			e.tracers[j].fn(ev)
+			e.tracers[j](ev)
 		}
 	}
 	// Free before firing: the callback may schedule into (and recycle) this

@@ -330,12 +330,11 @@ func TestTracer(t *testing.T) {
 }
 
 func TestMultipleTracersFireInRegistrationOrder(t *testing.T) {
-	// The coexistence contract behind fault logging + telemetry: a legacy
-	// SetTracer consumer and any number of AddTracer consumers all observe
-	// every event, in the order they registered.
+	// The coexistence contract behind fault logging + telemetry: any number
+	// of AddTracer consumers all observe every event, in the order they
+	// registered.
 	e := New()
 	var fired []string
-	e.SetTracer(func(ev Event) { fired = append(fired, "legacy:"+ev.Name) })
 	e.AddTracer(func(ev Event) { fired = append(fired, "first:"+ev.Name) })
 	e.AddTracer(func(ev Event) { fired = append(fired, "second:"+ev.Name) })
 	e.AddTracer(nil) // ignored
@@ -343,7 +342,7 @@ func TestMultipleTracersFireInRegistrationOrder(t *testing.T) {
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"legacy:a", "first:a", "second:a"}
+	want := []string{"first:a", "second:a"}
 	if len(fired) != len(want) {
 		t.Fatalf("fired = %v, want %v", fired, want)
 	}
@@ -351,63 +350,6 @@ func TestMultipleTracersFireInRegistrationOrder(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Errorf("fired[%d] = %q, want %q", i, fired[i], want[i])
 		}
-	}
-}
-
-func TestSetTracerShimReplacesOnlyItsSlot(t *testing.T) {
-	e := New()
-	var fired []string
-	e.SetTracer(func(ev Event) { fired = append(fired, "old") })
-	e.AddTracer(func(ev Event) { fired = append(fired, "added") })
-	// Replacing the legacy tracer keeps its position and the added tracer.
-	e.SetTracer(func(ev Event) { fired = append(fired, "new") })
-	e.MustAfter(1, "a", func() {})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || fired[0] != "new" || fired[1] != "added" {
-		t.Fatalf("fired = %v, want [new added]", fired)
-	}
-	// nil removes the legacy slot only.
-	fired = nil
-	e.SetTracer(nil)
-	e.MustAfter(1, "b", func() {})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != "added" {
-		t.Fatalf("after SetTracer(nil): fired = %v, want [added]", fired)
-	}
-}
-
-// TestSetTracerRemovalClearsTailSlot pins the un-pinning fix: after the
-// legacy slot is removed, the backing array's vacated tail entry must be
-// zeroed so the dropped closure (and anything it captured) is collectable.
-func TestSetTracerRemovalClearsTailSlot(t *testing.T) {
-	e := New()
-	e.SetTracer(func(Event) {})
-	e.AddTracer(func(Event) {})
-	e.AddTracer(func(Event) {})
-	// Interleave: remove the legacy slot from the front of a longer chain.
-	e.SetTracer(nil)
-	if n := len(e.tracers); n != 2 {
-		t.Fatalf("tracer chain length = %d, want 2", n)
-	}
-	tail := e.tracers[:cap(e.tracers)]
-	for i := len(e.tracers); i < len(tail); i++ {
-		if tail[i].fn != nil {
-			t.Errorf("vacated tracer slot %d still pins a closure", i)
-		}
-	}
-	// Re-registering after removal still works and fires last.
-	var fired []string
-	e.SetTracer(func(Event) { fired = append(fired, "legacy2") })
-	e.MustAfter(1, "a", func() {})
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != "legacy2" {
-		t.Fatalf("fired = %v, want [legacy2]", fired)
 	}
 }
 

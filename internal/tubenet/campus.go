@@ -40,9 +40,6 @@ type Options struct {
 	EpochEvery units.Seconds
 	// Alpha weights entry-queue depth into edge cost (Router).
 	Alpha float64
-	// RouterWorkers bounds the per-source Dijkstra fan-out on the sweep
-	// pool; results are byte-identical at any worker count.
-	RouterWorkers int
 	// MaxEvents bounds the event budget (sim.Engine.Run); ≤ 0 is unbounded.
 	MaxEvents int
 	// Telemetry enables metrics and span recording when non-nil.
@@ -73,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 0.25
-	}
-	if o.RouterWorkers == 0 {
-		o.RouterWorkers = 1
 	}
 	return o
 }
@@ -276,7 +270,7 @@ func New(opt Options) (*Campus, error) {
 	if err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(topo, base, opt.Alpha, opt.RouterWorkers)
+	router, err := NewRouter(topo, base, opt.Alpha, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +531,7 @@ func (c *Campus) admissible(e EdgeID) bool {
 	if !c.edgeUp[e] {
 		return false
 	}
-	ed := c.topo.Edge(e)
+	ed := c.topo.edgeAt(e)
 	if ed.Capacity <= 0 || c.edgeOcc[e] >= ed.Capacity {
 		return false
 	}
@@ -550,7 +544,7 @@ func (c *Campus) admissible(e EdgeID) bool {
 // lineFree reports whether ed's span is clear on its line.
 //
 //dhllint:hotpath
-func (c *Campus) lineFree(ed Edge) bool {
+func (c *Campus) lineFree(ed *Edge) bool {
 	for _, h := range c.lineOcc[ed.Line] {
 		if h.sp.Overlaps(ed.Span) {
 			return false
@@ -577,7 +571,7 @@ func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
 //dhllint:hotpath
 func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	ct := &c.carts[ci]
-	ed := c.topo.Edge(e)
+	ed := c.topo.edgeAt(e)
 	c.edgeOcc[e]++
 	c.edgeOccupants[e] = append(c.edgeOccupants[e], ci)
 	if ed.Line != NoLine {
@@ -607,7 +601,7 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 func (c *Campus) arrive(ci int32) {
 	ct := &c.carts[ci]
 	e := ct.edge
-	v := c.topo.Edge(e).To
+	v := c.topo.edgeAt(e).To
 	c.tel.spans.RecordSpan(ct.trackID, c.tel.idTransit, ct.entryT, c.eng.Now())
 	c.releaseEdge(e, ci)
 	ct.edge = NoEdge
@@ -631,7 +625,7 @@ func (c *Campus) arrive(ci int32) {
 func (c *Campus) releaseEdge(e EdgeID, ci int32) {
 	c.edgeOcc[e]--
 	c.removeOccupant(e, ci)
-	if l := c.topo.Edge(e).Line; l != NoLine {
+	if l := c.topo.edgeAt(e).Line; l != NoLine {
 		c.releaseLine(l, e)
 		c.retryLine(l)
 		return

@@ -61,26 +61,6 @@ func TestCampusRunIsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestCampusByteIdenticalAcrossRouterWorkers(t *testing.T) {
-	run := func(workers int) string {
-		c, err := New(Options{Carts: 50, TripsPerCart: 2, Seed: 7, RouterWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.String()
-	}
-	seq := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := run(w); got != seq {
-			t.Errorf("workers=%d diverged from sequential:\n%s\nvs\n%s", w, got, seq)
-		}
-	}
-}
-
 // partitionCampus kills every edge touching the trunk ring, isolating all
 // four spur lines from each other, with no recovery scheduled.
 func partitionCampus(c *Campus) {

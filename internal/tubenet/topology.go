@@ -11,9 +11,10 @@
 // fleet-scale data movement. This package composes the existing pieces:
 // per-edge physics from internal/physics, single-rail conflict domains from
 // internal/multistop span-reservation semantics, chaos from
-// internal/faults, and the sweep pool (internal/sweep) parallelising the
-// per-source routing recompute — while every simulation stays
-// byte-identical given a seed.
+// internal/faults, and the sweep pool (internal/sweep) running replica
+// studies — while every simulation stays byte-identical given a seed.
+// A route recompute is sequential and allocation-free: one CSR adjacency
+// of the usable edges, then one frontier-driven Dijkstra per source.
 package tubenet
 
 import (
@@ -169,6 +170,10 @@ func (t *Topology) Node(n NodeID) Node { return t.nodes[n] }
 
 // Edge returns edge e.
 func (t *Topology) Edge(e EdgeID) Edge { return t.edges[e] }
+
+// edgeAt returns edge e by pointer, for hot loops that must not copy the
+// struct. Callers must not mutate it.
+func (t *Topology) edgeAt(e EdgeID) *Edge { return &t.edges[e] }
 
 // Out returns the edges leaving n in ascending EdgeID order. The slice is
 // owned by the topology; callers must not mutate it.
