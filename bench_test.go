@@ -462,8 +462,8 @@ func BenchmarkChaosShuttle(b *testing.B) {
 		opt := dhlsys.DefaultOptions()
 		opt.NumCarts = 4
 		opt.Seed = 1337
-		script, err := faults.Scenario(faults.ScenarioRoughDay, 1337, 120,
-			opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+		script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120,
+			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
 		if err != nil {
 			b.Fatal(err)
 		}

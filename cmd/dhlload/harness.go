@@ -43,7 +43,7 @@ type Config struct {
 	// (open).
 	Carts int
 
-	// Chaos names a faults.Scenario composed into the run ("" disables).
+	// Chaos names a faults scenario composed into the run ("" disables).
 	Chaos string
 
 	// StatusEvery is the control-probe period in virtual seconds
@@ -225,8 +225,8 @@ func newHarness(cfg Config) (*harness, error) {
 	opt.NumCarts = cfg.Carts
 	opt.LibrarySlots = 0
 	if cfg.Chaos != "" {
-		script, err := faults.Scenario(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration),
-			opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration),
+			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
 		if err != nil {
 			return nil, err
 		}

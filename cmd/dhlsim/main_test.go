@@ -24,7 +24,7 @@ func TestChaosScenarioListMatchesFaults(t *testing.T) {
 }
 
 func TestUnknownChaosMessageGolden(t *testing.T) {
-	_, err := faults.Scenario("typhoon", 1, 100, 2, 4, 16)
+	_, err := faults.ScenarioDims("typhoon", 1, 100, faults.Dims{Carts: 2, Stations: 4, DevicesPerCart: 16})
 	if !errors.Is(err, faults.ErrUnknownScenario) {
 		t.Fatalf("err = %v, want ErrUnknownScenario", err)
 	}

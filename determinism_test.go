@@ -136,8 +136,8 @@ func chaosRun(t *testing.T, scenario string, seed int64) string {
 	t.Helper()
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
-	script, err := faults.Scenario(scenario, seed, 60,
-		opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+	script, err := faults.ScenarioDims(scenario, seed, 60,
+		faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func telemetryChaosRun(t *testing.T, set *telemetry.Set, scenario string, seed i
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
 	opt.Telemetry = set
-	script, err := faults.Scenario(scenario, seed, 60,
-		opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+	script, err := faults.ScenarioDims(scenario, seed, 60,
+		faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +282,8 @@ func TestRandomFaultSchedulesNeverDeadlockDockFIFO(t *testing.T) {
 				opt.DockStations = cfg.docks
 				opt.RailMode = cfg.rail
 				opt.Seed = seed
-				script, err := faults.Scenario(scenario, seed, 90,
-					opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+				script, err := faults.ScenarioDims(scenario, seed, 90,
+					faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
 				if err != nil {
 					t.Fatal(err)
 				}

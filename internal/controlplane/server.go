@@ -331,6 +331,25 @@ func readFrame(br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
+// drainPeek bounds how long a draining handler looks for a request frame
+// that has already reached its socket.
+const drainPeek = 10 * time.Millisecond
+
+// framePending reports whether at least one byte of a request is waiting,
+// in br or in the socket. It leaves a short read deadline on conn. An
+// already-expired deadline would not do: the runtime reports it before
+// reading what the socket holds.
+func framePending(conn net.Conn, br *bufio.Reader) bool {
+	if br.Buffered() > 0 {
+		return true
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(drainPeek)); err != nil {
+		return false
+	}
+	_, err := br.Peek(1)
+	return err == nil
+}
+
 func (s *Server) serveConn(connID int64, conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -338,7 +357,17 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 	for {
 		select {
 		case <-s.closed:
-			return // drain: finish between requests, never mid-request
+			// Drain: finish between requests, never mid-request. A frame
+			// already waiting in the socket is a request in flight, so
+			// read it under the normal deadline.
+			if !framePending(conn, br) {
+				return
+			}
+			if s.opt.ReadTimeout <= 0 {
+				if err := conn.SetReadDeadline(time.Time{}); err != nil {
+					return
+				}
+			}
 		default:
 		}
 		if s.opt.ReadTimeout > 0 {

@@ -307,13 +307,6 @@ func ScenarioNames() []string {
 // ErrUnknownScenario is returned for scenario names outside ScenarioNames.
 var ErrUnknownScenario = errors.New("faults: unknown scenario")
 
-// Scenario generates a named chaos script for a point-to-point deployment
-// of the given dimensions over [0, horizon]. Campus-only scenarios
-// (ScenarioCampusPartition) need ScenarioDims with Segments set.
-func Scenario(name string, seed int64, horizon units.Seconds, numCarts, numStations, devicesPerCart int) (Script, error) {
-	return ScenarioDims(name, seed, horizon, Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
-
 // ScenarioDims generates a named chaos script for a deployment of the
 // given dimensions over [0, horizon]. Generation draws only from a
 // *rand.Rand seeded with seed, so a (name, seed, horizon, dims) tuple

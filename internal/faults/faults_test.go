@@ -152,10 +152,13 @@ func TestScenarioDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
+// pointToPoint is a 4-cart, 4-station deployment with no campus segments.
+var pointToPoint = Dims{Carts: 4, Stations: 4, DevicesPerCart: 16}
+
 func TestScenarioCampusPartitionNeedsSegments(t *testing.T) {
-	// The legacy point-to-point Scenario entry point (Segments=0) must
-	// reject the campus-only scenario with a clear error.
-	if _, err := Scenario(ScenarioCampusPartition, 1, 100, 4, 4, 16); !errors.Is(err, ErrBadScript) {
+	// A point-to-point deployment (Segments=0) must reject the campus-only
+	// scenario with a clear error.
+	if _, err := ScenarioDims(ScenarioCampusPartition, 1, 100, pointToPoint); !errors.Is(err, ErrBadScript) {
 		t.Errorf("point-to-point campus-partition: %v, want ErrBadScript", err)
 	}
 	s, err := ScenarioDims(ScenarioCampusPartition, 1, 100, Dims{Carts: 4, Stations: 24, DevicesPerCart: 16, Segments: 12})
@@ -179,11 +182,11 @@ func TestScenarioCampusPartitionNeedsSegments(t *testing.T) {
 }
 
 func TestScenarioSeedsDiverge(t *testing.T) {
-	a, err := Scenario(ScenarioRoughDay, 1, 100, 4, 4, 16)
+	a, err := ScenarioDims(ScenarioRoughDay, 1, 100, pointToPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scenario(ScenarioRoughDay, 2, 100, 4, 4, 16)
+	b, err := ScenarioDims(ScenarioRoughDay, 2, 100, pointToPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +196,13 @@ func TestScenarioSeedsDiverge(t *testing.T) {
 }
 
 func TestScenarioRejectsBadInputs(t *testing.T) {
-	if _, err := Scenario("meteor-shower", 1, 100, 4, 4, 16); !errors.Is(err, ErrUnknownScenario) {
+	if _, err := ScenarioDims("meteor-shower", 1, 100, pointToPoint); !errors.Is(err, ErrUnknownScenario) {
 		t.Errorf("unknown scenario: %v", err)
 	}
-	if _, err := Scenario(ScenarioSSDStorm, 1, 0, 4, 4, 16); !errors.Is(err, ErrBadScript) {
+	if _, err := ScenarioDims(ScenarioSSDStorm, 1, 0, pointToPoint); !errors.Is(err, ErrBadScript) {
 		t.Errorf("zero horizon: %v", err)
 	}
-	if _, err := Scenario(ScenarioSSDStorm, 1, 100, 0, 4, 16); !errors.Is(err, ErrBadScript) {
+	if _, err := ScenarioDims(ScenarioSSDStorm, 1, 100, Dims{Carts: 0, Stations: 4, DevicesPerCart: 16}); !errors.Is(err, ErrBadScript) {
 		t.Errorf("zero carts: %v", err)
 	}
 }

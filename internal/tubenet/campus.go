@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/faults"
-	"repro/internal/multistop"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -105,12 +103,6 @@ type campusCart struct {
 	departFn func()
 	arriveFn func()
 	dwellFn  func()
-}
-
-// lineHold is one active span reservation on a single-rail line.
-type lineHold struct {
-	e  EdgeID
-	sp multistop.Span
 }
 
 // EdgeStats is the per-segment utilisation summary.
@@ -221,8 +213,10 @@ type Campus struct {
 	edgeOcc       []int
 	edgeQueue     [][]int32
 	edgeOccupants [][]int32
-	lineOcc       [][]lineHold
-	queueScratch  []int
+	// blocked[e] counts the carts on edges in e's conflict set (their
+	// spans overlap e's); a line edge is admissible only at zero.
+	blocked      []int
+	queueScratch []int
 
 	carts     []campusCart
 	dests     []NodeID
@@ -294,7 +288,7 @@ func New(opt Options) (*Campus, error) {
 		edgeOcc:       make([]int, m),
 		edgeQueue:     make([][]int32, m),
 		edgeOccupants: make([][]int32, m),
-		lineOcc:       make([][]lineHold, topo.NumLines()),
+		blocked:       make([]int, m),
 		queueScratch:  make([]int, m),
 
 		carts:     make([]campusCart, opt.Carts),
@@ -440,10 +434,9 @@ func (c *Campus) result() Result {
 		}
 	}
 	if len(c.transits) > 0 {
-		sorted := append([]units.Seconds(nil), c.transits...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		r.TransitP50 = quantileSeconds(sorted, 0.50)
-		r.TransitP99 = quantileSeconds(sorted, 0.99)
+		scratch := append([]units.Seconds(nil), c.transits...)
+		r.TransitP50 = quantileSeconds(scratch, 0.50)
+		r.TransitP99 = quantileSeconds(scratch, 0.99)
 	}
 	if reg := c.opt.Telemetry.MetricsOf(); reg != nil && c.eng.Now() > 0 {
 		for e := range c.perEdge {
@@ -455,10 +448,44 @@ func (c *Campus) result() Result {
 	return r
 }
 
-// quantileSeconds is the nearest-rank quantile of a sorted sample.
-func quantileSeconds(sorted []units.Seconds, q float64) units.Seconds {
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+// quantileSeconds returns the nearest-rank quantile of xs: the element a
+// full sort would put at index ⌊q·(n−1)⌋. It selects it in place by
+// quickselect (median-of-three pivot, Hoare partition), reordering xs.
+func quantileSeconds(xs []units.Seconds, q float64) units.Seconds {
+	k := int(q * float64(len(xs)-1))
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		// Partition around p = xs[mid]: afterwards xs[lo..j] ≤ p ≤
+		// xs[j+1..hi], with lo ≤ j < hi because mid rounds down.
+		p := xs[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; xs[i] < p; i++ {
+			}
+			for j--; p < xs[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return xs[k]
 }
 
 // recomputeRoutes rebuilds the routing tables from current liveness and
@@ -523,34 +550,16 @@ func (c *Campus) tryDepart(ci int32) {
 }
 
 // admissible reports whether a cart may enter edge e now: the edge is
-// live, has a free capacity slot, and (for single-rail edges) no
-// overlapping span of its line is held.
+// live, has a free capacity slot, and (for single-rail edges) no cart
+// holds an overlapping span of its line.
 //
 //dhllint:hotpath
 func (c *Campus) admissible(e EdgeID) bool {
-	if !c.edgeUp[e] {
+	if !c.edgeUp[e] || c.blocked[e] > 0 {
 		return false
 	}
 	ed := c.topo.edgeAt(e)
-	if ed.Capacity <= 0 || c.edgeOcc[e] >= ed.Capacity {
-		return false
-	}
-	if ed.Line != NoLine && !c.lineFree(ed) {
-		return false
-	}
-	return true
-}
-
-// lineFree reports whether ed's span is clear on its line.
-//
-//dhllint:hotpath
-func (c *Campus) lineFree(ed *Edge) bool {
-	for _, h := range c.lineOcc[ed.Line] {
-		if h.sp.Overlaps(ed.Span) {
-			return false
-		}
-	}
-	return true
+	return ed.Capacity > 0 && c.edgeOcc[e] < ed.Capacity
 }
 
 // enqueueEdge parks the cart in e's FIFO entry queue.
@@ -574,8 +583,8 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	ed := c.topo.edgeAt(e)
 	c.edgeOcc[e]++
 	c.edgeOccupants[e] = append(c.edgeOccupants[e], ci)
-	if ed.Line != NoLine {
-		c.lineOcc[ed.Line] = append(c.lineOcc[ed.Line], lineHold{e: e, sp: ed.Span})
+	for _, g := range c.topo.conflictsOf(e) {
+		c.blocked[g]++
 	}
 	c.perEdge[e].Entries++
 	c.perEdge[e].Busy += c.baseTransit[e]
@@ -617,20 +626,35 @@ func (c *Campus) arrive(ci int32) {
 }
 
 // releaseEdge frees the cart's capacity slot and span, then retries the
-// entry queues the release may have unblocked: the whole line for
-// single-rail edges (a freed span can admit waiters on any of its edges),
-// or just this edge's queue for trunks.
+// entry queues the release may have unblocked: those of e's conflict set
+// in ascending EdgeID order for a single-rail edge, or just e's for a
+// trunk.
+//
+// Retrying only the conflict set admits exactly the carts that retrying
+// every edge of the line would. After every event no edge is both
+// admissible and holding a non-empty queue: a cart queues only on an edge
+// that is not admissible, and every release and every heal retries the
+// queues it may unblock. The release changes admissibility only for the
+// edges whose span overlaps the freed one — e's conflict set — and the
+// admissions the retry makes can only block further edges, never unblock
+// them. So an edge outside the set is still either blocked or idle when
+// its turn would come, and retrying it would admit no one.
 //
 //dhllint:hotpath
 func (c *Campus) releaseEdge(e EdgeID, ci int32) {
 	c.edgeOcc[e]--
 	c.removeOccupant(e, ci)
-	if l := c.topo.edgeAt(e).Line; l != NoLine {
-		c.releaseLine(l, e)
-		c.retryLine(l)
+	conflicts := c.topo.conflictsOf(e)
+	if conflicts == nil {
+		c.retryEdgeQueue(e)
 		return
 	}
-	c.retryEdgeQueue(e)
+	for _, g := range conflicts {
+		c.blocked[g]--
+	}
+	for _, g := range conflicts {
+		c.retryEdgeQueue(g)
+	}
 }
 
 // removeOccupant drops ci from e's occupant list, preserving order so
@@ -645,30 +669,6 @@ func (c *Campus) removeOccupant(e EdgeID, ci int32) {
 			c.edgeOccupants[e] = occ[:len(occ)-1]
 			return
 		}
-	}
-}
-
-// releaseLine drops the first hold for edge e on line l.
-//
-//dhllint:hotpath
-func (c *Campus) releaseLine(l int, e EdgeID) {
-	holds := c.lineOcc[l]
-	for i, h := range holds {
-		if h.e == e {
-			copy(holds[i:], holds[i+1:])
-			c.lineOcc[l] = holds[:len(holds)-1]
-			return
-		}
-	}
-}
-
-// retryLine retries the entry queue of every edge on line l in ascending
-// EdgeID order.
-//
-//dhllint:hotpath
-func (c *Campus) retryLine(l int) {
-	for _, e := range c.topo.LineEdges(l) {
-		c.retryEdgeQueue(e)
 	}
 }
 

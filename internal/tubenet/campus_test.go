@@ -2,10 +2,17 @@ package tubenet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/multistop"
+	"repro/internal/netmodel"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
@@ -327,5 +334,169 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := New(Options{Topo: one, Carts: 2}); err == nil {
 		t.Error("single-station topology must be rejected (no trips possible)")
+	}
+}
+
+// mixedLineTopology is a hand-built network whose single-rail line mixes
+// Capacity-2 edges with width-2 and width-0 spans, so its conflict sets
+// are irregular: junction J feeds stations S0–S3 over line 0, and a
+// dual-rail trunk plus a one-segment line 1 reach X and Y.
+func mixedLineTopology(t *testing.T) *Topology {
+	t.Helper()
+	nodes := []Node{
+		{Name: "J", Docks: 2, Junction: true},
+		{Name: "S0", Docks: 2}, {Name: "S1", Docks: 1}, {Name: "S2", Docks: 2}, {Name: "S3", Docks: 1},
+		{Name: "X", Docks: 3}, {Name: "Y", Docks: 1},
+	}
+	line := func(from, to NodeID, l, lo, hi, capacity int) Edge {
+		e := testEdge(from, to)
+		e.Line, e.Span, e.Capacity = l, multistop.NewSpan(lo, hi), capacity
+		return e
+	}
+	trunk := func(from, to NodeID) Edge {
+		e := testEdge(from, to)
+		e.Capacity = 2
+		return e
+	}
+	edges := []Edge{
+		trunk(0, 5), trunk(5, 0),
+		line(0, 1, 0, 0, 2, 2), line(1, 0, 0, 0, 2, 1),
+		line(1, 2, 0, 1, 3, 2), line(2, 1, 0, 1, 3, 2),
+		line(2, 3, 0, 2, 4, 1), line(3, 2, 0, 3, 3, 1),
+		line(3, 4, 0, 4, 5, 2), line(4, 3, 0, 4, 5, 1),
+		line(5, 6, 1, 0, 1, 1), line(6, 5, 1, 0, 1, 1),
+	}
+	topo, err := NewTopology(nodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+// namedTopology labels a test network.
+type namedTopology struct {
+	name string
+	topo *Topology
+}
+
+// pinnedTopologies are the networks beyond the default campus whose run
+// digests TestCampusResultsMatchPinnedDigests pins.
+func pinnedTopologies(t *testing.T) []namedTopology {
+	t.Helper()
+	build := func(topo *Topology, err error) *Topology {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	campus := func(junctions, spur int) *Topology {
+		cfg := DefaultCampusConfig()
+		cfg.Junctions, cfg.SpurStations = junctions, spur
+		return build(NewCampus(cfg))
+	}
+	return []namedTopology{
+		{"fattree", build(FromFatTree(netmodel.DefaultFatTree(), DefaultCampusConfig()))},
+		{"campus-2x3", campus(2, 3)},
+		{"campus-6x4", campus(6, 4)},
+		{"mixed-line", mixedLineTopology(t)},
+	}
+}
+
+// TestCampusResultsMatchPinnedDigests pins the sha256 of Result.String()
+// for several topologies, calm and under campus-partition chaos, so a
+// dispatch rewrite that should not change behaviour is checked beyond the
+// default campus.
+func TestCampusResultsMatchPinnedDigests(t *testing.T) {
+	// Recorded with the earlier line-scanning dispatch, so they pin
+	// behaviour across that rewrite, not just this code against itself.
+	want := map[string]string{
+		"fattree/calm/seed1":                "8e03cef8a6ec9350e92d4134b8565ffcb5c0a578dac01dad923a6a94c0c6544c",
+		"fattree/calm/seed2":                "e3615aaed2e49c161c6bb658ba99420481d4497c1984b9f496e6516c816d63bf",
+		"fattree/calm/seed3":                "586858e1751bf42548540a0f8b7b16de2e79c6ef3988545b46ab476c54365963",
+		"fattree/campus-partition/seed1":    "7565883ca4c99d948e9a211982ad6befc757b8608ee13d64e8637aee7ca2ce12",
+		"fattree/campus-partition/seed2":    "2689bce5cd4a012259645749b60e1de97b2af2c60a61ad49cd04c3bc5cd49c3e",
+		"fattree/campus-partition/seed3":    "d9ccb7c004964fef201eb102bac7686f7f3adf4665974a887827c8bab6d51444",
+		"campus-2x3/calm/seed1":             "3529aca61aa7aeb293e1245144f9f58390606e2089153024e58a2ce9a9e704a6",
+		"campus-2x3/calm/seed2":             "d5b10abb55dcc086444dfcece56f8b833767b0eb3d32d6f09aec2ad1cd5c5d45",
+		"campus-2x3/calm/seed3":             "3c4fcf85d9ea53bdd097e7a027bf6dd3ed4f6e32ea05f980bbf230f3bb7d77cf",
+		"campus-2x3/campus-partition/seed1": "49249d558cfc4c0e9fbc6fa06c6ec4c8cf0e5dec45acc1027c4a064e000ffbc8",
+		"campus-2x3/campus-partition/seed2": "2e58b87709837f5a17afbbd3c32d54fc4d8741d52b015f12c50df9778f4776e2",
+		"campus-2x3/campus-partition/seed3": "a5e910f1ca4b160f454587bf8dabcb9d8a1ce78fc29d0c9e0acc82d0831b3fcb",
+		"campus-6x4/calm/seed1":             "2aaf6f5bbea03d80ed8faac037398c3697f1d559f5654adbcebfc1185f31bcbd",
+		"campus-6x4/calm/seed2":             "d29221387c7a911428a27265fdefa3b7ca01e918c67aa574e53abc37c98b33b5",
+		"campus-6x4/calm/seed3":             "c0e4e44b32680d22b736123b4a0e69aba50801b4efa666cb661e1856376f6343",
+		"campus-6x4/campus-partition/seed1": "d1a2df8f73d83ff1784943a0856be57165f3a98169e49710d29badab6667026b",
+		"campus-6x4/campus-partition/seed2": "aad758bd687c2b639259ea5a11a69bcd9721725b9e3d4fa0e4ea97bec9c816de",
+		"campus-6x4/campus-partition/seed3": "9b8280d6d70e839aed2f6a5f38f1621d4b90a371357680f59e1c1012300baf3c",
+		"mixed-line/calm/seed1":             "00efeb202caa70954221137adce40ee298fa0a8cfaa7abbb810aefa46b010700",
+		"mixed-line/calm/seed2":             "192191d468c853e18e59ea7ec53cd0741c54029901475dcca1e36beac01b689c",
+		"mixed-line/calm/seed3":             "ccaefd516aec05c6a2c14a8a4c6f075dbfa8afa447a1e9a1625131320172bd24",
+		"mixed-line/campus-partition/seed1": "76d3c70c89e3190575995155dfc67e2de2b600e9362ea13ba2e2bf4f8f382992",
+		"mixed-line/campus-partition/seed2": "603f4316bb6a2994ae0ee5898439a88275f2c5820a50dd631520825a36059ae9",
+		"mixed-line/campus-partition/seed3": "081dae872db89e4e802353f4e103a2f69f8478964925d4ef75e657f04958e7ac",
+	}
+	for _, tp := range pinnedTopologies(t) {
+		for _, chaos := range []string{"calm", faults.ScenarioCampusPartition} {
+			for seed := int64(1); seed <= 3; seed++ {
+				opt := Options{Topo: tp.topo, Carts: 200, TripsPerCart: 5, Seed: seed}
+				if chaos == "calm" {
+					opt.EpochEvery = -1
+				}
+				c, err := New(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if chaos != "calm" {
+					script, err := faults.ScenarioDims(chaos, seed, 300, c.Dims())
+					if err != nil {
+						t.Fatal(err)
+					}
+					inj, err := faults.NewInjector(c.Engine(), c, script)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := inj.Arm(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%s/seed%d", tp.name, chaos, seed)
+				sum := sha256.Sum256([]byte(res.String()))
+				if got := hex.EncodeToString(sum[:]); got != want[key] {
+					t.Errorf("%s: digest %s, want %s\n%s", key, got, want[key], res.String())
+				}
+			}
+		}
+	}
+}
+
+func TestQuantileSecondsMatchesFullSort(t *testing.T) {
+	samples := [][]units.Seconds{
+		{4.5},
+		{9, 3},
+		{2, 2, 2, 2, 2, 2, 2},
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		xs := make([]units.Seconds, 1+rng.Intn(300))
+		for j := range xs {
+			xs[j] = units.Seconds(rng.Intn(1+i%20)) / 4 // heavy duplicates
+		}
+		samples = append(samples, xs)
+	}
+	for i, xs := range samples {
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			want := sorted[int(q*float64(len(sorted)-1))]
+			if got := quantileSeconds(slices.Clone(xs), q); got != want {
+				t.Errorf("sample %d (n=%d): quantile %v = %v, want %v", i, len(xs), q, got, want)
+			}
+		}
 	}
 }

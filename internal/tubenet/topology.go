@@ -94,6 +94,10 @@ type Topology struct {
 	// lines[l] lists the edges of conflict domain l in ascending EdgeID
 	// order.
 	lines [][]EdgeID
+	// conflicts[e] lists, for a line edge e, the edges of its line whose
+	// Span overlaps e's (e included) in ascending EdgeID order; nil for
+	// trunk edges.
+	conflicts [][]EdgeID
 }
 
 // ErrBadTopology reports a malformed graph.
@@ -142,15 +146,25 @@ func NewTopology(nodes []Node, edges []Edge) (*Topology, error) {
 		}
 	}
 	t := &Topology{
-		nodes: append([]Node(nil), nodes...),
-		edges: append([]Edge(nil), edges...),
-		out:   make([][]EdgeID, len(nodes)),
-		lines: make([][]EdgeID, maxLine+1),
+		nodes:     append([]Node(nil), nodes...),
+		edges:     append([]Edge(nil), edges...),
+		out:       make([][]EdgeID, len(nodes)),
+		lines:     make([][]EdgeID, maxLine+1),
+		conflicts: make([][]EdgeID, len(edges)),
 	}
 	for i, e := range t.edges {
 		t.out[e.From] = append(t.out[e.From], EdgeID(i))
 		if e.Line != NoLine {
 			t.lines[e.Line] = append(t.lines[e.Line], EdgeID(i))
+		}
+	}
+	for _, line := range t.lines {
+		for _, e := range line {
+			for _, g := range line {
+				if t.edges[g].Span.Overlaps(t.edges[e].Span) {
+					t.conflicts[e] = append(t.conflicts[e], g)
+				}
+			}
 		}
 	}
 	return t, nil
@@ -182,6 +196,12 @@ func (t *Topology) Out(n NodeID) []EdgeID { return t.out[n] }
 // LineEdges returns the edges of conflict domain l in ascending EdgeID
 // order. The slice is owned by the topology; callers must not mutate it.
 func (t *Topology) LineEdges(l int) []EdgeID { return t.lines[l] }
+
+// conflictsOf returns the edges that may not be occupied while e is: for a
+// line edge, those of its line whose Span overlaps e's, e included, in
+// ascending EdgeID order; nil for a trunk edge. The slice is owned by the
+// topology; callers must not mutate it.
+func (t *Topology) conflictsOf(e EdgeID) []EdgeID { return t.conflicts[e] }
 
 // Stations returns the IDs of all non-junction nodes in ascending order —
 // the trip-destination pool.

@@ -2,6 +2,7 @@ package tubenet
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/multistop"
@@ -179,5 +180,40 @@ func TestCampusTransitTimesAreSane(t *testing.T) {
 	}
 	if trunkT < units.Seconds(9) || trunkT > units.Seconds(12) {
 		t.Errorf("trunk transit %v outside sanity window", trunkT)
+	}
+}
+
+func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
+	def, err := NewCampus(DefaultCampusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := append(pinnedTopologies(t), namedTopology{"default", def})
+	for _, tp := range topos {
+		topo := tp.topo
+		for e := EdgeID(0); int(e) < topo.NumEdges(); e++ {
+			ed := topo.Edge(e)
+			var want []EdgeID
+			if ed.Line != NoLine {
+				for g := EdgeID(0); int(g) < topo.NumEdges(); g++ {
+					if og := topo.Edge(g); og.Line == ed.Line && og.Span.Overlaps(ed.Span) {
+						want = append(want, g)
+					}
+				}
+			}
+			if got := topo.conflictsOf(e); !slices.Equal(got, want) {
+				t.Errorf("%s: conflictsOf(%d) = %v, want %v", tp.name, e, got, want)
+			}
+		}
+	}
+	// A default-campus spur edge conflicts with both directions of its own
+	// rail segment and of each neighbouring one: 4 at a chain end, 6 inside.
+	for e := EdgeID(0); int(e) < def.NumEdges(); e++ {
+		if def.Edge(e).Line == NoLine {
+			continue
+		}
+		if n := len(def.conflictsOf(e)); n != 4 && n != 6 {
+			t.Errorf("default campus edge %d has %d conflicts, want 4 or 6", e, n)
+		}
 	}
 }
