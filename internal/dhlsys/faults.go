@@ -30,7 +30,7 @@ func (t faultTarget) Recover(f faults.Fault) { t.s.recoverFault(f) }
 func (s *System) injectFault(f faults.Fault) {
 	switch f.Kind {
 	case faults.SSDFailure:
-		c, ok := s.carts[f.Cart]
+		c, ok := s.cart(f.Cart)
 		if !ok || f.Device < 0 || f.Device >= len(c.Array.Devices) {
 			return
 		}
@@ -44,15 +44,17 @@ func (s *System) injectFault(f faults.Fault) {
 			// reservations until cleared, and any cart mid-transit that
 			// way is delayed by the clearing time.
 			s.rail.Block(f.Direction)
-			if occ := s.rail.Occupant(f.Direction); occ != track.NoCart {
-				s.stallCart(s.carts[occ], f.Duration)
+			if c, ok := s.cart(s.rail.Occupant(f.Direction)); ok {
+				s.stallCart(c, f.Duration)
 			}
 			return
 		}
 		// A specific cart stalls: its arrival slips by the clearing time.
 		// The rail reservation it already holds keeps the segment closed
 		// to followers, so no extra blocking is needed.
-		s.stallCart(s.carts[f.Cart], f.Duration)
+		if c, ok := s.cart(f.Cart); ok {
+			s.stallCart(c, f.Duration)
+		}
 	case faults.VacuumLeak:
 		s.leaks = append(s.leaks, f.Pressure)
 	case faults.DockFailure:
@@ -60,10 +62,10 @@ func (s *System) injectFault(f faults.Fault) {
 		if err != nil {
 			return
 		}
-		if occ != track.NoCart {
+		if c, ok := s.cart(occ); ok {
 			// The occupant's connector mated with a now-failed station;
 			// flag it for forced service at the library.
-			s.needsService[occ] = true
+			c.needsService = true
 		}
 	case faults.LIMPowerLoss:
 		s.limDown[int(f.Direction)]++
@@ -76,7 +78,7 @@ func (s *System) recoverFault(f faults.Fault) {
 	case faults.SSDFailure:
 		// Scripted SSD faults with a repair window restore the device;
 		// window-less ones stay dead until library service.
-		if c, ok := s.carts[f.Cart]; ok && f.Device >= 0 && f.Device < len(c.Array.Devices) {
+		if c, ok := s.cart(f.Cart); ok && f.Device >= 0 && f.Device < len(c.Array.Devices) {
 			if c.Array.Devices[f.Device].Failed() {
 				c.Array.Devices[f.Device].Repair()
 			}
@@ -188,7 +190,7 @@ func (s *System) scheduleTransit(c *Cart, d units.Seconds, name string, dir trac
 // stallCart pushes a mid-transit cart's arrival out by delay. Carts not on
 // the rail are unaffected (a stall needs a moving cart).
 func (s *System) stallCart(c *Cart, delay units.Seconds) {
-	if c == nil || delay <= 0 {
+	if delay <= 0 {
 		return
 	}
 	t, ok := s.Engine.EventTime(c.transitEv)

@@ -272,22 +272,21 @@ func (s *System) inDockStep(c *Cart) {
 	}
 	c.Loc = AtLibrary
 	c.Busy = false
-	// Failed SSDs are serviced at the library (§III-B.6).
+	// Failed SSDs are serviced at the library (§III-B.6). With autoReload
+	// each device is then topped up: only serviced (emptied) SSDs need
+	// reloading; the rest are already full.
 	for _, d := range c.Array.Devices {
 		if d.Failed() {
 			d.Repair()
 		}
-	}
-	if s.autoReload {
-		// Top up each device: only serviced (emptied) SSDs need reloading;
-		// the rest are already full.
-		for _, d := range c.Array.Devices {
-			if free := d.Free(); free > 0 {
-				if _, err := d.Write(free); err != nil {
-					//dhllint:allow allocflow -- reload failure aborts the cycle; the wrap only fires on a broken device
-					done(fmt.Errorf("dhlsys: reload cart %d: %w", c.ID, err))
-					return
-				}
+		if !s.autoReload {
+			continue
+		}
+		if free := d.Free(); free > 0 {
+			if _, err := d.Write(free); err != nil {
+				//dhllint:allow allocflow -- reload failure aborts the cycle; the wrap only fires on a broken device
+				done(fmt.Errorf("dhlsys: reload cart %d: %w", c.ID, err))
+				return
 			}
 		}
 	}

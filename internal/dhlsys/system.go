@@ -167,6 +167,9 @@ type Cart struct {
 	// telemetry is disabled — harmless, records on a nil log are no-ops).
 	spanTrack string
 	trackID   telemetry.StrID
+	// needsService marks a cart whose connector was damaged by a
+	// dock-station failure; it is force-serviced at the library.
+	needsService bool
 	// scratch is the cart's reusable operation state and pre-bound launch
 	// steps (see scratch.go); valid while Busy.
 	scratch launchScratch
@@ -218,7 +221,7 @@ type System struct {
 	rail   *track.Rail
 	dock   *track.DockBank
 	lib    *track.Library
-	carts  map[track.CartID]*Cart
+	carts  []*Cart // indexed by CartID: New assigns IDs 0..NumCarts−1
 	rng    *rand.Rand
 	stats  Stats
 
@@ -229,9 +232,6 @@ type System struct {
 	// limDown counts active power-loss faults per launch direction
 	// (index 0 = outbound LIM at the library, 1 = inbound at the endpoint).
 	limDown [2]int
-	// needsService marks carts whose connector was damaged by a
-	// dock-station failure; they are force-serviced at the library.
-	needsService map[track.CartID]bool
 
 	// waiting holds deferred Open requests (FIFO).
 	waiting []func() bool
@@ -277,16 +277,15 @@ func New(opt Options) (*System, error) {
 		tube = physics.DefaultTube()
 	}
 	s := &System{
-		Engine:       sim.New(),
-		opt:          opt,
-		launch:       l,
-		rail:         track.NewRail(opt.RailMode),
-		dock:         dock,
-		lib:          track.NewLibrary(opt.LibrarySlots),
-		carts:        make(map[track.CartID]*Cart),
-		rng:          rng,
-		tube:         tube,
-		needsService: make(map[track.CartID]bool),
+		Engine: sim.New(),
+		opt:    opt,
+		launch: l,
+		rail:   track.NewRail(opt.RailMode),
+		dock:   dock,
+		lib:    track.NewLibrary(opt.LibrarySlots),
+		carts:  make([]*Cart, opt.NumCarts),
+		rng:    rng,
+		tube:   tube,
 	}
 	for i := 0; i < opt.NumCarts; i++ {
 		id := track.CartID(i)
@@ -296,7 +295,7 @@ func New(opt Options) (*System, error) {
 		}
 		c := &Cart{ID: id, Array: arr, Loc: AtLibrary, spanTrack: cartTrack(id)}
 		s.bindLaunchSteps(c)
-		s.carts[id] = c
+		s.carts[i] = c
 		if err := s.lib.Store(id); err != nil {
 			return nil, err
 		}
@@ -328,11 +327,19 @@ func (s *System) Launch() core.LaunchMetrics { return s.launch }
 
 // Cart returns the cart state for inspection.
 func (s *System) Cart(id track.CartID) (*Cart, error) {
-	c, ok := s.carts[id]
+	c, ok := s.cart(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCart, id)
 	}
 	return c, nil
+}
+
+// cart looks up a fleet cart; ok is false for an ID outside 0..NumCarts−1.
+func (s *System) cart(id track.CartID) (c *Cart, ok bool) {
+	if id < 0 || int(id) >= len(s.carts) {
+		return nil, false
+	}
+	return s.carts[id], true
 }
 
 // oneWayTime decomposes the launch into undock + transit + dock.
@@ -396,7 +403,7 @@ func (s *System) launchDirection(natural track.Direction) (dir track.Direction, 
 // reason the request was denied outright). Requests that only lack resources
 // (rail busy, docks full) wait in FIFO order rather than failing.
 func (s *System) Open(id track.CartID, done func(error)) {
-	c, ok := s.carts[id]
+	c, ok := s.cart(id)
 	if !ok {
 		s.deny()
 		done(fmt.Errorf("%w: %d", ErrUnknownCart, id))
@@ -455,7 +462,7 @@ func (s *System) checkLaunchTimeout(c *Cart) error {
 // Close requests cart id be undocked and returned to the library (§III-D
 // command 2).
 func (s *System) Close(id track.CartID, done func(error)) {
-	c, ok := s.carts[id]
+	c, ok := s.cart(id)
 	if !ok {
 		s.deny()
 		done(fmt.Errorf("%w: %d", ErrUnknownCart, id))
@@ -495,11 +502,11 @@ var errServiceScheduled = errors.New("dhlsys: connector service scheduled")
 // (needsService). A non-nil return other than errServiceScheduled is a hard
 // error; errServiceScheduled means done will be invoked later.
 func (s *System) maybeServiceConnector(c *Cart, done func(error)) error {
-	forced := s.needsService[c.ID]
+	forced := c.needsService
 	if s.opt.Wear == nil {
 		// No wear model to service against; a damaged connector is swapped
 		// notionally for free (nothing tracks its cost).
-		delete(s.needsService, c.ID)
+		c.needsService = false
 		return nil
 	}
 	due, err := s.opt.Wear.RecordDock(c.ID)
@@ -515,7 +522,7 @@ func (s *System) maybeServiceConnector(c *Cart, done func(error)) error {
 	if err != nil {
 		return err
 	}
-	delete(s.needsService, c.ID)
+	c.needsService = false
 	s.stats.ConnectorServices++
 	s.stats.MaintenanceTime += downtime
 	s.stats.MaintenanceCost += cost
@@ -546,7 +553,7 @@ func (s *System) Write(id track.CartID, n units.Bytes, done func(units.Seconds, 
 }
 
 func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seconds, error), isRead bool) {
-	c, ok := s.carts[id]
+	c, ok := s.cart(id)
 	if !ok {
 		s.deny()
 		done(0, fmt.Errorf("%w: %d", ErrUnknownCart, id))
@@ -562,15 +569,6 @@ func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seco
 		done(0, fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc))
 		return
 	}
-	if !c.Array.Healthy() {
-		if !isRead || s.opt.Recovery.StrictSSD {
-			s.deny()
-			done(0, fmt.Errorf("%w: cart %d", ErrCartFailed, id))
-			return
-		}
-		s.degradedRead(c, n, done)
-		return
-	}
 	var d units.Seconds
 	var err error
 	if isRead {
@@ -579,6 +577,19 @@ func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seco
 		d, err = c.Array.Write(n)
 	}
 	if err != nil {
+		// Health decides before size, as when the health check ran first:
+		// a negative size on an array past its redundancy takes the
+		// failed-cart branch too.
+		if errors.Is(err, storage.ErrDegraded) ||
+			(errors.Is(err, storage.ErrNegativeLength) && !c.Array.Healthy()) {
+			if !isRead || s.opt.Recovery.StrictSSD {
+				s.deny()
+				done(0, fmt.Errorf("%w: cart %d", ErrCartFailed, id))
+				return
+			}
+			s.degradedRead(c, n, done)
+			return
+		}
 		s.deny()
 		done(0, err)
 		return

@@ -8,19 +8,29 @@ import (
 	"repro/internal/units"
 )
 
-// PCIe generation per-lane bandwidths (decimal, after encoding overhead).
+// PCIe generation per-lane bandwidths (decimal, after encoding overhead),
+// indexed by generation; zero marks an unsupported one.
 // §III-B.5: "version 6 provides 3.8tbps for 64 lanes" → 59.375 Gb/s per lane,
 // ≈ 7.42 GB/s; one lane per SSD in the maximum (64-SSD) cart configuration.
-var pciePerLane = map[int]units.BitsPerSecond{
+var pciePerLane = [...]units.BitsPerSecond{
 	3: 8 * units.Gbps,
 	4: 16 * units.Gbps,
 	5: 32 * units.Gbps,
 	6: units.BitsPerSecond(3.8e12 / 64),
 }
 
+// laneRate is the per-lane rate of a PCIe generation; ok is false for an
+// unsupported one.
+func laneRate(gen int) (r units.BitsPerSecond, ok bool) {
+	if gen < 0 || gen >= len(pciePerLane) || pciePerLane[gen] == 0 {
+		return 0, false
+	}
+	return pciePerLane[gen], true
+}
+
 // PCIeLaneRate returns the usable per-lane rate for a PCIe generation.
 func PCIeLaneRate(gen int) (units.BitsPerSecond, error) {
-	r, ok := pciePerLane[gen]
+	r, ok := laneRate(gen)
 	if !ok {
 		//dhllint:allow allocflow -- configuration validation, resolved before any hot I/O begins
 		return 0, fmt.Errorf("storage: unsupported PCIe generation %d", gen)
@@ -109,49 +119,67 @@ func (a *Array) Capacity() units.Bytes {
 	return units.Bytes(float64(a.dataDevices()) * float64(a.Devices[0].Spec.Capacity))
 }
 
-// Used is the payload bytes stored.
-func (a *Array) Used() units.Bytes {
-	var u units.Bytes
-	for _, d := range a.Devices {
-		u += d.Used()
-	}
-	if a.Level == RAID5 {
-		u = units.Bytes(float64(u) * float64(a.dataDevices()) / float64(len(a.Devices)))
-	}
-	return u
+// census is one read-only pass over the devices: everything the I/O paths
+// and the status accessors derive from device state. Each sum accumulates
+// in device order, as the per-quantity walks it replaces did, so every
+// derived float is bit-identical to theirs.
+type census struct {
+	failed  int                  // failed devices
+	used    units.Bytes          // payload stored (RAID5 parity excluded)
+	readBW  units.BytesPerSecond // healthy devices' read rates, PCIe-capped
+	writeBW units.BytesPerSecond // healthy devices' write rates, PCIe-capped
 }
 
-// failedCount returns the number of failed devices.
-func (a *Array) failedCount() int {
-	n := 0
+// census walks the devices once.
+func (a *Array) census() census {
+	var c census
 	for _, d := range a.Devices {
-		if d.Failed() {
-			n++
+		c.used += d.used
+		if d.failed {
+			c.failed++
+			continue
 		}
+		c.readBW += d.Spec.ReadRate
+		c.writeBW += d.Spec.WriteRate
 	}
-	return n
+	if a.Level == RAID5 {
+		c.used = units.Bytes(float64(c.used) * float64(a.dataDevices()) / float64(len(a.Devices)))
+	}
+	limit := a.pcieCap()
+	if c.readBW > limit {
+		c.readBW = limit
+	}
+	if c.writeBW > limit {
+		c.writeBW = limit
+	}
+	return c
 }
+
+// healthy reports whether an array with failed devices down can still
+// serve data: RAID0 tolerates no failures; RAID5 tolerates one.
+func (a *Array) healthy(failed int) bool {
+	if a.Level == RAID5 {
+		return failed <= 1
+	}
+	return failed == 0
+}
+
+// Used is the payload bytes stored.
+func (a *Array) Used() units.Bytes { return a.census().used }
 
 // Healthy reports whether the array can still serve data: RAID0 tolerates no
 // failures; RAID5 tolerates one.
-func (a *Array) Healthy() bool {
-	switch a.Level {
-	case RAID5:
-		return a.failedCount() <= 1
-	default:
-		return a.failedCount() == 0
-	}
-}
+func (a *Array) Healthy() bool { return a.healthy(a.census().failed) }
 
 // Degraded reports whether redundancy has been consumed but data survives.
 func (a *Array) Degraded() bool {
-	return a.Level == RAID5 && a.failedCount() == 1
+	return a.Level == RAID5 && a.census().failed == 1
 }
 
 // pcieCap is the aggregate docking-interface bandwidth.
 func (a *Array) pcieCap() units.BytesPerSecond {
-	lane, err := PCIeLaneRate(a.PCIeGen)
-	if err != nil {
+	lane, ok := laneRate(a.PCIeGen)
+	if !ok {
 		return 0
 	}
 	total := units.BitsPerSecond(float64(lane) * float64(a.LanesPerDevice*len(a.Devices)))
@@ -160,27 +188,10 @@ func (a *Array) pcieCap() units.BytesPerSecond {
 
 // ReadBandwidth is the aggregate sequential read bandwidth of the array:
 // sum of healthy device rates, capped by PCIe.
-func (a *Array) ReadBandwidth() units.BytesPerSecond {
-	return a.aggBandwidth(func(d *Device) units.BytesPerSecond { return d.Spec.ReadRate })
-}
+func (a *Array) ReadBandwidth() units.BytesPerSecond { return a.census().readBW }
 
 // WriteBandwidth is the aggregate sequential write bandwidth.
-func (a *Array) WriteBandwidth() units.BytesPerSecond {
-	return a.aggBandwidth(func(d *Device) units.BytesPerSecond { return d.Spec.WriteRate })
-}
-
-func (a *Array) aggBandwidth(rate func(*Device) units.BytesPerSecond) units.BytesPerSecond {
-	var sum units.BytesPerSecond
-	for _, d := range a.Devices {
-		if !d.Failed() {
-			sum += rate(d)
-		}
-	}
-	if cap := a.pcieCap(); sum > cap {
-		sum = cap
-	}
-	return sum
-}
+func (a *Array) WriteBandwidth() units.BytesPerSecond { return a.census().writeBW }
 
 // Write stripes n payload bytes across the array, returning the transfer
 // time (devices operate in parallel: the slowest stripe dominates, then the
@@ -191,20 +202,21 @@ func (a *Array) Write(n units.Bytes) (units.Seconds, error) {
 	if n < 0 {
 		return 0, ErrNegativeLength
 	}
-	if !a.Healthy() {
+	c := a.census()
+	if !a.healthy(c.failed) {
 		return 0, ErrDegraded
 	}
-	if a.Used()+n > a.Capacity() {
+	if c.used+n > a.Capacity() {
 		//dhllint:allow allocflow -- capacity exhaustion ends the run; steady-state writes stay under the watermark
 		return 0, fmt.Errorf("%w: %v used, %v requested, %v capacity",
-			ErrOutOfSpace, a.Used(), n, a.Capacity())
+			ErrOutOfSpace, c.used, n, a.Capacity())
 	}
 	// Payload per data device; RAID5 additionally writes parity so every
 	// device receives per-device bytes.
 	per := units.Bytes(float64(n) / float64(a.dataDevices()))
 	var worst units.Seconds
 	for _, d := range a.Devices {
-		if d.Failed() {
+		if d.failed {
 			continue // degraded RAID5: parity substitutes
 		}
 		t, err := d.Write(per)
@@ -215,7 +227,7 @@ func (a *Array) Write(n units.Bytes) (units.Seconds, error) {
 			worst = t
 		}
 	}
-	return a.capTime(n, worst, a.WriteBandwidth()), nil
+	return a.capTime(n, worst, c.writeBW), nil
 }
 
 // Read reads n payload bytes, returning the transfer time. A degraded RAID5
@@ -227,32 +239,50 @@ func (a *Array) Read(n units.Bytes) (units.Seconds, error) {
 	if n < 0 {
 		return 0, ErrNegativeLength
 	}
-	if !a.Healthy() {
+	return a.read(n, a.census())
+}
+
+// read is Read on a census already taken.
+func (a *Array) read(n units.Bytes, c census) (units.Seconds, error) {
+	if !a.healthy(c.failed) {
 		return 0, ErrDegraded
 	}
-	if n > a.Used() {
+	if n > c.used {
 		//dhllint:allow allocflow -- out-of-range read is a caller bug, not steady-state I/O
-		return 0, fmt.Errorf("%w: %v stored, %v requested", ErrOutOfRange, a.Used(), n)
+		return 0, fmt.Errorf("%w: %v stored, %v requested", ErrOutOfRange, c.used, n)
 	}
+	// Degraded RAID5 reads touch every surviving stripe; model the same
+	// per-device volume.
 	per := units.Bytes(float64(n) / float64(a.dataDevices()))
-	var worst units.Seconds
+	return a.capTime(n, a.stripeRead(per), c.readBW), nil
+}
+
+// stripeRead reads per bytes from every surviving device and returns the
+// slowest stripe's time. Consecutive devices of one spec share a rate, so
+// the transfer time is computed once per run of equal rates: the same
+// division on the same operands, hence the same bits.
+func (a *Array) stripeRead(per units.Bytes) units.Seconds {
+	var worst, t units.Seconds
+	rate := units.BytesPerSecond(math.NaN()) // matches no device rate
 	for _, d := range a.Devices {
-		if d.Failed() {
+		if d.failed {
 			continue
 		}
-		// Degraded reads touch every surviving stripe; model the same
-		// per-device volume.
-		t := d.Spec.ReadRate.TransferTime(per)
+		//dhllint:allow floateq -- cache key: equal rates give the identical quotient
+		if d.Spec.ReadRate != rate {
+			rate = d.Spec.ReadRate
+			t = rate.TransferTime(per)
+		}
 		d.bytesRead += per
 		if t > worst {
 			worst = t
 		}
 	}
-	return a.capTime(n, worst, a.ReadBandwidth()), nil
+	return worst
 }
 
 // SurvivingDevices returns the number of non-failed devices.
-func (a *Array) SurvivingDevices() int { return len(a.Devices) - a.failedCount() }
+func (a *Array) SurvivingDevices() int { return len(a.Devices) - a.census().failed }
 
 // AvailablePayload is the payload readable under the current failure
 // state. A healthy (or singly-degraded RAID5) array serves everything; a
@@ -260,19 +290,17 @@ func (a *Array) SurvivingDevices() int { return len(a.Devices) - a.failedCount()
 // the surviving (n−f)/n fraction is still addressable, per §III-D's
 // observation that backups ameliorate partial data loss. A RAID5 array
 // past its redundancy serves nothing.
-func (a *Array) AvailablePayload() units.Bytes {
-	f := a.failedCount()
-	if f == 0 {
-		return a.Used()
-	}
-	switch a.Level {
-	case RAID5:
-		if f <= 1 {
-			return a.Used()
-		}
+func (a *Array) AvailablePayload() units.Bytes { return a.available(a.census()) }
+
+// available is AvailablePayload on a census already taken.
+func (a *Array) available(c census) units.Bytes {
+	switch {
+	case a.healthy(c.failed):
+		return c.used
+	case a.Level == RAID5:
 		return 0
 	default:
-		return units.Bytes(float64(a.Used()) * float64(len(a.Devices)-f) / float64(len(a.Devices)))
+		return units.Bytes(float64(c.used) * float64(len(a.Devices)-c.failed) / float64(len(a.Devices)))
 	}
 }
 
@@ -284,30 +312,19 @@ func (a *Array) DegradedRead(n units.Bytes) (units.Seconds, error) {
 	if n < 0 {
 		return 0, ErrNegativeLength
 	}
-	if a.Healthy() {
-		return a.Read(n)
+	c := a.census()
+	if a.healthy(c.failed) {
+		return a.read(n, c)
 	}
-	avail := a.AvailablePayload()
-	if n > avail {
+	if avail := a.available(c); n > avail {
 		return 0, fmt.Errorf("%w: %v available on survivors, %v requested", ErrOutOfRange, avail, n)
 	}
-	surv := a.SurvivingDevices()
+	surv := len(a.Devices) - c.failed
 	if surv == 0 {
 		return 0, fmt.Errorf("%w: no surviving devices", ErrDegraded)
 	}
 	per := units.Bytes(float64(n) / float64(surv))
-	var worst units.Seconds
-	for _, d := range a.Devices {
-		if d.Failed() {
-			continue
-		}
-		t := d.Spec.ReadRate.TransferTime(per)
-		d.bytesRead += per
-		if t > worst {
-			worst = t
-		}
-	}
-	return a.capTime(n, worst, a.ReadBandwidth()), nil
+	return a.capTime(n, a.stripeRead(per), c.readBW), nil
 }
 
 // capTime returns the device-limited time unless the PCIe-capped aggregate

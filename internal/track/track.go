@@ -14,7 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CartID identifies a cart within a DHL deployment.
+// CartID identifies a cart within a DHL deployment. IDs are dense fleet
+// indexes: a fleet of N carts uses 0..N−1, and state keyed by cart (the
+// library's slots, the simulator's cart table) is a slice indexed by ID.
 type CartID int
 
 // NoCart is the absent-cart sentinel.
@@ -79,6 +81,7 @@ var (
 	ErrLibraryFull   = errors.New("track: library has no free slot")
 	ErrNotInLibrary  = errors.New("track: cart not stored in library")
 	ErrDuplicate     = errors.New("track: cart already present")
+	ErrBadCart       = errors.New("track: cart IDs are fleet indexes ≥ 0")
 )
 
 // Rail is the transit resource. In SingleRail mode both directions share one
@@ -386,45 +389,59 @@ func (b *DockBank) Occupants() []CartID {
 }
 
 // Library is the cold-storage endpoint (§III-B.6): docking stations that
-// lift carts off the main track, not connected to servers.
+// lift carts off the main track, not connected to servers. Occupancy is a
+// slot per CartID: cart IDs are dense fleet indexes (0..N−1), so the slice
+// grows to the largest ID stored and never beyond.
 type Library struct {
-	slots map[CartID]bool
-	cap   int // 0 = unbounded
+	slots []bool // slots[id]: cart id is parked here
+	count int    // parked carts
+	cap   int    // 0 = unbounded
 }
 
 // NewLibrary builds a library with the given slot capacity (0 = unbounded,
 // matching the paper's "easy expansion" property).
 func NewLibrary(capacity int) *Library {
-	return &Library{slots: make(map[CartID]bool), cap: capacity}
+	return &Library{cap: capacity}
 }
 
 // Store parks a cart in the library.
 func (l *Library) Store(id CartID) error {
-	if l.slots[id] {
+	if id < 0 {
+		//dhllint:allow allocflow -- state-machine guard: error returns fire on contract violations, never on the steady launch loop
+		return fmt.Errorf("%w: cart %d", ErrBadCart, id)
+	}
+	if l.Holds(id) {
 		//dhllint:allow allocflow -- state-machine guard: error returns fire on contract violations, never on the steady launch loop
 		return fmt.Errorf("%w: cart %d", ErrDuplicate, id)
 	}
-	if l.cap > 0 && len(l.slots) >= l.cap {
+	if l.cap > 0 && l.count >= l.cap {
 		//dhllint:allow allocflow -- state-machine guard: error returns fire on contract violations, never on the steady launch loop
 		return fmt.Errorf("%w: %d slots", ErrLibraryFull, l.cap)
 	}
-	//dhllint:allow allocflow -- bounded occupancy set: the fleet's cart IDs cycle through existing buckets after warm-up
+	if n := int(id) + 1; n > len(l.slots) {
+		//dhllint:allow allocflow -- grows once per new cart ID; a fleet's IDs are dense, so its first Store of each cart is the last growth
+		l.slots = append(l.slots, make([]bool, n-len(l.slots))...)
+	}
 	l.slots[id] = true
+	l.count++
 	return nil
 }
 
 // Remove takes a cart out of the library for launch.
 func (l *Library) Remove(id CartID) error {
-	if !l.slots[id] {
+	if !l.Holds(id) {
 		//dhllint:allow allocflow -- state-machine guard: error returns fire on contract violations, never on the steady launch loop
 		return fmt.Errorf("%w: cart %d", ErrNotInLibrary, id)
 	}
-	delete(l.slots, id)
+	l.slots[id] = false
+	l.count--
 	return nil
 }
 
 // Holds reports whether the cart is parked here.
-func (l *Library) Holds(id CartID) bool { return l.slots[id] }
+func (l *Library) Holds(id CartID) bool {
+	return id >= 0 && int(id) < len(l.slots) && l.slots[id]
+}
 
 // Count returns the number of stored carts.
-func (l *Library) Count() int { return len(l.slots) }
+func (l *Library) Count() int { return l.count }

@@ -288,3 +288,90 @@ func TestDockInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLibraryRejectsNegativeIDs: cart IDs are fleet indexes, so a negative
+// ID (NoCart included) is an error from Store and ErrNotInLibrary from
+// Remove — never a panic or an out-of-range slot.
+func TestLibraryRejectsNegativeIDs(t *testing.T) {
+	l := NewLibrary(0)
+	for _, id := range []CartID{NoCart, -7} {
+		if err := l.Store(id); !errors.Is(err, ErrBadCart) {
+			t.Errorf("Store(%d) err = %v, want ErrBadCart", id, err)
+		}
+		if err := l.Remove(id); !errors.Is(err, ErrNotInLibrary) {
+			t.Errorf("Remove(%d) err = %v, want ErrNotInLibrary", id, err)
+		}
+		if l.Holds(id) {
+			t.Errorf("Holds(%d) = true", id)
+		}
+	}
+	if l.Count() != 0 {
+		t.Errorf("count = %d after rejected stores", l.Count())
+	}
+}
+
+// TestLibrarySparseIDs: storing ID 1000 after 0 grows the slots without
+// admitting the IDs in between.
+func TestLibrarySparseIDs(t *testing.T) {
+	l := NewLibrary(0)
+	for _, id := range []CartID{0, 1000} {
+		if err := l.Store(id); err != nil {
+			t.Fatalf("Store(%d): %v", id, err)
+		}
+	}
+	if !l.Holds(0) || !l.Holds(1000) || l.Holds(500) || l.Holds(1001) || l.Count() != 2 {
+		t.Fatalf("holds 0/500/1000/1001 = %t/%t/%t/%t, count %d",
+			l.Holds(0), l.Holds(500), l.Holds(1000), l.Holds(1001), l.Count())
+	}
+	if err := l.Remove(500); !errors.Is(err, ErrNotInLibrary) {
+		t.Errorf("Remove(500) err = %v", err)
+	}
+	if err := l.Remove(1001); !errors.Is(err, ErrNotInLibrary) {
+		t.Errorf("Remove(1001) err = %v", err)
+	}
+	if err := l.Store(1000); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("second Store(1000) err = %v", err)
+	}
+	if err := l.Store(500); err != nil {
+		t.Errorf("Store(500): %v", err)
+	}
+}
+
+// TestLibraryCountAcrossCycles drives 10k random Store/Remove calls on a
+// bounded library against a reference set: every outcome and the count
+// must agree at every step.
+func TestLibraryCountAcrossCycles(t *testing.T) {
+	const fleet, slots = 24, 16
+	l := NewLibrary(slots)
+	held := make(map[CartID]bool)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10_000; i++ {
+		id := CartID(rng.Intn(fleet))
+		if rng.Intn(2) == 0 {
+			err := l.Store(id)
+			switch {
+			case held[id]:
+				if !errors.Is(err, ErrDuplicate) {
+					t.Fatalf("step %d: Store(%d) of a held cart: %v", i, id, err)
+				}
+			case len(held) >= slots:
+				if !errors.Is(err, ErrLibraryFull) {
+					t.Fatalf("step %d: Store(%d) into a full library: %v", i, id, err)
+				}
+			case err != nil:
+				t.Fatalf("step %d: Store(%d): %v", i, id, err)
+			default:
+				held[id] = true
+			}
+		} else {
+			err := l.Remove(id)
+			if held[id] != (err == nil) {
+				t.Fatalf("step %d: Remove(%d) = %v, held %t", i, id, err, held[id])
+			}
+			delete(held, id)
+		}
+		if l.Count() != len(held) || l.Holds(id) != held[id] {
+			t.Fatalf("step %d: count %d holds(%d) %t, want %d %t", i, l.Count(), id, l.Holds(id), len(held), held[id])
+		}
+	}
+}

@@ -9,6 +9,7 @@
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
 #   scripts/bench.sh telemetry                        # instrumentation overhead → BENCH_telemetry.json
 #   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
+#   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
 #
@@ -22,9 +23,18 @@
 # telemetry-enabled vs disabled shuttle, the pooled-Set operating mode)
 # plus overhead_cold_pct (fresh Set per run).
 #
-# The lint mode runs the sequential/parallel dhllint engine pair and adds
-# gomaxprocs + notes fields, so a recorded no-speedup parallel run names
-# its cause (a single-core host) instead of looking like a pool bug.
+# The faults mode runs the shuttle with no fault script, with an armed
+# empty script, and under the rough-day chaos scenario, and adds an
+# overhead_pct field (armed empty script vs no script, best-of-3 ns/op):
+# the injector's own cost, which the acceptance target keeps under 10 %.
+#
+# The lint mode adds a notes field when GOMAXPROCS is 1, so a recorded
+# no-speedup parallel run names its cause (a single-core host) instead of
+# looking like a pool bug.
+#
+# Every Go-benchmark mode records the host beside the results: cpu,
+# gomaxprocs, the Go version and the commit (`git rev-parse HEAD`, with a
+# -dirty suffix when tracked files other than BENCH_*.json differ from it).
 #
 # The controlplane mode is not a Go benchmark: it runs the cmd/dhlload
 # virtual-time load harness at ~4x saturation (closed loop, fixed seed)
@@ -78,6 +88,7 @@ out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
 telemetry=0
 kernel=0
+faults=0
 lint=0
 if [[ "${1:-}" == "telemetry" ]]; then
     out="BENCH_telemetry.json"
@@ -87,6 +98,10 @@ elif [[ "${1:-}" == "kernel" ]]; then
     out="BENCH_kernel.json"
     pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Disabled|Enabled|EnabledCold)$"
     kernel=1
+elif [[ "${1:-}" == "faults" ]]; then
+    out="BENCH_faults.json"
+    pattern="BenchmarkShuttleNoFaults$|BenchmarkShuttleArmedEmptyScript$|BenchmarkChaosShuttle$"
+    faults=1
 elif [[ "${1:-}" == "lint" ]]; then
     out="BENCH_lint.json"
     pattern="BenchmarkLintModule(Sequential|Parallel)$"
@@ -97,7 +112,13 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run=NONE -bench="$pattern" -benchmem -count=3 . | tee "$raw"
 
-awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v telemetry="$telemetry" -v kernel="$kernel" -v lint="$lint" '
+commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
+    commit="$commit-dirty"
+fi
+
+awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" -v commit="$commit" \
+    -v telemetry="$telemetry" -v kernel="$kernel" -v faults="$faults" -v lint="$lint" '
 /^Benchmark/ {
     # BenchmarkName-N  iters  ns/op  B/op  allocs/op
     name = $1
@@ -116,6 +137,9 @@ awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v telemetry="$telemetry" -v kernel=
 END {
     printf "{\n"
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"gomaxprocs\": %d,\n", gomaxprocs
+    printf "  \"go\": \"%s\",\n", gover
+    printf "  \"commit\": \"%s\",\n", commit
     printf "  \"count\": 3,\n"
     printf "  \"benchmarks\": [\n"
     # Events fired per benchmark iteration, for the kernel throughput rows.
@@ -130,10 +154,12 @@ END {
         printf "}%s\n", (i < n ? "," : "")
     }
     printf "  ]"
-    if (lint) {
-        printf ",\n  \"gomaxprocs\": %d", gomaxprocs
-        if (gomaxprocs == 1)
-            printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
+    if (lint && gomaxprocs == 1) {
+        printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
+    }
+    if (faults && ("BenchmarkShuttleNoFaults" in best) && ("BenchmarkShuttleArmedEmptyScript" in best)) {
+        base = best["BenchmarkShuttleNoFaults"]
+        printf ",\n  \"overhead_pct\": %.2f", (best["BenchmarkShuttleArmedEmptyScript"] - base) / base * 100
     }
     if ((telemetry || kernel) && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
         off = best["BenchmarkShuttleTelemetryDisabled"]
