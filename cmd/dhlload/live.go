@@ -12,11 +12,12 @@ import (
 
 // liveResult aggregates a wall-clock run against a real TCP server.
 // Unlike the virtual harness this is inherently nondeterministic; the
-// report says so.
+// report says so. Cut counts the requests still in flight when the run's
+// own deadline ended them; they are not failures.
 type liveResult struct {
-	OK, Failed, Busy uint64
-	Client           cpclient.Stats
-	Elapsed          time.Duration
+	OK, Failed, Busy, Cut uint64
+	Client                cpclient.Stats
+	Elapsed               time.Duration
 }
 
 // runLive drives `clients` concurrent cpclient loops against a live
@@ -43,14 +44,16 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 		go func() {
 			defer wg.Done()
 			defer c.Close()
-			var ok, failed, busy uint64
+			var ok, failed, busy, cut uint64
 			for time.Now().Before(deadline) {
 				reqs := make([]controlplane.Request, 0, ops+2)
 				reqs = append(reqs, controlplane.Request{Op: controlplane.OpOpen, Cart: cart})
 				for j := 0; j < ops; j++ {
-					op := controlplane.OpWrite
+					// Write first: a read of a cart that holds nothing
+					// fails.
+					op := controlplane.OpRead
 					if j%2 == 0 {
-						op = controlplane.OpRead
+						op = controlplane.OpWrite
 					}
 					reqs = append(reqs, controlplane.Request{Op: op, Cart: cart, Bytes: bytes})
 				}
@@ -62,6 +65,8 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 						ok++
 					case err == nil && resp.Code == controlplane.CodeServerBusy:
 						busy++
+					case err != nil && !time.Now().Before(deadline):
+						cut++
 					default:
 						failed++
 					}
@@ -75,6 +80,7 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 			agg.OK += ok
 			agg.Failed += failed
 			agg.Busy += busy
+			agg.Cut += cut
 			agg.Client.Requests += st.Requests
 			agg.Client.Attempts += st.Attempts
 			agg.Client.Retries += st.Retries
@@ -96,8 +102,8 @@ func (r liveResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "dhlload live report (wall-clock, not deterministic)\n")
 	fmt.Fprintf(&b, "elapsed:   %.2fs\n", r.Elapsed.Seconds())
-	fmt.Fprintf(&b, "responses: ok=%d busy=%d failed=%d (%.6g ok/s)\n",
-		r.OK, r.Busy, r.Failed, float64(r.OK)/r.Elapsed.Seconds())
+	fmt.Fprintf(&b, "responses: ok=%d busy=%d failed=%d cut=%d (%.6g ok/s)\n",
+		r.OK, r.Busy, r.Failed, r.Cut, float64(r.OK)/r.Elapsed.Seconds())
 	fmt.Fprintf(&b, "client:    attempts=%d retries=%d redials=%d transport_errors=%d budget_denied=%d deadline_denied=%d\n",
 		r.Client.Attempts, r.Client.Retries, r.Client.Redials,
 		r.Client.TransportErrors, r.Client.BudgetDenied, r.Client.DeadlineDenied)

@@ -220,6 +220,9 @@ func TestLiveModeSmoke(t *testing.T) {
 	if res.OK == 0 {
 		t.Errorf("live run completed nothing: %+v", res)
 	}
+	if res.Failed != 0 {
+		t.Errorf("%d requests failed against a healthy server: %+v", res.Failed, res)
+	}
 	if res.Client.Attempts == 0 {
 		t.Error("client stats not aggregated")
 	}

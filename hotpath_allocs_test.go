@@ -16,6 +16,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/dhlsys"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -297,5 +298,72 @@ func TestHotPathAllocsRouterRecompute(t *testing.T) {
 	})
 	if failed != nil {
 		t.Fatal(failed)
+	}
+}
+
+// TestHotPathAllocsWireCodec pins the canonical wire codec: encoding
+// requests and op replies into a warm buffer, and decoding request frames
+// and OK op replies, allocate nothing.
+func TestHotPathAllocsWireCodec(t *testing.T) {
+	reqs := []controlplane.Request{
+		{Op: controlplane.OpOpen, Cart: 3},
+		{Op: controlplane.OpWrite, Cart: 1, Bytes: 1e9},
+		{Op: controlplane.OpRead, Bytes: 2.5e-7},
+		{Op: controlplane.OpStatus},
+	}
+	replies := []controlplane.Response{
+		{OK: true, SimTime: 1234.5, OpSeconds: 8.6},
+		{OK: true, SimTime: 1e21, OpSeconds: 1e-7},
+		{OK: false, Error: "controlplane: overloaded: queue-full", Code: controlplane.CodeServerBusy, RetryAfterS: 0.25},
+	}
+	var buf []byte
+	var failed error
+	encode := func() {
+		for _, req := range reqs {
+			var err error
+			if buf, err = controlplane.AppendRequest(buf[:0], req); err != nil {
+				failed = err
+			}
+		}
+		for i := range replies {
+			var err error
+			if buf, err = controlplane.AppendResponse(buf[:0], replies[i]); err != nil {
+				failed = err
+			}
+		}
+	}
+	zeroAllocs(t, "encode", encode)
+
+	var frames, lines [][]byte
+	for _, req := range reqs {
+		frame, err := controlplane.AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	for i := range replies[:2] { // OK replies carry no strings to allocate
+		line, err := controlplane.AppendResponse(nil, replies[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	mismatches := 0
+	zeroAllocs(t, "decode", func() {
+		for i, frame := range frames {
+			req, err := controlplane.DecodeRequest(frame)
+			if err != nil || req != reqs[i] {
+				mismatches++
+			}
+		}
+		for _, line := range lines {
+			if resp, err := controlplane.DecodeResponse(line); err != nil || !resp.OK {
+				mismatches++
+			}
+		}
+	})
+	if failed != nil || mismatches != 0 {
+		t.Fatalf("codec failed: %v, %d mismatches", failed, mismatches)
 	}
 }

@@ -342,44 +342,59 @@ func (c *Controller) brownoutLocked() bool {
 // caller must hand it back via Done (after running) or Abandon (if it
 // gave up while queued).
 func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Outcome) {
+	t := new(Ticket)
+	out := c.ArriveInto(t, class, conn, now)
+	if !out.Admitted {
+		return nil, out
+	}
+	return t, out
+}
+
+// ArriveInto is Arrive with a caller-owned ticket, which it overwrites.
+// When the outcome is Admitted, *t tracks the request and goes back via
+// Done or Abandon as with Arrive; otherwise it reads as released. A
+// handler that serves one request at a time can reuse one Ticket and
+// arrive without allocating.
+func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Time) Outcome {
 	if class < 0 || class >= numClasses {
 		class = ClassIO
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	*t = Ticket{done: true}
 	c.refillLocked(now)
 
 	// Rate limit first: it bounds offered work before any state is
 	// touched. Control reads bypass it — observability must survive.
 	if class != ClassControl && c.opt.Rate > 0 && c.tokens < 1 {
 		c.shed[class][ReasonRateLimited]++
-		return nil, Outcome{Reason: ReasonRateLimited, RetryAfter: c.tokenRetryLocked()}
+		return Outcome{Reason: ReasonRateLimited, RetryAfter: c.tokenRetryLocked()}
 	}
 	if c.opt.PerConn > 0 && conn >= 0 && c.perConn[conn] >= c.opt.PerConn {
 		c.shed[class][ReasonPerConn]++
-		return nil, Outcome{Reason: ReasonPerConn, RetryAfter: c.retryAfterLocked()}
+		return Outcome{Reason: ReasonPerConn, RetryAfter: c.retryAfterLocked()}
 	}
 
-	t := &Ticket{class: class, conn: conn, start: now}
+	*t = Ticket{class: class, conn: conn, start: now}
 	if c.inflight < c.opt.MaxInFlight {
 		c.admitLocked(t, now)
-		return t, Outcome{Admitted: true}
+		return Outcome{Admitted: true}
 	}
 
 	// Executor saturated: queue or shed.
 	if c.queued >= c.opt.MaxQueue {
 		c.shed[class][ReasonQueueFull]++
-		return nil, Outcome{Reason: ReasonQueueFull, RetryAfter: c.retryAfterLocked()}
+		return Outcome{Reason: ReasonQueueFull, RetryAfter: c.retryAfterLocked()}
 	}
 	if class == ClassLaunch && c.brownoutLocked() {
 		c.shed[class][ReasonBrownout]++
-		return nil, Outcome{Reason: ReasonBrownout, RetryAfter: c.retryAfterLocked()}
+		return Outcome{Reason: ReasonBrownout, RetryAfter: c.retryAfterLocked()}
 	}
 	t.queued = true
 	c.queued++
 	c.everQueued[class]++
 	c.chargeLocked(t)
-	return t, Outcome{Admitted: true, Queued: true}
+	return Outcome{Admitted: true, Queued: true}
 }
 
 // admitLocked moves a ticket straight to running. Callers hold mu.

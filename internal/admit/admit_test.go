@@ -277,3 +277,36 @@ func TestConcurrentUse(t *testing.T) {
 		t.Errorf("leaked slots: %+v", s)
 	}
 }
+
+// TestArriveIntoReusesOneTicket: a handler's one ticket serves request
+// after request, an admitted ticket goes back exactly once, and a shed
+// arrival leaves the ticket reading as released.
+func TestArriveIntoReusesOneTicket(t *testing.T) {
+	c := New(Options{MaxInFlight: 1, MaxQueue: 1, PerConn: 1})
+	var tk Ticket
+	for i := 0; i < 3; i++ {
+		if o := c.ArriveInto(&tk, ClassIO, 7, at(float64(i))); !o.Admitted || o.Queued {
+			t.Fatalf("arrival %d: %+v", i, o)
+		}
+		if err := c.Done(&tk, at(float64(i)+0.5)); err != nil {
+			t.Fatalf("done %d: %v", i, err)
+		}
+		if err := c.Done(&tk, at(float64(i)+0.5)); err != ErrTicketReused {
+			t.Fatalf("second done %d: %v, want ErrTicketReused", i, err)
+		}
+	}
+
+	var running Ticket
+	if o := c.ArriveInto(&running, ClassIO, 7, at(5)); !o.Admitted {
+		t.Fatalf("arrival: %+v", o)
+	}
+	if o := c.ArriveInto(&tk, ClassIO, 7, at(5)); o.Admitted || o.Reason != ReasonPerConn {
+		t.Fatalf("second arrival on conn 7 = %+v, want a per-conn shed", o)
+	}
+	if err := c.Abandon(&tk); err != ErrTicketReused {
+		t.Errorf("abandon of a shed ticket: %v, want ErrTicketReused", err)
+	}
+	if s := c.Snapshot(); s.InFlight != 1 || s.QueueDepth != 0 {
+		t.Errorf("snapshot = %+v, want the one running request", s)
+	}
+}

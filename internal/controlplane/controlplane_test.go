@@ -157,6 +157,27 @@ func TestAPIErrorsPropagate(t *testing.T) {
 	}
 }
 
+// TestErrorReportedDuringRunReachesReply: an op whose error the
+// simulation reports only when the op completes (a launch over its
+// timeout) is answered with that error, not as a success.
+func TestErrorReportedDuringRunReachesReply(t *testing.T) {
+	opt := dhlsys.DefaultOptions()
+	opt.Recovery.LaunchTimeout = 1 // a launch takes 8.6 s
+	_, addr := startServer(t, opt)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != CodeLaunchTimeout || math.Abs(resp.OpSeconds-8.6) > 1e-9 {
+		t.Errorf("open over its timeout = %+v, want a launch-timeout after 8.6 s", resp)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	opt := dhlsys.DefaultOptions()
 	opt.NumCarts = 4

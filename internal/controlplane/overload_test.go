@@ -1,6 +1,8 @@
 package controlplane
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -246,5 +248,50 @@ func TestColdCacheFallsBackToWaiting(t *testing.T) {
 	resp := srv.handle(1, Request{Op: OpStatus})
 	if resp.OK || resp.Code != CodeServerBusy {
 		t.Errorf("cold-cache saturated status = %+v", resp)
+	}
+}
+
+// TestStaleStatusSurvivesRefresh: a stale status reply is a deep copy of
+// the cache, so the in-place refresh after the next simulation op leaves
+// a reply already handed out unchanged.
+func TestStaleStatusSurvivesRefresh(t *testing.T) {
+	sysOpt := dhlsys.DefaultOptions()
+	sysOpt.Telemetry = telemetry.NewSet()
+	sys, err := dhlsys.New(sysOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.handle(1, Request{Op: OpOpen}); !resp.OK {
+		t.Fatalf("open = %+v", resp)
+	}
+	srv.sem <- struct{}{}
+	stale := srv.handle(1, Request{Op: OpStatus})
+	<-srv.sem
+	if !stale.OK || !stale.Stale || stale.Metrics == nil {
+		t.Fatalf("saturated status = %+v", stale)
+	}
+	before, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := srv.handle(1, Request{Op: OpClose}); !resp.OK {
+		t.Fatalf("close = %+v", resp)
+	}
+	after, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refresh rewrote a stale reply already handed out:\n before %s\n after  %s", before, after)
+	}
+	srv.cacheMu.Lock()
+	launches := srv.cacheStats.Launches
+	srv.cacheMu.Unlock()
+	if launches != stale.Stats.Launches+1 {
+		t.Errorf("cache shows %d launches after the close, stale reply %d; want one more", launches, stale.Stats.Launches)
 	}
 }

@@ -3,7 +3,6 @@ package controlplane
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -79,6 +78,9 @@ type Server struct {
 	sys *dhlsys.System
 	opt ServerOptions
 	adm *admit.Controller
+	// telemetry records whether sys carries a telemetry set, so the
+	// snapshot cache can tell without touching sys.
+	telemetry bool
 
 	sem chan struct{} // capacity 1: holds the simulation
 
@@ -99,14 +101,23 @@ type Server struct {
 	//dhllint:guardedby connMu
 	severed int
 
+	// opErr receives the outcome of the running simulation op from
+	// opDone and xferDone, which NewServerWithOptions binds once so
+	// executeSim builds no closures. Only the holder of the simulation
+	// semaphore touches it.
+	opErr    error
+	opDone   func(error)
+	xferDone func(units.Seconds, error)
+
 	cacheMu sync.Mutex
-	// The snapshot cache: refreshed after every simulation-holding
-	// request, served to status/metrics reads while the simulation is
-	// saturated (graceful degradation instead of queueing).
+	// The snapshot cache: refreshed in place after every
+	// simulation-holding request, served to status/metrics reads while
+	// the simulation is saturated (graceful degradation instead of
+	// queueing).
 	//dhllint:guardedby cacheMu
-	cacheStats *StatsJSON
+	cacheStats StatsJSON
 	//dhllint:guardedby cacheMu
-	cacheMetrics *telemetry.Snapshot
+	cacheMetrics telemetry.Snapshot
 	//dhllint:guardedby cacheMu
 	cacheSimTime float64
 	//dhllint:guardedby cacheMu
@@ -133,15 +144,18 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 		return nil, errors.New("controlplane: limits must be non-negative")
 	}
 	s := &Server{
-		sys:    sys,
-		opt:    opt,
-		sem:    make(chan struct{}, 1),
-		closed: make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
+		sys:       sys,
+		opt:       opt,
+		telemetry: sys.Telemetry() != nil,
+		sem:       make(chan struct{}, 1),
+		closed:    make(chan struct{}),
+		conns:     make(map[net.Conn]struct{}),
 	}
 	if opt.Admission != nil {
 		s.adm = admit.New(*opt.Admission)
 	}
+	s.opDone = func(err error) { s.opErr = err }
+	s.xferDone = func(_ units.Seconds, err error) { s.opErr = err }
 	return s, nil
 }
 
@@ -236,8 +250,7 @@ func (s *Server) acceptLoop() {
 			// Over the connection cap: answer structurally so a
 			// well-behaved client backs off instead of redialling hot.
 			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			enc := json.NewEncoder(conn)
-			enc.Encode(Response{
+			writeResponse(conn, nil, Response{
 				OK:          false,
 				Error:       fmt.Sprintf("controlplane: connection limit (%d) reached", s.opt.MaxConns),
 				Code:        CodeServerBusy,
@@ -304,31 +317,46 @@ func (s *Server) severConns() {
 // errFrameTooLarge marks a request frame over MaxRequestBytes.
 var errFrameTooLarge = errors.New("controlplane: request frame too large")
 
-// readFrame reads one newline-terminated request frame, bounding its
-// size so a peer streaming an endless line cannot balloon server
-// memory. A final frame without a trailing newline is accepted at EOF.
+// readFrame reads one newline-terminated frame, bounding its size when
+// max > 0 so a peer streaming an endless line cannot balloon memory. A
+// frame that fits in br's buffer is returned in place, valid only until
+// the next read from br; a longer one is assembled in a new slice. A
+// final frame without a trailing newline is accepted at EOF.
 func readFrame(br *bufio.Reader, max int) ([]byte, error) {
-	var frame []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		frame = append(frame, frag...)
-		if max > 0 && len(frame) > max {
-			return nil, errFrameTooLarge
-		}
-		switch err {
-		case nil:
-			return frame, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(frame) > 0 {
-				return frame, nil
-			}
-			return nil, io.EOF
-		default:
-			return nil, err
+	frame, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		frame = append([]byte(nil), frame...)
+		for err == bufio.ErrBufferFull && (max <= 0 || len(frame) <= max) {
+			var frag []byte
+			frag, err = br.ReadSlice('\n')
+			frame = append(frame, frag...)
 		}
 	}
+	if max > 0 && len(frame) > max {
+		return nil, errFrameTooLarge
+	}
+	switch err {
+	case nil:
+		return frame, nil
+	case io.EOF:
+		if len(frame) > 0 {
+			return frame, nil
+		}
+		return nil, io.EOF
+	default:
+		return nil, err
+	}
+}
+
+// writeResponse encodes resp into buf and sends it with one Write,
+// returning buf for reuse.
+func writeResponse(conn net.Conn, buf []byte, resp Response) ([]byte, error) {
+	buf, err := AppendResponse(buf[:0], resp)
+	if err != nil {
+		return buf, err
+	}
+	_, err = conn.Write(buf)
+	return buf, err
 }
 
 // drainPeek bounds how long a draining handler looks for a request frame
@@ -353,7 +381,7 @@ func framePending(conn net.Conn, br *bufio.Reader) bool {
 func (s *Server) serveConn(connID int64, conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
+	var out []byte // the reply frame, reused for every request
 	for {
 		select {
 		case <-s.closed:
@@ -379,7 +407,7 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 		if errors.Is(err, errFrameTooLarge) {
 			// Answer structurally, then drop: the rest of the line is
 			// still in flight and the stream cannot be resynchronised.
-			enc.Encode(Response{
+			writeResponse(conn, out, Response{
 				OK:    false,
 				Error: fmt.Sprintf("controlplane: request exceeds %d bytes", s.opt.MaxRequestBytes),
 				Code:  CodeBadRequest,
@@ -394,17 +422,23 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 		}
 		req, err := DecodeRequest(frame)
 		if err != nil {
-			enc.Encode(Response{OK: false, Error: err.Error(), Code: CodeBadRequest})
+			writeResponse(conn, out, Response{OK: false, Error: err.Error(), Code: CodeBadRequest})
 			return // malformed frame: the stream may be desynchronised
 		}
-		if err := enc.Encode(s.handle(connID, req)); err != nil {
+		if out, err = writeResponse(conn, out, s.handle(connID, req)); err != nil {
 			return
 		}
 	}
 }
 
-// acquire takes the simulation semaphore, bounded by RequestTimeout.
+// acquire takes the simulation semaphore, bounded by RequestTimeout. A
+// timer is made only when another request holds the semaphore.
 func (s *Server) acquire() bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
 	if s.opt.RequestTimeout <= 0 {
 		s.sem <- struct{}{}
 		return true
@@ -453,13 +487,14 @@ func (s *Server) handle(connID int64, req Request) Response {
 		return s.handleControl(req)
 	}
 
+	// The admit methods do not keep the ticket, so it stays on the stack.
+	var ticket admit.Ticket
 	var tk *admit.Ticket
 	if s.adm != nil {
-		t, out := s.adm.Arrive(classOf(req.Op), connID, s.now())
-		if !out.Admitted {
+		tk = &ticket
+		if out := s.adm.ArriveInto(tk, classOf(req.Op), connID, s.now()); !out.Admitted {
 			return busyResponse("overloaded: "+out.Reason.String(), out.RetryAfter)
 		}
-		tk = t
 	}
 	if !s.acquire() {
 		if tk != nil {
@@ -526,10 +561,11 @@ func (s *Server) freshControl(req Request) Response {
 			Text:    telemetry.PrometheusText(s.sys.MetricsSnapshot()),
 		}
 	}
+	st := statsJSON(s.sys.ReportTotals())
 	resp := Response{
 		OK:      true,
 		SimTime: float64(s.sys.Engine.Now()),
-		Stats:   statsJSON(s.sys.Report()),
+		Stats:   &st,
 	}
 	if s.sys.Telemetry() != nil {
 		snap := s.sys.MetricsSnapshot()
@@ -539,28 +575,27 @@ func (s *Server) freshControl(req Request) Response {
 }
 
 // refreshCache publishes the snapshot served to control reads during
-// saturation. Callers hold the simulation semaphore.
+// saturation. It overwrites the cached snapshot in place, reusing its
+// slices, so a warm refresh does not allocate. Callers hold the
+// simulation semaphore.
+//
+//dhllint:hotpath
 func (s *Server) refreshCache() {
-	st := statsJSON(s.sys.Report())
-	var snap *telemetry.Snapshot
-	if s.sys.Telemetry() != nil {
-		m := s.sys.MetricsSnapshot()
-		snap = &m
-	}
+	st := statsJSON(s.sys.ReportTotals())
 	simT := float64(s.sys.Engine.Now())
 	now := s.now()
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	s.cacheStats = st
-	s.cacheMetrics = snap
+	s.sys.MetricsSnapshotInto(&s.cacheMetrics)
 	s.cacheSimTime = simT
 	s.cacheAt = now
 	s.cacheOK = true
 }
 
-// cachedControl serves a control read from the snapshot cache. The
-// cached values are replaced wholesale by refreshCache and never mutated
-// in place, so handing out shallow copies is safe.
+// cachedControl serves a control read from the snapshot cache.
+// refreshCache overwrites the cached snapshot's slices in place, so
+// everything handed out here is a deep copy taken under cacheMu.
 func (s *Server) cachedControl(req Request) (Response, bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
@@ -572,7 +607,7 @@ func (s *Server) cachedControl(req Request) (Response, bool) {
 		age = 0
 	}
 	if req.Op == OpMetrics {
-		if s.cacheMetrics == nil {
+		if !s.telemetry {
 			return Response{
 				OK:      false,
 				Error:   "controlplane: system has no telemetry set",
@@ -583,12 +618,12 @@ func (s *Server) cachedControl(req Request) (Response, bool) {
 		return Response{
 			OK:        true,
 			SimTime:   s.cacheSimTime,
-			Text:      telemetry.PrometheusText(*s.cacheMetrics),
+			Text:      telemetry.PrometheusText(s.cacheMetrics),
 			Stale:     true,
 			CacheAgeS: age,
 		}, true
 	}
-	st := *s.cacheStats
+	st := s.cacheStats
 	resp := Response{
 		OK:        true,
 		SimTime:   s.cacheSimTime,
@@ -596,8 +631,8 @@ func (s *Server) cachedControl(req Request) (Response, bool) {
 		Stale:     true,
 		CacheAgeS: age,
 	}
-	if s.cacheMetrics != nil {
-		m := *s.cacheMetrics
+	if s.telemetry {
+		m := s.cacheMetrics.Clone()
 		resp.Metrics = &m
 	}
 	return resp, true
@@ -607,21 +642,22 @@ func (s *Server) cachedControl(req Request) (Response, bool) {
 // semaphore.
 func (s *Server) executeSim(req Request) Response {
 	start := s.sys.Engine.Now()
-	var opErr error
+	s.opErr = nil
 	id := track.CartID(req.Cart)
 	switch req.Op {
 	case OpOpen:
-		s.sys.Open(id, func(err error) { opErr = err })
+		s.sys.Open(id, s.opDone)
 	case OpClose:
-		s.sys.Close(id, func(err error) { opErr = err })
+		s.sys.Close(id, s.opDone)
 	case OpRead:
-		s.sys.Read(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
+		s.sys.Read(id, bytesOf(req), s.xferDone)
 	case OpWrite:
-		s.sys.Write(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
+		s.sys.Write(id, bytesOf(req), s.xferDone)
 	}
 	if _, err := s.sys.Run(); err != nil {
 		return Response{OK: false, Error: err.Error(), Code: CodeInternal, SimTime: float64(s.sys.Engine.Now())}
 	}
+	opErr := s.opErr
 	resp := Response{
 		OK:        opErr == nil,
 		SimTime:   float64(s.sys.Engine.Now()),
@@ -738,8 +774,8 @@ func CodeForError(err error) string {
 // propagation, retries, and retry budgets, use internal/cpclient.
 type Client struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	br   *bufio.Reader
+	out  []byte // the request frame, reused for every exchange
 }
 
 // Dial connects to a server.
@@ -748,20 +784,25 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: dial: %w", err)
 	}
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // Do performs one request/response exchange.
 func (c *Client) Do(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
+	out, err := AppendRequest(c.out[:0], req)
+	if err != nil {
 		return Response{}, fmt.Errorf("controlplane: send: %w", err)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	c.out = out
+	if _, err := c.conn.Write(out); err != nil {
+		return Response{}, fmt.Errorf("controlplane: send: %w", err)
+	}
+	line, err := readFrame(c.br, 0)
+	if err != nil {
+		return Response{}, fmt.Errorf("controlplane: recv: %w", err)
+	}
+	resp, err := DecodeResponse(line)
+	if err != nil {
 		return Response{}, fmt.Errorf("controlplane: recv: %w", err)
 	}
 	return resp, nil

@@ -24,7 +24,6 @@ package cpclient
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -480,11 +479,10 @@ func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlp
 		return controlplane.Response{}, fmt.Errorf("cpclient: set deadline: %w", err)
 	}
 
-	frame, err := json.Marshal(req)
+	frame, err := controlplane.AppendRequest(nil, req)
 	if err != nil {
 		return controlplane.Response{}, fmt.Errorf("cpclient: encode: %w", err)
 	}
-	frame = append(frame, '\n')
 	if _, err := conn.Write(frame); err != nil {
 		c.drop()
 		return controlplane.Response{}, fmt.Errorf("cpclient: send: %w", err)
@@ -494,8 +492,8 @@ func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlp
 		c.drop()
 		return controlplane.Response{}, fmt.Errorf("cpclient: recv: %w", err)
 	}
-	var resp controlplane.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	resp, err := controlplane.DecodeResponse(line)
+	if err != nil {
 		c.drop()
 		return controlplane.Response{}, fmt.Errorf("cpclient: decode: %w", err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,5 +341,42 @@ func TestClientAgainstRealServer(t *testing.T) {
 	if resp, err := c.Open(-1); err != nil || resp.OK ||
 		resp.Code != controlplane.CodeUnknownCart {
 		t.Fatalf("bad open = %+v, %v", resp, err)
+	}
+}
+
+// TestCodecErrorsKeepTheirWrapping: a request the wire format cannot
+// carry fails as an encode error before anything is sent, and a reply
+// line that is not JSON fails as a decode error and drops the connection.
+func TestCodecErrorsKeepTheirWrapping(t *testing.T) {
+	c, _ := newTestClient(newScriptServer(t), func(o *Options) { o.Retry.MaxAttempts = 1 })
+	defer c.Close()
+	if _, err := c.Read(0, math.NaN()); err == nil || !strings.HasPrefix(err.Error(), "cpclient: encode: ") {
+		t.Errorf("NaN read: err = %v, want a cpclient: encode error", err)
+	}
+
+	dials := 0
+	g := New(Options{
+		Addr: "garbage",
+		Dial: func(string, time.Duration) (net.Conn, error) {
+			dials++
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				if _, err := bufio.NewReader(server).ReadBytes('\n'); err == nil {
+					server.Write([]byte("not json\n"))
+				}
+			}()
+			return client, nil
+		},
+		Retry: RetryOptions{MaxAttempts: 1},
+	})
+	defer g.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := g.Status(); err == nil || !strings.HasPrefix(err.Error(), "cpclient: decode: ") {
+			t.Errorf("garbage reply: err = %v, want a cpclient: decode error", err)
+		}
+	}
+	if dials != 2 {
+		t.Errorf("%d dials for 2 garbage replies; a decode error must drop the connection", dials)
 	}
 }

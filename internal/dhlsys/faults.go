@@ -244,6 +244,14 @@ func (r AvailabilityReport) String() string {
 
 // Report builds the availability report at the engine's current time.
 func (s *System) Report() AvailabilityReport {
+	r := s.ReportTotals()
+	r.Faults = s.inj.Summary()
+	return r
+}
+
+// ReportTotals is Report without the per-kind fault rows: Faults.Total is
+// set and Faults.PerKind is nil. It does not allocate.
+func (s *System) ReportTotals() AvailabilityReport {
 	elapsed := s.Engine.Now()
 	down := s.inj.Downtime()
 	avail := 1.0
@@ -254,7 +262,7 @@ func (s *System) Report() AvailabilityReport {
 		Elapsed:      elapsed,
 		Downtime:     down,
 		Availability: avail,
-		Faults:       s.inj.Summary(),
+		Faults:       faults.Summary{Total: s.inj.Total()},
 		Stats:        s.stats,
 	}
 }

@@ -129,9 +129,19 @@ func (s *System) Telemetry() *telemetry.Set { return s.telSet }
 // Direct Registry.Snapshot calls bypass this refresh and see the derived
 // metrics as of the previous MetricsSnapshot.
 func (s *System) MetricsSnapshot() telemetry.Snapshot {
+	var snap telemetry.Snapshot
+	s.MetricsSnapshotInto(&snap)
+	return snap
+}
+
+// MetricsSnapshotInto is MetricsSnapshot writing into dst, reusing its
+// slices (see telemetry.Registry.SnapshotInto).
+//
+//dhllint:hotpath
+func (s *System) MetricsSnapshotInto(dst *telemetry.Snapshot) {
 	s.tel.simTime.Set(float64(s.Engine.Now()))
 	s.tel.simEvents.Add(float64(s.Engine.Processed()) - s.tel.simEvents.Value())
-	return s.telSet.MetricsOf().Snapshot()
+	s.telSet.MetricsOf().SnapshotInto(dst)
 }
 
 // deny accounts one immediately-failed API request.

@@ -253,6 +253,16 @@ func (in *Injector) Summary() Summary {
 	return s
 }
 
+// Total returns the number of faults injected so far, Summary().Total
+// without the per-kind rows.
+func (in *Injector) Total() int {
+	n := 0
+	for i := range in.perKind {
+		n += in.perKind[i].Injected
+	}
+	return n
+}
+
 // Downtime returns the measure of the union of all outage windows up to
 // the engine's current time: the "not fully nominal" time an availability
 // figure divides by. Overlapping faults of any kind count once.

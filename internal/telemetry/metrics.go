@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -315,37 +316,66 @@ type Snapshot struct {
 // Snapshot captures the registry's current state. A nil registry yields
 // the zero snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	var s Snapshot
-	if n := len(r.counterNames); n > 0 {
-		s.Counters = make([]CounterPoint, n)
-		for i, name := range r.counterNames {
-			s.Counters[i] = CounterPoint{Name: name, Value: r.counterVals[i].v}
-		}
-	}
-	if n := len(r.gaugeNames); n > 0 {
-		s.Gauges = make([]GaugePoint, n)
-		for i, name := range r.gaugeNames {
-			s.Gauges[i] = GaugePoint{Name: name, Value: r.gaugeVals[i].v}
-		}
-	}
-	if n := len(r.histNames); n > 0 {
-		s.Histograms = make([]HistogramPoint, n)
-		for i, name := range r.histNames {
-			h := r.histVals[i]
-			hp := HistogramPoint{Name: name, Sum: h.sum, Count: h.count,
-				Buckets: make([]BucketPoint, 0, len(h.bounds))}
-			cum := uint64(0)
-			for j, b := range h.bounds {
-				cum += h.counts[j]
-				hp.Buckets = append(hp.Buckets, BucketPoint{UpperBound: b, Count: cum})
-			}
-			s.Histograms[i] = hp
-		}
-	}
+	r.SnapshotInto(&s)
 	return s
+}
+
+// SnapshotInto captures the registry's current state into dst, reusing
+// dst's slices where they are long enough, so refreshing a warm snapshot
+// does not allocate. The slices of anything copied from dst earlier are
+// overwritten too; Clone first to keep a copy. A nil registry yields the
+// zero snapshot.
+//
+//dhllint:hotpath
+func (r *Registry) SnapshotInto(dst *Snapshot) {
+	if r == nil {
+		*dst = Snapshot{}
+		return
+	}
+	dst.Counters = resize(dst.Counters, len(r.counterNames))
+	for i, name := range r.counterNames {
+		dst.Counters[i] = CounterPoint{Name: name, Value: r.counterVals[i].v}
+	}
+	dst.Gauges = resize(dst.Gauges, len(r.gaugeNames))
+	for i, name := range r.gaugeNames {
+		dst.Gauges[i] = GaugePoint{Name: name, Value: r.gaugeVals[i].v}
+	}
+	dst.Histograms = resize(dst.Histograms, len(r.histNames))
+	for i, name := range r.histNames {
+		h := r.histVals[i]
+		hp := &dst.Histograms[i]
+		hp.Name, hp.Sum, hp.Count = name, h.sum, h.count
+		hp.Buckets = resize(hp.Buckets, len(h.bounds))
+		cum := uint64(0)
+		for j, b := range h.bounds {
+			cum += h.counts[j]
+			hp.Buckets[j] = BucketPoint{UpperBound: b, Count: cum}
+		}
+	}
+}
+
+// Clone returns a deep copy of s that shares no slice with it.
+func (s Snapshot) Clone() Snapshot {
+	c := Snapshot{
+		Counters:   slices.Clone(s.Counters),
+		Gauges:     slices.Clone(s.Gauges),
+		Histograms: slices.Clone(s.Histograms),
+	}
+	for i := range c.Histograms {
+		c.Histograms[i].Buckets = slices.Clone(c.Histograms[i].Buckets)
+	}
+	return c
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity allows. A nil s stays nil at n = 0.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		//dhllint:allow allocflow -- growth on a cold destination; a warm one has the registry's size already
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // insertAt inserts v at index i, shifting the tail up. The registry's

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -148,5 +149,45 @@ func TestSummaryTable(t *testing.T) {
 	}
 	if SummaryTable(Snapshot{}) != "" {
 		t.Error("empty snapshot should render empty summary")
+	}
+}
+
+// TestSnapshotIntoReusesAndMatches: SnapshotInto writes the same snapshot
+// Snapshot builds, whatever the destination held before, reuses a warm
+// destination's slices, and Clone shares none of them.
+func TestSnapshotIntoReusesAndMatches(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b_total").Add(2)
+	r.Gauge("g").Set(-1)
+	h := r.Histogram("h_seconds", []float64{1, 10})
+	h.Observe(0.5)
+	h.Observe(5)
+
+	dirty := Snapshot{
+		Counters:   make([]CounterPoint, 7),
+		Histograms: []HistogramPoint{{Name: "stale", Buckets: make([]BucketPoint, 1)}},
+	}
+	for _, dst := range []*Snapshot{{}, &dirty} {
+		r.SnapshotInto(dst)
+		if want := r.Snapshot(); !reflect.DeepEqual(*dst, want) {
+			t.Errorf("SnapshotInto = %+v, want %+v", *dst, want)
+		}
+	}
+	counters, buckets := &dirty.Counters[0], &dirty.Histograms[0].Buckets[0]
+	c := dirty.Clone()
+	r.Counter("b_total").Inc()
+	h.Observe(0.7)
+	r.SnapshotInto(&dirty)
+	if &dirty.Counters[0] != counters || &dirty.Histograms[0].Buckets[0] != buckets {
+		t.Error("a warm SnapshotInto reallocated its slices")
+	}
+	if c.Counters[0].Value != 2 || c.Histograms[0].Count != 2 || c.Histograms[0].Buckets[0].Count != 1 {
+		t.Errorf("clone changed with its source: %+v", c)
+	}
+
+	var nilReg *Registry
+	nilReg.SnapshotInto(&dirty)
+	if !reflect.DeepEqual(dirty, Snapshot{}) {
+		t.Errorf("nil registry snapshot = %+v, want zero", dirty)
 	}
 }
