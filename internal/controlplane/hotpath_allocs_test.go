@@ -43,7 +43,7 @@ func TestHotPathAllocsRefreshCache(t *testing.T) {
 }
 
 // TestHotPathAllocsHandle pins one admitted simulation request through
-// handle — validation, admission, the semaphore, executeSim and the cache
+// handle — validation, admission, the semaphore, Execute and the cache
 // refresh — over an open/write/read/close cycle with telemetry off, whose
 // span log would otherwise grow.
 func TestHotPathAllocsHandle(t *testing.T) {
