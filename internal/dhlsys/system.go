@@ -325,6 +325,9 @@ func (s *System) Stats() Stats { return s.stats }
 // Launch returns the per-trip analytical metrics the simulation charges.
 func (s *System) Launch() core.LaunchMetrics { return s.launch }
 
+// NumCarts returns the fleet size; cart IDs run 0..NumCarts−1.
+func (s *System) NumCarts() int { return len(s.carts) }
+
 // Cart returns the cart state for inspection.
 func (s *System) Cart(id track.CartID) (*Cart, error) {
 	c, ok := s.cart(id)
