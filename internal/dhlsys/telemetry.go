@@ -11,7 +11,7 @@ import (
 // This file wires the simulation to internal/telemetry. Instrumentation is
 // strictly optional: with Options.Telemetry nil every handle below is nil
 // and every hook is a no-op, so an uninstrumented run pays one nil check
-// per site (the budget BENCH_telemetry.json tracks).
+// per site (the budget BENCH_kernel.json tracks).
 
 // Histogram bucket layouts, in seconds. Fixed at construction so every run
 // of a configuration shares one schema.

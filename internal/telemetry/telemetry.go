@@ -16,7 +16,7 @@
 //     hands out nil *Counter/*Gauge/*Histogram handles, and operations on
 //     nil handles (and a nil *SpanLog) are no-ops. An uninstrumented run
 //     pays only nil-pointer checks; the overhead budget is recorded in
-//     BENCH_telemetry.json.
+//     BENCH_kernel.json.
 package telemetry
 
 // Set bundles the two collectors a simulation carries: the metrics

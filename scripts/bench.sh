@@ -7,15 +7,10 @@
 # Usage: scripts/bench.sh [output.json] [bench-regex]
 #   scripts/bench.sh                                  # all benches → BENCH_sweep.json
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
-#   scripts/bench.sh telemetry                        # instrumentation overhead → BENCH_telemetry.json
 #   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
 #   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
-#
-# The telemetry mode runs the enabled/disabled shuttle pair and adds an
-# overhead_pct field (enabled vs disabled best-of-3 ns/op) to the output;
-# the acceptance target keeps the disabled path within 1 % of baseline.
 #
 # The kernel mode runs the event-kernel pair (burst and steady-state),
 # the shuttle workload, and the telemetry shuttle pair; kernel rows gain
@@ -86,15 +81,10 @@ fi
 
 out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
-telemetry=0
 kernel=0
 faults=0
 lint=0
-if [[ "${1:-}" == "telemetry" ]]; then
-    out="BENCH_telemetry.json"
-    pattern="BenchmarkShuttleTelemetry(Disabled|Enabled)$"
-    telemetry=1
-elif [[ "${1:-}" == "kernel" ]]; then
+if [[ "${1:-}" == "kernel" ]]; then
     out="BENCH_kernel.json"
     pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Disabled|Enabled|EnabledCold)$"
     kernel=1
@@ -118,7 +108,7 @@ if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*
 fi
 
 awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" -v commit="$commit" \
-    -v telemetry="$telemetry" -v kernel="$kernel" -v faults="$faults" -v lint="$lint" '
+    -v kernel="$kernel" -v faults="$faults" -v lint="$lint" '
 /^Benchmark/ {
     # BenchmarkName-N  iters  ns/op  B/op  allocs/op
     name = $1
@@ -161,11 +151,11 @@ END {
         base = best["BenchmarkShuttleNoFaults"]
         printf ",\n  \"overhead_pct\": %.2f", (best["BenchmarkShuttleArmedEmptyScript"] - base) / base * 100
     }
-    if ((telemetry || kernel) && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
+    if (kernel && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
         off = best["BenchmarkShuttleTelemetryDisabled"]
         on = best["BenchmarkShuttleTelemetryEnabled"]
         printf ",\n  \"overhead_pct\": %.2f", (on - off) / off * 100
-        if (kernel && ("BenchmarkShuttleTelemetryEnabledCold" in best))
+        if ("BenchmarkShuttleTelemetryEnabledCold" in best)
             printf ",\n  \"overhead_cold_pct\": %.2f", \
                 (best["BenchmarkShuttleTelemetryEnabledCold"] - off) / off * 100
     }
