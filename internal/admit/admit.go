@@ -336,25 +336,13 @@ func (c *Controller) brownoutLocked() bool {
 	return float64(c.queued) >= c.opt.BrownoutFrac*float64(c.opt.MaxQueue)
 }
 
-// Arrive decides one request. conn identifies the requesting connection
-// for the per-connection cap (pass a negative value to opt out). The
-// returned Ticket is non-nil exactly when the outcome is Admitted; the
-// caller must hand it back via Done (after running) or Abandon (if it
-// gave up while queued).
-func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Outcome) {
-	t := new(Ticket)
-	out := c.ArriveInto(t, class, conn, now)
-	if !out.Admitted {
-		return nil, out
-	}
-	return t, out
-}
-
-// ArriveInto is Arrive with a caller-owned ticket, which it overwrites.
-// When the outcome is Admitted, *t tracks the request and goes back via
-// Done or Abandon as with Arrive; otherwise it reads as released. A
-// handler that serves one request at a time can reuse one Ticket and
-// arrive without allocating.
+// ArriveInto decides one request, filling the caller-owned ticket t,
+// which it overwrites. conn identifies the requesting connection for the
+// per-connection cap (pass a negative value to opt out). When the outcome
+// is Admitted, *t tracks the request and the caller must hand it back via
+// Done (after running) or Abandon (if it gave up while queued); otherwise
+// it reads as released. A handler that serves one request at a time can
+// reuse one Ticket and arrive without allocating.
 func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Time) Outcome {
 	if class < 0 || class >= numClasses {
 		class = ClassIO

@@ -7,6 +7,16 @@ import (
 	"time"
 )
 
+// arrive runs ArriveInto on a fresh ticket, returned only when admitted.
+func arrive(c *Controller, class Class, conn int64, now time.Time) (*Ticket, Outcome) {
+	t := new(Ticket)
+	out := c.ArriveInto(t, class, conn, now)
+	if !out.Admitted {
+		return nil, out
+	}
+	return t, out
+}
+
 // at is a virtual clock helper: seconds past an arbitrary epoch.
 func at(s float64) time.Time {
 	return time.Unix(0, 0).Add(time.Duration(s * float64(time.Second)))
@@ -27,19 +37,19 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 	c := New(Options{MaxInFlight: 1, MaxQueue: 2})
 	now := at(0)
 
-	t1, o1 := c.Arrive(ClassIO, 1, now)
+	t1, o1 := arrive(c, ClassIO, 1, now)
 	if !o1.Admitted || o1.Queued || t1 == nil {
 		t.Fatalf("first arrival should run immediately: %+v", o1)
 	}
-	t2, o2 := c.Arrive(ClassIO, 2, now)
+	t2, o2 := arrive(c, ClassIO, 2, now)
 	if !o2.Admitted || !o2.Queued {
 		t.Fatalf("second arrival should queue: %+v", o2)
 	}
-	_, o3 := c.Arrive(ClassIO, 3, now)
+	_, o3 := arrive(c, ClassIO, 3, now)
 	if !o3.Admitted || !o3.Queued {
 		t.Fatalf("third arrival should queue: %+v", o3)
 	}
-	tk4, o4 := c.Arrive(ClassIO, 4, now)
+	tk4, o4 := arrive(c, ClassIO, 4, now)
 	if o4.Admitted || tk4 != nil {
 		t.Fatalf("fourth arrival should shed: %+v", o4)
 	}
@@ -55,7 +65,7 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Started(t2, at(0.2))
-	_, o5 := c.Arrive(ClassIO, 5, at(0.2))
+	_, o5 := arrive(c, ClassIO, 5, at(0.2))
 	if !o5.Admitted {
 		t.Fatalf("slot freed, arrival should queue again: %+v", o5)
 	}
@@ -68,17 +78,17 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 	c := New(Options{MaxInFlight: 1, MaxQueue: 100, ServiceTimeHint: time.Second})
 	now := at(0)
-	c.Arrive(ClassIO, -1, now) // running
+	arrive(c, ClassIO, -1, now) // running
 	var prev time.Duration
 	for i := 0; i < 20; i++ {
-		c.Arrive(ClassIO, -1, now) // queue up
+		arrive(c, ClassIO, -1, now) // queue up
 	}
 	// Shed probes at increasing depth must see non-decreasing hints.
 	c2 := New(Options{MaxInFlight: 1, MaxQueue: 5, ServiceTimeHint: time.Second})
-	c2.Arrive(ClassIO, -1, now)
+	arrive(c2, ClassIO, -1, now)
 	for i := 0; i < 5; i++ {
-		c2.Arrive(ClassIO, -1, now)
-		_, o := c2.Arrive(ClassControl, -1, now)
+		arrive(c2, ClassIO, -1, now)
+		_, o := arrive(c2, ClassControl, -1, now)
 		if o.Admitted {
 			continue
 		}
@@ -87,7 +97,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		}
 		prev = o.RetryAfter
 	}
-	_, o := c.Arrive(ClassIO, -1, now)
+	_, o := arrive(c, ClassIO, -1, now)
 	if !o.Admitted {
 		t.Fatalf("queue of 100 should still admit: %+v", o)
 	}
@@ -99,7 +109,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 		var got []bool
 		// 10 arrivals at 0.25s spacing against a 2/s bucket of burst 2.
 		for i := 0; i < 10; i++ {
-			tk, o := c.Arrive(ClassIO, -1, at(float64(i)*0.25))
+			tk, o := arrive(c, ClassIO, -1, at(float64(i)*0.25))
 			got = append(got, o.Admitted)
 			if tk != nil {
 				c.Done(tk, at(float64(i)*0.25+0.01))
@@ -126,13 +136,13 @@ func TestTokenBucketDeterministic(t *testing.T) {
 func TestControlClassBypassesRateLimit(t *testing.T) {
 	c := New(Options{MaxInFlight: 100, MaxQueue: 10, Rate: 1, Burst: 1})
 	now := at(0)
-	c.Arrive(ClassIO, -1, now) // drains the only token
-	if _, o := c.Arrive(ClassIO, -1, now); o.Admitted {
+	arrive(c, ClassIO, -1, now) // drains the only token
+	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
 		t.Fatal("bucket empty, IO should shed")
 	} else if o.Reason != ReasonRateLimited {
 		t.Errorf("reason = %v", o.Reason)
 	}
-	if _, o := c.Arrive(ClassControl, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassControl, -1, now); !o.Admitted {
 		t.Errorf("control reads must bypass the bucket: %+v", o)
 	}
 }
@@ -140,21 +150,21 @@ func TestControlClassBypassesRateLimit(t *testing.T) {
 func TestBrownoutShedsLaunchFirst(t *testing.T) {
 	c := New(Options{MaxInFlight: 1, MaxQueue: 10, BrownoutFrac: 0.5})
 	now := at(0)
-	c.Arrive(ClassIO, -1, now) // running
-	for i := 0; i < 5; i++ {   // queue to the brownout threshold
-		if _, o := c.Arrive(ClassIO, -1, now); !o.Admitted {
+	arrive(c, ClassIO, -1, now) // running
+	for i := 0; i < 5; i++ {    // queue to the brownout threshold
+		if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
 			t.Fatalf("fill %d: %+v", i, o)
 		}
 	}
-	if _, o := c.Arrive(ClassLaunch, -1, now); o.Admitted {
+	if _, o := arrive(c, ClassLaunch, -1, now); o.Admitted {
 		t.Fatal("launch should shed in brownout")
 	} else if o.Reason != ReasonBrownout {
 		t.Errorf("reason = %v, want brownout", o.Reason)
 	}
-	if _, o := c.Arrive(ClassIO, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
 		t.Errorf("IO should still queue during brownout: %+v", o)
 	}
-	if _, o := c.Arrive(ClassControl, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassControl, -1, now); !o.Admitted {
 		t.Errorf("control should still queue during brownout: %+v", o)
 	}
 	if !c.Snapshot().Brownout {
@@ -165,20 +175,20 @@ func TestBrownoutShedsLaunchFirst(t *testing.T) {
 func TestPerConnCap(t *testing.T) {
 	c := New(Options{MaxInFlight: 10, MaxQueue: 10, PerConn: 2})
 	now := at(0)
-	t1, _ := c.Arrive(ClassIO, 7, now)
-	c.Arrive(ClassIO, 7, now)
-	if _, o := c.Arrive(ClassIO, 7, now); o.Admitted {
+	t1, _ := arrive(c, ClassIO, 7, now)
+	arrive(c, ClassIO, 7, now)
+	if _, o := arrive(c, ClassIO, 7, now); o.Admitted {
 		t.Fatal("third outstanding request on conn 7 should shed")
 	} else if o.Reason != ReasonPerConn {
 		t.Errorf("reason = %v", o.Reason)
 	}
 	// Other connections are unaffected.
-	if _, o := c.Arrive(ClassIO, 8, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, 8, now); !o.Admitted {
 		t.Errorf("conn 8 should admit: %+v", o)
 	}
 	// Finishing one frees the slot.
 	c.Done(t1, at(0.1))
-	if _, o := c.Arrive(ClassIO, 7, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, 7, now); !o.Admitted {
 		t.Errorf("slot freed, conn 7 should admit: %+v", o)
 	}
 }
@@ -186,18 +196,18 @@ func TestPerConnCap(t *testing.T) {
 func TestAbandonReleasesQueueSlot(t *testing.T) {
 	c := New(Options{MaxInFlight: 1, MaxQueue: 1})
 	now := at(0)
-	c.Arrive(ClassIO, -1, now)
-	tq, o := c.Arrive(ClassIO, -1, now)
+	arrive(c, ClassIO, -1, now)
+	tq, o := arrive(c, ClassIO, -1, now)
 	if !o.Queued {
 		t.Fatalf("should queue: %+v", o)
 	}
-	if _, o := c.Arrive(ClassIO, -1, now); o.Admitted {
+	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
 		t.Fatal("queue full")
 	}
 	if err := c.Abandon(tq); err != nil {
 		t.Fatal(err)
 	}
-	if _, o := c.Arrive(ClassIO, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
 		t.Errorf("abandon should free the queue slot: %+v", o)
 	}
 	if err := c.Abandon(tq); err != ErrTicketReused {
@@ -212,7 +222,7 @@ func TestServiceEstimateTracksCompletions(t *testing.T) {
 	c := New(Options{ServiceTimeHint: 100 * time.Millisecond})
 	est0 := c.Snapshot().EstServiceS
 	for i := 0; i < 40; i++ {
-		tk, _ := c.Arrive(ClassIO, -1, at(float64(i)))
+		tk, _ := arrive(c, ClassIO, -1, at(float64(i)))
 		c.Done(tk, at(float64(i)+2)) // 2s services
 	}
 	est := c.Snapshot().EstServiceS
@@ -256,7 +266,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				now := at(float64(i))
-				tk, o := c.Arrive(ClassIO, conn, now)
+				tk, o := arrive(c, ClassIO, conn, now)
 				if !o.Admitted {
 					continue
 				}
