@@ -192,7 +192,6 @@ func newHarness(cfg Config) (*harness, error) {
 	cfg = cfg.withDefaults()
 	opt := dhlsys.DefaultOptions()
 	opt.NumCarts = cfg.Carts
-	opt.LibrarySlots = 0
 	if cfg.Chaos != "" {
 		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration),
 			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dhlsys"
 	"repro/internal/storage"
-	"repro/internal/track"
 	"repro/internal/units"
 )
 
@@ -290,8 +289,6 @@ func TestCodeForErrorTaxonomy(t *testing.T) {
 		{dhlsys.ErrCartFailed, CodeCartFailed},
 		{dhlsys.ErrDegradedRead, CodeDegradedRead},
 		{dhlsys.ErrLaunchTimeout, CodeLaunchTimeout},
-		{track.ErrRailBlocked, CodeRailBlocked},
-		{track.ErrStationFailed, CodeStationFailed},
 		{storage.ErrOutOfRange, CodeStorage},
 		{fmt.Errorf("wrapped: %w", dhlsys.ErrCartBusy), CodeCartBusy},
 		{errors.New("mystery"), CodeError},

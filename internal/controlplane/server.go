@@ -796,10 +796,6 @@ const (
 	CodeDegradedRead = "degraded-read"
 	// CodeLaunchTimeout: a launch exceeded the recovery policy's budget.
 	CodeLaunchTimeout = "launch-timeout"
-	// CodeRailBlocked: a cart-stall fault blocks the rail.
-	CodeRailBlocked = "rail-blocked"
-	// CodeStationFailed: a dock-failure fault holds the station.
-	CodeStationFailed = "station-failed"
 	// CodeStorage: a storage-layer bounds error.
 	CodeStorage = "storage"
 	// CodeNoTelemetry: a metrics request against a system built without a
@@ -832,10 +828,6 @@ func CodeForError(err error) string {
 		return CodeDegradedRead
 	case errors.Is(err, dhlsys.ErrLaunchTimeout):
 		return CodeLaunchTimeout
-	case errors.Is(err, track.ErrRailBlocked):
-		return CodeRailBlocked
-	case errors.Is(err, track.ErrStationFailed):
-		return CodeStationFailed
 	case errors.Is(err, storage.ErrOutOfRange), errors.Is(err, storage.ErrOutOfSpace),
 		errors.Is(err, storage.ErrNegativeLength), errors.Is(err, storage.ErrDegraded):
 		return CodeStorage

@@ -196,8 +196,6 @@ func RetryableCode(code string) bool {
 	switch code {
 	case controlplane.CodeServerBusy,
 		controlplane.CodeCartBusy,
-		controlplane.CodeRailBlocked,
-		controlplane.CodeStationFailed,
 		controlplane.CodeLaunchTimeout:
 		return true
 	default:

@@ -94,7 +94,6 @@ func TestBudgetBreaker(t *testing.T) {
 func TestRetryableClassification(t *testing.T) {
 	retryable := []string{
 		controlplane.CodeServerBusy, controlplane.CodeCartBusy,
-		controlplane.CodeRailBlocked, controlplane.CodeStationFailed,
 		controlplane.CodeLaunchTimeout,
 	}
 	terminal := []string{

@@ -43,8 +43,8 @@ func (s *System) injectFault(f faults.Fault) {
 			// Debris on the segment: the direction refuses new
 			// reservations until cleared, and any cart mid-transit that
 			// way is delayed by the clearing time.
-			s.rail.Block(f.Direction)
-			if c, ok := s.cart(s.rail.Occupant(f.Direction)); ok {
+			s.plant.block(f.Direction)
+			if c, ok := s.cart(s.plant.holder[s.plant.slot(f.Direction)]); ok {
 				s.stallCart(c, f.Duration)
 			}
 			return
@@ -58,11 +58,10 @@ func (s *System) injectFault(f faults.Fault) {
 	case faults.VacuumLeak:
 		s.leaks = append(s.leaks, f.Pressure)
 	case faults.DockFailure:
-		occ, err := s.dock.FailStation(f.Station)
-		if err != nil {
-			return
-		}
-		if c, ok := s.cart(occ); ok {
+		// The script's stations were validated against the bank in New.
+		s.plant.failed[f.Station] = true
+		s.plant.telFailures.Inc()
+		if c, ok := s.cart(s.plant.stations[f.Station]); ok {
 			// The occupant's connector mated with a now-failed station;
 			// flag it for forced service at the library.
 			c.needsService = true
@@ -85,7 +84,7 @@ func (s *System) recoverFault(f faults.Fault) {
 		}
 	case faults.CartStall:
 		if f.Cart == track.NoCart {
-			s.rail.Unblock(f.Direction)
+			s.plant.unblock(f.Direction)
 		}
 	case faults.VacuumLeak:
 		for i, p := range s.leaks {
@@ -96,9 +95,8 @@ func (s *System) recoverFault(f faults.Fault) {
 			}
 		}
 	case faults.DockFailure:
-		if err := s.dock.RepairStation(f.Station); err != nil {
-			return
-		}
+		s.plant.failed[f.Station] = false
+		s.plant.telRepairs.Inc()
 	case faults.LIMPowerLoss:
 		if s.limDown[int(f.Direction)] > 0 {
 			s.limDown[int(f.Direction)]--

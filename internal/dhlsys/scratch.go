@@ -72,27 +72,16 @@ func (s *System) bindLaunchSteps(c *Cart) {
 //dhllint:hotpath
 func (s *System) tryOpenStep(c *Cart) bool {
 	sc := &c.scratch
-	if !s.limUp(track.Outbound) || s.dock.Blocked() || !s.dock.HasFree() {
+	if !s.limUp(track.Outbound) || s.plant.dockable() < 0 {
 		return false
 	}
 	dir, reroute, ok := s.launchDirection(track.Outbound)
 	if !ok {
 		return false
 	}
-	if err := s.rail.Reserve(c.ID, dir); err != nil {
-		return false
-	}
+	s.plant.reserve(c.ID, dir)
 	if reroute {
 		s.markReroute(c, dir)
-	}
-	if err := s.lib.Remove(c.ID); err != nil {
-		// Programming error; surface it.
-		s.rail.Release(c.ID, dir)
-		c.Busy = false
-		done := sc.done
-		sc.done = nil
-		done(err)
-		return true
 	}
 	s.recordQueueWait(c, "open", sc.reqAt)
 	s.runOutbound(c, dir, sc.done)
@@ -138,12 +127,11 @@ func (s *System) outArriveStep(c *Cart) {
 //dhllint:hotpath
 func (s *System) outTryDockStep(c *Cart) bool {
 	sc := &c.scratch
-	if s.dock.Blocked() || !s.dock.HasFree() {
+	station := s.plant.dockable()
+	if station < 0 {
 		return false
 	}
-	if _, err := s.dock.BeginDock(c.ID); err != nil {
-		return false
-	}
+	s.plant.beginDock(c.ID, station)
 	if s.tel.spans != nil && sc.arrive < s.Engine.Now() {
 		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.loiter, sc.arrive, s.Engine.Now())
 	}
@@ -157,9 +145,7 @@ func (s *System) outTryDockStep(c *Cart) bool {
 //dhllint:hotpath
 func (s *System) outDockStep(c *Cart) {
 	sc := &c.scratch
-	if err := s.dock.EndDock(c.ID); err != nil {
-		panic(err)
-	}
+	s.plant.endDock()
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(),
@@ -172,9 +158,7 @@ func (s *System) outDockStep(c *Cart) {
 		}
 	}
 	s.recordLaunch(c, sc.dyn)
-	if err := s.rail.Release(c.ID, sc.dir); err != nil {
-		panic(err)
-	}
+	s.plant.release(sc.dir)
 	c.Loc = AtDock
 	c.Busy = false
 	done := sc.done
@@ -188,27 +172,18 @@ func (s *System) outDockStep(c *Cart) {
 //dhllint:hotpath
 func (s *System) tryCloseStep(c *Cart) bool {
 	sc := &c.scratch
-	if !s.limUp(track.Inbound) || s.dock.Blocked() {
+	if !s.limUp(track.Inbound) || s.plant.midDock != track.NoCart {
 		return false
 	}
 	dir, reroute, ok := s.launchDirection(track.Inbound)
 	if !ok {
 		return false
 	}
-	if err := s.rail.Reserve(c.ID, dir); err != nil {
-		return false
-	}
+	s.plant.reserve(c.ID, dir)
 	if reroute {
 		s.markReroute(c, dir)
 	}
-	if err := s.dock.BeginUndock(c.ID); err != nil {
-		s.rail.Release(c.ID, dir)
-		c.Busy = false
-		done := sc.done
-		sc.done = nil
-		done(err)
-		return true
-	}
+	s.plant.midDock = c.ID // begin the undock
 	s.recordQueueWait(c, "close", sc.reqAt)
 	s.runInbound(c, dir, sc.done)
 	return true
@@ -219,9 +194,7 @@ func (s *System) tryCloseStep(c *Cart) bool {
 //dhllint:hotpath
 func (s *System) inUndockStep(c *Cart) {
 	sc := &c.scratch
-	if err := s.dock.EndUndock(c.ID); err != nil {
-		panic(err)
-	}
+	s.plant.endUndock(c.ID)
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(),
@@ -260,16 +233,9 @@ func (s *System) inDockStep(c *Cart) {
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(),
 		telemetry.KV{Key: "site", Value: "library"})
 	s.recordLaunch(c, sc.dyn)
-	if err := s.rail.Release(c.ID, sc.dir); err != nil {
-		panic(err)
-	}
+	s.plant.release(sc.dir)
 	done := sc.done
 	sc.done = nil
-	if err := s.lib.Store(c.ID); err != nil {
-		c.Busy = false
-		done(err)
-		return
-	}
 	c.Loc = AtLibrary
 	c.Busy = false
 	// Failed SSDs are serviced at the library (§III-B.6). With autoReload

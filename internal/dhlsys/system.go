@@ -1,8 +1,8 @@
 // Package dhlsys is the event-driven simulation of a full DHL deployment:
 // carts, a library, an endpoint dock bank, the rail(s), the cart scheduler,
 // and the software API of §III-D (Open / Close / Read / Write). It composes
-// the physics and analytical models (internal/core) with the plant state
-// machines (internal/track) on the shared event kernel (internal/sim).
+// the physics and analytical models (internal/core) with the shuttle plant
+// (plant.go) on the shared event kernel (internal/sim).
 //
 // The simulation charges exactly the analytical model's launch time and
 // energy per one-way trip, so sequential bulk transfers agree with
@@ -35,8 +35,6 @@ type Options struct {
 	RailMode track.RailMode
 	// DockStations at the endpoint (vertically stacked, §III-B.5).
 	DockStations int
-	// LibrarySlots (0 = unbounded).
-	LibrarySlots int
 	// NumCarts in the fleet.
 	NumCarts int
 	// RAID level of each cart's array and the docking PCIe interface.
@@ -49,11 +47,6 @@ type Options struct {
 	// Seed drives the failure-injection RNG; simulations are deterministic
 	// for a fixed seed.
 	Seed int64
-	// RNG, when non-nil, overrides Seed with an injected generator so a
-	// caller can thread one seeded *rand.Rand through a whole scenario.
-	// The system owns the generator for its lifetime; it must not be
-	// shared with concurrent users.
-	RNG *rand.Rand
 	// Wear, if non-nil, tracks connector mating cycles per cart (§VI
 	// connector longevity); carts due for service are re-connectored at
 	// the library, paying the connector's replacement downtime.
@@ -218,9 +211,7 @@ type System struct {
 
 	opt    Options
 	launch core.LaunchMetrics
-	rail   *track.Rail
-	dock   *track.DockBank
-	lib    *track.Library
+	plant  plant
 	carts  []*Cart // indexed by CartID: New assigns IDs 0..NumCarts−1
 	rng    *rand.Rand
 	stats  Stats
@@ -260,17 +251,8 @@ func New(opt Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	dock, err := track.NewDockBank(opt.DockStations)
-	if err != nil {
-		return nil, err
-	}
-	if opt.LibrarySlots > 0 && opt.LibrarySlots < opt.NumCarts {
-		return nil, fmt.Errorf("dhlsys: %d library slots cannot hold %d carts",
-			opt.LibrarySlots, opt.NumCarts)
-	}
-	rng := opt.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
+	if opt.DockStations < 1 {
+		return nil, errors.New("dhlsys: dock bank needs ≥1 station")
 	}
 	tube := opt.Tube
 	if tube.CrossSectionArea <= 0 {
@@ -280,11 +262,9 @@ func New(opt Options) (*System, error) {
 		Engine: sim.New(),
 		opt:    opt,
 		launch: l,
-		rail:   track.NewRail(opt.RailMode),
-		dock:   dock,
-		lib:    track.NewLibrary(opt.LibrarySlots),
+		plant:  newPlant(opt.RailMode, opt.DockStations),
 		carts:  make([]*Cart, opt.NumCarts),
-		rng:    rng,
+		rng:    rand.New(rand.NewSource(opt.Seed)),
 		tube:   tube,
 	}
 	for i := 0; i < opt.NumCarts; i++ {
@@ -296,9 +276,6 @@ func New(opt Options) (*System, error) {
 		c := &Cart{ID: id, Array: arr, Loc: AtLibrary, spanTrack: cartTrack(id)}
 		s.bindLaunchSteps(c)
 		s.carts[i] = c
-		if err := s.lib.Store(id); err != nil {
-			return nil, err
-		}
 	}
 	script := faults.Script{}
 	if opt.Faults != nil {
@@ -392,10 +369,10 @@ func (s *System) maybeFailSSD(c *Cart) {
 // direction and whether this is a reroute; ok=false means no direction is
 // currently usable and the request should stay queued.
 func (s *System) launchDirection(natural track.Direction) (dir track.Direction, reroute, ok bool) {
-	if s.rail.Free(natural) {
+	if s.plant.railFree(natural) {
 		return natural, false, true
 	}
-	if s.opt.RailMode == track.DualRail && s.rail.Blocked(natural) && s.rail.Free(natural.Opposite()) {
+	if s.opt.RailMode == track.DualRail && s.plant.railBlocked(natural) && s.plant.railFree(natural.Opposite()) {
 		return natural.Opposite(), true, true
 	}
 	return natural, false, false
@@ -476,7 +453,7 @@ func (s *System) Close(id track.CartID, done func(error)) {
 		done(fmt.Errorf("%w: cart %d", ErrCartBusy, id))
 		return
 	}
-	if c.Loc != AtDock || !s.dock.Docked(id) {
+	if c.Loc != AtDock {
 		s.deny()
 		done(fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc))
 		return
@@ -567,7 +544,7 @@ func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seco
 		done(0, fmt.Errorf("%w: cart %d", ErrCartBusy, id))
 		return
 	}
-	if c.Loc != AtDock || !s.dock.Docked(id) {
+	if c.Loc != AtDock {
 		s.deny()
 		done(0, fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc))
 		return

@@ -44,12 +44,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("zero docks must be rejected")
 	}
 	opt = DefaultOptions()
-	opt.LibrarySlots = 1
-	opt.NumCarts = 2
-	if _, err := New(opt); err == nil {
-		t.Error("fleet larger than library must be rejected")
-	}
-	opt = DefaultOptions()
 	opt.Core.Cart = nil
 	if _, err := New(opt); err == nil {
 		t.Error("invalid core config must be rejected")

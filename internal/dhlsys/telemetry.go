@@ -114,8 +114,7 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 	for _, c := range s.carts {
 		c.trackID = sp.Intern(c.spanTrack)
 	}
-	s.rail.Instrument(reg)
-	s.dock.Instrument(reg)
+	s.plant.instrument(reg)
 	s.inj.SetTelemetry(set)
 }
 

@@ -387,17 +387,3 @@ func (l *Line) Run() (units.Seconds, error) {
 	}
 	return l.Engine.Now(), nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

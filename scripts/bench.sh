@@ -5,12 +5,15 @@
 # the file against a previous run to spot hot-path regressions.
 #
 # Usage: scripts/bench.sh [output.json] [bench-regex]
-#   scripts/bench.sh                                  # all benches → BENCH_sweep.json
+#   scripts/bench.sh                                  # sweep benches → BENCH_sweep.json
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
 #   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
 #   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
+#
+# The sweep (no bench-regex given) skips the benchmarks the kernel, faults
+# and lint modes own, so each benchmark is recorded in one file only.
 #
 # The kernel mode runs the event-kernel pair (burst and steady-state),
 # the shuttle workload, and the telemetry shuttle pair; kernel rows gain
@@ -81,6 +84,7 @@ fi
 
 out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
+skip=""
 kernel=0
 faults=0
 lint=0
@@ -96,11 +100,13 @@ elif [[ "${1:-}" == "lint" ]]; then
     out="BENCH_lint.json"
     pattern="BenchmarkLintModule(Sequential|Parallel)$"
     lint=1
+elif [[ -z "${2:-}" ]]; then
+    skip="^(BenchmarkSystemSimulation|BenchmarkShuttle.*|BenchmarkChaosShuttle|BenchmarkEventKernel.*|BenchmarkLintModule.*)$"
 fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run=NONE -bench="$pattern" -benchmem -count=3 . | tee "$raw"
+go test -run=NONE -bench="$pattern" -skip="$skip" -benchmem -count=3 . | tee "$raw"
 
 commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
