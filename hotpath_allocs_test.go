@@ -68,17 +68,19 @@ func TestHotPathAllocsEventKernel(t *testing.T) {
 }
 
 // TestHotPathAllocsSpanLog pins the telemetry record path: Reset, Intern,
-// RecordSpan with annotations, and RecordInstant against warm backing
-// arrays.
+// InternArgs, RecordSpan with and without annotations, and RecordInstant
+// against warm backing arrays.
 func TestHotPathAllocsSpanLog(t *testing.T) {
 	log := telemetry.NewSpanLog()
 	rec := func() {
 		log.Reset() // keeps backing arrays; IDs must be re-interned
 		cart := log.Intern("cart-0")
 		transit := log.Intern("transit")
-		log.RecordSpan(cart, transit, 0, 1, telemetry.KV{Key: "dir", Value: "outbound"})
-		log.RecordSpan(cart, transit, 1, 2)
-		log.RecordInstant(cart, transit, 2, telemetry.KV{Key: "kind", Value: "stall"})
+		dir := log.InternArgs(telemetry.KV{Key: "dir", Value: "outbound"})
+		stall := log.InternArgs(telemetry.KV{Key: "kind", Value: "stall"})
+		log.RecordSpan(cart, transit, 0, 1, dir)
+		log.RecordSpan(cart, transit, 1, 2, 0)
+		log.RecordInstant(cart, transit, 2, stall)
 	}
 	zeroAllocs(t, "span log record", rec)
 	if log.NumSpans() != 2 || log.NumInstants() != 1 {
@@ -92,12 +94,13 @@ func TestHotPathAllocsSpanLogGrow(t *testing.T) {
 	log := telemetry.NewSpanLog()
 	cart := log.Intern("cart-0")
 	name := log.Intern("transit")
-	log.Grow(256, 256, 256)
+	dir := log.InternArgs(telemetry.KV{Key: "dir", Value: "outbound"})
+	log.Grow(256, 256)
 	at := units.Seconds(0)
 	zeroAllocs(t, "record after Grow", func() {
 		at++
-		log.RecordSpan(cart, name, at, at+1, telemetry.KV{Key: "dir", Value: "outbound"})
-		log.RecordInstant(cart, name, at)
+		log.RecordSpan(cart, name, at, at+1, dir)
+		log.RecordInstant(cart, name, at, 0)
 	})
 	if log.NumSpans() == 0 || log.NumInstants() == 0 {
 		t.Fatal("grown log recorded nothing")
@@ -212,9 +215,9 @@ func TestHotPathAllocsLaunchLoop(t *testing.T) {
 func TestHotPathAllocsLaunchLoopTelemetry(t *testing.T) {
 	set := telemetry.NewSet()
 	cycle, lastErr := launchCycle(t, set)
-	// ~12 spans and ~6 annotation KVs per cycle; reserve for the measured
-	// runs plus AllocsPerRun's warm-up call with generous headroom.
-	set.Spans.Grow(4096, 512, 2048)
+	// ~12 spans per cycle; reserve for the measured runs plus
+	// AllocsPerRun's warm-up call with generous headroom.
+	set.Spans.Grow(4096, 512)
 	zeroAllocs(t, "launch loop (telemetry on)", cycle)
 	if *lastErr != nil {
 		t.Fatalf("cycle failed: %v", *lastErr)

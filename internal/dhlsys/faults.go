@@ -208,7 +208,7 @@ func (s *System) stallCart(c *Cart, delay units.Seconds) {
 	s.stats.StallTime += delay
 	s.tel.stalls.Inc()
 	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.stall, s.Engine.Now(),
-		telemetry.KV{Key: "delay_s", Value: strconv.FormatFloat(float64(delay), 'g', -1, 64)})
+		s.tel.spans.ArgsOf(telemetry.KV{Key: "delay_s", Value: strconv.FormatFloat(float64(delay), 'g', -1, 64)}))
 }
 
 // FaultLog returns the run's fault event log in simulation-time order —

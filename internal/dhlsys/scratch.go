@@ -83,7 +83,7 @@ func (s *System) tryOpenStep(c *Cart) bool {
 	if reroute {
 		s.markReroute(c, dir)
 	}
-	s.recordQueueWait(c, "open", sc.reqAt)
+	s.recordQueueWait(c, s.tel.args.open, sc.reqAt)
 	s.runOutbound(c, dir, sc.done)
 	return true
 }
@@ -95,8 +95,7 @@ func (s *System) outUndockStep(c *Cart) {
 	sc := &c.scratch
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(),
-		telemetry.KV{Key: "site", Value: "library"})
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.library)
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
 	s.maybeFailSSD(c)
 	sc.dyn = s.dynamics()
@@ -133,7 +132,7 @@ func (s *System) outTryDockStep(c *Cart) bool {
 	}
 	s.plant.beginDock(c.ID, station)
 	if s.tel.spans != nil && sc.arrive < s.Engine.Now() {
-		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.loiter, sc.arrive, s.Engine.Now())
+		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.loiter, sc.arrive, s.Engine.Now(), 0)
 	}
 	sc.dockStart = s.Engine.Now()
 	s.Engine.MustAfter(s.opt.Core.DockTime, evDockEndpoint, sc.outDock)
@@ -148,8 +147,7 @@ func (s *System) outDockStep(c *Cart) {
 	s.plant.endDock()
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(),
-		telemetry.KV{Key: "site", Value: "endpoint"})
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.endpoint)
 	if s.opt.Wear != nil {
 		// Endpoint mating cycle; service is deferred to the library
 		// (§III-B.6).
@@ -184,7 +182,7 @@ func (s *System) tryCloseStep(c *Cart) bool {
 		s.markReroute(c, dir)
 	}
 	s.plant.midDock = c.ID // begin the undock
-	s.recordQueueWait(c, "close", sc.reqAt)
+	s.recordQueueWait(c, s.tel.args.close, sc.reqAt)
 	s.runInbound(c, dir, sc.done)
 	return true
 }
@@ -197,8 +195,7 @@ func (s *System) inUndockStep(c *Cart) {
 	s.plant.endUndock(c.ID)
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(),
-		telemetry.KV{Key: "site", Value: "endpoint"})
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.endpoint)
 	c.Loc = InTransit
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
 	s.maybeFailSSD(c)
@@ -230,8 +227,7 @@ func (s *System) inDockStep(c *Cart) {
 	sc := &c.scratch
 	s.stats.DockOps++
 	s.tel.dockOps.Inc()
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(),
-		telemetry.KV{Key: "site", Value: "library"})
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.library)
 	s.recordLaunch(c, sc.dyn)
 	s.plant.release(sc.dir)
 	done := sc.done
@@ -276,7 +272,7 @@ func (s *System) ioFinishStep(c *Cart) {
 	c.Busy = false
 	d := sc.ioDur
 	s.tel.ioSeconds.Observe(float64(d))
-	s.tel.spans.RecordSpan(c.trackID, sc.ioName, sc.ioStart, s.Engine.Now())
+	s.tel.spans.RecordSpan(c.trackID, sc.ioName, sc.ioStart, s.Engine.Now(), 0)
 	done := sc.ioDone
 	sc.ioDone = nil
 	done(d, nil)

@@ -433,7 +433,7 @@ func (s *System) checkLaunchTimeout(c *Cart) error {
 	}
 	s.stats.Timeouts++
 	s.tel.timeouts.Inc()
-	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.timeout, s.Engine.Now())
+	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.timeout, s.Engine.Now(), 0)
 	//dhllint:allow allocflow -- timeout breach is a failed run's terminal report, not the steady loop
 	return fmt.Errorf("%w: cart %d took %.3fs (budget %.3fs)",
 		ErrLaunchTimeout, c.ID, float64(elapsed), float64(limit))
@@ -624,8 +624,7 @@ func (s *System) degradedRead(c *Cart, n units.Bytes, done func(units.Seconds, e
 	s.Engine.MustAfter(d, evIODegraded, func() {
 		c.Busy = false
 		s.tel.ioSeconds.Observe(float64(d))
-		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.ioDegr, ioStart, s.Engine.Now(),
-			telemetry.KV{Key: "degraded", Value: "true"})
+		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.ioDegr, ioStart, s.Engine.Now(), s.tel.args.degraded)
 		done(d, fmt.Errorf("%w: cart %d served %v of %v", ErrDegradedRead, c.ID, serve, n))
 	})
 }

@@ -55,10 +55,9 @@ type telemetryHooks struct {
 	// when telemetry is disabled, which is harmless: records on a nil log
 	// are no-ops.
 	ids spanIDs
-
-	// kvScratch is reused backing for hot-path span annotations; SpanLog
-	// copies args on record, so handing out views of this array is safe.
-	kvScratch [2]telemetry.KV
+	// args are the interned annotation sets, likewise fixed at
+	// construction, so an annotated record stores one ArgID.
+	args spanArgs
 }
 
 // spanIDs holds the interned IDs of the dhlsys span/instant vocabulary.
@@ -68,6 +67,15 @@ type spanIDs struct {
 	loiter, enqueue         telemetry.StrID
 	ioRead, ioWrite, ioDegr telemetry.StrID
 	stall, reroute, timeout telemetry.StrID
+}
+
+// spanArgs holds the interned IDs of the dhlsys annotation sets.
+type spanArgs struct {
+	library, endpoint telemetry.ArgID    // site=library, site=endpoint
+	dir               [2]telemetry.ArgID // dir=<track.Direction>
+	dirDegraded       [2]telemetry.ArgID // dir=<track.Direction>, degraded=true
+	open, close       telemetry.ArgID    // op=open, op=close
+	degraded          telemetry.ArgID    // degraded=true
 }
 
 // initTelemetry binds the system (and its plant, injector, and engine) to
@@ -110,6 +118,19 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 		ioRead: sp.Intern(spanIORead), ioWrite: sp.Intern(spanIOWrite),
 		ioDegr: sp.Intern(spanIODegr), stall: sp.Intern(markStall),
 		reroute: sp.Intern(markReroute), timeout: sp.Intern(markTimeout),
+	}
+	degraded := telemetry.KV{Key: "degraded", Value: "true"}
+	s.tel.args = spanArgs{
+		library:  sp.InternArgs(telemetry.KV{Key: "site", Value: "library"}),
+		endpoint: sp.InternArgs(telemetry.KV{Key: "site", Value: "endpoint"}),
+		open:     sp.InternArgs(telemetry.KV{Key: "op", Value: "open"}),
+		close:    sp.InternArgs(telemetry.KV{Key: "op", Value: "close"}),
+		degraded: sp.InternArgs(degraded),
+	}
+	for _, d := range []track.Direction{track.Outbound, track.Inbound} {
+		dir := telemetry.KV{Key: "dir", Value: d.String()}
+		s.tel.args.dir[d] = sp.InternArgs(dir)
+		s.tel.args.dirDegraded[d] = sp.InternArgs(dir, degraded)
 	}
 	for _, c := range s.carts {
 		c.trackID = sp.Intern(c.spanTrack)
@@ -167,19 +188,17 @@ func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
 func (s *System) markReroute(c *Cart, dir track.Direction) {
 	s.stats.Reroutes++
 	s.tel.reroutes.Inc()
-	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.reroute, s.Engine.Now(),
-		telemetry.KV{Key: "dir", Value: dir.String()})
+	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.reroute, s.Engine.Now(), s.tel.args.dir[dir])
 }
 
 // recordQueueWait observes how long a request sat in the FIFO between
-// arrival and resource acquisition, and logs the wait as a span when it was
-// non-zero.
-func (s *System) recordQueueWait(c *Cart, op string, since units.Seconds) {
+// arrival and resource acquisition, and logs the wait as a span annotated
+// with the request's op set when it was non-zero.
+func (s *System) recordQueueWait(c *Cart, op telemetry.ArgID, since units.Seconds) {
 	now := s.Engine.Now()
 	s.tel.waitSeconds.Observe(float64(now - since))
 	if s.tel.spans != nil && since < now {
-		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.enqueue, since, now,
-			telemetry.KV{Key: "op", Value: op})
+		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.enqueue, since, now, op)
 	}
 }
 
@@ -191,22 +210,18 @@ func (s *System) recordTransit(c *Cart, start, end units.Seconds, dyn launchDyna
 	if s.tel.spans == nil {
 		return
 	}
-	// Annotations reuse the hooks' scratch array: the append below stays
-	// within its capacity and SpanLog copies on record, so this path
-	// allocates nothing.
-	args := s.tel.kvScratch[:0]
-	args = append(args, telemetry.KV{Key: "dir", Value: dir.String()})
+	args := s.tel.args.dir[dir]
 	if dyn.degraded {
-		args = append(args, telemetry.KV{Key: "degraded", Value: "true"})
+		args = s.tel.args.dirDegraded[dir]
 	}
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.transit, start, end, args...)
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.transit, start, end, args)
 	ramp := dyn.ramp
 	if 2*ramp > end-start {
 		// Triangular profile (or a clamp from degraded physics): the cart
 		// never cruises.
 		ramp = (end - start) / 2
 	}
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.accel, start, start+ramp)
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.cruise, start+ramp, end-ramp)
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.brake, end-ramp, end)
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.accel, start, start+ramp, 0)
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.cruise, start+ramp, end-ramp, 0)
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.brake, end-ramp, end, 0)
 }

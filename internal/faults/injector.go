@@ -197,9 +197,9 @@ func (in *Injector) apply(f Fault) {
 	ks.Injected++
 	in.telInjected.Inc()
 	in.telPerKind[f.Kind].Inc()
-	in.telSpans.RecordInstant(in.trackID, in.kindIDs[f.Kind], now,
+	in.telSpans.RecordInstant(in.trackID, in.kindIDs[f.Kind], now, in.telSpans.ArgsOf(
 		telemetry.KV{Key: "phase", Value: string(PhaseInject)},
-		telemetry.KV{Key: "target", Value: f.target()})
+		telemetry.KV{Key: "target", Value: f.target()}))
 	if f.Duration > 0 {
 		if in.active == 0 {
 			in.openStart = now
@@ -220,7 +220,7 @@ func (in *Injector) recover(f Fault) {
 	ks.Downtime += f.Duration
 	in.telRecovered.Inc()
 	in.telSpans.RecordSpan(in.trackID, in.outageIDs[f.Kind], now-f.Duration, now,
-		telemetry.KV{Key: "target", Value: f.target()})
+		in.telSpans.ArgsOf(telemetry.KV{Key: "target", Value: f.target()}))
 	in.active--
 	if in.active == 0 {
 		in.downtime += now - in.openStart

@@ -309,9 +309,9 @@ func (l *Line) Move(id track.CartID, to int, done func(error)) {
 			l.stats.Energy += hop.Energy
 			l.telMoves.Inc()
 			if l.telSpans != nil {
-				l.telSpans.RecordSpan(l.trackID[id], l.moveID, start, l.Engine.Now(),
+				l.telSpans.RecordSpan(l.trackID[id], l.moveID, start, l.Engine.Now(), l.telSpans.ArgsOf(
 					telemetry.KV{Key: "from", Value: l.stops[from].Name},
-					telemetry.KV{Key: "to", Value: l.stops[to].Name})
+					telemetry.KV{Key: "to", Value: l.stops[to].Name}))
 			}
 			l.retryWaiting()
 			done(nil)

@@ -538,7 +538,7 @@ func (c *Campus) tryDepart(ci int32) {
 	if ct.hasPlan && ct.planned != h {
 		c.nReroutes++
 		c.tel.reroutes.Inc()
-		c.tel.spans.RecordInstant(ct.trackID, c.tel.idReroute, c.eng.Now())
+		c.tel.spans.RecordInstant(ct.trackID, c.tel.idReroute, c.eng.Now(), 0)
 	}
 	ct.planned = h
 	ct.hasPlan = true
@@ -611,7 +611,7 @@ func (c *Campus) arrive(ci int32) {
 	ct := &c.carts[ci]
 	e := ct.edge
 	v := c.topo.edgeAt(e).To
-	c.tel.spans.RecordSpan(ct.trackID, c.tel.idTransit, ct.entryT, c.eng.Now())
+	c.tel.spans.RecordSpan(ct.trackID, c.tel.idTransit, ct.entryT, c.eng.Now(), 0)
 	c.releaseEdge(e, ci)
 	ct.edge = NoEdge
 	ct.at = v
@@ -716,7 +716,7 @@ func (c *Campus) dockCart(ci int32) {
 	c.tripsDone++
 	c.tel.trips.Inc()
 	c.tel.tripSeconds.Observe(float64(d))
-	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDock, ct.tripStart, now)
+	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDock, ct.tripStart, now, 0)
 	ct.trip++
 	if ct.trip < c.opt.TripsPerCart {
 		ct.dst = c.dests[int(ci)*c.opt.TripsPerCart+ct.trip]
@@ -734,7 +734,7 @@ func (c *Campus) dockCart(ci int32) {
 func (c *Campus) endDwell(ci int32) {
 	ct := &c.carts[ci]
 	now := c.eng.Now()
-	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDwell, ct.dockStart, now)
+	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDwell, ct.dockStart, now, 0)
 	c.dockFree[ct.at]++
 	c.retryDockQueue(ct.at)
 	if ct.trip >= c.opt.TripsPerCart {
@@ -767,7 +767,7 @@ func (c *Campus) loiterCart(ci int32) {
 	ct := &c.carts[ci]
 	c.nLoiters++
 	c.tel.loiters.Inc()
-	c.tel.spans.RecordInstant(ct.trackID, c.tel.idLoiter, c.eng.Now())
+	c.tel.spans.RecordInstant(ct.trackID, c.tel.idLoiter, c.eng.Now(), 0)
 	if !ct.loitering {
 		ct.loitering = true
 		c.loiterers = append(c.loiterers, ci)
@@ -860,7 +860,7 @@ func (c *Campus) killEdge(e EdgeID) {
 		ct.stalled = true
 		c.nStalls++
 		c.tel.stalls.Inc()
-		c.tel.spans.RecordInstant(ct.trackID, c.tel.idStall, now)
+		c.tel.spans.RecordInstant(ct.trackID, c.tel.idStall, now, 0)
 	}
 	c.mustRecompute()
 }
@@ -882,7 +882,7 @@ func (c *Campus) healEdge(e EdgeID) {
 		ct.stalled = false
 		ct.arriveAt = now + ct.remaining
 		ct.arriveH = c.eng.MustAfter(ct.remaining, evArrive, ct.arriveFn)
-		c.tel.spans.RecordInstant(ct.trackID, c.tel.idResume, now)
+		c.tel.spans.RecordInstant(ct.trackID, c.tel.idResume, now, 0)
 	}
 	c.mustRecompute()
 	c.retryLoiterers()
