@@ -754,7 +754,7 @@ func BenchmarkDatamapPlacement(b *testing.B) {
 // BenchmarkCampusSimulation runs the acceptance-scale tubenet campus: the
 // 1,000-cart fleet over the 20-station default campus under the
 // campus-partition chaos scenario — the workload scripts/bench.sh campus
-// pins in BENCH_campus.json.
+// pins in SIM_campus.json.
 func BenchmarkCampusSimulation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

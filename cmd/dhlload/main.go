@@ -23,7 +23,7 @@
 //
 //	dhlload -clients 1000 -duration 300 -think 0.5
 //	dhlload -mode open -rate 200 -duration 120 -chaos rough-day
-//	dhlload -clients 64 -duration 60 -bench-out BENCH_controlplane.json
+//	dhlload -clients 64 -duration 60 -bench-out SIM_controlplane.json
 //	dhlload -live 127.0.0.1:7070 -clients 32 -duration 10
 package main
 
@@ -119,9 +119,10 @@ func parseArgs(args []string) (cliOptions, error) {
 	return o, err
 }
 
-// benchJSON is the stable schema of BENCH_controlplane.json, consumed by
-// CI trend tracking. Field order and formatting are fixed; two identical
-// runs produce identical bytes.
+// benchJSON is the stable schema of SIM_controlplane.json, consumed by
+// CI trend tracking. Its latencies and req/s are virtual-time outcomes of
+// the simulated fleet, not the server's wall-clock speed. Field order and
+// formatting are fixed; two identical runs produce identical bytes.
 type benchJSON struct {
 	Name        string  `json:"name"`
 	Mode        string  `json:"mode"`

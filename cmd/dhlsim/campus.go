@@ -171,9 +171,10 @@ func runCampusStudy(opt campusOptions) {
 	row(scenario, chaosTot)
 }
 
-// campusBenchJSON is the stable schema of BENCH_campus.json, consumed by
-// CI trend tracking. Two identical runs produce identical bytes
-// (scripts/bench.sh campus runs twice and compares).
+// campusBenchJSON is the stable schema of SIM_campus.json, consumed by
+// CI trend tracking. Its transit times are simulated seconds, a model
+// output rather than a measure of the simulator's speed. Two identical runs
+// produce identical bytes (scripts/bench.sh campus runs twice and compares).
 type campusBenchJSON struct {
 	Name           string  `json:"name"`
 	Carts          int     `json:"carts"`

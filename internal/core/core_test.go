@@ -173,23 +173,34 @@ func TestLaunchEmbodiedBandwidthRange(t *testing.T) {
 	}
 }
 
+// TestExactTimeModelSlightlySlower pins EXPERIMENTS E4's note over every
+// Table VI row: exact trapezoidal kinematics add at most 0.15 s per launch
+// (the extra ramp term v/2a peaks at 300 m/s, ≈1.9 %) and never change the
+// launch energy.
 func TestExactTimeModelSlightlySlower(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TimeModel = physics.TimeModelExact
-	exact, err := Launch(cfg)
-	if err != nil {
-		t.Fatal(err)
+	const maxDelta, tol = 0.15, 1e-9
+	worst := 0.0
+	for _, cfg := range DesignSpaceConfigs() {
+		paper, err := Launch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.TimeModel = physics.TimeModelExact
+		exact, err := Launch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := float64(exact.Time - paper.Time)
+		if delta <= 0 || delta > maxDelta+tol {
+			t.Errorf("%v: exact−paper time = %v, want (0, %v]", cfg, delta, maxDelta)
+		}
+		worst = math.Max(worst, delta/float64(paper.Time))
+		if exact.Energy != paper.Energy {
+			t.Errorf("%v: time model must not change energy", cfg)
+		}
 	}
-	paper, err := Launch(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := float64(exact.Time - paper.Time)
-	if delta <= 0 || delta > 0.2 {
-		t.Errorf("exact−paper time = %v, want (0, 0.2]", delta)
-	}
-	if exact.Energy != paper.Energy {
-		t.Error("time model must not change energy")
+	if worst > 0.02 {
+		t.Errorf("worst relative slowdown = %.2f %%, want ≤ 2 %%", 100*worst)
 	}
 }
 

@@ -259,14 +259,16 @@ func (l *Line) HopBetween(from, to int) (Hop, error) {
 
 // Move schedules cart id from its current stop to stop index `to`. done is
 // called on completion (or immediately with a validation error). Moves with
-// conflicting rail spans queue FIFO.
+// conflicting rail spans queue FIFO. A cart is busy from the moment its move
+// is accepted, queued or not, so a second Move fails with ErrCartBusy until
+// the first completes.
 func (l *Line) Move(id track.CartID, to int, done func(error)) {
+	if l.busy[id] {
+		done(fmt.Errorf("%w: %d", ErrCartBusy, id))
+		return
+	}
 	from, ok := l.cartAt[id]
 	if !ok {
-		if l.busy[id] {
-			done(fmt.Errorf("%w: %d", ErrCartBusy, id))
-			return
-		}
 		done(fmt.Errorf("%w: %d", ErrUnknownCart, id))
 		return
 	}
@@ -275,6 +277,7 @@ func (l *Line) Move(id track.CartID, to int, done func(error)) {
 		done(err)
 		return
 	}
+	l.busy[id] = true
 	sp := NewSpan(from, to)
 	requested := l.Engine.Now()
 	blockedOnce := false
@@ -296,7 +299,6 @@ func (l *Line) Move(id track.CartID, to int, done func(error)) {
 		}
 		l.active = append(l.active, sp)
 		delete(l.cartAt, id)
-		l.busy[id] = true
 		wait := l.Engine.Now() - requested
 		l.stats.TotalWait += wait
 		l.telWait.Observe(float64(wait))

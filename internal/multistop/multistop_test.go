@@ -204,6 +204,44 @@ func TestMoveErrors(t *testing.T) {
 	}
 }
 
+// TestQueuedCartRejectsSecondMove pins that a cart whose move is queued
+// behind a conflicting span is already busy: a second Move must fail rather
+// than be accepted and later fly from the stale origin.
+func TestQueuedCartRejectsSecondMove(t *testing.T) {
+	l, err := New(core.DefaultConfig(), []Stop{
+		{Name: "a", Position: 0},
+		{Name: "b", Position: 200},
+		{Name: "c", Position: 500},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Place(0, 0)
+	l.Place(1, 1)
+	ok := func(err error) {
+		if err != nil {
+			t.Errorf("move: %v", err)
+		}
+	}
+	l.Move(1, 2, ok) // b→c holds span [1,2]
+	l.Move(0, 2, ok) // a→c overlaps it and queues
+	var second error
+	l.Move(0, 1, func(err error) { second = err })
+	if !errors.Is(second, ErrCartBusy) {
+		t.Fatalf("second move of a queued cart: err = %v, want ErrCartBusy", second)
+	}
+	if _, err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.Moves != 2 || st.QueuedMoves != 1 {
+		t.Errorf("moves = %d, queued = %d; want 2 and 1", st.Moves, st.QueuedMoves)
+	}
+	if at, ok := l.CartAt(0); !ok || at != 2 {
+		t.Errorf("cart 0 at %d (docked %v), want stop 2", at, ok)
+	}
+}
+
 func TestDisjointSpansRunConcurrently(t *testing.T) {
 	l := mustLine(t)
 	l.Place(1, 0) // library → rack-A: span [0,1]

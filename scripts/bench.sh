@@ -9,8 +9,8 @@
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
 #   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
 #   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
-#   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
-#   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
+#   scripts/bench.sh controlplane                     # dhlload overload run → SIM_controlplane.json
+#   scripts/bench.sh campus                           # 1000-cart campus chaos run → SIM_campus.json
 #
 # The sweep (no bench-regex given) skips the benchmarks the kernel, faults
 # and lint modes own, so each benchmark is recorded in one file only.
@@ -32,7 +32,11 @@
 #
 # Every Go-benchmark mode records the host beside the results: cpu,
 # gomaxprocs, the Go version and the commit (`git rev-parse HEAD`, with a
-# -dirty suffix when tracked files other than BENCH_*.json differ from it).
+# -dirty suffix when tracked files other than BENCH_*.json and SIM_*.json
+# differ from it).
+#
+# The controlplane and campus modes record simulated (virtual-time) model
+# outputs, not the code's speed, hence their SIM_ prefix.
 #
 # The controlplane mode is not a Go benchmark: it runs the cmd/dhlload
 # virtual-time load harness at ~4x saturation (closed loop, fixed seed)
@@ -49,7 +53,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "campus" ]]; then
-    out="BENCH_campus.json"
+    out="SIM_campus.json"
     campus_args=(-campus -campus-carts 1000 -campus-trips 2
                  -chaos campus-partition -seed 3)
     go run ./cmd/dhlsim "${campus_args[@]}" -bench-out "$out" > /dev/null
@@ -66,7 +70,7 @@ if [[ "${1:-}" == "campus" ]]; then
 fi
 
 if [[ "${1:-}" == "controlplane" ]]; then
-    out="BENCH_controlplane.json"
+    out="SIM_controlplane.json"
     load_args=(-mode closed -clients 48 -duration 30 -seed 9
                -think 0.1 -status-every 0.5 -max-queue 8)
     go run ./cmd/dhlload "${load_args[@]}" -bench-out "$out"
@@ -109,7 +113,7 @@ trap 'rm -f "$raw"' EXIT
 go test -run=NONE -bench="$pattern" -skip="$skip" -benchmem -count=3 . | tee "$raw"
 
 commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
-if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
+if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json' ':(exclude)SIM_*.json'; then
     commit="$commit-dirty"
 fi
 
