@@ -12,8 +12,6 @@ package repro
 // not part of the measured artefact happens before b.ResetTimer().
 
 import (
-	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/astra"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/thermal"
 	"repro/internal/track"
@@ -71,66 +68,15 @@ func BenchmarkTableVCartMass(b *testing.B) {
 }
 
 // BenchmarkTableVIDesignSpace regenerates Table VI's single-launch block
-// (E4): all 13 configurations' energy/time/bandwidth/power/efficiency,
-// evaluated sequentially (the paper-scale baseline).
+// (E4): all 13 configurations' energy/time/bandwidth/power/efficiency.
 func BenchmarkTableVIDesignSpace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := core.DesignSpace(sweep.Workers(1))
+		rows, err := core.DesignSpace()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(rows) != 13 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// fineBenchGrid is the ≥200-point grid both fine-design-space benchmarks
-// share, so their ns/op are directly comparable.
-func fineBenchGrid(b *testing.B) core.FineGrid {
-	b.Helper()
-	g, err := core.UniformFineGrid(8, 5, 5) // 200 points
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkFineDesignSpaceSequential sweeps a 200-point speed × length ×
-// capacity grid on one worker — the sequential baseline for the parallel
-// engine.
-func BenchmarkFineDesignSpaceSequential(b *testing.B) {
-	g := fineBenchGrid(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := core.FineDesignSpace(ctx, g, PaperDataset, sweep.Workers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 200 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkDesignSpaceParallel sweeps the same 200-point grid on the
-// GOMAXPROCS-bounded worker pool. With ≥4 cores this runs ≥2× faster than
-// BenchmarkFineDesignSpaceSequential while producing byte-identical rows
-// (TestFineDesignSpaceDeterministic asserts the identity).
-func BenchmarkDesignSpaceParallel(b *testing.B) {
-	g := fineBenchGrid(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := core.FineDesignSpace(ctx, g, PaperDataset, sweep.Workers(runtime.GOMAXPROCS(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 200 {
 			b.Fatalf("rows = %d", len(rows))
 		}
 	}
@@ -193,32 +139,11 @@ func BenchmarkTableVIIIsoTime(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6 regenerates the full Figure 6 sweep (E8) sequentially:
-// five quantised DHL curves and five continuous network curves.
+// BenchmarkFigure6 regenerates the full Figure 6 sweep (E8): five
+// quantised DHL curves and five continuous network curves.
 func BenchmarkFigure6(b *testing.B) {
 	w := DLRM()
 	opt := astra.DefaultFigure6Options()
-	opt.Workers = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		curves, err := astra.Figure6(w, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(curves) != 10 {
-			b.Fatal("bad curve count")
-		}
-	}
-}
-
-// BenchmarkFigure6Parallel regenerates Figure 6 with one sweep worker per
-// curve; results are byte-identical to BenchmarkFigure6's
-// (TestFigure6ParallelMatchesSequential).
-func BenchmarkFigure6Parallel(b *testing.B) {
-	w := DLRM()
-	opt := astra.DefaultFigure6Options()
-	opt.Workers = runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,11 +193,10 @@ func BenchmarkMinimumSpecSearch(b *testing.B) {
 		Lengths: []units.Metres{10, 20, 50, 100, 500},
 		SSDs:    []int{1, 2, 4},
 	}
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.MinimumSpecSearch(ctx, base, g, 360*units.GB, netmodel.ScenarioA0)
+		res, err := core.MinimumSpecSearch(base, g, 360*units.GB, netmodel.ScenarioA0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,34 +207,12 @@ func BenchmarkMinimumSpecSearch(b *testing.B) {
 }
 
 // BenchmarkSystemSimulation runs the event-driven DHL system end to end
-// (E12): a pipelined 2.56 PB transfer with endpoint reads on a dual-rail,
-// 4-dock deployment.
+// (E12): a pipelined 2.56 PB transfer with endpoint reads, 4 carts, no
+// fault script and no telemetry. It is the baseline of both overhead
+// figures scripts/bench.sh records: the fault injector's
+// (BenchmarkShuttleArmedEmptyScript) and telemetry's
+// (BenchmarkShuttleTelemetryEnabled).
 func BenchmarkSystemSimulation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opt := dhlsys.DefaultOptions()
-		opt.NumCarts = 4
-		sys, err := dhlsys.New(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Shuttle(dhlsys.ShuttleOptions{
-			Dataset:        10 * 256 * units.TB,
-			ReadAtEndpoint: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Deliveries != 10 {
-			b.Fatal("bad deliveries")
-		}
-	}
-}
-
-// BenchmarkShuttleNoFaults is the fault-free baseline for the chaos
-// overhead comparison: the same workload BenchmarkChaosShuttle runs, with
-// no script armed. The fault engine's cost must stay under 10 % of this.
-func BenchmarkShuttleNoFaults(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opt := dhlsys.DefaultOptions()
@@ -343,33 +245,6 @@ func BenchmarkShuttleArmedEmptyScript(b *testing.B) {
 		opt := dhlsys.DefaultOptions()
 		opt.NumCarts = 4
 		opt.Faults = &faults.Script{Name: "empty"}
-		sys, err := dhlsys.New(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Shuttle(dhlsys.ShuttleOptions{
-			Dataset:        10 * 256 * units.TB,
-			ReadAtEndpoint: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Deliveries != 10 {
-			b.Fatal("bad deliveries")
-		}
-	}
-}
-
-// BenchmarkShuttleTelemetryDisabled is the uninstrumented baseline for the
-// telemetry overhead comparison: the BenchmarkShuttleNoFaults workload with
-// no telemetry set attached. Every hook on this path is a nil-receiver
-// no-op; the acceptance target holds this within 1 % of the pre-telemetry
-// throughput.
-func BenchmarkShuttleTelemetryDisabled(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opt := dhlsys.DefaultOptions()
-		opt.NumCarts = 4
 		sys, err := dhlsys.New(opt)
 		if err != nil {
 			b.Fatal(err)
@@ -453,7 +328,7 @@ func BenchmarkShuttleTelemetryEnabledCold(b *testing.B) {
 }
 
 // BenchmarkChaosShuttle measures the fault-injection engine's end-to-end
-// overhead: the BenchmarkShuttleNoFaults workload under the rough-day
+// overhead: the BenchmarkSystemSimulation workload under the rough-day
 // scenario (all five fault kinds active). Script generation is part of the
 // measured path — a chaos run pays for it exactly once.
 func BenchmarkChaosShuttle(b *testing.B) {

@@ -29,7 +29,6 @@ type campusOptions struct {
 	seed     int64
 	epoch    float64
 	alpha    float64
-	workers  int
 	chaos    string
 	horizon  float64
 	faultLog bool
@@ -38,13 +37,23 @@ type campusOptions struct {
 	study    string
 }
 
+// campusEpoch maps the -campus-epoch value onto tubenet's EpochEvery: the
+// flag's 0 ("recompute only on faults") is tubenet's negative, because
+// tubenet reads a zero EpochEvery as its 30 s default.
+func campusEpoch(opt campusOptions) units.Seconds {
+	if opt.epoch == 0 {
+		return -1
+	}
+	return units.Seconds(opt.epoch)
+}
+
 // campusSim builds the default 4-junction campus and a fleet per opt.
 func campusSim(opt campusOptions, set *telemetry.Set) (*tubenet.Campus, error) {
 	return tubenet.New(tubenet.Options{
 		Carts:        opt.carts,
 		TripsPerCart: opt.trips,
 		Seed:         opt.seed,
-		EpochEvery:   units.Seconds(opt.epoch),
+		EpochEvery:   campusEpoch(opt),
 		Alpha:        opt.alpha,
 		Telemetry:    set,
 	})
@@ -121,7 +130,7 @@ func runCampus(opt campusOptions) {
 
 // runCampusStudy runs the chaos-vs-calm replica comparison: the same fleet
 // and seeds once under the chaos scenario (default campus-partition) and
-// once fault-free, aggregated on the sweep pool.
+// once fault-free, each replica set fanned out over GOMAXPROCS workers.
 func runCampusStudy(opt campusOptions) {
 	var seeds []int64
 	for _, tok := range strings.Split(opt.study, ",") {
@@ -142,16 +151,16 @@ func runCampusStudy(opt campusOptions) {
 	base := tubenet.Options{
 		Carts:        opt.carts,
 		TripsPerCart: opt.trips,
-		EpochEvery:   units.Seconds(opt.epoch),
+		EpochEvery:   campusEpoch(opt),
 		Alpha:        opt.alpha,
 	}
 	ctx := context.Background()
 	h := campusHorizon(opt)
-	_, chaosTot, err := tubenet.RunStudy(ctx, base, scenario, h, seeds, opt.workers)
+	_, chaosTot, err := tubenet.RunStudy(ctx, base, scenario, h, seeds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, calmTot, err := tubenet.RunStudy(ctx, base, "", h, seeds, opt.workers)
+	_, calmTot, err := tubenet.RunStudy(ctx, base, "", h, seeds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,7 @@
 //	       [-timeout S] [-backoff S] [-failure-sweep R1,R2,...]
 //	       [-metrics] [-trace-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	dhlsim -campus [-campus-carts N] [-campus-trips N] [-campus-epoch S]
-//	       [-campus-alpha F] [-campus-workers N] [-chaos campus-partition]
+//	       [-campus-alpha F] [-chaos campus-partition]
 //	       [-fault-log] [-metrics] [-bench-out FILE] [-campus-study S1,S2,...]
 package main
 
@@ -61,14 +61,13 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 
-		campus        = flag.Bool("campus", false, "run the campus tube-network simulation (internal/tubenet) instead of the shuttle")
-		campusCarts   = flag.Int("campus-carts", 1000, "campus fleet size")
-		campusTrips   = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
-		campusEpoch   = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
-		campusAlpha   = flag.Float64("campus-alpha", 0.25, "queue-depth weight in the congestion-aware edge cost")
-		campusWorkers = flag.Int("campus-workers", 1, "sweep workers for -campus-study replicas (output identical at any count)")
-		campusStudy   = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")
-		benchOut      = flag.String("bench-out", "", "campus mode: write p50/p99 transit and reroute counts as benchmark JSON to this file")
+		campus      = flag.Bool("campus", false, "run the campus tube-network simulation (internal/tubenet) instead of the shuttle")
+		campusCarts = flag.Int("campus-carts", 1000, "campus fleet size")
+		campusTrips = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
+		campusEpoch = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
+		campusAlpha = flag.Float64("campus-alpha", 0.25, "queue-depth weight in the congestion-aware edge cost")
+		campusStudy = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")
+		benchOut    = flag.String("bench-out", "", "campus mode: write p50/p99 transit and reroute counts as benchmark JSON to this file")
 	)
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 			seed:     *seed,
 			epoch:    *campusEpoch,
 			alpha:    *campusAlpha,
-			workers:  *campusWorkers,
 			chaos:    *chaos,
 			horizon:  *horizon,
 			faultLog: *faultLog,

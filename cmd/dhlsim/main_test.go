@@ -42,3 +42,28 @@ replay any scenario byte-identically with -chaos NAME -seed N`
 		t.Errorf("usage message drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestCampusEpochZeroRecomputesOnlyOnFaults pins the -campus-epoch help
+// text: 0 turns periodic route recomputes off, exactly like a negative
+// period, instead of selecting tubenet's 30 s default.
+func TestCampusEpochZeroRecomputesOnlyOnFaults(t *testing.T) {
+	epochs := func(epoch float64) int {
+		t.Helper()
+		c, err := campusSim(campusOptions{carts: 50, trips: 2, seed: 1, epoch: epoch, alpha: 0.25}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RouteEpochs
+	}
+	off, zero, periodic := epochs(-1), epochs(0), epochs(30)
+	if zero != off {
+		t.Errorf("-campus-epoch 0: %d route epochs, want %d as with -campus-epoch -1", zero, off)
+	}
+	if periodic <= off {
+		t.Errorf("-campus-epoch 30: %d route epochs, want more than the %d with epochs off", periodic, off)
+	}
+}

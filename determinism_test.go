@@ -18,7 +18,6 @@ import (
 	"repro/internal/datamap"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/track"
 	"repro/internal/tubenet"
@@ -52,7 +51,7 @@ func serialize(t *testing.T, v any) string {
 
 func TestDesignSpaceSweepIsByteIdenticalAcrossRuns(t *testing.T) {
 	run := func() string {
-		rows, err := core.DesignSpace(sweep.Workers(4))
+		rows, err := core.DesignSpace()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +59,7 @@ func TestDesignSpaceSweepIsByteIdenticalAcrossRuns(t *testing.T) {
 	}
 	first, second := run(), run()
 	if first != second {
-		t.Errorf("parallel design-space sweep differs between runs:\n%s\nvs\n%s", first, second)
+		t.Errorf("design-space sweep differs between runs:\n%s\nvs\n%s", first, second)
 	}
 }
 
@@ -111,20 +110,6 @@ func TestFailureInjectedShuttleIsByteIdenticalAcrossRuns(t *testing.T) {
 	first, second := run(), run()
 	if first != second {
 		t.Errorf("failure-injected shuttle differs between runs:\n%s\nvs\n%s", first, second)
-	}
-}
-
-func TestDesignSpaceSweepIsWorkerCountInvariant(t *testing.T) {
-	run := func(workers int) string {
-		rows, err := core.DesignSpace(sweep.Workers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return serialize(t, rows)
-	}
-	serial, parallel := run(1), run(4)
-	if serial != parallel {
-		t.Errorf("design-space sweep differs between 1 and 4 workers:\n%s\nvs\n%s", serial, parallel)
 	}
 }
 

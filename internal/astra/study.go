@@ -1,13 +1,11 @@
 package astra
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/netmodel"
-	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -28,31 +26,10 @@ type SchemeResult struct {
 
 // IsoPower reproduces Table VII(a): every scheme gets the DHL's average
 // power budget; networks parallelise links continuously; iteration times and
-// slowdowns are reported. Rows are DHL, A0, A1, A2, B, C. The five network
-// scenarios are evaluated on the parallel sweep engine.
-func IsoPower(w DLRM, dhl DHL, opts ...sweep.Option) ([]SchemeResult, error) {
+// slowdowns are reported. Rows are DHL, A0, A1, A2, B, C.
+func IsoPower(w DLRM, dhl DHL) ([]SchemeResult, error) {
 	budget := dhl.AveragePower()
 	dhlIter, err := w.Iteration(dhl)
-	if err != nil {
-		return nil, err
-	}
-	netRows, err := sweep.Map(context.Background(), netmodel.Scenarios(),
-		func(_ context.Context, s netmodel.Scenario) (SchemeResult, error) {
-			opt, err := OpticalForBudget(s, budget)
-			if err != nil {
-				return SchemeResult{}, err
-			}
-			it, err := w.Iteration(opt)
-			if err != nil {
-				return SchemeResult{}, err
-			}
-			return SchemeResult{
-				Scheme:      s.String(),
-				Power:       opt.AveragePower(),
-				TimePerIter: it.Total(),
-				Factor:      units.Ratio(float64(it.Total()) / float64(dhlIter.Total())),
-			}, nil
-		}, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -62,14 +39,29 @@ func IsoPower(w DLRM, dhl DHL, opts ...sweep.Option) ([]SchemeResult, error) {
 		TimePerIter: dhlIter.Total(),
 		Factor:      1,
 	}}
-	return append(rows, netRows...), nil
+	for _, s := range netmodel.Scenarios() {
+		opt, err := OpticalForBudget(s, budget)
+		if err != nil {
+			return nil, err
+		}
+		it, err := w.Iteration(opt)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, SchemeResult{
+			Scheme:      s.String(),
+			Power:       opt.AveragePower(),
+			TimePerIter: it.Total(),
+			Factor:      units.Ratio(float64(it.Total()) / float64(dhlIter.Total())),
+		})
+	}
+	return rows, nil
 }
 
 // IsoTime reproduces Table VII(b): every network is given exactly enough
 // parallel links to match the DHL's iteration time; the resulting powers and
-// power increases are reported. The five network scenarios are evaluated on
-// the parallel sweep engine.
-func IsoTime(w DLRM, dhl DHL, opts ...sweep.Option) ([]SchemeResult, error) {
+// power increases are reported.
+func IsoTime(w DLRM, dhl DHL) ([]SchemeResult, error) {
 	dhlIter, err := w.Iteration(dhl)
 	if err != nil {
 		return nil, err
@@ -80,31 +72,26 @@ func IsoTime(w DLRM, dhl DHL, opts ...sweep.Option) ([]SchemeResult, error) {
 		return nil, fmt.Errorf("astra: target time %v below the non-ingest floor %v",
 			target, w.NonIngestTime())
 	}
-	neededBW := float64(w.IngestBytes()) / float64(ingestBudget)
-	netRows, err := sweep.Map(context.Background(), netmodel.Scenarios(),
-		func(_ context.Context, s netmodel.Scenario) (SchemeResult, error) {
-			links := neededBW / float64(netmodel.LinkBandwidth())
-			opt, err := NewOptical(s, links)
-			if err != nil {
-				return SchemeResult{}, err
-			}
-			return SchemeResult{
-				Scheme:      s.String(),
-				Power:       opt.AveragePower(),
-				TimePerIter: target,
-				Factor:      units.Ratio(float64(opt.AveragePower()) / float64(dhl.AveragePower())),
-			}, nil
-		}, opts...)
-	if err != nil {
-		return nil, err
-	}
+	links := float64(w.IngestBytes()) / float64(ingestBudget) / float64(netmodel.LinkBandwidth())
 	rows := []SchemeResult{{
 		Scheme:      "DHL",
 		Power:       dhl.AveragePower(),
 		TimePerIter: target,
 		Factor:      1,
 	}}
-	return append(rows, netRows...), nil
+	for _, s := range netmodel.Scenarios() {
+		opt, err := NewOptical(s, links)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, SchemeResult{
+			Scheme:      s.String(),
+			Power:       opt.AveragePower(),
+			TimePerIter: target,
+			Factor:      units.Ratio(float64(opt.AveragePower()) / float64(dhl.AveragePower())),
+		})
+	}
+	return rows, nil
 }
 
 // CurvePoint is one (power, time) sample of a Figure 6 series.
@@ -131,9 +118,6 @@ type Figure6Options struct {
 	NetPoints int
 	// Regen for the DHL transports.
 	Regen float64
-	// Workers bounds the sweep worker pool; 0 selects GOMAXPROCS, 1 runs
-	// sequentially. Results are identical at any setting.
-	Workers int
 }
 
 // DefaultFigure6Options plots the paper's DHL variants (speed sweep and
@@ -157,10 +141,7 @@ func DefaultFigure6Options() Figure6Options {
 
 // Figure6 generates the full figure: time per iteration (log-scale in the
 // paper) as a function of the communication power budget, one quantised
-// curve per DHL variant and one continuous curve per network scenario.
-// Curves are evaluated concurrently on the parallel sweep engine — one
-// worker per curve — and returned in the same order as the sequential
-// implementation: DHL variants first, then the network scenarios.
+// curve per DHL variant and then one continuous curve per network scenario.
 func Figure6(w DLRM, opt Figure6Options) ([]Curve, error) {
 	if opt.MaxPower <= 0 {
 		return nil, fmt.Errorf("astra: max power must be positive, got %v", opt.MaxPower)
@@ -168,24 +149,22 @@ func Figure6(w DLRM, opt Figure6Options) ([]Curve, error) {
 	if opt.NetPoints < 2 {
 		return nil, fmt.Errorf("astra: need ≥2 network points, got %d", opt.NetPoints)
 	}
-	type job struct {
-		cfg      core.Config // DHL curve when scenario is nil
-		scenario *netmodel.Scenario
-	}
-	var jobs []job
+	var curves []Curve
 	for _, cfg := range opt.DHLConfigs {
-		jobs = append(jobs, job{cfg: cfg})
+		c, err := dhlCurve(w, cfg, opt)
+		if err != nil {
+			return nil, err
+		}
+		curves = append(curves, c)
 	}
 	for _, s := range netmodel.Scenarios() {
-		s := s
-		jobs = append(jobs, job{scenario: &s})
-	}
-	return sweep.Map(context.Background(), jobs, func(_ context.Context, j job) (Curve, error) {
-		if j.scenario == nil {
-			return dhlCurve(w, j.cfg, opt)
+		c, err := networkCurve(w, s, opt)
+		if err != nil {
+			return nil, err
 		}
-		return networkCurve(w, *j.scenario, opt)
-	}, sweep.Workers(opt.Workers))
+		curves = append(curves, c)
+	}
+	return curves, nil
 }
 
 // dhlCurve sweeps track counts for one DHL variant. The launch metrics are

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cart"
 	"repro/internal/physics"
 	"repro/internal/storage"
-	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -28,29 +27,24 @@ type DockSensitivityRow struct {
 	DockShare float64 // fraction of launch time spent docking
 }
 
-// DockTimeSensitivity sweeps the per-operation docking time on the parallel
-// sweep engine; rows come back in input order.
-func DockTimeSensitivity(base Config, dockTimes []units.Seconds, opts ...sweep.Option) ([]DockSensitivityRow, error) {
-	for _, d := range dockTimes {
+// DockTimeSensitivity sweeps the per-operation docking time; rows come back
+// in input order.
+func DockTimeSensitivity(base Config, dockTimes []units.Seconds) ([]DockSensitivityRow, error) {
+	rows := make([]DockSensitivityRow, len(dockTimes))
+	for i, d := range dockTimes {
 		if d < 0 {
 			return nil, fmt.Errorf("core: negative dock time %v", d)
 		}
+		c := base
+		c.DockTime = d
+		c.UndockTime = d
+		l, err := Launch(c)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = DockSensitivityRow{DockTime: d, Launch: l, DockShare: float64(2*d) / float64(l.Time)}
 	}
-	return sweep.Map(context.Background(), dockTimes,
-		func(_ context.Context, d units.Seconds) (DockSensitivityRow, error) {
-			c := base
-			c.DockTime = d
-			c.UndockTime = d
-			l, err := Launch(c)
-			if err != nil {
-				return DockSensitivityRow{}, err
-			}
-			return DockSensitivityRow{
-				DockTime:  d,
-				Launch:    l,
-				DockShare: float64(2*d) / float64(l.Time),
-			}, nil
-		}, opts...)
+	return rows, nil
 }
 
 // AccelerationRow is one point of the acceleration-rate ablation.
@@ -63,38 +57,26 @@ type AccelerationRow struct {
 	ExtraTime units.Seconds
 }
 
-// AccelerationTradeoff sweeps the LIM acceleration on the parallel sweep
-// engine. Peak power falls linearly with acceleration while the trip
-// lengthens only slightly — the §V-A note on reducing peak power.
-func AccelerationTradeoff(base Config, accels []units.MetresPerSecond2, opts ...sweep.Option) ([]AccelerationRow, error) {
+// AccelerationTradeoff sweeps the LIM acceleration. Peak power falls
+// linearly with acceleration while the trip lengthens only slightly — the
+// §V-A note on reducing peak power.
+func AccelerationTradeoff(base Config, accels []units.MetresPerSecond2) ([]AccelerationRow, error) {
 	if len(accels) == 0 {
 		return nil, errors.New("core: need at least one acceleration")
 	}
-	rows, err := sweep.Map(context.Background(), accels,
-		func(_ context.Context, a units.MetresPerSecond2) (AccelerationRow, error) {
-			c := base
-			c.Acceleration = a
-			l, err := Launch(c)
-			if err != nil {
-				return AccelerationRow{}, err
-			}
-			return AccelerationRow{
-				Acceleration: a,
-				Launch:       l,
-				LIMLength:    c.LIM.RequiredLength(c.MaxSpeed, a),
-			}, nil
-		}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// ExtraTime needs the whole sweep: a sequential post-pass over the
-	// ordered rows.
-	fastest := rows[0].Launch.Time
-	for _, r := range rows[1:] {
-		if r.Launch.Time < fastest {
-			fastest = r.Launch.Time
+	rows := make([]AccelerationRow, len(accels))
+	fastest := units.Seconds(math.Inf(1))
+	for i, a := range accels {
+		c := base
+		c.Acceleration = a
+		l, err := Launch(c)
+		if err != nil {
+			return nil, err
 		}
+		rows[i] = AccelerationRow{Acceleration: a, Launch: l, LIMLength: c.LIM.RequiredLength(c.MaxSpeed, a)}
+		fastest = min(fastest, l.Time)
 	}
+	// ExtraTime needs the fastest trip of the whole sweep.
 	for i := range rows {
 		rows[i].ExtraTime = rows[i].Launch.Time - fastest
 	}
@@ -109,31 +91,27 @@ type RegenRow struct {
 	Saving units.Ratio
 }
 
-// RegenerativeBrakingSavings sweeps the §VI regeneration efficiency range on
-// the parallel sweep engine.
-func RegenerativeBrakingSavings(base Config, regens []float64, opts ...sweep.Option) ([]RegenRow, error) {
+// RegenerativeBrakingSavings sweeps the §VI regeneration efficiency range.
+func RegenerativeBrakingSavings(base Config, regens []float64) ([]RegenRow, error) {
 	baseline, err := Launch(base)
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Map(context.Background(), regens,
-		func(_ context.Context, g float64) (RegenRow, error) {
-			lim, err := physics.NewLIM(base.LIM.Efficiency, g)
-			if err != nil {
-				return RegenRow{}, err
-			}
-			c := base
-			c.LIM = lim
-			l, err := Launch(c)
-			if err != nil {
-				return RegenRow{}, err
-			}
-			return RegenRow{
-				Regen:  g,
-				Energy: l.Energy,
-				Saving: units.Ratio(float64(baseline.Energy) / float64(l.Energy)),
-			}, nil
-		}, opts...)
+	rows := make([]RegenRow, len(regens))
+	for i, g := range regens {
+		lim, err := physics.NewLIM(base.LIM.Efficiency, g)
+		if err != nil {
+			return nil, err
+		}
+		c := base
+		c.LIM = lim
+		l, err := Launch(c)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = RegenRow{Regen: g, Energy: l.Energy, Saving: units.Ratio(float64(baseline.Energy) / float64(l.Energy))}
+	}
+	return rows, nil
 }
 
 // PassiveBrakeSavings compares the primary design (LIM braking at both

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cart"
 	"repro/internal/netmodel"
 	"repro/internal/storage"
-	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -93,15 +91,6 @@ func MinimumTrackLength(c Config) units.Metres {
 	return units.Metres(2 * float64(c.MaxSpeed) * float64(c.MaxSpeed) / (2 * float64(c.Acceleration)))
 }
 
-// CrossoverAll computes the break-even point of one configuration against
-// every network scenario in paper order, on the parallel sweep engine.
-func CrossoverAll(ctx context.Context, c Config, opts ...sweep.Option) ([]CrossoverResult, error) {
-	return sweep.Map(ctx, netmodel.Scenarios(),
-		func(_ context.Context, s netmodel.Scenario) (CrossoverResult, error) {
-			return Crossover(c, s)
-		}, opts...)
-}
-
 // SpecSearchPoint is one evaluated point of a minimum-specification search.
 type SpecSearchPoint struct {
 	Config Config
@@ -128,45 +117,32 @@ type SpecSearchResult struct {
 }
 
 // MinimumSpecSearch generalises the paper's §V-E argument to a grid: it
-// sweeps speed × length × capacity points around base in parallel, computes
-// each point's break-even against the scenario, and selects the minimum
+// evaluates speed × length × capacity points around base, computes each
+// point's break-even against the scenario, and selects the minimum
 // specification whose single launch beats the optical link for the given
 // dataset. Unrealisable grid points are marked invalid rather than aborting
-// the search. The selection scans points in input order, so the result is
-// deterministic regardless of evaluation order.
-func MinimumSpecSearch(ctx context.Context, base Config, g FineGrid, dataset units.Bytes, s netmodel.Scenario, opts ...sweep.Option) (SpecSearchResult, error) {
+// the search.
+func MinimumSpecSearch(base Config, g FineGrid, dataset units.Bytes, s netmodel.Scenario) (SpecSearchResult, error) {
 	if dataset <= 0 {
 		return SpecSearchResult{}, fmt.Errorf("core: search dataset must be positive, got %v", dataset)
 	}
 	if g.Size() == 0 {
 		return SpecSearchResult{}, fmt.Errorf("core: empty search grid")
 	}
-	points, err := sweep.Map(ctx, g.Configs(base),
-		func(_ context.Context, c Config) (SpecSearchPoint, error) {
-			if c.Validate() != nil {
-				return SpecSearchPoint{Config: c}, nil
-			}
-			r, err := Crossover(c, s)
-			if err != nil {
-				return SpecSearchPoint{}, err
-			}
-			return SpecSearchPoint{
-				Config:    c,
-				Valid:     true,
-				Crossover: r,
-				Wins:      r.DHLWins(dataset),
-			}, nil
-		}, opts...)
-	if err != nil {
-		return SpecSearchResult{}, err
-	}
-	res := SpecSearchResult{Dataset: dataset, Scenario: s, Points: points}
-	for i := range points {
-		p := &points[i]
-		if !p.Wins {
+	configs := g.Configs(base)
+	res := SpecSearchResult{Dataset: dataset, Scenario: s, Points: make([]SpecSearchPoint, len(configs))}
+	for i, c := range configs {
+		p := &res.Points[i]
+		p.Config = c
+		if c.Validate() != nil {
 			continue
 		}
-		if res.Best == nil || lighterSpec(p.Config, res.Best.Config) {
+		r, err := Crossover(c, s)
+		if err != nil {
+			return SpecSearchResult{}, err
+		}
+		p.Valid, p.Crossover, p.Wins = true, r, r.DHLWins(dataset)
+		if p.Wins && (res.Best == nil || lighterSpec(c, res.Best.Config)) {
 			res.Best = p
 		}
 	}

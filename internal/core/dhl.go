@@ -184,12 +184,6 @@ func Transfer(c Config, dataset units.Bytes) (BulkTransfer, error) {
 	if err != nil {
 		return BulkTransfer{}, err
 	}
-	return transferFromLaunch(l, dataset)
-}
-
-// transferFromLaunch derives the bulk-transfer cost from already-computed
-// launch metrics (shared by Transfer and LaunchCache.Transfer).
-func transferFromLaunch(l LaunchMetrics, dataset units.Bytes) (BulkTransfer, error) {
 	if dataset <= 0 {
 		return BulkTransfer{}, fmt.Errorf("core: dataset must be positive, got %v", dataset)
 	}

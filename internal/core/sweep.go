@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"repro/internal/sweep"
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // TableVIRow is one evaluated configuration of the paper's Table VI: the
 // single-launch metrics plus the 29 PB comparison columns.
@@ -43,29 +36,24 @@ func DesignSpaceConfigs() []Config {
 	}
 }
 
-// DesignSpace returns the 13 rows of Table VI in paper order, evaluated on
-// the parallel sweep engine (results are identical to a sequential loop).
-func DesignSpace(opts ...sweep.Option) ([]TableVIRow, error) {
-	return EvalConfigs(context.Background(), DesignSpaceConfigs(), PaperDataset, opts...)
+// DesignSpace returns the 13 rows of Table VI in paper order.
+func DesignSpace() ([]TableVIRow, error) {
+	return EvalConfigs(DesignSpaceConfigs(), PaperDataset)
 }
 
 // EvalConfigs evaluates each configuration into a Table VI row — single
-// launch, bulk transfer of dataset, and the five network comparisons — on
-// the bounded worker pool. Rows land in input order; repeated
-// configurations share one launch evaluation through a per-sweep cache.
-func EvalConfigs(ctx context.Context, configs []Config, dataset units.Bytes, opts ...sweep.Option) ([]TableVIRow, error) {
-	cache := NewLaunchCache()
-	return sweep.Map(ctx, configs, func(_ context.Context, c Config) (TableVIRow, error) {
-		tr, err := cache.Transfer(c, dataset)
+// launch, bulk transfer of dataset, and the five network comparisons — in
+// input order.
+func EvalConfigs(configs []Config, dataset units.Bytes) ([]TableVIRow, error) {
+	rows := make([]TableVIRow, len(configs))
+	for i, c := range configs {
+		tr, err := Transfer(c, dataset)
 		if err != nil {
-			return TableVIRow{}, err
+			return nil, err
 		}
-		return TableVIRow{
-			Launch:      tr.Launch,
-			Transfer:    tr,
-			Comparisons: CompareAll(tr),
-		}, nil
-	}, opts...)
+		rows[i] = TableVIRow{Launch: tr.Launch, Transfer: tr, Comparisons: CompareAll(tr)}
+	}
+	return rows, nil
 }
 
 // SweepRanges are the parameter ranges of Table V for custom sweeps.
@@ -77,8 +65,8 @@ var (
 
 // FullFactorialSweep evaluates every speed × length × cart combination of
 // Table V (27 configurations) against the paper dataset.
-func FullFactorialSweep(opts ...sweep.Option) ([]TableVIRow, error) {
-	return FineDesignSpace(context.Background(), PaperResolutionGrid(), PaperDataset, opts...)
+func FullFactorialSweep() ([]TableVIRow, error) {
+	return EvalConfigs(PaperResolutionGrid().Configs(DefaultConfig()), PaperDataset)
 }
 
 // FineGrid is a user-chosen speed × length × capacity design grid. Configs
@@ -98,41 +86,6 @@ func PaperResolutionGrid() FineGrid {
 	return FineGrid{Speeds: SweepSpeeds, Lengths: SweepLengths, SSDs: SweepSSDs}
 }
 
-// UniformFineGrid samples the Table V parameter ranges uniformly at the
-// requested resolution: nSpeeds points in [100, 300] m/s, nLengths in
-// [100, 1000] m, and nSSDs cart sizes in [16, 64]. An axis of resolution 1
-// collapses to the paper's bold default (200 m/s, 500 m, 32 SSDs).
-func UniformFineGrid(nSpeeds, nLengths, nSSDs int) (FineGrid, error) {
-	if nSpeeds < 1 || nLengths < 1 || nSSDs < 1 {
-		return FineGrid{}, fmt.Errorf("core: grid resolution must be ≥ 1 per axis, got %d×%d×%d",
-			nSpeeds, nLengths, nSSDs)
-	}
-	g := FineGrid{
-		Speeds:  make([]units.MetresPerSecond, nSpeeds),
-		Lengths: make([]units.Metres, nLengths),
-		SSDs:    make([]int, nSSDs),
-	}
-	for i := range g.Speeds {
-		g.Speeds[i] = units.MetresPerSecond(linPoint(100, 300, i, nSpeeds, float64(DefaultMaxSpeed)))
-	}
-	for i := range g.Lengths {
-		g.Lengths[i] = units.Metres(linPoint(100, 1000, i, nLengths, float64(DefaultLength)))
-	}
-	for i := range g.SSDs {
-		g.SSDs[i] = int(math.Round(linPoint(16, 64, i, nSSDs, 32)))
-	}
-	return g, nil
-}
-
-// linPoint is the i-th of n points spanning [lo, hi] inclusive; a
-// single-point axis takes the given default.
-func linPoint(lo, hi float64, i, n int, single float64) float64 {
-	if n == 1 {
-		return single
-	}
-	return lo + (hi-lo)*float64(i)/float64(n-1)
-}
-
 // Size is the number of grid points.
 func (g FineGrid) Size() int { return len(g.Speeds) * len(g.Lengths) * len(g.SSDs) }
 
@@ -148,14 +101,4 @@ func (g FineGrid) Configs(base Config) []Config {
 		}
 	}
 	return out
-}
-
-// FineDesignSpace evaluates the grid against dataset on the parallel sweep
-// engine, returning one Table VI row per point in row-major grid order.
-func FineDesignSpace(ctx context.Context, g FineGrid, dataset units.Bytes, opts ...sweep.Option) ([]TableVIRow, error) {
-	if g.Size() == 0 {
-		return nil, fmt.Errorf("core: empty fine grid (%d speeds × %d lengths × %d cart sizes)",
-			len(g.Speeds), len(g.Lengths), len(g.SSDs))
-	}
-	return EvalConfigs(ctx, g.Configs(DefaultConfig()), dataset, opts...)
 }

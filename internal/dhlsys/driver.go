@@ -28,9 +28,6 @@ type ShuttleOptions struct {
 	// the docking PCIe interface before releasing the cart. While one cart
 	// is being read, others can be in flight (§V-B pipelining).
 	ReadAtEndpoint bool
-	// MaxRetries bounds redelivery attempts after in-flight failures;
-	// 0 means deliveries × 10.
-	MaxRetries int
 }
 
 // ShuttleResult summarises a completed bulk transfer.
@@ -69,17 +66,14 @@ var ErrRetriesExhausted = errors.New("dhlsys: delivery retries exhausted")
 
 // backoffDelay returns the delay before a retry after consecFails
 // consecutive failures: RetryBackoff doubling per failure, capped at
-// MaxBackoff (which defaults to 16 × RetryBackoff). A zero RetryBackoff
-// retries immediately, the pre-policy behaviour.
+// 16 × RetryBackoff. A zero RetryBackoff retries immediately, the
+// pre-policy behaviour.
 func (s *System) backoffDelay(consecFails int) units.Seconds {
 	b := s.opt.Recovery.RetryBackoff
 	if b <= 0 {
 		return 0
 	}
-	maxB := s.opt.Recovery.MaxBackoff
-	if maxB <= 0 {
-		maxB = 16 * b
-	}
+	maxB := 16 * b
 	for i := 0; i < consecFails && b < maxB; i++ {
 		b *= 2
 	}
@@ -110,10 +104,6 @@ func (s *System) Shuttle(opt ShuttleOptions) (ShuttleResult, error) {
 	}
 	capB := s.opt.Core.Cart.Capacity()
 	deliveries := int(math.Ceil(float64(opt.Dataset) / float64(capB)))
-	maxRetries := opt.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = deliveries * 10
-	}
 	// Endpoint reads move the array's usable payload, which is slightly
 	// below the nominal cart capacity for parity RAID levels.
 	readB := capB
@@ -135,7 +125,7 @@ func (s *System) Shuttle(opt ShuttleOptions) (ShuttleResult, error) {
 	run := &shuttleRun{
 		s:          s,
 		deliveries: deliveries,
-		maxRetries: maxRetries,
+		maxRetries: deliveries * 10,
 		readAtEnd:  opt.ReadAtEndpoint,
 		readB:      readB,
 	}

@@ -150,7 +150,7 @@ func (s *System) dynamics() launchDynamics {
 		return base
 	}
 	v := physics.DegradedCruiseSpeed(s.effectiveTube(), cfg.Cart.TotalMass,
-		cfg.Acceleration, cfg.MaxSpeed, s.opt.Recovery.VacuumMargin)
+		cfg.Acceleration, cfg.MaxSpeed, physics.DefaultDragMargin)
 	if v >= cfg.MaxSpeed {
 		return base
 	}
@@ -214,9 +214,6 @@ func (s *System) stallCart(c *Cart, delay units.Seconds) {
 // FaultLog returns the run's fault event log in simulation-time order —
 // the byte-identity artefact chaos replays compare.
 func (s *System) FaultLog() []string { return s.inj.LogLines() }
-
-// FaultSummary returns the per-kind fault accounting.
-func (s *System) FaultSummary() faults.Summary { return s.inj.Summary() }
 
 // AvailabilityReport summarises a run's health: the outage-union downtime,
 // the availability fraction, and goodput-relevant degraded counters.

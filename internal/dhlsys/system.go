@@ -84,18 +84,10 @@ type RecoveryPolicy struct {
 	LaunchTimeout units.Seconds
 	// RetryBackoff is the initial delay before a failed delivery is
 	// retried by the bulk-transfer driver; it doubles per consecutive
-	// failure. Zero retries immediately (the pre-policy behaviour).
+	// failure up to 16× RetryBackoff. Zero retries immediately (the
+	// pre-policy behaviour).
 	RetryBackoff units.Seconds
-	// MaxBackoff caps the doubled backoff (0 = 16× RetryBackoff).
-	MaxBackoff units.Seconds
-	// VacuumMargin is the drag/thrust fraction defining degraded-mode
-	// cruise speed under partial vacuum (0 = physics.DefaultDragMargin).
-	VacuumMargin float64
 }
-
-// DefaultRecovery returns the default amelioration policy: degraded RAID
-// reads on, no launch timeout, immediate retries, default drag margin.
-func DefaultRecovery() RecoveryPolicy { return RecoveryPolicy{} }
 
 // DefaultOptions is the paper's primary setup: default DHL, single rail,
 // 4 docking stations, 2-cart fleet, RAID0, PCIe 6 ×1/SSD, no failures.

@@ -23,7 +23,7 @@ import (
 //     *also* used by the spawning function outside the closure:
 //     transferring ownership into the goroutine (build, hand off, never
 //     touch again) is the sanctioned idiom and stays silent.
-//   - sweep task functions — the fn argument of sweep.Map / sweep.MapGrid.
+//   - sweep task functions — the fn argument of sweep.Map.
 //     The pool invokes the task from many workers concurrently, so a
 //     captured unsafe value is flagged with no reachability condition:
 //     the parallel invocations alone share it.
@@ -223,7 +223,7 @@ func (g *CallGraph) scanSpawns(n *cgNode, pass *Pass, dist map[*cgNode]int, via 
 		case *ast.CallExpr:
 			if fn := calleeFunc(info, ast.Unparen(x.Fun)); fn != nil && fn.Pkg() != nil &&
 				fn.Pkg().Path() == g.cfg.ModulePath+"/internal/sweep" &&
-				(fn.Name() == "Map" || fn.Name() == "MapGrid") && len(x.Args) > 2 {
+				fn.Name() == "Map" && len(x.Args) > 2 {
 				if lit, ok := ast.Unparen(x.Args[2]).(*ast.FuncLit); ok {
 					g.checkClosure(n, pass, lit, x.Pos(), "sweep task", false, dist, via, touchOf)
 				}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,92 +105,5 @@ func TestMapParentCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
-	}
-}
-
-func TestGridRowMajorOrder(t *testing.T) {
-	g, err := NewGrid(2, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 12 {
-		t.Fatalf("size = %d, want 12", g.Size())
-	}
-	// Row-major: the same order as three nested loops, axis 0 outermost.
-	var want [][]int
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 3; b++ {
-			for c := 0; c < 2; c++ {
-				want = append(want, []int{a, b, c})
-			}
-		}
-	}
-	got, err := MapGrid(context.Background(), g, func(_ context.Context, coord []int) ([]int, error) {
-		return append([]int(nil), coord...), nil
-	}, Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("grid order:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(); err == nil {
-		t.Fatal("no axes: want error")
-	}
-	if _, err := NewGrid(3, 0); err == nil {
-		t.Fatal("zero axis: want error")
-	}
-}
-
-func TestCacheSingleFlight(t *testing.T) {
-	var c Cache[int, int]
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	const goroutines = 32
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := c.Do(7, func() (int, error) {
-				calls.Add(1)
-				time.Sleep(2 * time.Millisecond)
-				return 49, nil
-			})
-			if err != nil || v != 49 {
-				t.Errorf("Do = %v, %v", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != goroutines-1 {
-		t.Fatalf("stats = %d hits, %d misses; want %d, 1", hits, misses, goroutines-1)
-	}
-}
-
-func TestCacheMemoizesErrors(t *testing.T) {
-	var c Cache[string, int]
-	var calls int
-	boom := errors.New("boom")
-	for i := 0; i < 3; i++ {
-		_, err := c.Do("k", func() (int, error) {
-			calls++
-			return 0, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("call %d: got %v", i, err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
 	}
 }

@@ -3,7 +3,6 @@ package tubenet
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/sweep"
@@ -13,12 +12,9 @@ import (
 // A campus study runs many independent replicas — (scenario, seed) pairs,
 // each with its own engine, router, and fleet — in parallel on the sweep
 // pool, and aggregates fleet-level counters across them. Replica results
-// come back input-ordered (sweep.Map), so the study output is
-// byte-identical at any worker count; the running aggregate is updated
-// concurrently by the workers, so its totals live behind a mutex with the
-// lockcheck annotation proving every access holds it. Only commutative
-// integer counters are aggregated concurrently — float sums are folded
-// from the ordered results afterwards, keeping them order-independent.
+// come back input-ordered (sweep.Map), and the totals are folded from
+// those ordered results afterwards, so the study output is byte-identical
+// at any worker count.
 
 // Replica identifies one study run and its outcome.
 type Replica struct {
@@ -35,37 +31,7 @@ type StudyTotals struct {
 	Reroutes       int
 	Loiters        int
 	Stalls         int
-	// TotalTransit is folded from the ordered replica results, not the
-	// concurrent aggregate, so float addition order is fixed.
-	TotalTransit units.Seconds
-}
-
-// studyAgg is the concurrent aggregate the sweep workers update.
-type studyAgg struct {
-	mu sync.Mutex
-	// totals accumulates the commutative integer counters.
-	//
-	//dhllint:guardedby mu
-	totals StudyTotals
-}
-
-// add folds one replica's counters into the aggregate.
-func (a *studyAgg) add(r Result) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.totals.Replicas++
-	a.totals.TripsCompleted += r.TripsCompleted
-	a.totals.TripsPending += r.TripsPending
-	a.totals.Reroutes += r.Reroutes
-	a.totals.Loiters += r.Loiters
-	a.totals.Stalls += r.Stalls
-}
-
-// snapshot returns the aggregate under the lock.
-func (a *studyAgg) snapshot() StudyTotals {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.totals
+	TotalTransit   units.Seconds
 }
 
 // RunStudy executes one campus replica per seed under the named chaos
@@ -77,7 +43,6 @@ func RunStudy(ctx context.Context, opt Options, scenario string, horizon units.S
 	if len(seeds) == 0 {
 		return nil, StudyTotals{}, fmt.Errorf("%w: study needs at least one seed", ErrBadOptions)
 	}
-	agg := &studyAgg{}
 	results, err := sweep.Map(ctx, seeds, func(_ context.Context, seed int64) (Replica, error) {
 		o := opt
 		o.Seed = seed
@@ -103,14 +68,18 @@ func RunStudy(ctx context.Context, opt Options, scenario string, horizon units.S
 		if err != nil {
 			return Replica{}, err
 		}
-		agg.add(res)
 		return Replica{Scenario: scenario, Seed: seed, Result: res}, nil
 	}, sweep.Workers(workers))
 	if err != nil {
 		return nil, StudyTotals{}, err
 	}
-	totals := agg.snapshot()
+	totals := StudyTotals{Replicas: len(results)}
 	for _, r := range results {
+		totals.TripsCompleted += r.Result.TripsCompleted
+		totals.TripsPending += r.Result.TripsPending
+		totals.Reroutes += r.Result.Reroutes
+		totals.Loiters += r.Result.Loiters
+		totals.Stalls += r.Result.Stalls
 		totals.TotalTransit += r.Result.TotalTransit
 	}
 	return results, totals, nil

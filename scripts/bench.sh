@@ -13,18 +13,22 @@
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → SIM_campus.json
 #
 # The sweep (no bench-regex given) skips the benchmarks the kernel, faults
-# and lint modes own, so each benchmark is recorded in one file only.
+# and lint modes own, so each benchmark is recorded in one file only,
+# except the shuttle baseline both the kernel and faults overheads divide
+# by, which each of those two files records.
 #
 # The kernel mode runs the event-kernel pair (burst and steady-state),
-# the shuttle workload, and the telemetry shuttle pair; kernel rows gain
-# an events_per_sec field and the output an overhead_pct (warm
-# telemetry-enabled vs disabled shuttle, the pooled-Set operating mode)
-# plus overhead_cold_pct (fresh Set per run).
+# the shuttle baseline (BenchmarkSystemSimulation: no faults, no
+# telemetry) and the two telemetry-enabled shuttles; kernel rows gain an
+# events_per_sec field and the output an overhead_pct (warm
+# telemetry-enabled shuttle vs the baseline, the pooled-Set operating
+# mode) plus overhead_cold_pct (fresh Set per run).
 #
-# The faults mode runs the shuttle with no fault script, with an armed
-# empty script, and under the rough-day chaos scenario, and adds an
-# overhead_pct field (armed empty script vs no script, best-of-3 ns/op):
-# the injector's own cost, which the acceptance target keeps under 10 %.
+# The faults mode runs the same shuttle baseline, the shuttle with an
+# armed empty script, and the shuttle under the rough-day chaos scenario,
+# and adds an overhead_pct field (armed empty script vs baseline,
+# best-of-3 ns/op): the injector's own cost, which the acceptance target
+# keeps under 10 %.
 #
 # The lint mode adds a notes field when GOMAXPROCS is 1, so a recorded
 # no-speedup parallel run names its cause (a single-core host) instead of
@@ -94,11 +98,11 @@ faults=0
 lint=0
 if [[ "${1:-}" == "kernel" ]]; then
     out="BENCH_kernel.json"
-    pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Disabled|Enabled|EnabledCold)$"
+    pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Enabled|EnabledCold)$"
     kernel=1
 elif [[ "${1:-}" == "faults" ]]; then
     out="BENCH_faults.json"
-    pattern="BenchmarkShuttleNoFaults$|BenchmarkShuttleArmedEmptyScript$|BenchmarkChaosShuttle$"
+    pattern="BenchmarkSystemSimulation$|BenchmarkShuttleArmedEmptyScript$|BenchmarkChaosShuttle$"
     faults=1
 elif [[ "${1:-}" == "lint" ]]; then
     out="BENCH_lint.json"
@@ -155,14 +159,14 @@ END {
     }
     printf "  ]"
     if (lint && gomaxprocs == 1) {
-        printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
+        printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential pins that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
     }
-    if (faults && ("BenchmarkShuttleNoFaults" in best) && ("BenchmarkShuttleArmedEmptyScript" in best)) {
-        base = best["BenchmarkShuttleNoFaults"]
+    if (faults && ("BenchmarkSystemSimulation" in best) && ("BenchmarkShuttleArmedEmptyScript" in best)) {
+        base = best["BenchmarkSystemSimulation"]
         printf ",\n  \"overhead_pct\": %.2f", (best["BenchmarkShuttleArmedEmptyScript"] - base) / base * 100
     }
-    if (kernel && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
-        off = best["BenchmarkShuttleTelemetryDisabled"]
+    if (kernel && ("BenchmarkSystemSimulation" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
+        off = best["BenchmarkSystemSimulation"]
         on = best["BenchmarkShuttleTelemetryEnabled"]
         printf ",\n  \"overhead_pct\": %.2f", (on - off) / off * 100
         if ("BenchmarkShuttleTelemetryEnabledCold" in best)
