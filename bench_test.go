@@ -19,7 +19,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/datamap"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
 	"repro/internal/multistop"
@@ -43,7 +42,7 @@ func BenchmarkFig2RouteEnergies(b *testing.B) {
 		routes := netmodel.ScenarioRoutes()
 		var total units.Joules
 		for _, rp := range routes {
-			total += rp.Energy(PaperDataset)
+			total += rp.Energy(core.PaperDataset)
 		}
 		if total <= 0 {
 			b.Fatal("no energy computed")
@@ -86,15 +85,15 @@ func BenchmarkTableVIDesignSpace(b *testing.B) {
 // speedups and energy reductions against all five network scenarios.
 func BenchmarkTableVI29PB(b *testing.B) {
 	cfgs := []core.Config{
-		DefaultConfig().With(100, 500, 32),
-		DefaultConfig().With(200, 500, 32),
-		DefaultConfig().With(300, 500, 32),
+		core.DefaultConfig().With(100, 500, 32),
+		core.DefaultConfig().With(200, 500, 32),
+		core.DefaultConfig().With(300, 500, 32),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
-			tr, err := core.Transfer(cfg, PaperDataset)
+			tr, err := core.Transfer(cfg, core.PaperDataset)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +106,7 @@ func BenchmarkTableVI29PB(b *testing.B) {
 
 // BenchmarkTableVIIIsoPower regenerates Table VII(a) (E6).
 func BenchmarkTableVIIIsoPower(b *testing.B) {
-	w := DLRM()
+	w := astra.DefaultDLRM()
 	dhl := astra.DefaultDHL()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -124,7 +123,7 @@ func BenchmarkTableVIIIsoPower(b *testing.B) {
 
 // BenchmarkTableVIIIsoTime regenerates Table VII(b) (E7).
 func BenchmarkTableVIIIsoTime(b *testing.B) {
-	w := DLRM()
+	w := astra.DefaultDLRM()
 	dhl := astra.DefaultDHL()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -142,7 +141,7 @@ func BenchmarkTableVIIIsoTime(b *testing.B) {
 // BenchmarkFigure6 regenerates the full Figure 6 sweep (E8): five
 // quantised DHL curves and five continuous network curves.
 func BenchmarkFigure6(b *testing.B) {
-	w := DLRM()
+	w := astra.DefaultDLRM()
 	opt := astra.DefaultFigure6Options()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -363,7 +362,7 @@ func BenchmarkChaosShuttle(b *testing.B) {
 // BenchmarkSimulateIteration runs the event-driven DLRM iteration with the
 // paper's 1e7 downscale (part of E6/E7 methodology).
 func BenchmarkSimulateIteration(b *testing.B) {
-	w := DLRM()
+	w := astra.DefaultDLRM()
 	dhl := astra.DefaultDHL()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -443,8 +442,8 @@ func BenchmarkStorageArray(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadGenerators measures trace generation for the three
-// §II-D settings.
+// BenchmarkWorkloadGenerators measures trace generation for the physics
+// (§II-D.1) and backup (§II-D.2) settings.
 func BenchmarkWorkloadGenerators(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -452,9 +451,6 @@ func BenchmarkWorkloadGenerators(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := workload.DefaultBulkBackup().Generate(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := workload.DefaultMLEpochs().Generate(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +461,7 @@ func BenchmarkWorkloadGenerators(b *testing.B) {
 // BenchmarkAblationDockTime sweeps the §V-A dominant overhead: docking.
 func BenchmarkAblationDockTime(b *testing.B) {
 	times := []units.Seconds{0, 1, 2, 3, 4, 5}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -482,7 +478,7 @@ func BenchmarkAblationDockTime(b *testing.B) {
 // BenchmarkAblationAcceleration sweeps the peak-power/trip-time trade-off.
 func BenchmarkAblationAcceleration(b *testing.B) {
 	accels := []units.MetresPerSecond2{250, 500, 1000, 2000}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -495,7 +491,7 @@ func BenchmarkAblationAcceleration(b *testing.B) {
 // BenchmarkAblationRegenBraking sweeps the §VI 16–70 % regeneration range.
 func BenchmarkAblationRegenBraking(b *testing.B) {
 	regens := []float64{0, 0.16, 0.3, 0.5, 0.7}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -529,7 +525,7 @@ func BenchmarkMultistopContention(b *testing.B) {
 		{Name: "rack-C", Position: 380},
 		{Name: "rack-D", Position: 500},
 	}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -579,48 +575,6 @@ func BenchmarkThermalAnalysis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := thermal.Analyze(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceReplay replays the §II-D.2 weekly backup trace through the
-// event-driven system.
-func BenchmarkTraceReplay(b *testing.B) {
-	tr, err := workload.DefaultBulkBackup().Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := dhlsys.DefaultOptions()
-		opt.NumCarts = 4
-		sys, err := dhlsys.New(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.ReplayTrace(tr, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDatamapPlacement places and appends datasets across a fleet's
-// catalogue (§III-D data mapping).
-func BenchmarkDatamapPlacement(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := datamap.NewCatalog()
-		for j := 0; j < 8; j++ {
-			if err := c.AddCart(track.CartID(j), 32, 8*units.TB); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := c.Place("ds", 1.5*units.PB); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Append("ds", 200*units.TB); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,12 +16,14 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/astra"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/netmodel"
+	"repro/internal/physics"
 	"repro/internal/report"
 	"repro/internal/sneakernet"
 	"repro/internal/storage"
@@ -38,6 +40,13 @@ func main() {
 		log.Fatal(err)
 	}
 }
+
+// The levitation budget's magnet thickness and target air gap (§IV-A), in
+// metres.
+const (
+	halbachThickness = 0.005
+	levitationTarget = 0.010
+)
 
 // artefacts lists every output file with the one function that builds it,
 // in the order run writes them.
@@ -222,9 +231,10 @@ func table8(b *bytes.Buffer) error {
 
 	t := report.NewTable("Table VIII(c) — overall cost grid",
 		"distance_m", "100m/s", "200m/s", "300m/s")
-	for _, d := range []units.Metres{100, 500, 1000} {
-		t.AddRow(float64(d), cost.Overall(d, 100).String(),
-			cost.Overall(d, 200).String(), cost.Overall(d, 300).String())
+	grid := cost.PaperGrid()
+	for i := 0; i < len(grid); i += 3 {
+		row := grid[i : i+3]
+		t.AddRow(float64(row[0].Length), row[0].Total.String(), row[1].Total.String(), row[2].Total.String())
 	}
 	section(b, t)
 	fmt.Fprintf(b, "Yardstick: a large 400Gb/s switch costs about %v.\n", cost.ComparableSwitchCost)
@@ -240,6 +250,32 @@ func sec5e(b *bytes.Buffer) error {
 	fmt.Fprintf(b, "Minimum specs (§V-E): launch %v, break-even dataset %v,\n"+
 		"optical %v vs DHL %v per window.\n",
 		r.LaunchTime, r.BreakEvenDataset, r.OpticalEnergy, r.DHLEnergy)
+
+	g := core.FineGrid{
+		Speeds:  []units.MetresPerSecond{10, 20, 200},
+		Lengths: []units.Metres{10, 50},
+		SSDs:    []int{1, 2, 4},
+	}
+	res, err := core.MinimumSpecSearch(core.MinimumSpecConfig(), g, 360*units.GB, netmodel.ScenarioA0)
+	if err != nil {
+		return err
+	}
+	if res.Best == nil {
+		return fmt.Errorf("no grid point beats %v for %v", res.Scenario, res.Dataset)
+	}
+	var valid, wins int
+	for _, p := range res.Points {
+		if p.Valid {
+			valid++
+		}
+		if p.Wins {
+			wins++
+		}
+	}
+	fmt.Fprintf(b, "\nSearch over speeds %v m/s × lengths %v m × %v SSDs for a %v dataset vs %v:\n"+
+		"%d of %d points realisable, %d win; the minimum is %v (%d SSD, break-even %v).\n",
+		g.Speeds, g.Lengths, g.SSDs, res.Dataset, res.Scenario, valid, len(res.Points), wins,
+		res.Best.Config, res.Best.Config.Cart.Config.NumSSDs, res.Best.Crossover.BreakEvenDataset)
 	return nil
 }
 
@@ -289,8 +325,16 @@ func ablations(b *bytes.Buffer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b, "Passive eddy brakes (dual rail, §VI): %v → %v per launch (%v)\n\n",
+	fmt.Fprintf(b, "Passive eddy brakes (dual rail, §VI): %v → %v per launch (%v)\n",
 		active, passive, saving)
+	mass, lim := cfg.Cart.TotalMass, cfg.LIM.RequiredLength(cfg.MaxSpeed, cfg.Acceleration)
+	brake, err := physics.BrakeForLength(mass, cfg.MaxSpeed, lim)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "Sized eddy brake: stops the %v cart from %g m/s within the %g m LIM footprint (%.2f m, %v), dissipating %v as heat.\n\n",
+		mass, float64(cfg.MaxSpeed), float64(lim), brake.StoppingDistance(mass, cfg.MaxSpeed),
+		brake.StoppingTime(mass, cfg.MaxSpeed), brake.DissipatedEnergy(mass, cfg.MaxSpeed))
 
 	dens := report.NewTable("SSD density scaling (§II-A: upgrade carts, not the track)",
 		"year", "ssd", "cart", "bw_TB_per_s", "GB_per_J")
@@ -306,6 +350,7 @@ func ablations(b *bytes.Buffer) error {
 
 	pipe := report.NewTable("Pipelined 29 PB transfer (§V-B refinements)",
 		"mode", "cadence_s", "time", "speedup_vs_TableVI")
+	var inFlight []string
 	for _, m := range []struct {
 		name string
 		opt  core.PipelineOptions
@@ -319,8 +364,10 @@ func ablations(b *bytes.Buffer) error {
 			return err
 		}
 		pipe.AddRow(m.name, float64(pt.Cadence), pt.Time.String(), float64(pt.Speedup))
+		inFlight = append(inFlight, fmt.Sprintf("%s %d", m.name, pt.CartsInFlight()))
 	}
 	section(b, pipe)
+	fmt.Fprintf(b, "Carts in flight to sustain each pipeline: %s.\n\n", strings.Join(inFlight, ", "))
 
 	th := report.NewTable("Thermal budget, 32-SSD cart under load (§VI)",
 		"sink", "steady_C", "sustained", "sustainable_read_frac")
@@ -332,6 +379,16 @@ func ablations(b *bytes.Buffer) error {
 		th.AddRow(s.Name, a.SteadyTemp, fmt.Sprintf("%v", a.SustainedFullLoad), a.SustainableReadFraction)
 	}
 	section(b, th)
+
+	gap, _, err := physics.HalbachMassBudget(mass, cfg.Cart.MagnetMass, halbachThickness, cfg.MaxSpeed, levitationTarget)
+	if err != nil {
+		return err
+	}
+	h := physics.DefaultHalbach()
+	fmt.Fprintf(b, "Levitation (§IV-A): the %v cart's %v of NdFeB, %g mm thick, holds a %.1f mm gap at %g m/s (target %g mm);\n"+
+		"lift/drag L/D = %g at 50 m/s, %g at 100 m/s, %g at 200 m/s.\n\n",
+		mass, cfg.Cart.MagnetMass, halbachThickness*1000, gap*1000, float64(cfg.MaxSpeed), levitationTarget*1000,
+		h.LiftToDrag(50), h.LiftToDrag(100), h.LiftToDrag(200))
 
 	stab, err := control.StabilisationPowerPerCart()
 	if err != nil {
@@ -355,5 +412,37 @@ func ablations(b *bytes.Buffer) error {
 	fmt.Fprintf(b, "Sneakernet baseline (§II-C): carrying 29 PB by hand = %d drives, %d trips, %v, %v wages;\n"+
 		"the DHL does it in %v for %v of electricity.\n",
 		courier.Drives, courier.Trips, courier.Time, courier.LaborCost, dhl.Time, dhl.Energy)
-	return nil
+	truck, err := sneakernet.Snowmobile().Ship(100*units.PB, 500_000)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "A Snowmobile-class truck (§VII-B) ships 100 PB over 500 km in %.1f days (%.1f weeks; %d shipment, %v of diesel).\n\n",
+		truck.Time.Days(), truck.Time.Days()/7, truck.Shipments, truck.FuelEnergy)
+
+	rows, err := core.FullFactorialSweep()
+	if err != nil {
+		return err
+	}
+	worst, worstCfg := rows[0].Comparisons[0].TimeSpeedup, rows[0].Launch.Config
+	for _, r := range rows {
+		for _, c := range r.Comparisons {
+			if c.TimeSpeedup < worst {
+				worst, worstCfg = c.TimeSpeedup, r.Launch.Config
+			}
+		}
+	}
+	fmt.Fprintf(b, "Table V full factorial (%d speed × length × cart configurations, 29 PB):\n"+
+		"the smallest time speedup over any route is %v, for %v.\n\n", len(rows), worst, worstCfg)
+
+	train := report.NewTable("Training economics (§II-D.3): 2000 DLRM iterations at the DHL's power",
+		"scheme", "days", "comm_MJ", "compute_MJ", "electricity")
+	runs, err := astra.TrainingRun{Workload: astra.DefaultDLRM(), Iterations: 2000}.CompareRuns(astra.DefaultDHL())
+	if err != nil {
+		return err
+	}
+	for _, r := range runs {
+		train.AddRow(r.Transport, r.Duration.Days(), r.CommEnergy.MJ(), r.ComputeEnergy.MJ(),
+			r.TotalDollars().String())
+	}
+	return train.Render(b)
 }

@@ -72,6 +72,12 @@ func main() {
 	flag.Parse()
 
 	if *campus || *campusStudy != "" {
+		if *campusCarts < 1 {
+			log.Fatalf("-campus-carts must be at least 1, got %d", *campusCarts)
+		}
+		if *campusTrips < 1 {
+			log.Fatalf("-campus-trips must be at least 1, got %d", *campusTrips)
+		}
 		runCampus(campusOptions{
 			carts:    *campusCarts,
 			trips:    *campusTrips,
@@ -278,12 +284,10 @@ func unknownChaosMessage(err error) string {
 }
 
 // failureSweep prints the availability-vs-failure-rate table: one fresh
-// deterministic system per rate, same seed.
+// deterministic system per rate, same seed. The whole rate list is parsed
+// before any rate runs, so a bad entry prints nothing.
 func failureSweep(opt dhlsys.Options, dataset units.Bytes, read bool, spec string) {
-	fmt.Printf("Availability vs failure rate: %v, %d carts, %d docks, %v, read=%v, seed=%d\n",
-		dataset, opt.NumCarts, opt.DockStations, opt.RAID, read, opt.Seed)
-	fmt.Printf("%-10s %-12s %-9s %-10s %-10s %-14s %-14s\n",
-		"rate", "deliveries", "retries", "degraded", "failures", "duration-s", "goodput-GB/s")
+	var rates []float64
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -293,6 +297,13 @@ func failureSweep(opt dhlsys.Options, dataset units.Bytes, read bool, spec strin
 		if err != nil {
 			log.Fatalf("-failure-sweep: bad rate %q: %v", tok, err)
 		}
+		rates = append(rates, rate)
+	}
+	fmt.Printf("Availability vs failure rate: %v, %d carts, %d docks, %v, read=%v, seed=%d\n",
+		dataset, opt.NumCarts, opt.DockStations, opt.RAID, read, opt.Seed)
+	fmt.Printf("%-10s %-12s %-9s %-10s %-10s %-14s %-14s\n",
+		"rate", "deliveries", "retries", "degraded", "failures", "duration-s", "goodput-GB/s")
+	for _, rate := range rates {
 		o := opt
 		o.FailureRate = rate
 		sys, err := dhlsys.New(o)

@@ -1,11 +1,78 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 )
+
+// runMainEnv, when set, makes the test binary run main with its
+// arguments instead of the tests, so a test can drive the command
+// end to end and check its exit status and output.
+const runMainEnv = "DHLSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runDhlsim runs the command with args and returns its stdout, stderr
+// and exit code.
+func runDhlsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestCampusCountsBelowOneAreRejected: a zero fleet or trip count must
+// fail with a message instead of falling through to tubenet's defaults
+// (64 carts, 2 trips).
+func TestCampusCountsBelowOneAreRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-campus", "-campus-carts", "0"}, "-campus-carts must be at least 1"},
+		{[]string{"-campus", "-campus-trips", "0", "-campus-carts", "10"}, "-campus-trips must be at least 1"},
+		{[]string{"-campus-study", "1", "-campus-carts", "-3"}, "-campus-carts must be at least 1"},
+	} {
+		stdout, stderr, code := runDhlsim(t, tc.args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("dhlsim %v: exit %d, stderr %q, stdout %q; want exit 1 with %q and no output",
+				tc.args, code, stderr, stdout, tc.want)
+		}
+	}
+}
+
+// TestFailureSweepRejectsBadRateBeforeRunning: the whole -failure-sweep
+// list is parsed first, so a bad entry prints no header and no rows.
+func TestFailureSweepRejectsBadRateBeforeRunning(t *testing.T) {
+	stdout, stderr, code := runDhlsim(t, "-failure-sweep", "0.1,abc")
+	if code != 1 || !strings.Contains(stderr, `bad rate "abc"`) || stdout != "" {
+		t.Errorf("exit %d, stderr %q, stdout %q; want exit 1, a bad-rate message and no output",
+			code, stderr, stdout)
+	}
+}
 
 func TestChaosScenarioListMatchesFaults(t *testing.T) {
 	names := faults.ScenarioNames()

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datamap"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
@@ -74,11 +73,7 @@ func TestWorkloadGenerationIsByteIdenticalAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml, err := workload.DefaultMLEpochs().Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, pb, bb, ml)
+		out = append(out, pb, bb)
 		return serialize(t, out)
 	}
 	first, second := run(), run()
@@ -293,32 +288,6 @@ func TestRandomFaultSchedulesNeverDeadlockDockFIFO(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDatamapPlacementIsByteIdenticalAcrossRuns(t *testing.T) {
-	run := func() string {
-		c := datamap.NewCatalog()
-		for id := 0; id < 8; id++ {
-			if err := c.AddCart(track.CartID(id), 16, 4*units.TB); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.Place("ml-29pb", 200*units.TB); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Append("ml-29pb", 37*units.TB); err != nil {
-			t.Fatal(err)
-		}
-		ext, epoch, err := c.Locate("ml-29pb")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("free=%v epoch=%d ext=%v", c.FreeBytes(), epoch, ext)
-	}
-	first, second := run(), run()
-	if first != second {
-		t.Errorf("datamap placement differs between runs:\n%s\nvs\n%s", first, second)
 	}
 }
 

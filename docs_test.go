@@ -1,0 +1,89 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// citedDocs are the documents whose backticked test names must resolve.
+var citedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+var (
+	// codeSpan matches a fenced block or an inline backtick span.
+	codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	// citedName matches a test, benchmark, fuzz target or example name; a
+	// trailing *, { or … marks a prefix (BenchmarkAblation*,
+	// TestReproTableVIII{a,b,c}…).
+	citedName = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*)([*{…]?)`)
+)
+
+// testFuncs returns the names of every top-level function declared in a
+// _test.go file of the module, bench/ included.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestDocsCiteExistingTests checks that every test, benchmark, fuzz target
+// or example the documents name in backticks is a function in a _test.go
+// file, so deleting or renaming a test cannot leave a stale citation.
+func TestDocsCiteExistingTests(t *testing.T) {
+	funcs := testFuncs(t)
+	var sorted []string
+	for name := range funcs {
+		sorted = append(sorted, name)
+	}
+	sort.Strings(sorted)
+	hasPrefix := func(p string) bool {
+		i := sort.SearchStrings(sorted, p)
+		return i < len(sorted) && strings.HasPrefix(sorted[i], p)
+	}
+	for _, doc := range citedDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(string(b), -1) {
+			for _, m := range citedName.FindAllStringSubmatch(span, -1) {
+				name, prefix := m[1], m[2] != ""
+				if prefix && !hasPrefix(name) || !prefix && !funcs[name] {
+					t.Errorf("%s cites %s, which no _test.go file declares", doc, m[0])
+				}
+			}
+		}
+	}
+}

@@ -130,7 +130,7 @@ func TestHotPathAllocsRegistry(t *testing.T) {
 // allocation watermark each run so writes never hit the capacity error
 // path.
 func TestHotPathAllocsStorage(t *testing.T) {
-	dev := storage.NewDevice(storage.SabrentRocket4Plus)
+	dev := &storage.Device{Spec: storage.SabrentRocket4Plus}
 	failures := 0
 	zeroAllocs(t, "device write/read", func() {
 		if _, err := dev.Write(units.MB); err != nil {

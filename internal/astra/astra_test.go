@@ -66,8 +66,6 @@ func TestDHLTransportModel(t *testing.T) {
 	approx(t, "cycle energy", float64(d.CycleEnergy()), 12216.5+7517.9, 0.001)
 	// Average power lands within 1% of the paper's 1.75 kW budget.
 	approx(t, "avg power", d.AveragePower().KW(), 1.75, 0.01)
-	// Effective bandwidth ≈ 22.9 TB/s.
-	approx(t, "bandwidth", float64(d.Bandwidth())/1e12, 256.0/11.2, 0.001)
 }
 
 func TestDHLDeliverTimeQuantised(t *testing.T) {
@@ -110,26 +108,6 @@ func TestDeliverTimeLinearity(t *testing.T) {
 	}
 }
 
-func TestDHLForBudget(t *testing.T) {
-	d, err := DHLForBudget(core.DefaultConfig(), 5*units.Kilowatt, DefaultRegen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Tracks != 2 {
-		t.Errorf("tracks at 5 kW = %d, want 2 (1.762 kW each)", d.Tracks)
-	}
-	d6, err := DHLForBudget(core.DefaultConfig(), 6*units.Kilowatt, DefaultRegen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d6.Tracks != 3 {
-		t.Errorf("tracks at 6 kW = %d, want 3", d6.Tracks)
-	}
-	if _, err := DHLForBudget(core.DefaultConfig(), 500, DefaultRegen); err == nil {
-		t.Error("budget below one track must error")
-	}
-}
-
 func TestClusterCollectives(t *testing.T) {
 	c := DefaultCluster()
 	if err := c.Validate(); err != nil {
@@ -137,11 +115,9 @@ func TestClusterCollectives(t *testing.T) {
 	}
 	// Ring allreduce of the 44 TB DLRM gradient: 2×15/16×44e12/900e9.
 	approx(t, "allreduce", float64(c.AllReduce(44*units.TB)), 91.666, 0.001)
-	approx(t, "allgather", float64(c.AllGather(units.TB)), 15*1e12/900e9, 1e-9)
-	approx(t, "reducescatter", float64(c.ReduceScatter(units.TB)), 15.0/16*1e12/900e9, 1e-9)
 	// Single node needs no communication.
 	solo := Cluster{Nodes: 1, LinkBandwidth: units.GBps}
-	if solo.AllReduce(units.TB) != 0 || solo.AllGather(units.TB) != 0 || solo.ReduceScatter(units.TB) != 0 {
+	if solo.AllReduce(units.TB) != 0 {
 		t.Error("single-node collectives must be free")
 	}
 	// Degenerate inputs.
@@ -296,22 +272,27 @@ func TestReproFigure6Curves(t *testing.T) {
 		}
 	}
 	// Paper's headline observation: "for a fixed power budget, DHL
-	// consistently outperforms the different network scenarios". Check at
-	// several budgets where both are defined.
+	// consistently outperforms the different network scenarios". Network
+	// time is non-increasing in power, so at each DHL point's budget a
+	// network scheme is no faster than at its first point at or above that
+	// budget; that point must already be slower than the DHL.
 	dhl := byName["DHL-200-500-256"]
-	for _, pKW := range []float64{2, 10, 50, 200} {
-		p := units.Watts(pKW * 1000)
-		dt, ok := dhl.TimeAtPower(p)
-		if !ok {
+	for _, c := range curves {
+		if !c.Quantised {
 			continue
 		}
-		for _, n := range []string{"A0", "A1", "A2", "B", "C"} {
-			nt, ok := byName[n].TimeAtPower(p)
-			if !ok {
-				continue
-			}
-			if nt <= dt {
-				t.Errorf("at %v kW, network %s (%v) beats DHL (%v)", pKW, n, nt, dt)
+		for _, d := range c.Points {
+			for _, n := range []string{"A0", "A1", "A2", "B", "C"} {
+				for _, p := range byName[n].Points {
+					if p.Power < d.Power {
+						continue
+					}
+					if p.Time <= d.Time {
+						t.Errorf("at %v, network %s (%v at %v) beats %s (%v)",
+							d.Power, n, p.Time, p.Power, c.Name, d.Time)
+					}
+					break
+				}
 			}
 		}
 	}
@@ -337,30 +318,6 @@ func TestFigure6Validation(t *testing.T) {
 	opt.MaxPower = 100 // below one track
 	if _, err := Figure6(w, opt); err == nil {
 		t.Error("budget below one track must error")
-	}
-}
-
-func TestTimeAtPower(t *testing.T) {
-	c := Curve{Name: "x", Points: []CurvePoint{{Power: 10, Time: 100}, {Power: 100, Time: 10}}}
-	if _, ok := c.TimeAtPower(5); ok {
-		t.Error("below cheapest point must be unavailable")
-	}
-	mid, ok := c.TimeAtPower(31.62) // sqrt(10×100): halfway in log space
-	if !ok {
-		t.Fatal("mid lookup failed")
-	}
-	approx(t, "log interpolation", float64(mid), 55, 0.01)
-	end, ok := c.TimeAtPower(1000)
-	if !ok || end != 10 {
-		t.Errorf("beyond last point = %v, %v", end, ok)
-	}
-	q := Curve{Quantised: true, Points: []CurvePoint{{Power: 10, Time: 100}, {Power: 20, Time: 50}}}
-	if v, ok := q.TimeAtPower(15); !ok || v != 100 {
-		t.Errorf("quantised lookup = %v, %v", v, ok)
-	}
-	empty := Curve{}
-	if _, ok := empty.TimeAtPower(10); ok {
-		t.Error("empty curve must be unavailable")
 	}
 }
 

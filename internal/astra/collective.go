@@ -50,28 +50,3 @@ func (c Cluster) AllReduce(b units.Bytes) units.Seconds {
 	n := float64(c.Nodes)
 	return units.Seconds(2 * (n - 1) / n * float64(b) / float64(c.LinkBandwidth))
 }
-
-// AllGather is the ring all-gather completion time for per-node shard b:
-// (N−1) × b / link.
-func (c Cluster) AllGather(b units.Bytes) units.Seconds {
-	if err := c.Validate(); err != nil || b <= 0 {
-		return 0
-	}
-	if c.Nodes == 1 {
-		return 0
-	}
-	return units.Seconds(float64(c.Nodes-1) * float64(b) / float64(c.LinkBandwidth))
-}
-
-// ReduceScatter is the ring reduce-scatter completion time for payload b:
-// (N−1)/N × b / link.
-func (c Cluster) ReduceScatter(b units.Bytes) units.Seconds {
-	if err := c.Validate(); err != nil || b <= 0 {
-		return 0
-	}
-	if c.Nodes == 1 {
-		return 0
-	}
-	n := float64(c.Nodes)
-	return units.Seconds((n - 1) / n * float64(b) / float64(c.LinkBandwidth))
-}

@@ -212,30 +212,3 @@ func networkCurve(w DLRM, s netmodel.Scenario, opt Figure6Options) (Curve, error
 	}
 	return c, nil
 }
-
-// TimeAtPower interpolates a curve's iteration time at a power budget,
-// using the best (largest affordable) point for quantised curves and linear
-// interpolation in log-power for continuous ones. Returns false if the
-// budget is below the curve's cheapest point.
-func (c Curve) TimeAtPower(p units.Watts) (units.Seconds, bool) {
-	if len(c.Points) == 0 || p < c.Points[0].Power {
-		return 0, false
-	}
-	if c.Quantised {
-		best := c.Points[0]
-		for _, pt := range c.Points {
-			if pt.Power <= p {
-				best = pt
-			}
-		}
-		return best.Time, true
-	}
-	for i := 1; i < len(c.Points); i++ {
-		if p <= c.Points[i].Power {
-			a, b := c.Points[i-1], c.Points[i]
-			frac := math.Log(float64(p)/float64(a.Power)) / math.Log(float64(b.Power)/float64(a.Power))
-			return units.Seconds(float64(a.Time) + frac*(float64(b.Time)-float64(a.Time))), true
-		}
-	}
-	return c.Points[len(c.Points)-1].Time, true
-}

@@ -48,9 +48,6 @@ type RunCost struct {
 	IngestDominates bool
 }
 
-// TotalEnergy is communication plus compute energy.
-func (r RunCost) TotalEnergy() units.Joules { return r.CommEnergy + r.ComputeEnergy }
-
 // TotalDollars is the whole electricity bill.
 func (r RunCost) TotalDollars() units.USD { return r.CommDollars + r.ComputeDollars }
 

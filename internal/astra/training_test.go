@@ -39,9 +39,6 @@ func TestTrainingRunDHL(t *testing.T) {
 	if rc.TotalDollars() != rc.CommDollars+rc.ComputeDollars {
 		t.Error("dollar sum mismatch")
 	}
-	if rc.TotalEnergy() != rc.CommEnergy+rc.ComputeEnergy {
-		t.Error("energy sum mismatch")
-	}
 }
 
 func TestIngestDominatesOnSlowNetwork(t *testing.T) {

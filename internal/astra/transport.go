@@ -127,22 +127,6 @@ func DefaultDHL() DHL {
 	return d
 }
 
-// DHLForBudget fits as many tracks as the power budget allows (≥0; callers
-// decide how to treat an unaffordable budget).
-func DHLForBudget(cfg core.Config, budget units.Watts, regen float64) (DHL, error) {
-	one, err := NewDHL(cfg, 1, regen)
-	if err != nil {
-		return DHL{}, err
-	}
-	n := int(float64(budget) / float64(one.AveragePower()))
-	if n < 1 {
-		return DHL{}, fmt.Errorf("astra: budget %v below one track's %v",
-			budget, one.AveragePower())
-	}
-	one.Tracks = n
-	return one, nil
-}
-
 // Name implements Transport, using the paper's DHL-X-Y-Z notation.
 func (d DHL) Name() string { return d.Config.String() }
 
@@ -167,12 +151,6 @@ func (d DHL) CycleEnergy() units.Joules {
 	loaded := lim.AccelerationEnergy(m, v) + lim.BrakingEnergy(m, v)
 	returnLeg := lim.AccelerationEnergy(m, v)
 	return loaded + returnLeg
-}
-
-// Bandwidth is the aggregate steady-state delivery rate.
-func (d DHL) Bandwidth() units.BytesPerSecond {
-	perTrack := float64(d.Config.Cart.Capacity()) / float64(d.CycleTime())
-	return units.BytesPerSecond(perTrack * float64(d.Tracks))
 }
 
 // DeliverTime implements Transport: deliveries are quantised to whole carts,

@@ -14,7 +14,6 @@ package cart
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/storage"
 	"repro/internal/units"
@@ -29,8 +28,6 @@ const (
 	FinMassFraction = 0.15
 	// DefaultFrameMass: "no greater than 30 grams".
 	DefaultFrameMass units.Grams = 30
-	// NeodymiumDensity g/cm³.
-	NeodymiumDensity = 7.5
 	// AirGapMM is the standard levitation height.
 	AirGapMM = 10.0
 )
@@ -121,11 +118,6 @@ func (c *Cart) Capacity() units.Bytes {
 	return units.Bytes(float64(c.Config.NumSSDs) * float64(c.Config.SSD.Capacity))
 }
 
-// DensityPerGram is bytes stored per gram of cart.
-func (c *Cart) DensityPerGram() units.BytesPerGram {
-	return units.BytesPerGram(float64(c.Capacity()) / float64(c.TotalMass))
-}
-
 // NewArray builds the cart's storage array (RAID level and PCIe interface
 // per docking-station design; the paper pairs one PCIe-6 lane per SSD at the
 // 64-SSD maximum).
@@ -133,36 +125,8 @@ func (c *Cart) NewArray(level storage.RAIDLevel, pcieGen, lanesPerSSD int) (*sto
 	return storage.NewArray(level, c.Config.SSD, c.Config.NumSSDs, pcieGen, lanesPerSSD)
 }
 
-// MagnetVolumeCm3 is the neodymium volume implied by the magnet mass.
-func (c *Cart) MagnetVolumeCm3() float64 {
-	return float64(c.MagnetMass) / NeodymiumDensity
-}
-
 // String summarises the cart.
 func (c *Cart) String() string {
 	return fmt.Sprintf("cart{%d×%s = %v, %v}",
 		c.Config.NumSSDs, c.Config.SSD.Name, c.Capacity(), c.TotalMass)
-}
-
-// ForCapacity builds the smallest cart (in whole SSDs) reaching the target
-// capacity with the given SSD spec.
-func ForCapacity(target units.Bytes, ssd storage.DeviceSpec) (*Cart, error) {
-	if target <= 0 {
-		return nil, fmt.Errorf("cart: target capacity must be positive, got %v", target)
-	}
-	n := int(math.Ceil(float64(target) / float64(ssd.Capacity)))
-	cfg := DefaultConfig()
-	cfg.SSD = ssd
-	cfg.NumSSDs = n
-	return New(cfg)
-}
-
-// PaperSweep returns the paper's three evaluated cart sizes: 128, 256 and
-// 512 TB (16, 32 and 64 SSDs).
-func PaperSweep() []*Cart {
-	return []*Cart{
-		MustNew(DefaultConfig().WithSSDs(16)),
-		MustNew(DefaultConfig().WithSSDs(32)),
-		MustNew(DefaultConfig().WithSSDs(64)),
-	}
 }

@@ -105,18 +105,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(DefaultConfig().WithSSDs(-1))
 }
 
-func TestDensityPerGram(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	// 256 TB / 282 g ≈ 0.91 TB/g.
-	approx(t, "density", float64(c.DensityPerGram()), 256e12/281.92, 0.001)
-	// Density improves with larger carts (fixed frame amortised).
-	small := MustNew(DefaultConfig().WithSSDs(16))
-	big := MustNew(DefaultConfig().WithSSDs(64))
-	if !(big.DensityPerGram() > c.DensityPerGram() && c.DensityPerGram() > small.DensityPerGram()) {
-		t.Error("density must increase with cart size")
-	}
-}
-
 func TestNewArrayFromCart(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	a, err := c.NewArray(storage.RAID0, 6, 1)
@@ -126,45 +114,6 @@ func TestNewArrayFromCart(t *testing.T) {
 	if a.Capacity() != c.Capacity() {
 		t.Errorf("array capacity %v != cart capacity %v", a.Capacity(), c.Capacity())
 	}
-}
-
-func TestForCapacity(t *testing.T) {
-	c, err := ForCapacity(360*units.GB, storage.SabrentRocket4Plus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Config.NumSSDs != 1 {
-		t.Errorf("360GB needs %d SSDs, want 1", c.Config.NumSSDs)
-	}
-	c2, err := ForCapacity(29*units.PB, storage.SabrentRocket4Plus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Config.NumSSDs != 3625 {
-		t.Errorf("29PB needs %d SSDs, want 3625", c2.Config.NumSSDs)
-	}
-	if _, err := ForCapacity(0, storage.SabrentRocket4Plus); err == nil {
-		t.Error("zero target must error")
-	}
-}
-
-func TestPaperSweep(t *testing.T) {
-	sweep := PaperSweep()
-	if len(sweep) != 3 {
-		t.Fatalf("sweep size = %d", len(sweep))
-	}
-	wantTB := []float64{128, 256, 512}
-	for i, c := range sweep {
-		if c.Capacity().TBf() != wantTB[i] {
-			t.Errorf("sweep[%d] = %v TB, want %v", i, c.Capacity().TBf(), wantTB[i])
-		}
-	}
-}
-
-func TestMagnetVolume(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	// 28.2 g of NdFeB at 7.5 g/cm³ ≈ 3.76 cm³.
-	approx(t, "magnet volume", c.MagnetVolumeCm3(), 28.192/7.5, 0.01)
 }
 
 func TestString(t *testing.T) {

@@ -1,8 +1,4 @@
-// Control plane: run the §III-D software API over the standard network — a
-// TCP server wrapping a simulated DHL deployment, driven by a JSON client
-// the way a rack's storage-management daemon would (the paper suggests
-// integration with suites like NVIDIA Magnum IO).
-package main
+package controlplane_test
 
 import (
 	"fmt"
@@ -13,7 +9,10 @@ import (
 	"repro/internal/units"
 )
 
-func main() {
+// ExampleServer runs the §III-D software API over the network: a TCP
+// server wrapping a simulated DHL deployment, driven by a client the way a
+// rack's storage-management daemon would be.
+func ExampleServer() {
 	sys, err := dhlsys.New(dhlsys.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -27,8 +26,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("DHL control plane listening on %s\n\n", addr)
-
 	c, err := controlplane.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
@@ -42,7 +39,7 @@ func main() {
 		if !r.OK {
 			log.Fatalf("%s: API error: %s", what, r.Error)
 		}
-		fmt.Printf("%-28s sim-time %8.1f s (op took %6.1f s)\n", what, r.SimTime, r.OpSeconds)
+		fmt.Printf("%-22s sim-time %6.1f s (op took %5.1f s)\n", what, r.SimTime, r.OpSeconds)
 	}
 
 	// The four paper commands, §III-D.
@@ -60,13 +57,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nRead at library correctly rejected: %q\n", bad.Error)
+	fmt.Printf("Read at library rejected: %q\n", bad.Error)
 
 	st, err := c.Status()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nDeployment: %d launches, %d dock ops, %.1f kJ, %s read, %s written\n",
+	fmt.Printf("%d launches, %d dock ops, %.1f kJ, %v read, %v written\n",
 		st.Stats.Launches, st.Stats.DockOps, st.Stats.EnergyJ/1000,
 		units.Bytes(st.Stats.BytesRead), units.Bytes(st.Stats.BytesWritten))
+	// Output:
+	// Open(cart 0)           sim-time    8.6 s (op took   8.6 s)
+	// Write(cart 0, 100 TB)  sim-time  529.4 s (op took 520.8 s)
+	// Read(cart 0, 100 TB)   sim-time  969.6 s (op took 440.1 s)
+	// Close(cart 0)          sim-time  978.2 s (op took   8.6 s)
+	// Read at library rejected: "dhlsys: cart not docked at the endpoint: cart 0 at library"
+	// 2 launches, 4 dock ops, 30.1 kJ, 100TB read, 100TB written
 }

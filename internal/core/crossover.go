@@ -70,25 +70,10 @@ func (r CrossoverResult) DHLWins(dataset units.Bytes) bool {
 	return dataset >= r.BreakEvenDataset && dataset <= r.Config.Cart.Capacity()
 }
 
-// EnergyAdvantage is optical energy divided by DHL energy at the break-even
-// point (>1 means the DHL also wins on energy).
-func (r CrossoverResult) EnergyAdvantage() units.Ratio {
-	if r.DHLEnergy <= 0 {
-		return units.Ratio(0)
-	}
-	return units.Ratio(float64(r.OpticalEnergy) / float64(r.DHLEnergy))
-}
-
 // String summarises the crossover.
 func (r CrossoverResult) String() string {
 	return fmt.Sprintf("crossover{%v: break-even %v in %v; optical %v vs DHL %v}",
 		r.Config, r.BreakEvenDataset, r.LaunchTime, r.OpticalEnergy, r.DHLEnergy)
-}
-
-// MinimumTrackLength returns the shortest track on which the configuration's
-// profile is realisable (twice the LIM ramp length).
-func MinimumTrackLength(c Config) units.Metres {
-	return units.Metres(2 * float64(c.MaxSpeed) * float64(c.MaxSpeed) / (2 * float64(c.Acceleration)))
 }
 
 // SpecSearchPoint is one evaluated point of a minimum-specification search.

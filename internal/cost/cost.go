@@ -25,8 +25,6 @@ const (
 // Rail material intensities, derived from Table VIII(a): each column of the
 // table divides back to a fixed mass per metre.
 const (
-	// RingMass is one aluminium levitation ring (§V-D: "around 3.62 grams").
-	RingMass units.Grams = 3.62
 	// AluminiumPerMetre: $117 per 100 m at $2.35/kg → 497.9 g/m.
 	AluminiumPerMetre units.GramsPerMetre = 497.87
 	// PVCRailPerMetre: $116 per 100 m at $1.20/kg → 966.7 g/m.
@@ -36,9 +34,6 @@ const (
 	// VFDCost is the variable frequency drive, flat.
 	VFDCost units.USD = 8000
 )
-
-// RingsPerMetre is the aluminium ring pitch implied by the mass intensity.
-func RingsPerMetre() float64 { return float64(AluminiumPerMetre) / float64(RingMass) }
 
 // copperMassKg maps LIM top speed (m/s) to coil copper mass (kg), inverted
 // from Table VIII(b): $792/$2,904/$6,512 at $8.58/kg.
@@ -87,11 +82,6 @@ func Rail(length units.Metres) RailCost {
 
 // Total sums the rail components.
 func (r RailCost) Total() units.USD { return r.Aluminium + r.PVCRail + r.PVCTube }
-
-// RingCount is the number of levitation rings along the rail.
-func (r RailCost) RingCount() int {
-	return int(math.Round(float64(r.Length) * RingsPerMetre()))
-}
 
 // LIMCost is the Table VIII(b) decomposition for one accelerator/decelerator
 // assembly sized for a top speed.

@@ -85,15 +85,6 @@ func TestCostComparableToSwitch(t *testing.T) {
 	}
 }
 
-func TestRingGeometry(t *testing.T) {
-	// ~137.5 rings/m, 3.62 g each.
-	approx(t, "rings per metre", RingsPerMetre(), 137.5, 0.01)
-	r := Rail(500)
-	if n := r.RingCount(); n < 68000 || n > 69500 {
-		t.Errorf("ring count over 500 m = %d, want ≈68 770", n)
-	}
-}
-
 func TestCopperMassInterpolation(t *testing.T) {
 	// Exact at grid points.
 	approx(t, "copper@200", CopperMass(200).Kg(), 2904.0/8.58, 1e-9)

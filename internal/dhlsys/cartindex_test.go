@@ -22,8 +22,6 @@ func TestOutOfRangeCartIDsAreUnknown(t *testing.T) {
 		s.Close(id, func(err error) { got = append(got, err) })
 		s.Read(id, units.GB, func(_ units.Seconds, err error) { got = append(got, err) })
 		s.Write(id, units.GB, func(_ units.Seconds, err error) { got = append(got, err) })
-		_, err := s.Cart(id)
-		got = append(got, err)
 		for i, err := range got {
 			if !errors.Is(err, ErrUnknownCart) {
 				t.Errorf("cart %d call %d: err = %v, want ErrUnknownCart", id, i, err)
@@ -120,11 +118,9 @@ func TestNegativeSizeOnFailedCart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: open: %v", tc.name, err)
 			}
-			c, _ := s.Cart(0)
+			c, _ := s.cart(0)
 			for i := 0; i < tc.fail; i++ {
-				if err := c.Array.FailDevice(i); err != nil {
-					t.Fatal(err)
-				}
+				c.Array.Devices[i].Fail()
 			}
 			s.Write(0, -units.GB, func(_ units.Seconds, err error) { writeErr = err })
 			s.Read(0, -units.GB, func(_ units.Seconds, err error) { readErr = err })

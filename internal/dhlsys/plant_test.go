@@ -254,7 +254,7 @@ func TestMidDockBlocksNextDock(t *testing.T) {
 	opt.RailMode = track.DualRail
 	s := mustSystem(t, opt)
 	cfg := opt.Core
-	trip := s.Launch().Time
+	trip := s.launch.Time
 	var closeAt, undockEnd, openedAt units.Seconds
 	s.Open(0, func(err error) {
 		if err != nil {
@@ -286,7 +286,7 @@ func TestMidDockBlocksNextDock(t *testing.T) {
 		t.Errorf("cart 1 docked by %.3fs, before cart 0's undock ended at %.3fs plus a dock",
 			float64(openedAt), float64(undockEnd))
 	}
-	if c, _ := s.Cart(1); c.Loc != AtDock {
+	if c, _ := s.cart(1); c.Loc != AtDock {
 		t.Errorf("cart 1 at %v, want dock", c.Loc)
 	}
 }
@@ -297,7 +297,7 @@ func TestMidDockBlocksNextDock(t *testing.T) {
 func TestFailedStationRefusesDocksUntilRepaired(t *testing.T) {
 	opt := DefaultOptions()
 	opt.DockStations = 1
-	trip := mustSystem(t, opt).Launch().Time
+	trip := mustSystem(t, opt).launch.Time
 	failAt, repairAt := trip+1, 10*trip
 	opt.Faults = &faults.Script{Name: "failed-station", Faults: []faults.Fault{
 		{Kind: faults.DockFailure, At: failAt, Duration: repairAt - failAt, Station: 0},
@@ -334,7 +334,7 @@ func TestFailedStationRefusesDocksUntilRepaired(t *testing.T) {
 		t.Errorf("cart 1 docked by %.3fs, before the repair at %.3fs plus a dock",
 			float64(openedAt), float64(repairAt))
 	}
-	if c, _ := s.Cart(1); c.Loc != AtDock {
+	if c, _ := s.cart(1); c.Loc != AtDock {
 		t.Errorf("cart 1 at %v, want dock", c.Loc)
 	}
 }

@@ -291,20 +291,8 @@ func New(opt Options) (*System, error) {
 // Stats returns a snapshot of the accounting counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Launch returns the per-trip analytical metrics the simulation charges.
-func (s *System) Launch() core.LaunchMetrics { return s.launch }
-
 // NumCarts returns the fleet size; cart IDs run 0..NumCarts−1.
 func (s *System) NumCarts() int { return len(s.carts) }
-
-// Cart returns the cart state for inspection.
-func (s *System) Cart(id track.CartID) (*Cart, error) {
-	c, ok := s.cart(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCart, id)
-	}
-	return c, nil
-}
 
 // cart looks up a fleet cart; ok is false for an ID outside 0..NumCarts−1.
 func (s *System) cart(id track.CartID) (c *Cart, ok bool) {

@@ -59,7 +59,7 @@ func TestOpenCloseSingleRoundTrip(t *testing.T) {
 	s.Open(0, func(err error) {
 		openErr = err
 		opened = true
-		c, _ := s.Cart(0)
+		c, _ := s.cart(0)
 		if c.Loc != AtDock {
 			t.Errorf("after open, loc = %v", c.Loc)
 		}
@@ -76,7 +76,7 @@ func TestOpenCloseSingleRoundTrip(t *testing.T) {
 		t.Fatal("open never completed")
 	}
 	// One round trip = 2 × analytical launch time (8.6 s each way).
-	approx(t, "round trip", float64(end), 2*float64(s.Launch().Time), 1e-9)
+	approx(t, "round trip", float64(end), 2*float64(s.launch.Time), 1e-9)
 	st := s.Stats()
 	if st.Launches != 2 {
 		t.Errorf("launches = %d, want 2", st.Launches)
@@ -84,8 +84,8 @@ func TestOpenCloseSingleRoundTrip(t *testing.T) {
 	if st.DockOps != 4 {
 		t.Errorf("dock ops = %d, want 4", st.DockOps)
 	}
-	approx(t, "energy", float64(st.Energy), 2*float64(s.Launch().Energy), 1e-9)
-	c, _ := s.Cart(0)
+	approx(t, "energy", float64(st.Energy), 2*float64(s.launch.Energy), 1e-9)
+	c, _ := s.cart(0)
 	if c.Loc != AtLibrary || c.Busy {
 		t.Errorf("cart end state: loc=%v busy=%v", c.Loc, c.Busy)
 	}
@@ -123,9 +123,6 @@ func TestAPIErrorPaths(t *testing.T) {
 	}
 	if s.Stats().Denied == 0 {
 		t.Error("denied counter must increase")
-	}
-	if _, err := s.Cart(42); !errors.Is(err, ErrUnknownCart) {
-		t.Errorf("Cart() err = %v", err)
 	}
 }
 
@@ -408,7 +405,7 @@ func TestQueueingCounters(t *testing.T) {
 	}
 	// Both docked in the end.
 	for id := track.CartID(0); id < 2; id++ {
-		c, _ := s.Cart(id)
+		c, _ := s.cart(id)
 		if c.Loc != AtDock {
 			t.Errorf("cart %d at %v, want dock", id, c.Loc)
 		}

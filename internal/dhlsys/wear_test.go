@@ -40,7 +40,7 @@ func TestWearTriggersConnectorService(t *testing.T) {
 	}
 	// The downtime appears in the makespan: baseline 12 round trips of
 	// 17.2 s plus 3 × 100 s of service.
-	base := 12 * 2 * float64(s.Launch().Time)
+	base := 12 * 2 * float64(s.launch.Time)
 	want := base + 300
 	got := float64(res.Duration)
 	if got < want-1 || got > want+1 {

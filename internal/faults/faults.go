@@ -138,12 +138,6 @@ type Dims struct {
 	Segments       int
 }
 
-// Validate checks the fault against a point-to-point deployment's
-// dimensions. Campus faults need ValidateDims with Segments set.
-func (f Fault) Validate(numCarts, numStations, devicesPerCart int) error {
-	return f.ValidateDims(Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
-
 // ValidateDims checks the fault against a deployment's dimensions.
 func (f Fault) ValidateDims(d Dims) error {
 	numCarts, numStations, devicesPerCart := d.Carts, d.Stations, d.DevicesPerCart

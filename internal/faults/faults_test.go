@@ -58,9 +58,9 @@ func TestFaultValidate(t *testing.T) {
 		{"unknown kind", Fault{Kind: Kind(42), Duration: 1}, false},
 	}
 	for _, c := range cases {
-		err := c.f.Validate(carts, stations, devices)
+		err := c.f.ValidateDims(Dims{Carts: carts, Stations: stations, DevicesPerCart: devices})
 		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", c.name, c.f, err, c.ok)
+			t.Errorf("%s: ValidateDims(%+v) = %v, want ok=%v", c.name, c.f, err, c.ok)
 		}
 		if err != nil && !errors.Is(err, ErrBadFault) {
 			t.Errorf("%s: error %v must wrap ErrBadFault", c.name, err)

@@ -5,10 +5,12 @@ import (
 	"go/types"
 )
 
-// Determinism forbids ambient nondeterminism in model code. The sweep
-// engine's byte-identity guarantee (parallel == sequential) holds only if
-// every model evaluation is a pure function of its inputs: no wall clock,
-// no global-source randomness, no environment reads. Randomness must come
+// Determinism forbids ambient nondeterminism in model code. The
+// repository's byte-identity guarantees (a seed replays byte for byte, the
+// campus study's replicas fold the same totals on any worker count, the
+// committed out/ artefacts regenerate unchanged) hold only if every model
+// evaluation is a pure function of its inputs: no wall clock, no
+// global-source randomness, no environment reads. Randomness must come
 // from a seeded *rand.Rand threaded through a constructor; time must come
 // from the simulation engine's virtual clock.
 var Determinism = &Analyzer{

@@ -6,14 +6,15 @@ import (
 )
 
 // Goroutine keeps concurrency where the determinism story can see it.
-// The sweep worker pool is the one place the repository spawns
-// goroutines on the model path; stray `go` statements elsewhere reorder
-// float accumulations and interleave output. The rule also catches the
+// internal/sweep's bounded pool (campus study replicas, dhllint's
+// per-package pass) is the one package allowed to spawn goroutines; any
+// other `go` statement needs a justified allow, because a stray one
+// reorders float accumulations and interleaves output. The rule also catches the
 // classic WaitGroup race — calling Add inside the spawned closure, after
 // Wait may already have returned.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "no go statements outside the sweep pool; WaitGroup.Add before the go statement",
+	Doc:  "go statements only in internal/sweep or under a justified allow; WaitGroup.Add before the go statement",
 	Run:  runGoroutine,
 }
 

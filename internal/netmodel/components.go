@@ -24,10 +24,6 @@ const (
 	// NICPower: the bold 2×200 GbE NIC, operated at 400 Gb/s. The paper's
 	// route energies invert to 19.8 W per NIC (within the 17–23.3 W range).
 	NICPower units.Watts = 19.8
-	// SwitchPowerPassive / SwitchPowerActive: NVIDIA QM9700 chassis power at
-	// 32 ports, divided per port. Passive cabling 747 W, active 1720 W.
-	SwitchPowerPassive units.Watts = 747.0 / 32
-	SwitchPowerActive  units.Watts = 1720.0 / 32
 )
 
 // SwitchSpec is a Table III switch row.
@@ -85,12 +81,13 @@ type RoutePower struct {
 	ActivePorts  int
 }
 
-// Total is the route's power draw while a transfer is in flight.
+// Total is the route's power draw while a transfer is in flight. Switch
+// ports draw the QM9700's chassis power divided per port.
 func (r RoutePower) Total() units.Watts {
-	return units.Watts(float64(r.Transceivers))*TransceiverPower +
-		units.Watts(float64(r.NICs))*NICPower +
-		units.Watts(float64(r.PassivePorts))*SwitchPowerPassive +
-		units.Watts(float64(r.ActivePorts))*SwitchPowerActive
+	return units.Watts(float64(r.Transceivers)*float64(TransceiverPower) +
+		float64(r.NICs)*float64(NICPower) +
+		float64(r.PassivePorts)*float64(QM9700.PerPortPassive()) +
+		float64(r.ActivePorts)*float64(QM9700.PerPortActive()))
 }
 
 // Energy is the energy to move data over the route at the line rate.

@@ -158,9 +158,6 @@ func (r Route) Power(minimal bool) RoutePower {
 	return p
 }
 
-// SwitchCount is the number of switches on the route.
-func (r Route) SwitchCount() int { return len(r.Hops) }
-
 // ScenarioRoutes derives the paper's five scenarios from the default
 // topology: A0/A1 direct, A2 same-rack, B same-aisle different-rack,
 // C different-aisle. It panics only on programming error (the default

@@ -76,12 +76,6 @@ func TestScenarioOrderingAndMetadata(t *testing.T) {
 	if Scenario(99).Power().Total() != 0 {
 		t.Error("unknown scenario power must be 0")
 	}
-	counts := map[Scenario]int{ScenarioA0: 0, ScenarioA1: 0, ScenarioA2: 1, ScenarioB: 3, ScenarioC: 5}
-	for s, n := range counts {
-		if s.SwitchCount() != n {
-			t.Errorf("%v switch count = %d, want %d", s, s.SwitchCount(), n)
-		}
-	}
 }
 
 func TestSwitchPerPortPowers(t *testing.T) {
@@ -133,24 +127,24 @@ func TestRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameRack.SwitchCount() != 1 {
-		t.Errorf("same-rack switches = %d, want 1", sameRack.SwitchCount())
+	if len(sameRack.Hops) != 1 {
+		t.Errorf("same-rack switches = %d, want 1", len(sameRack.Hops))
 	}
 
 	sameAisle, err := f.RouteBetween(src, NodeID{0, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameAisle.SwitchCount() != 3 {
-		t.Errorf("same-aisle switches = %d, want 3", sameAisle.SwitchCount())
+	if len(sameAisle.Hops) != 3 {
+		t.Errorf("same-aisle switches = %d, want 3", len(sameAisle.Hops))
 	}
 
 	crossAisle, err := f.RouteBetween(src, NodeID{1, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crossAisle.SwitchCount() != 5 {
-		t.Errorf("cross-aisle switches = %d, want 5", crossAisle.SwitchCount())
+	if len(crossAisle.Hops) != 5 {
+		t.Errorf("cross-aisle switches = %d, want 5", len(crossAisle.Hops))
 	}
 	// Core hop present only on cross-aisle routes.
 	foundCore := false

@@ -82,17 +82,3 @@ func (s Scenario) Power() RoutePower {
 		return RoutePower{}
 	}
 }
-
-// SwitchCount returns the number of switches the route traverses.
-func (s Scenario) SwitchCount() int {
-	switch s {
-	case ScenarioA2:
-		return 1
-	case ScenarioB:
-		return 3
-	case ScenarioC:
-		return 5
-	default:
-		return 0
-	}
-}

@@ -27,7 +27,7 @@ func TestDegradedCruiseSpeedCapsDragAtMargin(t *testing.T) {
 	if v >= 200 {
 		t.Fatalf("cap did not bind at 10 mbar: v = %v", v)
 	}
-	drag := tube.AeroDragForce(v)
+	drag := 0.5 * tube.AirDensity() * float64(v) * float64(v) * tube.DragCoefficient * tube.CrossSectionArea
 	want := margin * units.Grams(m).Kg() * a
 	approx(t, "drag at capped speed", drag, want, 1e-9)
 }

@@ -24,14 +24,6 @@ type EddyBrake struct {
 	StaticForce float64
 }
 
-// NewEddyBrake validates and builds a brake.
-func NewEddyBrake(damping, static float64) (EddyBrake, error) {
-	if damping <= 0 || static <= 0 {
-		return EddyBrake{}, errors.New("physics: eddy brake forces must be positive")
-	}
-	return EddyBrake{Damping: damping, StaticForce: static}, nil
-}
-
 // BrakeForLength sizes a brake that stops the given cart from speed v
 // within distance d (so the passive brake fits where the LIM would be).
 // The static term is fixed at 2 % of the cart's weight.
@@ -52,14 +44,6 @@ func BrakeForLength(mass units.Grams, v units.MetresPerSecond, d units.Metres) (
 		}
 	}
 	return EddyBrake{Damping: hi, StaticForce: f0}, nil
-}
-
-// Force is the braking force at speed v.
-func (b EddyBrake) Force(v units.MetresPerSecond) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return b.Damping*float64(v) + b.StaticForce
 }
 
 // StoppingTime from initial speed v0: with m·dv/dt = −(c·v + f₀),

@@ -30,6 +30,8 @@ const (
 	// NdFeBRemanence is the remanent field of the paper's neodymium
 	// magnets, tesla.
 	NdFeBRemanence = 1.4
+	// StandardGravity is g in m/s².
+	StandardGravity = 9.80665
 )
 
 // HalbachArray describes the cart's levitation magnet array.
@@ -74,37 +76,9 @@ func (h HalbachArray) AsymptoticLift(gapM float64) float64 {
 	return h.PeakField * h.PeakField * h.Area / (2 * Mu0) * math.Exp(-2*h.waveNumber()*gapM)
 }
 
-// Lift is the levitation force at speed v and air gap, newtons.
-func (h HalbachArray) Lift(v units.MetresPerSecond, gapM float64) float64 {
-	vv := float64(v)
-	vc := h.CharacteristicVelocity
-	return h.AsymptoticLift(gapM) * vv * vv / (vv*vv + vc*vc)
-}
-
-// MagneticDrag is the induced drag force at speed v and air gap, newtons.
-func (h HalbachArray) MagneticDrag(v units.MetresPerSecond, gapM float64) float64 {
-	vv := float64(v)
-	vc := h.CharacteristicVelocity
-	return h.AsymptoticLift(gapM) * vv * vc / (vv*vv + vc*vc)
-}
-
-// LiftToDrag is v/v_c — the c₁ of the drag model in drag.go.
+// LiftToDrag is v/v_c.
 func (h HalbachArray) LiftToDrag(v units.MetresPerSecond) float64 {
 	return float64(v) / h.CharacteristicVelocity
-}
-
-// LiftoffSpeed is the speed at which lift equals the cart's weight at the
-// given gap; below it the cart rides on auxiliary wheels. Returns +Inf if
-// the array can never lift the mass at that gap.
-func (h HalbachArray) LiftoffSpeed(mass units.Grams, gapM float64) units.MetresPerSecond {
-	w := mass.Kg() * StandardGravity
-	fInf := h.AsymptoticLift(gapM)
-	if fInf <= w {
-		return units.MetresPerSecond(math.Inf(1))
-	}
-	// F∞·v²/(v²+v_c²) = w → v = v_c·sqrt(w/(F∞−w)).
-	vc := h.CharacteristicVelocity
-	return units.MetresPerSecond(vc * math.Sqrt(w/(fInf-w)))
 }
 
 // EquilibriumGap solves for the air gap at which lift balances the cart's
@@ -118,7 +92,7 @@ func (h HalbachArray) EquilibriumGap(mass units.Grams, v units.MetresPerSecond) 
 	vv := float64(v)
 	vc := h.CharacteristicVelocity
 	speedFactor := vv * vv / (vv*vv + vc*vc)
-	f0 := h.PeakField * h.PeakField * h.Area / (2 * Mu0) * speedFactor
+	f0 := h.AsymptoticLift(0) * speedFactor
 	if f0 <= w {
 		return 0, fmt.Errorf("physics: array lifts %.3g N at zero gap, cart weighs %.3g N", f0, w)
 	}

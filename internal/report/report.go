@@ -54,9 +54,6 @@ func strconv4(v float64) string {
 	return s
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
@@ -93,34 +90,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	total += len(widths) - 1 // double spacing
 	b.WriteString(strings.Repeat("-", total))
-	b.WriteString("\n")
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// RenderMarkdown writes the table as a GitHub-flavoured Markdown table.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	b.WriteString("|")
-	for range t.Headers {
-		b.WriteString("---|")
-	}
 	b.WriteString("\n")
 	for _, r := range t.rows {
 		writeRow(r)

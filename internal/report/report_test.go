@@ -9,8 +9,8 @@ func TestTableRender(t *testing.T) {
 	tb := NewTable("Table VI", "Speed", "Energy (kJ)", "Speedup")
 	tb.AddRow(200, 15.04, "295.1x")
 	tb.AddRow(100, 3.76, "229.6x")
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	var b strings.Builder
 	if err := tb.Render(&b); err != nil {
@@ -100,21 +100,5 @@ func TestPlotDegenerateRange(t *testing.T) {
 	var b strings.Builder
 	if err := p.Render(&b); err != nil {
 		t.Fatalf("single point plot should render: %v", err)
-	}
-}
-
-func TestRenderMarkdown(t *testing.T) {
-	tb := NewTable("Table VII", "scheme", "slowdown")
-	tb.AddRow("DHL", 1.0)
-	tb.AddRow("A0|B", 5.7)
-	var b strings.Builder
-	if err := tb.RenderMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"**Table VII**", "| scheme | slowdown |", "|---|---|", "| DHL | 1 |", `A0\|B`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
 	}
 }

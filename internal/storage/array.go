@@ -171,11 +171,6 @@ func (a *Array) Used() units.Bytes { return a.census().used }
 // failures; RAID5 tolerates one.
 func (a *Array) Healthy() bool { return a.healthy(a.census().failed) }
 
-// Degraded reports whether redundancy has been consumed but data survives.
-func (a *Array) Degraded() bool {
-	return a.Level == RAID5 && a.census().failed == 1
-}
-
 // pcieCap is the aggregate docking-interface bandwidth.
 func (a *Array) pcieCap() units.BytesPerSecond {
 	lane, ok := laneRate(a.PCIeGen)
@@ -185,13 +180,6 @@ func (a *Array) pcieCap() units.BytesPerSecond {
 	total := units.BitsPerSecond(float64(lane) * float64(a.LanesPerDevice*len(a.Devices)))
 	return total.BytesPerSecond()
 }
-
-// ReadBandwidth is the aggregate sequential read bandwidth of the array:
-// sum of healthy device rates, capped by PCIe.
-func (a *Array) ReadBandwidth() units.BytesPerSecond { return a.census().readBW }
-
-// WriteBandwidth is the aggregate sequential write bandwidth.
-func (a *Array) WriteBandwidth() units.BytesPerSecond { return a.census().writeBW }
 
 // Write stripes n payload bytes across the array, returning the transfer
 // time (devices operate in parallel: the slowest stripe dominates, then the
@@ -273,16 +261,12 @@ func (a *Array) stripeRead(per units.Bytes) units.Seconds {
 			rate = d.Spec.ReadRate
 			t = rate.TransferTime(per)
 		}
-		d.bytesRead += per
 		if t > worst {
 			worst = t
 		}
 	}
 	return worst
 }
-
-// SurvivingDevices returns the number of non-failed devices.
-func (a *Array) SurvivingDevices() int { return len(a.Devices) - a.census().failed }
 
 // AvailablePayload is the payload readable under the current failure
 // state. A healthy (or singly-degraded RAID5) array serves everything; a
@@ -332,39 +316,4 @@ func (a *Array) DegradedRead(n units.Bytes) (units.Seconds, error) {
 func (a *Array) capTime(n units.Bytes, deviceTime units.Seconds, bw units.BytesPerSecond) units.Seconds {
 	pcieTime := bw.TransferTime(n)
 	return units.Seconds(math.Max(float64(deviceTime), float64(pcieTime)))
-}
-
-// FailDevice fails device i (failure injection).
-func (a *Array) FailDevice(i int) error {
-	if i < 0 || i >= len(a.Devices) {
-		return fmt.Errorf("storage: no device %d in %d-device array", i, len(a.Devices))
-	}
-	a.Devices[i].Fail()
-	return nil
-}
-
-// RebuildTime estimates how long reconstructing a failed RAID5 device takes:
-// read every surviving device fully in parallel, write the replacement.
-func (a *Array) RebuildTime() (units.Seconds, error) {
-	if a.Level != RAID5 {
-		return 0, fmt.Errorf("storage: rebuild only defined for RAID5, have %v", a.Level)
-	}
-	if !a.Degraded() {
-		return 0, errors.New("storage: array is not degraded")
-	}
-	spec := a.Devices[0].Spec
-	readAll := spec.ReadRate.TransferTime(spec.Capacity)
-	writeAll := spec.WriteRate.TransferTime(spec.Capacity)
-	return units.Seconds(math.Max(float64(readAll), float64(writeAll))), nil
-}
-
-// ActivePower is the array's power draw during a transfer.
-func (a *Array) ActivePower() units.Watts {
-	var w units.Watts
-	for _, d := range a.Devices {
-		if !d.Failed() {
-			w += d.ActivePower()
-		}
-	}
-	return w
 }

@@ -17,23 +17,14 @@ var (
 
 // Device is a simulated block device. It does not hold payload bytes — the
 // models only care about capacities, timing, energy, and failure state — but
-// it tracks an allocation watermark, wear counters and health so that the
-// DHL system simulation can exercise realistic storage behaviour.
+// it tracks an allocation watermark and health so that the DHL system
+// simulation can exercise realistic storage behaviour.
 type Device struct {
 	Spec DeviceSpec
 
-	used         units.Bytes
-	bytesRead    units.Bytes
-	bytesWritten units.Bytes
-	failed       bool
-	plugCount    int
+	used   units.Bytes
+	failed bool
 }
-
-// NewDevice creates a healthy, empty device of the given spec.
-func NewDevice(spec DeviceSpec) *Device { return &Device{Spec: spec} }
-
-// Used returns the allocation watermark.
-func (d *Device) Used() units.Bytes { return d.used }
 
 // Free returns the remaining capacity.
 func (d *Device) Free() units.Bytes { return d.Spec.Capacity - d.used }
@@ -51,16 +42,6 @@ func (d *Device) Repair() {
 	d.failed = false
 	d.used = 0
 }
-
-// Plug records one connector mating cycle and reports whether the connector
-// is still within its rated life (§VI, Increasing Connector Longevity).
-func (d *Device) Plug() (withinRating bool) {
-	d.plugCount++
-	return d.Spec.PlugCycles <= 0 || d.plugCount <= d.Spec.PlugCycles
-}
-
-// PlugCount returns the number of mating cycles so far.
-func (d *Device) PlugCount() int { return d.plugCount }
 
 // Write appends n bytes, returning the transfer time at the device's
 // sequential write rate.
@@ -80,7 +61,6 @@ func (d *Device) Write(n units.Bytes) (units.Seconds, error) {
 			ErrOutOfSpace, d.used, n, d.Spec.Capacity)
 	}
 	d.used += n
-	d.bytesWritten += n
 	return d.Spec.WriteRate.TransferTime(n), nil
 }
 
@@ -100,14 +80,5 @@ func (d *Device) Read(n units.Bytes) (units.Seconds, error) {
 		//dhllint:allow allocflow -- out-of-range read is a caller bug, not steady-state I/O
 		return 0, fmt.Errorf("%w: %v allocated, %v requested", ErrOutOfRange, d.used, n)
 	}
-	d.bytesRead += n
 	return d.Spec.ReadRate.TransferTime(n), nil
 }
-
-// Totals returns lifetime read and written byte counters.
-func (d *Device) Totals() (read, written units.Bytes) { return d.bytesRead, d.bytesWritten }
-
-// ActivePower returns the device's power draw while transferring. M.2 NVMe
-// devices draw up to 10 W under load (§VI); HDD/3.5" devices are modelled at
-// the same order since only SSD carts matter to the DHL results.
-func (d *Device) ActivePower() units.Watts { return MaxPowerM2 }

@@ -64,13 +64,6 @@ func (s Sink) TimeConstant() units.Seconds {
 	return units.Seconds(s.Resistance * s.Capacitance)
 }
 
-// TempAfter is the junction temperature after running at power p for t,
-// starting from ambient.
-func (s Sink) TempAfter(p units.Watts, ambient float64, t units.Seconds) float64 {
-	steady := s.SteadyTemp(p, ambient)
-	return steady + (ambient-steady)*math.Exp(-float64(t)/float64(s.TimeConstant()))
-}
-
 // TimeToThrottle is how long the SSD can run at power p before reaching the
 // throttle temperature. Returns +Inf if it never throttles at that power.
 func (s Sink) TimeToThrottle(p units.Watts, ambient float64) units.Seconds {
@@ -136,15 +129,4 @@ func Analyze(c CartThermals) (Analysis, error) {
 	}
 	a.SustainableReadFraction = frac
 	return a, nil
-}
-
-// SustainableReadBandwidth is the cart-wide read bandwidth maintainable
-// indefinitely given the sink (device rate × thermal fraction × count).
-func SustainableReadBandwidth(c CartThermals, spec storage.DeviceSpec) (units.BytesPerSecond, error) {
-	a, err := Analyze(c)
-	if err != nil {
-		return 0, err
-	}
-	per := float64(spec.ReadRate) * a.SustainableReadFraction
-	return units.BytesPerSecond(per * float64(c.NumSSDs)), nil
 }

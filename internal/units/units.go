@@ -44,12 +44,6 @@ func (b Bytes) TBf() float64 { return float64(b / TB) }
 // GBf returns the quantity in decimal gigabytes.
 func (b Bytes) GBf() float64 { return float64(b / GB) }
 
-// PBf returns the quantity in decimal petabytes.
-func (b Bytes) PBf() float64 { return float64(b / PB) }
-
-// Bits returns the quantity in bits.
-func (b Bytes) Bits() float64 { return float64(b) * 8 }
-
 // String renders the quantity with an auto-selected SI prefix.
 func (b Bytes) String() string {
 	abs := math.Abs(float64(b))

@@ -64,12 +64,6 @@ var (
 	YouTubeDaily   = Dataset{Name: "YouTube new daily videos", Kind: KindVideos, Rate: units.BytesPerSecond(float64(1.07*units.PB) / 86400)}
 )
 
-// Datasets returns the Table I catalogue.
-func Datasets() []Dataset {
-	return []Dataset{LAION5B, YouTube8M, MassiveText, CommonCrawl, MetaML29PB,
-		MetaML13PB, MetaML3PB, NIHGenomes, LHCCMSDetector, MetaDaily, YouTubeDaily}
-}
-
 // BytesPerParam is the paper's Table IV conversion: one parameter = 32 bits.
 const BytesPerParam = 4
 
@@ -98,8 +92,3 @@ var (
 	MegatronNLG = Model{Name: "Megatron-Turing NLG", Params: 1e12, From: "MSFT&NVDA", Year: 2022}
 	DLRM2022    = Model{Name: "DLRM 2022", Params: 12e12, From: "Meta", Year: 2022}
 )
-
-// Models returns the Table IV catalogue.
-func Models() []Model {
-	return []Model{GPT3, Jurassic1, Gopher, M610T, MegatronNLG, DLRM2022}
-}

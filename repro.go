@@ -4,7 +4,8 @@
 // evacuated tubes — evaluated against 400 Gb/s optical networking for
 // PB-scale bulk data movement.
 //
-// The root package is a thin facade over the implementation packages:
+// The root package holds only the cross-package tests; the model lives in
+// the implementation packages:
 //
 //   - internal/core:    the paper's analytical DHL model (Table VI, §V-E)
 //   - internal/netmodel: the optical-network energy baseline (Fig. 2)
@@ -15,36 +16,3 @@
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-versus-measured numbers for every table and figure.
 package repro
-
-import (
-	"repro/internal/astra"
-	"repro/internal/core"
-	"repro/internal/units"
-)
-
-// Config is a DHL deployment configuration (cart, track, LIM, docking).
-type Config = core.Config
-
-// LaunchMetrics are the five single-launch metrics of Table VI.
-type LaunchMetrics = core.LaunchMetrics
-
-// BulkTransfer is the analytical cost of a repeated-trip dataset transfer.
-type BulkTransfer = core.BulkTransfer
-
-// DefaultConfig is the paper's bold configuration: 256 TB cart, 500 m track,
-// 200 m/s, 75 % efficient LIM, 3 s + 3 s docking.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// Launch computes the single-launch metrics for a configuration.
-func Launch(c Config) (LaunchMetrics, error) { return core.Launch(c) }
-
-// Transfer computes the analytical bulk-transfer cost of moving a dataset.
-func Transfer(c Config, dataset units.Bytes) (BulkTransfer, error) {
-	return core.Transfer(c, dataset)
-}
-
-// PaperDataset is the paper's running example, Meta's 29 PB ML dataset.
-const PaperDataset = core.PaperDataset
-
-// DLRM is the calibrated §V-C training workload.
-func DLRM() astra.DLRM { return astra.DefaultDLRM() }

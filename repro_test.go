@@ -50,7 +50,7 @@ func TestAbstractEnergyAndTimeHeadlines(t *testing.T) {
 // TestAbstractEfficiencyHeadline checks: "improved embodied data
 // transmission power efficiency of up to 73.3 GB/J".
 func TestAbstractEfficiencyHeadline(t *testing.T) {
-	l, err := Launch(DefaultConfig().With(100, 500, 64))
+	l, err := core.Launch(core.DefaultConfig().With(100, 500, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAbstractEfficiencyHeadline(t *testing.T) {
 // and 118× (iso-power) and communication power reductions of between 6.4×
 // and 135× (iso-time)".
 func TestAbstractSimulationHeadlines(t *testing.T) {
-	w := DLRM()
+	w := astra.DefaultDLRM()
 	dhl := astra.DefaultDHL()
 	iso, err := astra.IsoPower(w, dhl)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestAbstractSimulationHeadlines(t *testing.T) {
 // roughly 1 week", and a 1-hour target needs a 161× network speedup beyond
 // 64 Tb/s.
 func TestIntroWeekTransfer(t *testing.T) {
-	tt := netmodel.TransferTime(PaperDataset)
+	tt := netmodel.TransferTime(core.PaperDataset)
 	if tt.Days() < 6.5 || tt.Days() > 7 {
 		t.Errorf("29PB transfer = %v days, want ≈1 week", tt.Days())
 	}
@@ -106,7 +106,7 @@ func TestCostHeadline(t *testing.T) {
 func TestSimulationAgreesWithClosedForm(t *testing.T) {
 	for _, ssds := range []int{16, 32, 64} {
 		opt := dhlsys.DefaultOptions()
-		opt.Core = DefaultConfig().With(200, 500, ssds)
+		opt.Core = core.DefaultConfig().With(200, 500, ssds)
 		opt.NumCarts = 1
 		opt.DockStations = 1
 		sys, err := dhlsys.New(opt)
@@ -118,7 +118,7 @@ func TestSimulationAgreesWithClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := Transfer(opt.Core, dataset)
+		an, err := core.Transfer(opt.Core, dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,28 +130,14 @@ func TestSimulationAgreesWithClosedForm(t *testing.T) {
 // TestEmbodiedBandwidthHeadline checks §V-A: "we obtain from 15 to 60 TB/s,
 // which is between 300× and 1200× faster than fibre optic".
 func TestEmbodiedBandwidthHeadline(t *testing.T) {
-	lo, err := Launch(DefaultConfig().With(200, 500, 16))
+	lo, err := core.Launch(core.DefaultConfig().With(200, 500, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Launch(DefaultConfig().With(200, 500, 64))
+	hi, err := core.Launch(core.DefaultConfig().With(200, 500, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, "low embodied BW", float64(lo.Bandwidth)/1e12, 15, 0.01)
 	approx(t, "high embodied BW", float64(hi.Bandwidth)/1e12, 60, 0.01)
-}
-
-// TestFacade exercises the root package's re-exports.
-func TestFacade(t *testing.T) {
-	tr, err := Transfer(DefaultConfig(), PaperDataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.DeliveryTrips != 114 {
-		t.Errorf("deliveries = %d, want 114", tr.DeliveryTrips)
-	}
-	if DLRM().Dataset != PaperDataset {
-		t.Error("DLRM dataset should be the 29 PB paper dataset")
-	}
 }

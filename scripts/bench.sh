@@ -11,6 +11,7 @@
 #   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → SIM_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → SIM_campus.json
+#   scripts/bench.sh repro [runs] [base-rev]          # dhlrepro wall time → BENCH_repro.json
 #
 # The sweep (no bench-regex given) skips the benchmarks the kernel, faults
 # and lint modes own, so each benchmark is recorded in one file only,
@@ -47,6 +48,15 @@
 # and records p50/p99 latency, offered vs goodput req/s, and shed counts.
 # The run is byte-deterministic — it is executed twice and the outputs
 # compared, so a nondeterminism regression fails the bench itself.
+#
+# The repro mode times the end-to-end `dhlrepro` process: it builds
+# cmd/dhlrepro, runs it `runs` times (default 30) writing every artefact
+# into a temp dir, and records the median and quartiles of the wall time
+# in milliseconds with the same host header as the Go-benchmark modes.
+# Given a base revision it also builds that revision's dhlrepro (from a
+# `git archive` copy) and alternates the two binaries run by run, so both
+# sides see the same host noise; the base side is recorded under
+# "baseline".
 #
 # The campus mode follows the same pattern over internal/tubenet: the
 # acceptance-scale 1000-cart campus simulation under the campus-partition
@@ -87,6 +97,61 @@ if [[ "${1:-}" == "controlplane" ]]; then
         exit 1
     fi
     echo "wrote $out (two runs byte-identical)"
+    exit 0
+fi
+
+if [[ "${1:-}" == "repro" ]]; then
+    out="BENCH_repro.json"
+    runs="${2:-30}"
+    base="${3:-}"
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+    go build -o "$tmp/head" ./cmd/dhlrepro
+    sides=(head)
+    if [[ -n "$base" ]]; then
+        base_commit="$(git rev-parse "$base")"
+        mkdir "$tmp/src"
+        git archive "$base_commit" | tar -x -C "$tmp/src"
+        (cd "$tmp/src" && go build -o "$tmp/base" ./cmd/dhlrepro)
+        sides=(base head)
+    fi
+    for ((i = 0; i < runs; i++)); do
+        for side in "${sides[@]}"; do
+            start=$EPOCHREALTIME
+            "$tmp/$side" -out "$tmp/out-$side" > /dev/null
+            end=$EPOCHREALTIME
+            awk -v s="$start" -v e="$end" 'BEGIN { printf "%.3f\n", (e - s) * 1000 }' >> "$tmp/$side.ms"
+        done
+    done
+    if [[ -n "$base" ]] && ! diff -r "$tmp/out-base" "$tmp/out-head" > /dev/null; then
+        echo "bench.sh: note: $base and this checkout write different artefacts" >&2
+    fi
+    commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+    if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json' ':(exclude)SIM_*.json'; then
+        commit="$commit-dirty"
+    fi
+    # quartiles prints {"median", "q1", "q3"} of one side's sorted times,
+    # interpolating linearly between ranks.
+    quartiles() {
+        sort -n "$1" | awk '{ v[NR] = $1 }
+            function q(p,  r, lo) { r = 1 + p * (NR - 1); lo = int(r); return v[lo] + (r - lo) * (v[lo + 1] - v[lo]) }
+            END { v[NR + 1] = v[NR]; printf "{\"median\": %.3f, \"q1\": %.3f, \"q3\": %.3f}", q(0.5), q(0.25), q(0.75) }'
+    }
+    cpu="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || echo unknown)"
+    {
+        printf '{\n'
+        printf '  "cpu": "%s",\n' "$cpu"
+        printf '  "gomaxprocs": %d,\n' "${GOMAXPROCS:-$(nproc)}"
+        printf '  "go": "%s",\n' "$(go env GOVERSION)"
+        printf '  "commit": "%s",\n' "$commit"
+        printf '  "runs": %d,\n' "$runs"
+        printf '  "dhlrepro_ms": %s' "$(quartiles "$tmp/head.ms")"
+        if [[ -n "$base" ]]; then
+            printf ',\n  "baseline": {"commit": "%s", "dhlrepro_ms": %s}' "$base_commit" "$(quartiles "$tmp/base.ms")"
+        fi
+        printf '\n}\n'
+    } > "$out"
+    echo "wrote $out ($runs runs per side)"
     exit 0
 fi
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-2 quality gate: vet, formatting, and the full test suite under the
-# race detector (the sweep worker pool makes data races a first-class
+# race detector (the control-plane server, the campus study's replica pool
+# and dhllint's per-package pass run concurrently, so a data race is a real
 # failure mode). Tier-1 remains `go build ./... && go test ./...`.
 #
 # Usage: scripts/check.sh
