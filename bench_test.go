@@ -21,13 +21,11 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
-	"repro/internal/multistop"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/thermal"
-	"repro/internal/track"
 	"repro/internal/tubenet"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -511,42 +509,6 @@ func BenchmarkAblationDensityScaling(b *testing.B) {
 		}
 		if len(rows) != 10 {
 			b.Fatal("bad projection")
-		}
-	}
-}
-
-// BenchmarkMultistopContention runs the §VI multi-stop line under a 4-user
-// burst.
-func BenchmarkMultistopContention(b *testing.B) {
-	stops := []multistop.Stop{
-		{Name: "library", Position: 0},
-		{Name: "rack-A", Position: 120},
-		{Name: "rack-B", Position: 250},
-		{Name: "rack-C", Position: 380},
-		{Name: "rack-D", Position: 500},
-	}
-	cfg := core.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := multistop.New(cfg, stops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for c := 0; c < 4; c++ {
-			if err := l.Place(track.CartID(c), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for c := 0; c < 4; c++ {
-			l.Move(track.CartID(c), 1+c%4, func(err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-		if _, err := l.Run(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -28,7 +28,6 @@ type campusOptions struct {
 	trips    int
 	seed     int64
 	epoch    float64
-	alpha    float64
 	chaos    string
 	horizon  float64
 	faultLog bool
@@ -54,7 +53,6 @@ func campusSim(opt campusOptions, set *telemetry.Set) (*tubenet.Campus, error) {
 		TripsPerCart: opt.trips,
 		Seed:         opt.seed,
 		EpochEvery:   campusEpoch(opt),
-		Alpha:        opt.alpha,
 		Telemetry:    set,
 	})
 }
@@ -152,7 +150,6 @@ func runCampusStudy(opt campusOptions) {
 		Carts:        opt.carts,
 		TripsPerCart: opt.trips,
 		EpochEvery:   campusEpoch(opt),
-		Alpha:        opt.alpha,
 	}
 	ctx := context.Background()
 	h := campusHorizon(opt)

@@ -12,8 +12,8 @@
 //	       [-timeout S] [-backoff S] [-failure-sweep R1,R2,...]
 //	       [-metrics] [-trace-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	dhlsim -campus [-campus-carts N] [-campus-trips N] [-campus-epoch S]
-//	       [-campus-alpha F] [-chaos campus-partition]
-//	       [-fault-log] [-metrics] [-bench-out FILE] [-campus-study S1,S2,...]
+//	       [-chaos campus-partition] [-fault-log] [-metrics] [-bench-out FILE]
+//	       [-campus-study S1,S2,...]
 package main
 
 import (
@@ -65,7 +65,6 @@ func main() {
 		campusCarts = flag.Int("campus-carts", 1000, "campus fleet size")
 		campusTrips = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
 		campusEpoch = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
-		campusAlpha = flag.Float64("campus-alpha", 0.25, "queue-depth weight in the congestion-aware edge cost")
 		campusStudy = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")
 		benchOut    = flag.String("bench-out", "", "campus mode: write p50/p99 transit and reroute counts as benchmark JSON to this file")
 	)
@@ -83,7 +82,6 @@ func main() {
 			trips:    *campusTrips,
 			seed:     *seed,
 			epoch:    *campusEpoch,
-			alpha:    *campusAlpha,
 			chaos:    *chaos,
 			horizon:  *horizon,
 			faultLog: *faultLog,

@@ -116,7 +116,7 @@ replay any scenario byte-identically with -chaos NAME -seed N`
 func TestCampusEpochZeroRecomputesOnlyOnFaults(t *testing.T) {
 	epochs := func(epoch float64) int {
 		t.Helper()
-		c, err := campusSim(campusOptions{carts: 50, trips: 2, seed: 1, epoch: epoch, alpha: 0.25}, nil)
+		c, err := campusSim(campusOptions{carts: 50, trips: 2, seed: 1, epoch: epoch}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

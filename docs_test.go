@@ -87,3 +87,27 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		}
 	}
 }
+
+// citedPath matches a repository path under internal/, cmd/ or examples/;
+// a *, { or … ends it as a prefix (internal/*).
+var citedPath = regexp.MustCompile(`(?:^|[^\w./-])((?:internal|cmd|examples)/[\w./-]*)`)
+
+// TestDocsCiteExistingPaths checks that every internal/, cmd/ or examples/
+// path the documents name in backticks exists, so deleting or moving a
+// package cannot leave a stale citation.
+func TestDocsCiteExistingPaths(t *testing.T) {
+	for _, doc := range citedDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(string(b), -1) {
+			for _, m := range citedPath.FindAllStringSubmatch(span, -1) {
+				path := strings.TrimRight(m[1], ".")
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s cites %s, which does not exist", doc, m[1])
+				}
+			}
+		}
+	}
+}

@@ -131,6 +131,38 @@ func TestTelemetryFaultInstrumentation(t *testing.T) {
 	}
 }
 
+// TestTelemetryStallDelayAnnotations checks the computed annotation path
+// (SpanLog.ArgsOf) on the stall instants: every stall carries its own
+// delay, and two distinct delays stay distinct sets.
+func TestTelemetryStallDelayAnnotations(t *testing.T) {
+	set := telemetry.NewSet()
+	var script faults.Script
+	for i := 1; i <= 120; i++ {
+		d := units.Seconds(2)
+		if i%2 == 0 {
+			d = 3.5
+		}
+		script.Faults = append(script.Faults, faults.Fault{At: units.Seconds(i) / 2, Kind: faults.CartStall, Cart: 0, Duration: d})
+	}
+	_, stats := shuttleWith(t, set, &script)
+	if stats.Stalls == 0 {
+		t.Fatal("scenario stalled no cart; test is vacuous")
+	}
+	seen := map[string]int{}
+	for _, in := range set.Spans.Instants() {
+		if in.Name != markStall {
+			continue
+		}
+		if len(in.Args) != 1 || in.Args[0].Key != "delay_s" {
+			t.Fatalf("stall at %v carries %v, want one delay_s", in.At, in.Args)
+		}
+		seen[in.Args[0].Value]++
+	}
+	if seen["2"]+seen["3.5"] != stats.Stalls || seen["2"] == 0 || seen["3.5"] == 0 {
+		t.Errorf("stall delays %v over %d stalls, want both 2 and 3.5 and nothing else", seen, stats.Stalls)
+	}
+}
+
 func TestMetricsSnapshotSetsSimTime(t *testing.T) {
 	set := telemetry.NewSet()
 	opt := DefaultOptions()

@@ -121,6 +121,25 @@ func (p Profile) TransitTime(m TimeModel) units.Seconds {
 	}
 }
 
+// ExactTransit returns the peak speed and the TimeModelExact rail time of a
+// rest-to-rest run over a track of the given length, with cruise capped at
+// maxSpeed. A track long enough for both ramps flies NewProfile's trapezoid.
+// A shorter one, which NewProfile rejects with ErrTrackTooShort, flies a
+// triangle: accelerate over the first half and brake over the second,
+// peaking at √(a·L) after √(L/a). Non-positive inputs return NewProfile's
+// errors.
+func ExactTransit(length units.Metres, maxSpeed units.MetresPerSecond, accel units.MetresPerSecond2) (units.MetresPerSecond, units.Seconds, error) {
+	p, err := NewProfile(length, maxSpeed, accel)
+	if errors.Is(err, ErrTrackTooShort) {
+		l, a := float64(length), float64(accel)
+		return units.MetresPerSecond(math.Sqrt(a * l)), units.Seconds(2 * math.Sqrt(l/a)), nil
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	return maxSpeed, p.TransitTime(TimeModelExact), nil
+}
+
 // SpeedAt returns the cart speed after travelling distance x from the start
 // of the track under the exact trapezoidal profile. It is 0 outside [0, L].
 func (p Profile) SpeedAt(x units.Metres) units.MetresPerSecond {

@@ -68,6 +68,49 @@ func TestTransitTimePaperVsExact(t *testing.T) {
 	}
 }
 
+// TestExactTransitLongAndShort checks both shapes of a rest-to-rest run
+// (§VI multi-stop hops): a 500 m track reaches 200 m/s and matches the
+// trapezoid bit for bit; a 30 m track never does and flies a triangle
+// peaking at √(a·d) ≈ 173.2 m/s with transit 2√(d/a).
+func TestExactTransitLongAndShort(t *testing.T) {
+	peak, transit, err := ExactTransit(500, 200, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != 200 || transit != mustProfile(t, 500, 200, 1000).TransitTime(TimeModelExact) {
+		t.Errorf("500 m run: peak %v, transit %v; want the 200 m/s trapezoid", peak, transit)
+	}
+	peak, transit, err = ExactTransit(30, 200, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, "short peak", float64(peak), math.Sqrt(30000), 1e-12)
+	approx(t, "short peak (m/s)", float64(peak), 173.2, 1e-4)
+	approx(t, "short transit", float64(transit), 2*math.Sqrt(0.03), 1e-12)
+	// The triangle and the trapezoid meet at a track exactly two ramps long.
+	_, atRamps, err := ExactTransit(40, 200, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, justUnder, err := ExactTransit(40-1e-9, 200, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, "transit across the ramp boundary", float64(justUnder), float64(atRamps), 1e-9)
+	for _, c := range []struct {
+		L, v, a float64
+		want    error
+	}{
+		{0, 200, 1000, ErrNonPositiveLength},
+		{30, 0, 1000, ErrNonPositiveSpeed},
+		{30, 200, 0, ErrNonPositiveAcceleration},
+	} {
+		if _, _, err := ExactTransit(units.Metres(c.L), units.MetresPerSecond(c.v), units.MetresPerSecond2(c.a)); !errors.Is(err, c.want) {
+			t.Errorf("ExactTransit(%v, %v, %v) err = %v, want %v", c.L, c.v, c.a, err, c.want)
+		}
+	}
+}
+
 func TestProfilePhaseDecomposition(t *testing.T) {
 	p := mustProfile(t, 500, 200, 1000)
 	approx(t, "ramp time", float64(p.RampTime()), 0.2, 1e-12)

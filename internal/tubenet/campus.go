@@ -13,39 +13,41 @@ import (
 	"repro/internal/units"
 )
 
-// Options configures a campus simulation. The zero value is completed by
-// DefaultOptions-style defaults inside New.
+// Options configures a campus simulation. New fills a zero Carts,
+// TripsPerCart or EpochEvery with its default.
 type Options struct {
 	// Topo is the tube network; nil selects NewCampus(DefaultCampusConfig()).
 	Topo *Topology
-	// Carts in the fleet. Each runs TripsPerCart station-to-station trips.
+	// Carts in the fleet (default 64). Each runs TripsPerCart (default 2)
+	// station-to-station trips.
 	Carts        int
 	TripsPerCart int
 	// Seed drives every random choice (start stations, destination chains,
 	// launch stagger). Same seed, same byte-identical run.
 	Seed int64
-	// CartMass and DragMargin feed the per-edge degraded-physics transit
-	// times (Topology.TransitTimes).
-	CartMass   units.Grams
-	DragMargin float64
-	// DwellTime is the docked turnaround between trips.
-	DwellTime units.Seconds
-	// LaunchSpread staggers initial departures uniformly over [0, spread).
-	LaunchSpread units.Seconds
 	// EpochEvery is the congestion-recompute period; 0 means the 30 s
 	// default and negative disables epochs entirely
 	// (routes still recompute on every fault transition).
 	EpochEvery units.Seconds
-	// Alpha weights entry-queue depth into edge cost (Router).
-	Alpha float64
-	// MaxEvents bounds the event budget (sim.Engine.Run); ≤ 0 is unbounded.
-	MaxEvents int
 	// Telemetry enables metrics and span recording when non-nil.
 	Telemetry *telemetry.Set
 }
 
 // DefaultCartMass is the paper's 282 g cart.
 const DefaultCartMass units.Grams = 282
+
+// The fixed parameters of every campus run.
+const (
+	// dwellTime is the docked turnaround between trips.
+	dwellTime units.Seconds = 3
+	// launchSpread staggers initial departures uniformly over [0, spread).
+	launchSpread units.Seconds = 30
+	// queueWeight is the router's Alpha: the weight of entry-queue depth in
+	// edge cost. On NewCampus's ring of spur lines only a trunk direction
+	// can be re-chosen, and trunk edges never queue, so no run over such a
+	// ring depends on it.
+	queueWeight = 0.25
+)
 
 func (o Options) withDefaults() Options {
 	if o.Carts == 0 {
@@ -54,20 +56,8 @@ func (o Options) withDefaults() Options {
 	if o.TripsPerCart == 0 {
 		o.TripsPerCart = 2
 	}
-	if o.CartMass == 0 {
-		o.CartMass = DefaultCartMass
-	}
-	if o.DwellTime == 0 {
-		o.DwellTime = 3
-	}
-	if o.LaunchSpread == 0 {
-		o.LaunchSpread = 30
-	}
 	if o.EpochEvery == 0 {
 		o.EpochEvery = 30
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.25
 	}
 	return o
 }
@@ -248,23 +238,67 @@ func New(opt Options) (*Campus, error) {
 	if opt.Carts < 1 || opt.TripsPerCart < 1 {
 		return nil, fmt.Errorf("%w: need ≥ 1 cart and ≥ 1 trip", ErrBadOptions)
 	}
-	topo := opt.Topo
-	if topo == nil {
+	if opt.Topo == nil {
 		var err error
-		topo, err = NewCampus(DefaultCampusConfig())
-		if err != nil {
+		if opt.Topo, err = NewCampus(DefaultCampusConfig()); err != nil {
 			return nil, err
 		}
 	}
-	stations := topo.Stations()
+	stations := opt.Topo.Stations()
 	if len(stations) < 2 {
 		return nil, fmt.Errorf("%w: topology needs ≥ 2 stations for trips", ErrBadOptions)
 	}
-	base, err := topo.TransitTimes(opt.CartMass, opt.DragMargin)
+	return newCampus(opt, drawPlan(opt, stations))
+}
+
+// tripPlan is a fleet's itinerary: cart i starts at start[i], first
+// departs at launch[i], and visits dests[i·TripsPerCart:(i+1)·TripsPerCart]
+// in order.
+type tripPlan struct {
+	start  []NodeID
+	launch []units.Seconds
+	dests  []NodeID
+}
+
+// drawPlan draws the itinerary of opt's fleet from opt.Seed. Per cart it
+// draws the start station, then each destination (never the station the
+// cart is leaving), then the launch time.
+func drawPlan(opt Options, stations []NodeID) tripPlan {
+	rng := rand.New(rand.NewSource(opt.Seed))
+	pick := func(not NodeID) NodeID {
+		j := rng.Intn(len(stations) - 1)
+		if stations[j] == not {
+			j = len(stations) - 1
+		}
+		return stations[j]
+	}
+	p := tripPlan{
+		start:  make([]NodeID, opt.Carts),
+		launch: make([]units.Seconds, opt.Carts),
+		dests:  make([]NodeID, opt.Carts*opt.TripsPerCart),
+	}
+	for i := range p.start {
+		p.start[i] = stations[rng.Intn(len(stations))]
+		prev := p.start[i]
+		for t := 0; t < opt.TripsPerCart; t++ {
+			prev = pick(prev)
+			p.dests[i*opt.TripsPerCart+t] = prev
+		}
+		p.launch[i] = units.Seconds(rng.Float64() * float64(launchSpread))
+	}
+	return p
+}
+
+// newCampus builds the campus that flies plan over opt.Topo. opt must have
+// its defaults filled and a topology set, and plan must hold opt.Carts
+// carts of opt.TripsPerCart trips each.
+func newCampus(opt Options, plan tripPlan) (*Campus, error) {
+	topo := opt.Topo
+	base, err := topo.TransitTimes(DefaultCartMass, 0)
 	if err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(topo, base, opt.Alpha, 1)
+	router, err := NewRouter(topo, base, queueWeight, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +326,7 @@ func New(opt Options) (*Campus, error) {
 		queueScratch:  make([]int, m),
 
 		carts:     make([]campusCart, opt.Carts),
-		dests:     make([]NodeID, opt.Carts*opt.TripsPerCart),
+		dests:     plan.dests,
 		loiterers: make([]int32, 0, opt.Carts),
 		retrySet:  make([]int32, 0, opt.Carts),
 		transits:  make([]units.Seconds, 0, opt.Carts*opt.TripsPerCart),
@@ -307,24 +341,9 @@ func New(opt Options) (*Campus, error) {
 	}
 	c.initTelemetry(opt.Telemetry)
 
-	rng := rand.New(rand.NewSource(opt.Seed))
-	pick := func(not NodeID) NodeID {
-		j := rng.Intn(len(stations) - 1)
-		if stations[j] == not {
-			j = len(stations) - 1
-		}
-		return stations[j]
-	}
 	for i := range c.carts {
 		ct := &c.carts[i]
-		start := stations[rng.Intn(len(stations))]
-		prev := start
-		for t := 0; t < opt.TripsPerCart; t++ {
-			d := pick(prev)
-			c.dests[i*opt.TripsPerCart+t] = d
-			prev = d
-		}
-		ct.at = start
+		ct.at = plan.start[i]
 		ct.dst = c.dests[i*opt.TripsPerCart]
 		ct.edge = NoEdge
 		ct.planned = NoEdge
@@ -335,9 +354,8 @@ func New(opt Options) (*Campus, error) {
 		if c.tel.spans != nil {
 			ct.trackID = c.tel.spans.Intern(fmt.Sprintf("cart-%04d", i))
 		}
-		t0 := units.Seconds(rng.Float64() * float64(opt.LaunchSpread))
-		ct.tripStart = t0
-		if _, err := c.eng.At(t0, evDepart, ct.departFn); err != nil {
+		ct.tripStart = plan.launch[i]
+		if _, err := c.eng.At(plan.launch[i], evDepart, ct.departFn); err != nil {
 			return nil, err
 		}
 	}
@@ -404,7 +422,7 @@ func (c *Campus) Run() (Result, error) {
 	if err := c.Start(); err != nil {
 		return Result{}, err
 	}
-	if _, err := c.eng.Run(c.opt.MaxEvents); err != nil {
+	if _, err := c.eng.Run(0); err != nil {
 		return Result{}, err
 	}
 	return c.result(), nil
@@ -724,7 +742,7 @@ func (c *Campus) dockCart(ci int32) {
 		ct.planned = h
 		ct.hasPlan = h != NoEdge
 	}
-	c.eng.MustAfter(c.opt.DwellTime, evDwell, ct.dwellFn)
+	c.eng.MustAfter(dwellTime, evDwell, ct.dwellFn)
 }
 
 // endDwell releases the dock slot and either parks the cart (all trips

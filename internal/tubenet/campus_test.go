@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/multistop"
 	"repro/internal/netmodel"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -68,6 +67,27 @@ func TestCampusRunIsByteIdentical(t *testing.T) {
 	}
 }
 
+// newSpreadCampus builds the default campus New(opt) would, with the
+// seeded launch times squeezed from [0, 30 s) into [0, spread).
+func newSpreadCampus(t *testing.T, opt Options, spread units.Seconds) *Campus {
+	t.Helper()
+	topo, err := NewCampus(DefaultCampusConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Topo = topo
+	opt = opt.withDefaults()
+	plan := drawPlan(opt, topo.Stations())
+	for i := range plan.launch {
+		plan.launch[i] *= spread / launchSpread
+	}
+	c, err := newCampus(opt, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // partitionCampus kills every edge touching the trunk ring, isolating all
 // four spur lines from each other, with no recovery scheduled.
 func partitionCampus(c *Campus) {
@@ -80,10 +100,7 @@ func partitionCampus(c *Campus) {
 }
 
 func TestAllPathsDeadPartitionLoitersAndDrains(t *testing.T) {
-	c, err := New(Options{Carts: 30, TripsPerCart: 1, Seed: 3, LaunchSpread: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSpreadCampus(t, Options{Carts: 30, TripsPerCart: 1, Seed: 3}, 5)
 	// Sever the trunk ring before any cart moves: carts whose destination
 	// sits on another spur can never route and must loiter; the simulation
 	// still drains (no periodic retry spins forever).
@@ -166,10 +183,7 @@ func TestChaosRerouteAroundDeadTrunk(t *testing.T) {
 }
 
 func TestSegmentStallResumesWithRemainingTime(t *testing.T) {
-	c, err := New(Options{Carts: 8, TripsPerCart: 1, Seed: 21, LaunchSpread: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newSpreadCampus(t, Options{Carts: 8, TripsPerCart: 1, Seed: 21}, 1)
 	// Kill every segment at t=1.5: all carts launch in [0,1) and a spur hop
 	// takes ~2.7 s, so whoever won its rail span is mid-transit. Heal at 500.
 	m := c.Topology().NumEdges()
@@ -350,7 +364,7 @@ func mixedLineTopology(t *testing.T) *Topology {
 	}
 	line := func(from, to NodeID, l, lo, hi, capacity int) Edge {
 		e := testEdge(from, to)
-		e.Line, e.Span, e.Capacity = l, multistop.NewSpan(lo, hi), capacity
+		e.Line, e.Span, e.Capacity = l, NewSpan(lo, hi), capacity
 		return e
 	}
 	trunk := func(from, to NodeID) Edge {

@@ -6,13 +6,14 @@
 // costs — queue-depth-weighted, recomputed at seeded epochs — and reroutes
 // across tubes when internal/faults kills a junction or segment.
 //
-// The paper models one point-to-point tube between two halls; ROADMAP
-// item 2 asks whether a *campus* of interconnected tubes can feed
-// fleet-scale data movement. This package composes the existing pieces:
-// per-edge physics from internal/physics, single-rail conflict domains from
-// internal/multistop span-reservation semantics, chaos from
-// internal/faults, and the sweep pool (internal/sweep) running replica
-// studies — while every simulation stays byte-identical given a seed.
+// The paper models one point-to-point tube between two halls and sketches
+// two extensions in §VI: multi-stop tracks and a campus of interconnected
+// tubes. Both are graphs here. A multi-stop track is a path graph whose
+// edges share one single-rail line, and a campus is a trunk ring of such
+// lines. The package composes per-edge physics from internal/physics,
+// single-rail conflict domains (Span), chaos from internal/faults, and the
+// sweep pool (internal/sweep) running replica studies — while every
+// simulation stays byte-identical given a seed.
 // A route recompute is sequential and allocation-free: one CSR adjacency
 // of the usable edges, then one frontier-driven Dijkstra per source.
 package tubenet
@@ -22,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/multistop"
 	"repro/internal/netmodel"
 	"repro/internal/physics"
 	"repro/internal/units"
@@ -73,14 +73,33 @@ type Edge struct {
 	// commissioning).
 	Capacity int
 	// Line groups single-rail edges into a conflict domain: edges of the
-	// same line whose Spans overlap (multistop inclusive-range semantics)
-	// may not be occupied simultaneously — both directions of one physical
-	// rail share a span. NoLine marks dual-rail trunk edges.
+	// same line whose Spans overlap may not be occupied simultaneously —
+	// both directions of one physical rail share a span. NoLine marks
+	// dual-rail trunk edges.
 	Line int
 	// Span is the edge's position on its line, meaningful when Line is not
 	// NoLine.
-	Span multistop.Span
+	Span Span
 }
+
+// Span is an inclusive [Lo, Hi] stop-index range on a single-rail line. It
+// is the unit of rail reservation: an edge between stops A and B holds the
+// span [min(A,B), max(A,B)], endpoints included, so a cart on one segment
+// blocks both directions of it and the segments sharing its end stops.
+// Two edges of one line conflict iff their spans overlap, on a multi-stop
+// path graph and on a campus spur alike.
+type Span struct{ Lo, Hi int }
+
+// NewSpan returns the span covering both stop indices, in either order.
+func NewSpan(a, b int) Span {
+	if a > b {
+		a, b = b, a
+	}
+	return Span{Lo: a, Hi: b}
+}
+
+// Overlaps reports whether the two inclusive ranges share any stop.
+func (s Span) Overlaps(o Span) bool { return s.Lo <= o.Hi && o.Lo <= s.Hi }
 
 // Topology is an immutable directed graph of tube segments. Build one with
 // NewTopology, NewCampus, or FromFatTree; it is safe to share read-only
@@ -139,9 +158,10 @@ func NewTopology(nodes []Node, edges []Edge) (*Topology, error) {
 				maxLine = e.Line
 			}
 		}
-		// Per-edge kinematics must be realisable; NewProfile rejects tracks
-		// shorter than the acceleration + braking ramps.
-		if _, err := physics.NewProfile(e.Length, e.MaxSpeed, e.Acceleration); err != nil {
+		// Per-edge kinematics need a positive length, speed and
+		// acceleration; an edge too short to reach its speed flies a
+		// triangular profile (physics.ExactTransit).
+		if _, _, err := physics.ExactTransit(e.Length, e.MaxSpeed, e.Acceleration); err != nil {
 			return nil, fmt.Errorf("%w: edge %d (%d→%d): %v", ErrBadTopology, i, e.From, e.To, err)
 		}
 	}
@@ -216,19 +236,21 @@ func (t *Topology) Stations() []NodeID {
 }
 
 // TransitTimes computes each edge's base transit time for a cart of the
-// given mass: the trapezoidal profile over the segment at the
+// given mass: the exact rest-to-rest run over the segment at the
 // vacuum-degraded cruise speed (physics.DegradedCruiseSpeed with the given
-// drag margin; ≤ 0 selects physics.DefaultDragMargin). The result is the
-// congestion-free cost vector of the router.
+// drag margin; ≤ 0 selects physics.DefaultDragMargin) — a trapezoid, or a
+// triangle peaking below that speed on an edge too short to reach it
+// (physics.ExactTransit). The result is the congestion-free cost vector of
+// the router.
 func (t *Topology) TransitTimes(mass units.Grams, margin float64) ([]units.Seconds, error) {
 	out := make([]units.Seconds, len(t.edges))
 	for i, e := range t.edges {
 		v := physics.DegradedCruiseSpeed(e.Tube, mass, e.Acceleration, e.MaxSpeed, margin)
-		p, err := physics.NewProfile(e.Length, v, e.Acceleration)
+		_, transit, err := physics.ExactTransit(e.Length, v, e.Acceleration)
 		if err != nil {
 			return nil, fmt.Errorf("tubenet: edge %d: %w", i, err)
 		}
-		out[i] = p.TransitTime(physics.TimeModelExact)
+		out[i] = transit
 	}
 	return out, nil
 }
@@ -278,8 +300,7 @@ func DefaultCampusConfig() CampusConfig {
 // Each spur line is one single-rail conflict domain: the edge between chain
 // positions p and p+1 (junction at position 0) carries span [p, p+1] in
 // both directions, so opposite directions of one rail segment — and
-// adjacent segments sharing a station — exclude each other, exactly the
-// multistop reservation semantics.
+// adjacent segments sharing a station — exclude each other.
 func NewCampus(cfg CampusConfig) (*Topology, error) {
 	if cfg.Junctions < 1 || cfg.SpurStations < 1 {
 		return nil, fmt.Errorf("%w: campus needs ≥ 1 junction and ≥ 1 spur station", ErrBadTopology)
@@ -307,7 +328,7 @@ func NewCampus(cfg CampusConfig) (*Topology, error) {
 			From: from, To: to,
 			Length: cfg.SpurLength, MaxSpeed: cfg.MaxSpeed, Acceleration: cfg.Acceleration,
 			Tube: cfg.Tube, LIM: cfg.LIM,
-			Capacity: 1, Line: line, Span: multistop.NewSpan(pos, pos+1),
+			Capacity: 1, Line: line, Span: NewSpan(pos, pos+1),
 		}
 	}
 	var edges []Edge

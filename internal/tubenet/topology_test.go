@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/multistop"
 	"repro/internal/netmodel"
 	"repro/internal/physics"
 	"repro/internal/units"
@@ -38,9 +37,20 @@ func TestNewTopologyValidation(t *testing.T) {
 		t.Errorf("self-loop: %v", err)
 	}
 	short := testEdge(0, 1)
-	short.Length = 10 // shorter than the 40 m ramp distance at 200 m/s
-	if _, err := NewTopology(nodes, []Edge{short}); !errors.Is(err, ErrBadTopology) {
+	short.Length = 10 // shorter than the 40 m ramp distance at 200 m/s: a triangular hop
+	if _, err := NewTopology(nodes, []Edge{short}); err != nil {
 		t.Errorf("track shorter than ramps: %v", err)
+	}
+	for _, mutate := range []func(*Edge){
+		func(e *Edge) { e.Length = 0 },
+		func(e *Edge) { e.MaxSpeed = -1 },
+		func(e *Edge) { e.Acceleration = 0 },
+	} {
+		e := testEdge(0, 1)
+		mutate(&e)
+		if _, err := NewTopology(nodes, []Edge{e}); !errors.Is(err, ErrBadTopology) {
+			t.Errorf("non-positive kinematics %+v: %v", e, err)
+		}
 	}
 	ok, err := NewTopology(nodes, []Edge{testEdge(0, 1), testEdge(1, 0)})
 	if err != nil {
@@ -93,15 +103,43 @@ func TestDefaultCampusShape(t *testing.T) {
 	}
 }
 
-func TestCampusSpanSemanticsMatchMultistop(t *testing.T) {
+// TestSpanOverlapSemantics pins the reservation primitive: spans are
+// inclusive ranges, endpoint-sharing counts as conflict (a cart on one
+// segment blocks through traffic at its end stops), and NewSpan normalises
+// argument order.
+func TestSpanOverlapSemantics(t *testing.T) {
+	cases := []struct {
+		a, b Span
+		want bool
+	}{
+		{Span{0, 1}, Span{1, 2}, true},  // shared endpoint stop
+		{Span{0, 1}, Span{2, 3}, false}, // disjoint
+		{Span{0, 5}, Span{2, 3}, true},  // containment
+		{Span{2, 2}, Span{2, 2}, true},  // degenerate single-stop spans
+		{Span{3, 4}, Span{0, 2}, false}, // disjoint, other order
+	}
+	for _, c := range cases {
+		if got := c.a.Overlaps(c.b); got != c.want {
+			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Overlaps(c.a); got != c.want {
+			t.Errorf("overlap must be symmetric: %v vs %v", c.b, c.a)
+		}
+	}
+	if got := NewSpan(4, 1); got != (Span{Lo: 1, Hi: 4}) {
+		t.Errorf("NewSpan(4, 1) = %+v, want normalised {1 4}", got)
+	}
+}
+
+func TestCampusSpurSpansConflictAtSharedStations(t *testing.T) {
 	topo, err := NewCampus(DefaultCampusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Adjacent chain segments share a station index, so their inclusive
-	// spans overlap — multistop's conflict rule.
+	// spans overlap.
 	line := topo.LineEdges(0)
-	var spans []multistop.Span
+	var spans []Span
 	for _, e := range line {
 		spans = append(spans, topo.Edge(e).Span)
 	}
