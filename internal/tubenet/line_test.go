@@ -126,30 +126,49 @@ func TestLineOverlappingSpansQueue(t *testing.T) {
 	}
 }
 
+// failSegment fails the middle segment (stop 1 → stop 2) of a line under a
+// cart crossing the whole line: one failure window opens at t = 0 for each
+// heal time and closes at it. It returns the run's result and the cart's
+// trip time.
+func failSegment(t *testing.T, heals ...units.Seconds) (Result, units.Seconds) {
+	t.Helper()
+	c := lineCampus(t, lineTopology(t, lineStops, 200), trip{0, 3})
+	f := faults.Fault{Kind: faults.TubeSegmentFailure, Segment: 2}
+	for _, at := range heals {
+		if _, err := c.eng.At(0, "test-kill", func() { c.Inject(f) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.eng.At(at, "test-heal", func() { c.Recover(f) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, times := runTrips(t, c)
+	return res, times[0]
+}
+
 // TestLineBlockedSegmentHoldsMovesUntilHeal fails the middle segment under a
-// cart crossing the whole line: the cart waits (loiters) until every
-// overlapping failure window has healed.
+// cart crossing the whole line: the cart waits (loiters) and completes only
+// after the segment heals at 30 s.
 func TestLineBlockedSegmentHoldsMovesUntilHeal(t *testing.T) {
-	topo := lineTopology(t, lineStops, 200)
-	for _, heals := range [][]units.Seconds{{30}, {30, 60}} {
-		c := lineCampus(t, topo, trip{0, 3})
-		f := faults.Fault{Kind: faults.TubeSegmentFailure, Segment: 2} // stop 1 → stop 2
-		for _, at := range heals {
-			if _, err := c.eng.At(0, "test-kill", func() { c.Inject(f) }); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.eng.At(at, "test-heal", func() { c.Recover(f) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, times := runTrips(t, c)
-		last := heals[len(heals)-1]
-		if times[0] <= last {
-			t.Errorf("%d failure(s): trip finished at %v, before the last heal at %v", len(heals), times[0], last)
-		}
-		if res.Loiters < 1 {
-			t.Errorf("%d failure(s): loiters = %d, want ≥ 1", len(heals), res.Loiters)
-		}
+	res, took := failSegment(t, 30)
+	if took <= 30 {
+		t.Errorf("trip finished at %v, before the heal at 30 s", took)
+	}
+	if res.Loiters < 1 {
+		t.Errorf("loiters = %d, want ≥ 1", res.Loiters)
+	}
+}
+
+// TestLineSegmentFailuresNest opens two overlapping failure windows on the
+// same segment: the first heal (30 s) must not return it to service, so the
+// cart completes only after the second (60 s).
+func TestLineSegmentFailuresNest(t *testing.T) {
+	res, took := failSegment(t, 30, 60)
+	if took <= 60 {
+		t.Errorf("trip finished at %v, before the last heal at 60 s: one heal cleared both failures", took)
+	}
+	if res.Loiters < 1 {
+		t.Errorf("loiters = %d, want ≥ 1", res.Loiters)
 	}
 }
 
