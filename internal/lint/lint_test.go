@@ -82,6 +82,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				{"determinism", 19}, // time.Since
 				{"determinism", 24}, // rand.Intn
 				{"determinism", 29}, // os.Getenv
+				{"determinism", 34}, // time.Now in a package-level var initialiser
 			},
 		},
 		{
@@ -120,6 +121,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				{"unitsafety", 10}, // Bytes → Seconds conversion
 				{"unitsafety", 16}, // Seconds × Seconds
 				{"unitsafety", 21}, // BitsPerSecond → Watts conversion
+				{"unitsafety", 28}, // Bytes → Seconds in a package-level var initialiser
+				{"unitsafety", 33}, // Bytes → Seconds in a composite-literal key
 			},
 		},
 		{
@@ -233,8 +236,8 @@ func TestRunAggregatesAndSorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 5 {
-		t.Fatalf("got %d diagnostics, want 5: %v", len(diags), diags)
+	if len(diags) != 7 {
+		t.Fatalf("got %d diagnostics, want 7: %v", len(diags), diags)
 	}
 	for i := 1; i < len(diags); i++ {
 		a, b := diags[i-1], diags[i]

@@ -20,3 +20,15 @@ func SquaredTime(a, b units.Seconds) units.Seconds {
 func PowerFromRate(r units.BitsPerSecond) units.Watts {
 	return units.Watts(r)
 }
+
+// linkBytes is a package-level quantity that is not a constant.
+var linkBytes = units.Bytes(8e9)
+
+// linkTime relabels it as seconds outside any function body.
+var linkTime = units.Seconds(linkBytes)
+
+// ByDeadline keys a table by a cross-unit conversion: the conversion sits
+// in a composite-literal key, which a value-only walk skips.
+func ByDeadline(b units.Bytes) map[units.Seconds]string {
+	return map[units.Seconds]string{units.Seconds(b): "deadline"}
+}
