@@ -47,12 +47,6 @@ import (
 // allocation-free.
 const hotpathDirective = "//dhllint:hotpath"
 
-// allocSite is one reason a function may allocate.
-type allocSite struct {
-	desc string
-	pos  token.Pos
-}
-
 // isHotpath reports whether fd carries the //dhllint:hotpath directive.
 func isHotpath(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
@@ -73,8 +67,10 @@ func isHotpath(fd *ast.FuncDecl) bool {
 func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 	// Classify sites, dropping those justified in place: an allowed site
 	// is consumed immediately (so the allow never reads as unused) and
-	// neither reports nor seeds taint.
-	sites := make(map[*cgNode][]allocSite)
+	// neither reports nor seeds taint. A function's first surviving site
+	// by position is its seed.
+	sites := make(map[*cgNode][]site)
+	seeds := make(map[*cgNode]*site)
 	for _, n := range g.order {
 		for _, s := range g.allocSites(n) {
 			pos := g.fset.Position(s.pos)
@@ -84,42 +80,11 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 			}
 			sites[n] = append(sites[n], s)
 		}
-	}
-
-	// Shortest-path reverse BFS from the surviving sites. The cgNode
-	// dist/via/source fields belong to the purity pass (both passes share
-	// one graph), so this pass keeps its search state in local maps.
-	callers := make(map[*cgNode][]*cgNode)
-	for _, n := range g.order {
-		for _, e := range n.calls {
-			if callee := g.nodes[e.callee]; callee != nil {
-				callers[callee] = append(callers[callee], n)
-			}
-		}
-	}
-	dist := make(map[*cgNode]int)
-	via := make(map[*cgNode]*cgNode)
-	siteOf := make(map[*cgNode]*allocSite)
-	var queue []*cgNode
-	for _, n := range g.order {
 		if ss := sites[n]; len(ss) > 0 {
-			dist[n] = 0
-			siteOf[n] = &ss[0] // representative: first site by position
-			queue = append(queue, n)
+			seeds[n] = &ss[0]
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range callers[n] {
-			if _, seen := dist[caller]; seen {
-				continue
-			}
-			dist[caller] = dist[n] + 1
-			via[caller] = n
-			queue = append(queue, caller)
-		}
-	}
+	r := g.reachFrom(seeds)
 
 	var out []Diagnostic
 	for _, n := range g.order {
@@ -135,13 +100,10 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 		}
 		for _, e := range n.calls {
 			callee := g.nodes[e.callee]
-			if callee == nil {
+			if callee == nil || !r.reaches(callee) {
 				continue
 			}
-			if _, tainted := dist[callee]; !tainted {
-				continue
-			}
-			chain := g.allocChain(callee, via, siteOf)
+			chain, _ := r.chain(callee)
 			pass.reportChain(e.pos, chain,
 				"hot path %s calls %s, which allocates: %s",
 				name, g.shortName(e.callee), chainArrow(chain))
@@ -150,29 +112,13 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 	return out
 }
 
-// allocChain renders the shortest call chain from a tainted callee down to
-// the allocation site seeding it, one "name (file:line)" frame per hop
-// with the site itself as the final frame.
-func (g *CallGraph) allocChain(n *cgNode, via map[*cgNode]*cgNode, siteOf map[*cgNode]*allocSite) []string {
-	var chain []string
-	for hop := n; hop != nil; hop = via[hop] {
-		chain = append(chain, fmt.Sprintf("%s (%s)", g.shortName(hop.fn), g.relPos(hop.decl.Pos())))
-		if via[hop] == nil {
-			if s := siteOf[hop]; s != nil {
-				chain = append(chain, fmt.Sprintf("%s (%s)", s.desc, g.relPos(s.pos)))
-			}
-		}
-	}
-	return chain
-}
-
 // allocSites classifies every potential allocation in one function body,
 // in position order.
-func (g *CallGraph) allocSites(n *cgNode) []allocSite {
+func (g *CallGraph) allocSites(n *cgNode) []site {
 	info := n.pkg.Info
-	var sites []allocSite
+	var sites []site
 	add := func(pos token.Pos, format string, args ...any) {
-		sites = append(sites, allocSite{desc: fmt.Sprintf(format, args...), pos: pos})
+		sites = append(sites, site{desc: fmt.Sprintf(format, args...), pos: pos})
 	}
 	body := n.decl.Body
 	selfAppend := selfAppendCalls(body)
@@ -228,7 +174,7 @@ func (g *CallGraph) allocSites(n *cgNode) []allocSite {
 		case *ast.FuncLit:
 			sig, _ := info.Types[e].Type.(*types.Signature)
 			lits = append(lits, litScope{lit: e, sig: sig})
-			if closureCaptures(info, e, n.decl) {
+			if len(closureCaptures(info, e, n.decl)) > 0 {
 				add(e.Pos(), "capturing closure")
 			}
 		case *ast.AssignStmt:
@@ -384,30 +330,33 @@ func selfAppendCalls(body *ast.BlockStmt) map[*ast.CallExpr]bool {
 	return out
 }
 
-// closureCaptures reports whether lit references a variable declared in
-// the enclosing function outside the literal itself — the case where the
-// closure needs a heap-allocated environment. Non-capturing literals are
-// static values.
-func closureCaptures(info *types.Info, lit *ast.FuncLit, decl *ast.FuncDecl) bool {
-	captured := false
+// capture is one variable a function literal uses from its enclosing
+// declaration, with the position of its first use inside the literal.
+type capture struct {
+	v        *types.Var
+	firstUse token.Pos
+}
+
+// closureCaptures lists, in order of first use, the variables lit uses
+// that are declared in decl outside the literal itself: what makes a
+// closure need a heap-allocated environment (non-capturing literals are
+// static values), and what a spawned closure shares with its spawner.
+func closureCaptures(info *types.Info, lit *ast.FuncLit, decl *ast.FuncDecl) []capture {
+	var caps []capture
+	seen := map[*types.Var]bool{}
 	ast.Inspect(lit.Body, func(node ast.Node) bool {
-		if captured {
-			return false
-		}
 		id, ok := node.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Pos() >= decl.Pos() && v.Pos() < lit.Pos() {
-			captured = true
+		if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && !seen[v] &&
+			v.Pos() >= decl.Pos() && v.Pos() < lit.Pos() {
+			seen[v] = true
+			caps = append(caps, capture{v, id.Pos()})
 		}
 		return true
 	})
-	return captured
+	return caps
 }
 
 // conversionAllocates reports whether converting from → to copies into a

@@ -21,8 +21,12 @@ import (
 //
 // Limitations, by construction: calls through interface methods and
 // function values are not resolved (no edge), so taint does not propagate
-// through them — the intra-package determinism rule still catches direct
-// ambient reads wherever they occur.
+// through them — the determinism rule still reports each direct ambient
+// read in model code where it occurs.
+//
+// The purity, allocflow and goescape passes share one reverse-reach engine
+// (reachFrom): each seeds it with the sites it cares about and reads back
+// which functions reach one, and by which shortest chain.
 
 // CallGraph is the module-wide static call graph over the loaded packages.
 type CallGraph struct {
@@ -37,13 +41,8 @@ type cgNode struct {
 	pkg     *Package
 	decl    *ast.FuncDecl
 	calls   []cgEdge
+	callers []*cgNode // reverse edges in graph order, one per call site
 	sources []taintSource
-
-	// BFS state filled in by runPurity: distance to the nearest ambient
-	// source, the next hop toward it, and the source reached.
-	dist   int
-	via    *cgNode
-	source *taintSource
 }
 
 // cgEdge is one static call (or function-value reference) site.
@@ -52,24 +51,26 @@ type cgEdge struct {
 	pos    token.Pos
 }
 
+// site is one construct in a function body that seeds a reverse reach:
+// an ambient read, an allocation, a touch of non-thread-safe state.
+type site struct {
+	desc string // e.g. "time.Now (wall clock)"
+	pos  token.Pos
+}
+
 // taintSource is one direct reach into ambient state.
 type taintSource struct {
-	desc string // e.g. "time.Now (wall clock)"
-	rule string // the intra-package rule whose allow also silences this seed
-	pos  token.Pos
+	site
+	rule   string // the rule that owns the construct; its allow also silences this seed
+	advice string // the determinism finding's message; empty for map ranges
 }
 
 // Graph loads the import paths and builds their call graph — the `-graph`
 // debug entry point of cmd/dhllint.
 func Graph(cfg Config, importPaths []string) (*CallGraph, error) {
-	ld := NewLoader(cfg.ModuleRoot, cfg.ModulePath)
-	pkgs := make([]*Package, 0, len(importPaths))
-	for _, ip := range importPaths {
-		pkg, err := ld.Load(ip)
-		if err != nil {
-			return nil, fmt.Errorf("lint: load %s: %w", ip, err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := NewLoader(cfg.ModuleRoot, cfg.ModulePath).loadAll(importPaths)
+	if err != nil {
+		return nil, err
 	}
 	return buildCallGraph(&cfg, pkgs), nil
 }
@@ -87,7 +88,7 @@ func buildCallGraph(cfg *Config, pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				n := &cgNode{fn: fn, pkg: pkg, decl: fd, dist: -1}
+				n := &cgNode{fn: fn, pkg: pkg, decl: fd}
 				g.nodes[fn] = n
 				g.order = append(g.order, n)
 			}
@@ -96,6 +97,13 @@ func buildCallGraph(cfg *Config, pkgs []*Package) *CallGraph {
 	// Second pass: edges and taint sources from each body.
 	for _, n := range g.order {
 		g.scanBody(n)
+	}
+	for _, n := range g.order {
+		for _, e := range n.calls {
+			if callee := g.nodes[e.callee]; callee != nil {
+				callee.callers = append(callee.callers, n)
+			}
+		}
 	}
 	return g
 }
@@ -127,8 +135,8 @@ func (g *CallGraph) scanBody(n *cgNode) {
 			}
 			return true
 		}
-		if desc := ambientSource(fn); desc != "" {
-			n.sources = append(n.sources, taintSource{desc: desc, rule: "determinism", pos: id.Pos()})
+		if desc, advice := ambientSource(fn); desc != "" {
+			n.sources = append(n.sources, taintSource{site: site{desc, id.Pos()}, rule: "determinism", advice: advice})
 		}
 		return true
 	})
@@ -136,9 +144,8 @@ func (g *CallGraph) scanBody(n *cgNode) {
 	// state too: the traversal order changes run to run.
 	for _, r := range orderSensitiveRanges(info, n.decl) {
 		n.sources = append(n.sources, taintSource{
-			desc: fmt.Sprintf("map iteration order (%s)", r.reason),
+			site: site{fmt.Sprintf("map iteration order (%s)", r.reason), r.pos},
 			rule: "maporder",
-			pos:  r.pos,
 		})
 	}
 	sort.Slice(n.sources, func(i, j int) bool { return n.sources[i].pos < n.sources[j].pos })
@@ -149,32 +156,113 @@ func (g *CallGraph) isModuleFunc(fn *types.Func) bool {
 	return path == g.cfg.ModulePath || strings.HasPrefix(path, g.cfg.ModulePath+"/")
 }
 
+// seededConstructors are the math/rand entry points that take an explicit
+// seed or source and are therefore deterministic.
+var seededConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	// math/rand/v2 seeded generators.
+	"NewPCG": true, "NewChaCha8": true,
+}
+
 // ambientSource classifies a non-module function as an ambient-state
-// source, returning a human-readable description or "". The set mirrors
-// the determinism analyzer: wall clock, global math/rand draws, and
-// environment reads. Methods never qualify — a seeded *rand.Rand's Float64
-// is the sanctioned idiom.
-func ambientSource(fn *types.Func) string {
+// source: the wall clock, global math/rand draws, and environment reads.
+// It returns the seed description ("time.Now (wall clock)") and the
+// message of the determinism finding, or two empty strings. Methods never
+// qualify — a seeded *rand.Rand's Float64 is the sanctioned idiom.
+func ambientSource(fn *types.Func) (desc, advice string) {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return ""
+		return "", ""
 	}
+	var kind string
 	switch fn.Pkg().Path() {
 	case "time":
 		switch fn.Name() {
 		case "Now", "Since", "Until":
-			return fmt.Sprintf("time.%s (wall clock)", fn.Name())
+			kind, advice = "wall clock", "reads the wall clock; model code must take time from the simulation engine or an injected clock"
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededConstructors[fn.Name()] {
-			return fmt.Sprintf("rand.%s (global random source)", fn.Name())
+			kind, advice = "global random source", "draws from the global source; thread a seeded *rand.Rand through the constructor instead"
 		}
 	case "os":
 		switch fn.Name() {
 		case "Getenv", "LookupEnv", "Environ":
-			return fmt.Sprintf("os.%s (environment read)", fn.Name())
+			kind, advice = "environment read", "makes model output depend on the environment; pass configuration explicitly"
 		}
 	}
-	return ""
+	if kind == "" {
+		return "", ""
+	}
+	name := fn.Pkg().Name() + "." + fn.Name()
+	return fmt.Sprintf("%s (%s)", name, kind), name + " " + advice
+}
+
+// reach is one reverse search over the call graph: every function that
+// can reach a seed, with its next hop toward the nearest one.
+type reach struct {
+	g     *CallGraph
+	seeds map[*cgNode]*site
+	via   map[*cgNode]*cgNode // next hop toward a seed; nil at a seed
+}
+
+// reachFrom runs a multi-source BFS backwards over call edges from seeds.
+// Seeds enter the queue in graph order and callers are listed in graph
+// order, so the shortest chain it picks is the same on every run.
+func (g *CallGraph) reachFrom(seeds map[*cgNode]*site) *reach {
+	r := &reach{g: g, seeds: seeds, via: make(map[*cgNode]*cgNode)}
+	var queue []*cgNode
+	for _, n := range g.order {
+		if seeds[n] != nil {
+			r.via[n] = nil
+			queue = append(queue, n)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, caller := range n.callers {
+			if _, seen := r.via[caller]; !seen {
+				r.via[caller] = n
+				queue = append(queue, caller)
+			}
+		}
+	}
+	return r
+}
+
+// reaches reports whether n reaches a seed.
+func (r *reach) reaches(n *cgNode) bool {
+	_, ok := r.via[n]
+	return ok
+}
+
+// chain renders the shortest call chain from n, which must reach a seed,
+// down to that seed: one "name (file:line)" frame per function, innermost
+// last, then the seed site itself. It also returns the seed.
+func (r *reach) chain(n *cgNode) ([]string, *site) {
+	var frames []string
+	for {
+		frames = append(frames, fmt.Sprintf("%s (%s)", r.g.shortName(n.fn), r.g.relPos(n.decl.Pos())))
+		if r.via[n] == nil {
+			break
+		}
+		n = r.via[n]
+	}
+	s := r.seeds[n]
+	return append(frames, fmt.Sprintf("%s (%s)", s.desc, r.g.relPos(s.pos))), s
+}
+
+// chainArrow compacts chain frames into "a → b → c" using just the names.
+func chainArrow(chain []string) string {
+	names := make([]string, len(chain))
+	for i, frame := range chain {
+		if j := strings.IndexByte(frame, '('); j > 0 {
+			names[i] = strings.TrimSpace(frame[:j])
+		} else {
+			names[i] = frame
+		}
+	}
+	return strings.Join(names, " → ")
 }
 
 // shortName renders a function for chains and dumps: the package path with

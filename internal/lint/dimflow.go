@@ -8,7 +8,17 @@ import (
 	"strings"
 )
 
-// DimFlow restores dimensional checking across the raw-float64 escape
+// The two dimension rules run from one analyzer, which skips the units
+// package (it defines the sanctioned conversions).
+//
+// unitsafety catches the two dimension errors Go's type checker accepts,
+// anywhere in a file: a direct conversion between two distinct units types
+// (units.Seconds(bytes) is always wrong — convert through float64 with the
+// formula spelled out), and a product of two non-constant values of one
+// units type (Bytes × Bytes is bytes², which no variable in the model
+// holds). Quotients of a shared unit are dimensionless and stay legal.
+//
+// dimflow restores dimensional checking across the raw-float64 escape
 // hatch. The unitsafety rule stops at the `float64(...)` boundary: the
 // moment a typed quantity is unwrapped, the type system — and unitsafety —
 // can no longer see its dimension. This pass follows it. A float64 local
@@ -27,11 +37,6 @@ import (
 // Values of unknown provenance (parameters, struct fields, opaque calls)
 // stay untagged and never flag, so the pass only speaks when both sides of
 // a claim are traceable to typed quantities.
-var DimFlow = &Analyzer{
-	Name: "dimflow",
-	Doc:  "no dimension-bending float64 arithmetic downstream of unit conversions",
-	Run:  runDimFlow,
-}
 
 // dim is a dimension vector: exponents over the base axes. Scale is
 // deliberately ignored (kg and g are both mass): the rule polices
@@ -140,8 +145,16 @@ var (
 
 func known(d dim) dimval { return dimval{state: vKnown, d: d} }
 
+// runDimFlow runs unitsafety and dimflow, each when enabled, over one
+// package outside the units package.
 func runDimFlow(p *Pass) {
 	if p.Pkg.ImportPath == p.Cfg.UnitsPackage {
+		return
+	}
+	if p.Cfg.ruleEnabled("unitsafety") {
+		checkUnitOps(p.withRule("unitsafety"))
+	}
+	if !p.Cfg.ruleEnabled("dimflow") {
 		return
 	}
 	for _, f := range p.Pkg.Files {
@@ -163,17 +176,90 @@ type dimFlow struct {
 	env  map[types.Object]dimval
 }
 
-func (df *dimFlow) unitDimOf(t types.Type) (dim, bool) {
+// unitsType returns t's named type if the units package declares it, else
+// nil.
+func unitsType(cfg *Config, t types.Type) *types.Named {
 	named, ok := t.(*types.Named)
 	if !ok {
-		return dim{}, false
+		return nil
 	}
-	pkg := named.Obj().Pkg()
-	if pkg == nil || pkg.Path() != df.p.Cfg.UnitsPackage {
+	if pkg := named.Obj().Pkg(); pkg == nil || pkg.Path() != cfg.UnitsPackage {
+		return nil
+	}
+	return named
+}
+
+func (df *dimFlow) unitDimOf(t types.Type) (dim, bool) {
+	named := unitsType(df.p.Cfg, t)
+	if named == nil {
 		return dim{}, false
 	}
 	d, ok := unitDims[named.Obj().Name()]
 	return d, ok
+}
+
+// checkUnitOps is the unitsafety walk: every cross-unit conversion and
+// same-unit product anywhere in the package's files.
+func checkUnitOps(p *Pass) {
+	info := p.Pkg.Info
+	for _, f := range p.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkUnitConversion(p, n)
+			case *ast.BinaryExpr:
+				if n.Op != token.MUL {
+					return true
+				}
+				tx, ty := info.Types[n.X], info.Types[n.Y]
+				// Constant factors (2 * units.PB) carry no dimension.
+				if tx.Value != nil || ty.Value != nil {
+					return true
+				}
+				nx, ny := unitsType(p.Cfg, tx.Type), unitsType(p.Cfg, ty.Type)
+				if nx != nil && ny != nil && nx.Obj() == ny.Obj() {
+					p.Report(n.OpPos, "%s × %s is not a %s; do the arithmetic in float64 and convert the result",
+						nx.Obj().Name(), ny.Obj().Name(), nx.Obj().Name())
+				}
+			}
+			return true
+		})
+	}
+}
+
+// checkUnitConversion flags T2(x) where both T2 and x's type are distinct
+// named types of the units package.
+func checkUnitConversion(p *Pass, call *ast.CallExpr) {
+	info := p.Pkg.Info
+	tv, ok := info.Types[call.Fun]
+	if !ok || !tv.IsType() || len(call.Args) != 1 {
+		return
+	}
+	dst := unitsType(p.Cfg, tv.Type)
+	if dst == nil {
+		return
+	}
+	src := unitsType(p.Cfg, info.TypeOf(call.Args[0]))
+	if src == nil || src.Obj() == dst.Obj() {
+		return
+	}
+	// Ratio(a/b) over a shared unit is a legal dimensionless quotient.
+	if dst.Obj().Name() == "Ratio" && isSameUnitQuotient(info, call.Args[0]) {
+		return
+	}
+	p.Report(call.Pos(), "converting %s directly to %s changes dimension; convert through float64 with the formula spelled out",
+		src.Obj().Name(), dst.Obj().Name())
+}
+
+// isSameUnitQuotient reports whether e is a division of two operands of
+// the same type (possibly parenthesised).
+func isSameUnitQuotient(info *types.Info, e ast.Expr) bool {
+	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || be.Op != token.QUO {
+		return false
+	}
+	tx, ty := info.TypeOf(be.X), info.TypeOf(be.Y)
+	return tx != nil && ty != nil && types.Identical(tx, ty)
 }
 
 func isFloatBasic(t types.Type) bool {

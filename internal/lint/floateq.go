@@ -6,18 +6,12 @@ import (
 	"go/types"
 )
 
-// FloatEq flags exact ==/!= between two computed floating-point values.
+// runFloatEq flags exact ==/!= between two computed floating-point values.
 // The models chain long float expressions (drag integrals, RAID
 // geometry, launch kinematics); exact equality between two such results
 // is almost always a latent bug. Comparisons against a constant (the
 // zero sentinel, ±Inf) are deliberate and stay legal; everything else
 // should go through a tolerance: math.Abs(a-b) <= eps.
-var FloatEq = &Analyzer{
-	Name: "floateq",
-	Doc:  "no exact ==/!= between computed floats; compare with a tolerance",
-	Run:  runFloatEq,
-}
-
 func runFloatEq(p *Pass) {
 	info := p.Pkg.Info
 	for _, f := range p.Pkg.Files {

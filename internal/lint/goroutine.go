@@ -5,19 +5,13 @@ import (
 	"go/types"
 )
 
-// Goroutine keeps concurrency where the determinism story can see it.
+// runGoroutine keeps concurrency where the determinism story can see it.
 // internal/sweep's bounded pool (campus study replicas, dhllint's
 // per-package pass) is the one package allowed to spawn goroutines; any
 // other `go` statement needs a justified allow, because a stray one
 // reorders float accumulations and interleaves output. The rule also catches the
 // classic WaitGroup race — calling Add inside the spawned closure, after
 // Wait may already have returned.
-var Goroutine = &Analyzer{
-	Name: "goroutine",
-	Doc:  "go statements only in internal/sweep or under a justified allow; WaitGroup.Add before the go statement",
-	Run:  runGoroutine,
-}
-
 func runGoroutine(p *Pass) {
 	allowedPkg := p.Cfg.goroutineAllowed(p.Pkg.ImportPath)
 	for _, f := range p.Pkg.Files {

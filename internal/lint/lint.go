@@ -1,40 +1,18 @@
 // Package lint is the repository's domain-specific static-analysis engine
 // (`dhllint`). It loads every package in the module with go/parser + go/types
-// — pure stdlib, no external analysis frameworks — and runs a suite of
-// analyzers that enforce the invariants the reproduction's byte-identity
-// guarantees silently depend on:
+// — pure stdlib, no external analysis frameworks — and runs the rules that
+// guard the invariants the reproduction's byte-identity guarantees and
+// physics silently depend on. Rules lists them with one line each.
 //
-//   - determinism: no wall clock, global-source randomness, or environment
-//     reads in model code (injected clocks and seeded *rand.Rand only);
-//   - purity: the interprocedural extension of determinism — a module-wide
-//     call graph propagates ambient-state taint transitively, so a model
-//     function that reaches time.Now through two levels of helpers is
-//     flagged with the full call chain;
-//   - maporder: no map-iteration order leaking into output, returned slices,
-//     or floating-point accumulations;
-//   - unitsafety: no dimension-bending conversions or same-unit products
-//     that bypass the internal/units typed quantities;
-//   - dimflow: an intra-function dataflow pass that follows dimensions
-//     through the raw-float64 escape hatch — locals born from unit
-//     conversions carry a dimension vector through + - * / and are checked
-//     at additions and at re-wraps into unit types;
-//   - floateq: no exact ==/!= between computed floats;
-//   - goroutine: no goroutines outside the sweep worker pool, and no
-//     WaitGroup.Add racing inside a spawned closure;
-//   - allocflow: the interprocedural allocation guard — functions annotated
-//     //dhllint:hotpath must be allocation-free, transitively over the same
-//     module call graph purity uses, with every violation reported as the
-//     shortest chain from the hot root to the allocation site;
-//   - lockcheck: fields annotated //dhllint:guardedby <mutexField> are only
-//     accessed while that instance's mutex is held, with "caller must hold"
-//     summaries propagated interprocedurally so helpers are verified through
-//     their callers;
-//   - lockorder: the lock-acquisition-order graph over type-level mutex
-//     identities is acyclic — any cycle is a potential deadlock, reported
-//     with the conflicting acquisition chains;
-//   - goescape: no non-thread-safe value (maps, *rand.Rand, the simulation
-//     engine, telemetry slabs, storage arrays) is captured by a spawned
-//     goroutine or sweep task while still reachable from the spawning one.
+// Two kinds of check run. The intra-package analyzers (maporder,
+// unitsafety and dimflow, floateq, goroutine) walk one type-checked
+// package at a time on the sweep worker pool. The call-graph passes then
+// run once over a module-wide call graph (callgraph.go): determinism and
+// purity report the ambient reads of model code and every chain that
+// reaches one (purity.go); allocflow guards //dhllint:hotpath functions;
+// lockcheck, lockorder and goescape guard the concurrency that exists.
+// purity, allocflow and goescape share one reverse-reach engine and report
+// the shortest chain from the flagged site to what it reaches.
 //
 // False positives are silenced in place with a justified escape hatch:
 //
@@ -142,50 +120,46 @@ func (c *Config) goroutineAllowed(path string) bool {
 	return false
 }
 
-// Analyzer is one named intra-package rule.
-type Analyzer struct {
-	// Name is the rule identifier used in diagnostics, flags, and
-	// //dhllint:allow comments.
-	Name string
-	// Doc is a one-line description.
-	Doc string
-	// Run inspects a type-checked package and reports through the pass.
-	Run func(*Pass)
-}
-
-// All returns the intra-package analyzer suite in reporting order. The
-// module-level passes (purity, unusedallow) are listed by Rules.
-func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, UnitSafety, DimFlow, FloatEq, Goroutine}
-}
-
 // RuleDoc names one rule for listing and flag validation.
 type RuleDoc struct {
 	Name string
 	Doc  string
 }
 
-// Rules returns every rule the engine can report: the intra-package
-// analyzers, the module-level call-graph passes, and the meta rules on the
-// escape hatch itself.
+// Rules returns every rule the engine can report, in listing order.
 func Rules() []RuleDoc {
-	var out []RuleDoc
-	for _, a := range All() {
-		out = append(out, RuleDoc{a.Name, a.Doc})
+	return []RuleDoc{
+		{"determinism", "no time.Now, global-source rand, or env reads in model packages"},
+		{"maporder", "no map-iteration order leaking into output, returned slices, or float sums"},
+		{"unitsafety", "no cross-unit conversions or same-unit products outside internal/units"},
+		{"dimflow", "no dimension-bending float64 arithmetic downstream of unit conversions"},
+		{"floateq", "no exact ==/!= between computed floats; compare with a tolerance"},
+		{"goroutine", "go statements only in internal/sweep or under a justified allow; WaitGroup.Add before the go statement"},
+		{"purity", "no transitive path from model code to ambient state (call-graph pass)"},
+		{"allocflow", "no allocation reachable from //dhllint:hotpath functions (call-graph pass)"},
+		{"lockcheck", "//dhllint:guardedby fields accessed only under their mutex (call-graph pass)"},
+		{"lockorder", "no lock-acquisition-order cycles (call-graph pass)"},
+		{"goescape", "no non-thread-safe values escaping into goroutines (call-graph pass)"},
+		{"unusedallow", "no //dhllint:allow comment that suppresses nothing"},
+		{"allow", "every //dhllint:allow carries a -- justification"},
 	}
-	out = append(out,
-		RuleDoc{"purity", "no transitive path from model code to ambient state (call-graph pass)"},
-		RuleDoc{"allocflow", "no allocation reachable from //dhllint:hotpath functions (call-graph pass)"},
-		RuleDoc{"lockcheck", "//dhllint:guardedby fields accessed only under their mutex (call-graph pass)"},
-		RuleDoc{"lockorder", "no lock-acquisition-order cycles (call-graph pass)"},
-		RuleDoc{"goescape", "no non-thread-safe values escaping into goroutines (call-graph pass)"},
-		RuleDoc{"unusedallow", "no //dhllint:allow comment that suppresses nothing"},
-		RuleDoc{"allow", "every //dhllint:allow carries a -- justification"},
-	)
-	return out
 }
 
-// Pass hands one type-checked package to one analyzer.
+// analyzers are the intra-package checks, each run when one of the rules
+// it reports is enabled. determinism is not among them: it reports from
+// the call graph's ambient sources (see purity.go).
+var analyzers = []struct {
+	rules []string
+	run   func(*Pass) // reports under rules[0] unless it says otherwise
+}{
+	{[]string{"maporder"}, runMapOrder},
+	{[]string{"dimflow", "unitsafety"}, runDimFlow},
+	{[]string{"floateq"}, runFloatEq},
+	{[]string{"goroutine"}, runGoroutine},
+}
+
+// Pass hands one type-checked package to one analyzer, reporting under one
+// rule.
 type Pass struct {
 	Cfg *Config
 	Pkg *Package
@@ -217,16 +191,11 @@ func (p *Pass) reportChain(pos token.Pos, chain []string, format string, args ..
 	})
 }
 
-// LintPackage runs every enabled analyzer over one loaded package in
-// isolation — including package-scoped unused-allow detection — and returns
-// its diagnostics sorted by position. The module-level purity pass needs
-// the whole call graph and only runs under Run.
-func LintPackage(cfg *Config, pkg *Package) []Diagnostic {
-	allows, out := buildAllowIndex([]*Package{pkg}, cfg)
-	out = append(out, lintPackageWith(cfg, pkg, allows)...)
-	out = append(out, unusedAllowFindings(cfg, allows)...)
-	sortDiagnostics(out)
-	return dedupe(out)
+// withRule is the same pass reporting under another rule.
+func (p *Pass) withRule(rule string) *Pass {
+	q := *p
+	q.rule = rule
+	return &q
 }
 
 // lintPackageWith runs the intra-package analyzers against a shared allow
@@ -234,11 +203,13 @@ func LintPackage(cfg *Config, pkg *Package) []Diagnostic {
 // (diagnostics, allow used-marking) touches only this package's state.
 func lintPackageWith(cfg *Config, pkg *Package, allows *allowIndex) []Diagnostic {
 	var out []Diagnostic
-	for _, a := range All() {
-		if !cfg.ruleEnabled(a.Name) {
-			continue
+	for _, a := range analyzers {
+		for _, rule := range a.rules {
+			if cfg.ruleEnabled(rule) {
+				a.run(&Pass{Cfg: cfg, Pkg: pkg, rule: a.rules[0], allows: allows, out: &out})
+				break
+			}
 		}
-		a.Run(&Pass{Cfg: cfg, Pkg: pkg, rule: a.Name, allows: allows, out: &out})
 	}
 	return out
 }
@@ -256,13 +227,9 @@ func RunWithLoader(cfg Config, ld *Loader, importPaths []string) ([]Diagnostic, 
 	// Loading is sequential: the loader memoizes recursively and the
 	// dependency graph forces most of the work anyway. Analysis — the
 	// AST/type walks — is the parallel part.
-	pkgs := make([]*Package, 0, len(importPaths))
-	for _, ip := range importPaths {
-		pkg, err := ld.Load(ip)
-		if err != nil {
-			return nil, fmt.Errorf("lint: load %s: %w", ip, err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := ld.loadAll(importPaths)
+	if err != nil {
+		return nil, err
 	}
 
 	allows, out := buildAllowIndex(pkgs, &cfg)
@@ -281,17 +248,17 @@ func RunWithLoader(cfg Config, ld *Loader, importPaths []string) ([]Diagnostic, 
 		out = append(out, ds...)
 	}
 
-	// Module-level passes run after the pool: purity, allocflow, and the
-	// concurrency trio need the whole call graph (built once, shared —
-	// each pass keeps its own traversal state), and unusedallow must
-	// observe every used-mark, including those made by the graph passes
-	// themselves.
-	needGraph := cfg.ruleEnabled("purity") || cfg.ruleEnabled("allocflow") ||
+	// Module-level passes run after the pool: determinism and purity,
+	// allocflow, and the concurrency trio need the whole call graph (built
+	// once, shared — each pass keeps its own traversal state), and
+	// unusedallow must observe every used-mark, including those made by
+	// the graph passes themselves.
+	needGraph := cfg.ruleEnabled("determinism") || cfg.ruleEnabled("purity") || cfg.ruleEnabled("allocflow") ||
 		cfg.ruleEnabled("lockcheck") || cfg.ruleEnabled("lockorder") || cfg.ruleEnabled("goescape")
 	if needGraph {
 		graph := buildCallGraph(&cfg, pkgs)
-		if cfg.ruleEnabled("purity") {
-			out = append(out, runPurity(&cfg, graph, allows)...)
+		if cfg.ruleEnabled("determinism") || cfg.ruleEnabled("purity") {
+			out = append(out, runPurity(&cfg, graph, pkgs, allows)...)
 		}
 		if cfg.ruleEnabled("allocflow") {
 			out = append(out, runAllocFlow(&cfg, graph, allows)...)
@@ -391,16 +358,14 @@ func buildAllowIndex(pkgs []*Package, cfg *Config) (*allowIndex, []Diagnostic) {
 					rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
 					rules, reason, _ := strings.Cut(rest, " ")
 					position := pkg.Fset.Position(c.Pos())
-					if strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(reason), "--")) == "" {
+					meta := func(msg string) {
 						if cfg.ruleEnabled("allow") {
-							out = append(out, Diagnostic{
-								File:    position.Filename,
-								Line:    position.Line,
-								Col:     position.Column,
-								Rule:    "allow",
-								Message: "dhllint:allow needs a justification: //dhllint:allow <rule> -- <why this is safe>",
-							})
+							out = append(out, Diagnostic{File: position.Filename, Line: position.Line,
+								Col: position.Column, Rule: "allow", Message: msg})
 						}
+					}
+					if strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(reason), "--")) == "" {
+						meta("dhllint:allow needs a justification: //dhllint:allow <rule> -- <why this is safe>")
 						continue
 					}
 					for _, r := range strings.Split(rules, ",") {
@@ -409,15 +374,7 @@ func buildAllowIndex(pkgs []*Package, cfg *Config) (*allowIndex, []Diagnostic) {
 							continue
 						}
 						if !known[r] {
-							if cfg.ruleEnabled("allow") {
-								out = append(out, Diagnostic{
-									File:    position.Filename,
-									Line:    position.Line,
-									Col:     position.Column,
-									Rule:    "allow",
-									Message: fmt.Sprintf("dhllint:allow names unknown rule %q", r),
-								})
-							}
+							meta(fmt.Sprintf("dhllint:allow names unknown rule %q", r))
 							continue
 						}
 						idx.add(&allowEntry{file: position.Filename, line: position.Line, col: position.Column, rule: r})

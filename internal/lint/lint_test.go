@@ -214,19 +214,79 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			pkg, err := loader(t).Load(fixtureBase + tt.fixture)
-			if err != nil {
-				t.Fatalf("load %s: %v", tt.fixture, err)
-			}
 			cfg := fixtureConfig(t)
 			if tt.mutate != nil {
 				tt.mutate(&cfg)
 			}
-			got := LintPackage(&cfg, pkg)
+			got, err := RunWithLoader(cfg, loader(t), []string{fixtureBase + tt.fixture})
+			if err != nil {
+				t.Fatalf("lint %s: %v", tt.fixture, err)
+			}
 			if !sameKeys(keysOf(got), tt.want) {
 				t.Errorf("diagnostics = %v, want %v\nfull: %v", keysOf(got), tt.want, got)
 			}
 		})
+	}
+}
+
+// ruleFixtures names, for every rule but allow, the fixture packages the
+// rule reports on when it runs alone.
+var ruleFixtures = map[string][]string{
+	"determinism": {"determ_bad"},
+	"maporder":    {"maporder_bad"},
+	"unitsafety":  {"unitsafety_bad"},
+	"dimflow":     {"dimflow_bad"},
+	"floateq":     {"floateq_bad"},
+	"goroutine":   {"goroutine_bad"},
+	"purity":      {"purity_helpers", "purity_bad"},
+	"allocflow":   {"allocflow_bad"},
+	"lockcheck":   {"lockcheck_bad"},
+	"lockorder":   {"lockorder_bad"},
+	"goescape":    {"goescape_bad"},
+	// unusedallow judges only the allows of rules that ran, so on its own
+	// it fires on a stale unusedallow cover, not on unusedallow_bad's
+	// floateq allow.
+	"unusedallow": {"unusedallow_allow"},
+}
+
+// TestEveryRuleFiresAlone runs each rule on its own (-rules <name>) over
+// its fixture and requires a finding of that rule, so a rule that depends
+// on a pass the selection would skip cannot go quiet. The fixture table and
+// Rules() must name the same rules.
+func TestEveryRuleFiresAlone(t *testing.T) {
+	listed := map[string]bool{}
+	for _, r := range Rules() {
+		listed[r.Name] = true
+		if r.Name == "allow" {
+			continue
+		}
+		fixtures, ok := ruleFixtures[r.Name]
+		if !ok {
+			t.Errorf("rule %s has no fixture in ruleFixtures", r.Name)
+			continue
+		}
+		cfg := fixtureConfig(t)
+		cfg.Enabled = map[string]bool{r.Name: true}
+		var paths []string
+		for _, f := range fixtures {
+			paths = append(paths, fixtureBase+f)
+		}
+		diags, err := RunWithLoader(cfg, loader(t), paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired := false
+		for _, d := range diags {
+			fired = fired || d.Rule == r.Name
+		}
+		if !fired {
+			t.Errorf("rule %s alone reports nothing on %v: %v", r.Name, fixtures, diags)
+		}
+	}
+	for name := range ruleFixtures {
+		if !listed[name] || name == "allow" {
+			t.Errorf("ruleFixtures names %s, which Rules() does not list as a reporting rule", name)
+		}
 	}
 }
 

@@ -119,6 +119,19 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return p, nil
 }
 
+// loadAll loads each import path in order.
+func (l *Loader) loadAll(importPaths []string) ([]*Package, error) {
+	pkgs := make([]*Package, 0, len(importPaths))
+	for _, ip := range importPaths {
+		pkg, err := l.Load(ip)
+		if err != nil {
+			return nil, fmt.Errorf("lint: load %s: %w", ip, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
 // importDep resolves one import for the type checker.
 func (l *Loader) importDep(path string) (*types.Package, error) {
 	if path == "unsafe" {

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `for range` over a map when the loop body does something
+// runMapOrder flags `for range` over a map when the loop body does something
 // iteration-order-sensitive — exactly the bug class that breaks the
 // sweep's byte-identity guarantee:
 //
@@ -18,12 +18,6 @@ import (
 //
 // Order-insensitive map loops (integer counting, min/max, set
 // membership) are untouched.
-var MapOrder = &Analyzer{
-	Name: "maporder",
-	Doc:  "no map-iteration order leaking into output, returned slices, or float sums",
-	Run:  runMapOrder,
-}
-
 func runMapOrder(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, fd := range funcDecls(f) {

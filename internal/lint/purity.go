@@ -1,88 +1,112 @@
 package lint
 
 import (
-	"fmt"
-	"strings"
+	"go/ast"
+	"go/types"
 )
 
-// The purity pass is the interprocedural half of the determinism story.
-// The intra-package determinism rule flags a model function that calls
-// time.Now directly; this pass flags the model function that reaches it
-// through any number of helpers — including helpers in non-model packages,
-// where the determinism rule deliberately stays quiet. Taint seeds at the
-// ambient sources recorded in the call graph (wall clock, global RNG,
-// environment reads, order-sensitive map ranges) and propagates backwards
-// over call edges; every call site in a model package whose callee is
-// tainted is reported with the full source→sink chain.
+// determinism and purity are the two ends of one chain from model code to
+// ambient state: the sources the call graph records (wall clock, global
+// RNG, environment reads, order-sensitive map ranges). Every model
+// evaluation must be a pure function of its inputs, or a seed stops
+// replaying byte for byte; randomness comes from a seeded *rand.Rand
+// threaded through a constructor, time from the simulation engine.
 //
-// Seeds can be silenced at the source with //dhllint:allow purity (or the
-// matching intra-package rule: determinism for ambient reads, maporder for
-// map ranges) — a justified source does not taint its callers.
+//   - determinism is the chain of length zero: each ambient read in a model
+//     package, in a function body or a package-level declaration.
+//   - purity is every longer chain: taint propagates backwards over call
+//     edges, through helpers in any package, and each call site in a model
+//     package whose callee is tainted is reported with the chain.
+//
+// A source is silenced with //dhllint:allow purity, or with an allow for
+// the rule that owns it (determinism for ambient reads in model code,
+// maporder for map ranges); a justified source taints no caller.
 
-// runPurity computes taint over the call graph and reports tainted call
-// sites in model packages. Runs after the per-package pool, sequentially.
-func runPurity(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
-	// Seed the BFS at every node with an unsuppressed ambient source.
-	// Reverse adjacency: who calls whom.
-	callers := make(map[*cgNode][]*cgNode)
-	for _, n := range g.order {
-		for _, e := range n.calls {
-			if callee := g.nodes[e.callee]; callee != nil {
-				callers[callee] = append(callers[callee], n)
-			}
-		}
+// runPurity reports ambient reads in model code under the determinism rule
+// and tainted model call sites under the purity rule, each when enabled.
+// Runs after the per-package pool, sequentially.
+func runPurity(cfg *Config, g *CallGraph, pkgs []*Package, allows *allowIndex) []Diagnostic {
+	var out []Diagnostic
+	if cfg.ruleEnabled("determinism") {
+		reportAmbientReads(cfg, g, pkgs, allows, &out)
 	}
-	var queue []*cgNode
+	if !cfg.ruleEnabled("purity") {
+		return out
+	}
+	// Seed at each node's first unsuppressed ambient source.
+	seeds := make(map[*cgNode]*site)
 	for _, n := range g.order {
 		for i := range n.sources {
-			s := &n.sources[i]
-			if g.seedSuppressed(n, s, allows) {
-				continue
+			if s := &n.sources[i]; !g.seedSuppressed(n, s, allows) {
+				seeds[n] = &s.site
+				break
 			}
-			n.dist, n.source = 0, s
-			queue = append(queue, n)
-			break
 		}
 	}
-	// Deterministic multi-source BFS: order[] is deterministic, and each
-	// node's caller list is built in deterministic order, so dist/via
-	// assignments are reproducible run to run.
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range callers[n] {
-			if caller.dist >= 0 {
-				continue
-			}
-			caller.dist, caller.via = n.dist+1, n
-			queue = append(queue, caller)
-		}
-	}
-
-	var out []Diagnostic
+	r := g.reachFrom(seeds)
 	for _, n := range g.order {
 		if !cfg.isModelPackage(n.pkg.ImportPath) {
 			continue
 		}
+		pass := &Pass{Cfg: cfg, Pkg: n.pkg, rule: "purity", allows: allows, out: &out}
 		for _, e := range n.calls {
 			callee := g.nodes[e.callee]
-			if callee == nil || callee.dist < 0 {
+			if callee == nil || !r.reaches(callee) {
 				continue
 			}
-			chain, src := g.chainFrom(callee)
-			pass := &Pass{Cfg: cfg, Pkg: n.pkg, rule: "purity", allows: allows, out: &out}
+			chain, src := r.chain(callee)
 			pass.reportChain(e.pos, chain,
 				"%s transitively reaches %s: %s; model code must be a pure function of its inputs",
-				g.shortName(e.callee), src, chainArrow(chain))
+				g.shortName(e.callee), src.desc, chainArrow(chain))
 		}
 	}
 	return out
 }
 
+// reportAmbientReads files a determinism finding for every ambient read in
+// a model package: the graph's sources cover function bodies, and the
+// package-level declarations the graph does not see are scanned here.
+func reportAmbientReads(cfg *Config, g *CallGraph, pkgs []*Package, allows *allowIndex, out *[]Diagnostic) {
+	for _, n := range g.order {
+		if !cfg.isModelPackage(n.pkg.ImportPath) {
+			continue
+		}
+		pass := &Pass{Cfg: cfg, Pkg: n.pkg, rule: "determinism", allows: allows, out: out}
+		for _, s := range n.sources {
+			if s.rule == "determinism" {
+				pass.Report(s.pos, "%s", s.advice)
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		if !cfg.isModelPackage(pkg.ImportPath) {
+			continue
+		}
+		pass := &Pass{Cfg: cfg, Pkg: pkg, rule: "determinism", allows: allows, out: out}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if _, isFunc := d.(*ast.FuncDecl); isFunc {
+					continue
+				}
+				ast.Inspect(d, func(node ast.Node) bool {
+					if id, ok := node.(*ast.Ident); ok {
+						if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+							if _, advice := ambientSource(fn); advice != "" {
+								pass.Report(id.Pos(), "%s", advice)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
 // seedSuppressed reports whether an ambient source is justified in place:
-// an allow for "purity" at the source line, or for the intra-package rule
-// that owns the construct (determinism in model packages, maporder for map
-// ranges). A consumed allow is marked used.
+// an allow for "purity" at the source line, or for the rule that owns the
+// construct (determinism in model packages, maporder for map ranges). A
+// consumed purity allow is marked used; the owning rule marks its own.
 func (g *CallGraph) seedSuppressed(n *cgNode, s *taintSource, allows *allowIndex) bool {
 	pos := g.fset.Position(s.pos)
 	if e := allows.lookup(pos.Filename, pos.Line, "purity"); e != nil {
@@ -103,31 +127,4 @@ func (g *CallGraph) seedSuppressed(n *cgNode, s *taintSource, allows *allowIndex
 		}
 	}
 	return false
-}
-
-// chainFrom renders the shortest call chain from a tainted node to its
-// ambient source: one frame per function, innermost last, followed by the
-// source itself. Returns the frames and the source description.
-func (g *CallGraph) chainFrom(n *cgNode) (chain []string, src string) {
-	for hop := n; hop != nil; hop = hop.via {
-		chain = append(chain, fmt.Sprintf("%s (%s)", g.shortName(hop.fn), g.relPos(hop.decl.Pos())))
-		if hop.via == nil && hop.source != nil {
-			src = hop.source.desc
-			chain = append(chain, fmt.Sprintf("%s (%s)", src, g.relPos(hop.source.pos)))
-		}
-	}
-	return chain, src
-}
-
-// chainArrow compacts chain frames into "a → b → c" using just the names.
-func chainArrow(chain []string) string {
-	names := make([]string, len(chain))
-	for i, frame := range chain {
-		if j := strings.IndexByte(frame, '('); j > 0 {
-			names[i] = strings.TrimSpace(frame[:j])
-		} else {
-			names[i] = frame
-		}
-	}
-	return strings.Join(names, " → ")
 }
