@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // citedDocs are the documents whose backticked test names must resolve.
@@ -108,6 +110,45 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 					t.Errorf("%s cites %s, which does not exist", doc, m[1])
 				}
 			}
+		}
+	}
+}
+
+// TestReadmeDeterminismScopeMatchesConfig checks that the model packages
+// README's determinism row lists are exactly the ones DefaultConfig holds
+// to the determinism and purity rules.
+func TestReadmeDeterminismScopeMatchesConfig(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(line, "| `determinism` |") {
+			row = line
+		}
+	}
+	_, list, ok := strings.Cut(row, "model packages (")
+	list, _, closed := strings.Cut(list, ")")
+	if !ok || !closed {
+		t.Fatalf("README has no determinism row listing model packages (...): %q", row)
+	}
+	documented := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		documented[strings.Trim(strings.TrimSpace(name), "`")] = true
+	}
+	configured := map[string]bool{}
+	for _, p := range lint.DefaultConfig(".", "repro").ModelPackages {
+		configured[strings.TrimPrefix(p, "repro/internal/")] = true
+	}
+	for name := range configured {
+		if !documented[name] {
+			t.Errorf("README's determinism row omits model package %s", name)
+		}
+	}
+	for name := range documented {
+		if !configured[name] {
+			t.Errorf("README's determinism row lists %s, which DefaultConfig does not treat as a model package", name)
 		}
 	}
 }
