@@ -70,6 +70,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// 0 selects each duration's default; a negative one is a typo, not a
+	// request for the default.
+	for _, d := range []struct {
+		flag string
+		s    float64
+	}{{"-horizon", *horizon}, {"-timeout", *timeoutS}, {"-backoff", *backoffS}} {
+		if !(d.s >= 0) {
+			log.Fatalf("%s must be 0 or more seconds, got %v", d.flag, d.s)
+		}
+	}
+
 	if *campus || *campusStudy != "" {
 		if *campusCarts < 1 {
 			log.Fatalf("-campus-carts must be at least 1, got %d", *campusCarts)

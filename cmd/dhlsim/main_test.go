@@ -64,6 +64,28 @@ func TestCampusCountsBelowOneAreRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeDurationsAreRejected: a negative -timeout, -backoff or
+// -horizon must fail with a message instead of running as if it were 0
+// ("none", "immediate", the default horizon).
+func TestNegativeDurationsAreRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-timeout", "-5"}, "-timeout must be 0 or more seconds, got -5"},
+		{[]string{"-backoff", "-1"}, "-backoff must be 0 or more seconds, got -1"},
+		{[]string{"-horizon", "-5", "-chaos", "rough-day"}, "-horizon must be 0 or more seconds, got -5"},
+		{[]string{"-campus", "-campus-carts", "10", "-horizon", "-5"}, "-horizon must be 0 or more seconds"},
+		{[]string{"-timeout", "NaN"}, "-timeout must be 0 or more seconds, got NaN"},
+	} {
+		stdout, stderr, code := runDhlsim(t, tc.args...)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("dhlsim %v: exit %d, stderr %q, stdout %q; want exit 1 with %q and no output",
+				tc.args, code, stderr, stdout, tc.want)
+		}
+	}
+}
+
 // TestFailureSweepRejectsBadRateBeforeRunning: the whole -failure-sweep
 // list is parsed first, so a bad entry prints no header and no rows.
 func TestFailureSweepRejectsBadRateBeforeRunning(t *testing.T) {
