@@ -152,7 +152,9 @@ func runDimFlow(p *Pass) {
 		return
 	}
 	if p.Cfg.ruleEnabled("unitsafety") {
-		checkUnitOps(p.withRule("unitsafety"))
+		us := *p
+		us.rule = "unitsafety"
+		checkUnitOps(&us)
 	}
 	if !p.Cfg.ruleEnabled("dimflow") {
 		return

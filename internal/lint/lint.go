@@ -150,7 +150,7 @@ func Rules() []RuleDoc {
 // the call graph's ambient sources (see purity.go).
 var analyzers = []struct {
 	rules []string
-	run   func(*Pass) // reports under rules[0] unless it says otherwise
+	run   func(*Pass) // its pass reports under rules[0]; runDimFlow reports unitsafety itself
 }{
 	{[]string{"maporder"}, runMapOrder},
 	{[]string{"dimflow", "unitsafety"}, runDimFlow},
@@ -189,13 +189,6 @@ func (p *Pass) reportChain(pos token.Pos, chain []string, format string, args ..
 		Message: fmt.Sprintf(format, args...),
 		Chain:   chain,
 	})
-}
-
-// withRule is the same pass reporting under another rule.
-func (p *Pass) withRule(rule string) *Pass {
-	q := *p
-	q.rule = rule
-	return &q
 }
 
 // lintPackageWith runs the intra-package analyzers against a shared allow
