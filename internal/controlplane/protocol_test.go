@@ -246,3 +246,56 @@ func TestLongRepliesRoundTripThroughClient(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshAndCachedControlRepliesAgree: on an idle server, the status
+// and metrics replies built for a request holding the simulation and the
+// ones served from the snapshot cache encode to the same bytes, apart
+// from the cached reply's stale and cache_age_s fields. With telemetry
+// off, both paths give the same no-telemetry metrics error.
+func TestFreshAndCachedControlRepliesAgree(t *testing.T) {
+	for _, withTelemetry := range []bool{true, false} {
+		opt := dhlsys.DefaultOptions()
+		if withTelemetry {
+			opt.Telemetry = telemetry.NewSet()
+		}
+		sys, err := dhlsys.New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServerWithOptions(sys, DefaultServerOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []Request{{Op: OpOpen}, {Op: OpWrite, Bytes: 1e9}, {Op: OpRead, Bytes: 1e9}} {
+			if resp := srv.handle(1, req); !resp.OK {
+				t.Fatalf("%+v: %+v", req, resp)
+			}
+		}
+		for _, op := range []Op{OpStatus, OpMetrics} {
+			req := Request{Op: op}
+			srv.sem <- struct{}{}
+			fresh := srv.Execute(req)
+			srv.release()
+			cached, ok := srv.Cached(req)
+			if !ok {
+				t.Fatalf("telemetry=%v %s: no cached reply after three requests", withTelemetry, op)
+			}
+			if cached.OK && !cached.Stale {
+				t.Errorf("telemetry=%v %s: cached reply not marked stale: %+v", withTelemetry, op, cached)
+			}
+			cached.Stale, cached.CacheAgeS = false, 0
+			freshFrame, err := jsonFrame(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cachedFrame, err := jsonFrame(cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(freshFrame, cachedFrame) {
+				t.Errorf("telemetry=%v %s: fresh and cached replies differ:\n fresh  %s\n cached %s",
+					withTelemetry, op, freshFrame, cachedFrame)
+			}
+		}
+	}
+}
