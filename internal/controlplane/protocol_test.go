@@ -228,7 +228,7 @@ func TestLongRepliesRoundTripThroughClient(t *testing.T) {
 			t.Fatalf("%s: %+v, %v", op, got, err)
 		}
 		srv.sem <- struct{}{}
-		want := srv.freshControl(Request{Op: op})
+		want := srv.Execute(Request{Op: op})
 		srv.release()
 		gotFrame, err := jsonFrame(got)
 		if err != nil {

@@ -567,11 +567,15 @@ func (s *Server) Start(tk *admit.Ticket) {
 }
 
 // Execute runs one request against the simulation and builds its reply:
-// status and metrics from the live system, ops by running the engine to
+// status and metrics from a snapshot it refreshes first, the same reply
+// Cached serves without the stale marks; ops by running the engine to
 // quiescence. The caller holds the simulation.
 func (s *Server) Execute(req Request) Response {
 	if req.Op == OpStatus || req.Op == OpMetrics {
-		return s.freshControl(req)
+		s.refreshCache()
+		s.cacheMu.Lock()
+		defer s.cacheMu.Unlock()
+		return s.snapshotReplyLocked(req)
 	}
 	start := s.sys.Engine.Now()
 	r := &s.ops[len(s.ops)-1] // the record for IDs outside the fleet
@@ -625,7 +629,7 @@ func (s *Server) Finish(tk *admit.Ticket) {
 }
 
 // handleControl answers status/metrics. Fast path: the simulation is
-// free, serve fresh and refresh the cache. Saturated path: serve the
+// free, refresh the cache and serve it fresh. Saturated path: serve the
 // cached snapshot (stale but answerable — graceful degradation). Only a
 // cold cache falls back to waiting for the simulation.
 func (s *Server) handleControl(req Request) Response {
@@ -640,38 +644,7 @@ func (s *Server) handleControl(req Request) Response {
 		}
 	}
 	resp := s.Execute(req)
-	s.Finish(nil)
-	return resp
-}
-
-// freshControl builds a status/metrics response from the live
-// simulation. Callers hold the simulation semaphore.
-func (s *Server) freshControl(req Request) Response {
-	if req.Op == OpMetrics {
-		if s.sys.Telemetry() == nil {
-			return Response{
-				OK:      false,
-				Error:   "controlplane: system has no telemetry set",
-				Code:    CodeNoTelemetry,
-				SimTime: float64(s.sys.Engine.Now()),
-			}
-		}
-		return Response{
-			OK:      true,
-			SimTime: float64(s.sys.Engine.Now()),
-			Text:    telemetry.PrometheusText(s.sys.MetricsSnapshot()),
-		}
-	}
-	st := statsJSON(s.sys.ReportTotals())
-	resp := Response{
-		OK:      true,
-		SimTime: float64(s.sys.Engine.Now()),
-		Stats:   &st,
-	}
-	if s.sys.Telemetry() != nil {
-		snap := s.sys.MetricsSnapshot()
-		resp.Metrics = &snap
-	}
+	s.release()
 	return resp
 }
 
@@ -695,19 +668,25 @@ func (s *Server) refreshCache() {
 }
 
 // Cached serves a status/metrics read from the snapshot cache; ok is
-// false until the first request has finished. refreshCache overwrites the
-// cached snapshot's slices in place, so everything handed out here is a
-// deep copy taken under cacheMu.
+// false until the first request has finished.
 func (s *Server) Cached(req Request) (Response, bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if !s.cacheOK {
 		return Response{}, false
 	}
-	age := s.now().Sub(s.cacheAt).Seconds()
-	if age < 0 {
-		age = 0
+	resp := s.snapshotReplyLocked(req)
+	if resp.OK {
+		resp.Stale = true
+		resp.CacheAgeS = max(s.now().Sub(s.cacheAt).Seconds(), 0)
 	}
+	return resp, true
+}
+
+// snapshotReplyLocked builds a status/metrics reply from the snapshot
+// cache. refreshCache overwrites the cached snapshot's slices in place,
+// so everything handed out here is a deep copy. Callers hold cacheMu.
+func (s *Server) snapshotReplyLocked(req Request) Response {
 	if req.Op == OpMetrics {
 		if !s.telemetry {
 			return Response{
@@ -715,29 +694,17 @@ func (s *Server) Cached(req Request) (Response, bool) {
 				Error:   "controlplane: system has no telemetry set",
 				Code:    CodeNoTelemetry,
 				SimTime: s.cacheSimTime,
-			}, true
+			}
 		}
-		return Response{
-			OK:        true,
-			SimTime:   s.cacheSimTime,
-			Text:      telemetry.PrometheusText(s.cacheMetrics),
-			Stale:     true,
-			CacheAgeS: age,
-		}, true
+		return Response{OK: true, SimTime: s.cacheSimTime, Text: telemetry.PrometheusText(s.cacheMetrics)}
 	}
 	st := s.cacheStats
-	resp := Response{
-		OK:        true,
-		SimTime:   s.cacheSimTime,
-		Stats:     &st,
-		Stale:     true,
-		CacheAgeS: age,
-	}
+	resp := Response{OK: true, SimTime: s.cacheSimTime, Stats: &st}
 	if s.telemetry {
 		m := s.cacheMetrics.Clone()
 		resp.Metrics = &m
 	}
-	return resp, true
+	return resp
 }
 
 // Close stops the listener and drains in-flight requests: connections get
