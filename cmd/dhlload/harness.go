@@ -54,14 +54,16 @@ type Config struct {
 	// queue before its client abandons it (the server's RequestTimeout).
 	RequestTimeout float64
 
-	// APICost and CtlCost are the fixed per-request overheads (seconds)
-	// added to simulated op time for IO/launch and control work.
-	APICost float64
-	CtlCost float64
-
 	Admission admit.Options
 	Retry     cpclient.RetryOptions
 }
+
+// apiCost and ctlCost are the fixed per-request overheads (seconds) added
+// to simulated op time for IO/launch and control work.
+const (
+	apiCost = 200e-6
+	ctlCost = 50e-6
+)
 
 func (c Config) withDefaults() Config {
 	if c.Mode == "" {
@@ -103,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10
-	}
-	if c.APICost <= 0 {
-		c.APICost = 200e-6
-	}
-	if c.CtlCost <= 0 {
-		c.CtlCost = 50e-6
 	}
 	if c.Admission.MaxQueue == 0 {
 		c.Admission.MaxQueue = 64
@@ -219,7 +215,7 @@ func newHarness(cfg Config) (*harness, error) {
 	}
 	h.srv, err = controlplane.NewServerWithOptions(sys, controlplane.ServerOptions{
 		RequestTimeout: time.Duration(cfg.RequestTimeout * float64(time.Second)),
-		Admission:      &cfg.Admission,
+		Admission:      cfg.Admission,
 		Clock:          h.vt,
 	})
 	if err != nil {
@@ -279,11 +275,11 @@ func (h *harness) submit(conn int64, req controlplane.Request, deliver func(cont
 		h.res.ShedBusy++
 		// The shed reply still crosses the wire: deliver after the API
 		// overhead, not instantaneously.
-		h.schedule(h.now()+h.cfg.APICost, func() { deliver(resp) })
+		h.schedule(h.now()+apiCost, func() { deliver(resp) })
 		return
 	}
 	if !out.Queued {
-		h.startService(&p.tk, req, h.cfg.APICost, deliver)
+		h.startService(&p.tk, req, apiCost, deliver)
 		return
 	}
 	h.queue = append(h.queue, p)
@@ -326,7 +322,7 @@ func (h *harness) dispatchQueue() {
 			continue
 		}
 		p.started = true
-		h.startService(&p.tk, p.req, h.cfg.APICost, p.deliver)
+		h.startService(&p.tk, p.req, apiCost, p.deliver)
 		return
 	}
 }
@@ -339,7 +335,7 @@ func (h *harness) statusProbe() {
 	h.res.CtlProbes++
 	req := controlplane.Request{Op: controlplane.OpStatus}
 	if h.srv.TryAcquire() {
-		h.startService(nil, req, h.cfg.CtlCost+h.cfg.APICost, func(controlplane.Response) {})
+		h.startService(nil, req, ctlCost+apiCost, func(controlplane.Response) {})
 		h.res.CtlFresh++
 	} else if _, ok := h.srv.Cached(req); ok {
 		h.res.CtlStale++

@@ -282,14 +282,15 @@ func TestBenchOutputDeterministic(t *testing.T) {
 func TestRateLimitedAdmission(t *testing.T) {
 	cfg := Config{
 		Mode: "open", Clients: 8, Carts: 2, Duration: 20, Seed: 2, Rate: 100,
-		Admission: admit.Options{MaxInFlight: 4, MaxQueue: 16, Rate: 10, Burst: 5},
+		Admission: admit.Options{MaxInFlight: 4, MaxQueue: 16, Rate: 10},
 	}
 	res := runHarness(t, cfg)
 	io := res.Admission.Classes[int(admit.ClassIO)]
 	if io.RateLimited == 0 {
 		t.Error("token bucket never shed at 10x its rate")
 	}
-	// Admitted ≈ rate×duration + burst; allow slack for bucket dynamics.
+	// Admitted ≈ rate×duration + burst, where the bucket holds max(Rate, 1)
+	// = 10 tokens; allow slack for bucket dynamics.
 	if got, max := io.Admitted, uint64(cfg.Duration*10+20); got > max {
 		t.Errorf("admitted %d > bucket ceiling %d", got, max)
 	}

@@ -15,7 +15,7 @@
 //   - A per-connection outstanding-request cap stops one pipelining peer
 //     from monopolising the waiting room.
 //   - Brownout mode sheds expensive work first: when the queue passes
-//     BrownoutFrac of its capacity, launch-class requests (cart
+//     half its capacity, launch-class requests (cart
 //     open/close — the multi-second operations) are rejected while
 //     cheaper IO continues to queue, and control reads still pass.
 //
@@ -124,24 +124,23 @@ type Options struct {
 	// exceeds 1, so this bites only for pipelining peers.
 	PerConn int
 	// Rate is the token-bucket sustained admission rate in requests per
-	// second; 0 disables rate limiting. Control-class requests bypass
-	// the bucket.
+	// second; 0 disables rate limiting. The bucket holds max(Rate, 1)
+	// tokens. Control-class requests bypass the bucket.
 	Rate float64
-	// Burst is the bucket capacity; defaults to max(Rate, 1) when Rate
-	// is set.
-	Burst float64
-	// BrownoutFrac is the queue-depth fraction of MaxQueue at which
-	// brownout begins (launch-class arrivals shed). Default 0.5;
-	// set >= 1 to disable brownout.
-	BrownoutFrac float64
-	// RetryAfterMin and RetryAfterMax clamp the retry-after hint carried
-	// by shed outcomes. Defaults 50ms and 10s.
-	RetryAfterMin time.Duration
-	RetryAfterMax time.Duration
-	// ServiceTimeHint seeds the smoothed per-request service-time
-	// estimate before any request has completed. Default 100ms.
-	ServiceTimeHint time.Duration
 }
+
+const (
+	// brownoutFrac is the queue-depth fraction of MaxQueue at which
+	// brownout begins (launch-class arrivals shed).
+	brownoutFrac = 0.5
+	// retryAfterMin and retryAfterMax clamp the retry-after hint carried
+	// by shed outcomes.
+	retryAfterMin = 50 * time.Millisecond
+	retryAfterMax = 10 * time.Second
+	// serviceTimeHint seeds the smoothed per-request service-time
+	// estimate before any request has completed.
+	serviceTimeHint = 100 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxInFlight <= 0 {
@@ -149,27 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.Rate > 0 && o.Burst <= 0 {
-		o.Burst = o.Rate
-		if o.Burst < 1 {
-			o.Burst = 1
-		}
-	}
-	if o.BrownoutFrac <= 0 {
-		o.BrownoutFrac = 0.5
-	}
-	if o.RetryAfterMin <= 0 {
-		o.RetryAfterMin = 50 * time.Millisecond
-	}
-	if o.RetryAfterMax <= 0 {
-		o.RetryAfterMax = 10 * time.Second
-	}
-	if o.RetryAfterMax < o.RetryAfterMin {
-		o.RetryAfterMax = o.RetryAfterMin
-	}
-	if o.ServiceTimeHint <= 0 {
-		o.ServiceTimeHint = 100 * time.Millisecond
 	}
 	return o
 }
@@ -266,9 +244,18 @@ func New(opt Options) *Controller {
 	return &Controller{
 		opt:        opt,
 		perConn:    make(map[int64]int),
-		tokens:     opt.Burst,
-		estService: opt.ServiceTimeHint.Seconds(),
+		tokens:     opt.burst(),
+		estService: serviceTimeHint.Seconds(),
 	}
+}
+
+// burst is the token bucket's capacity: max(Rate, 1) when rate limiting
+// is on, 0 when it is off.
+func (o Options) burst() float64 {
+	if o.Rate <= 0 {
+		return 0
+	}
+	return max(o.Rate, 1)
 }
 
 // Options reports the controller's effective (defaulted) options.
@@ -288,52 +275,37 @@ func (c *Controller) refillLocked(now time.Time) {
 	if dt <= 0 {
 		return
 	}
-	c.tokens += dt * c.opt.Rate
-	if c.tokens > c.opt.Burst {
-		c.tokens = c.opt.Burst
-	}
+	c.tokens = min(c.tokens+dt*c.opt.Rate, c.opt.burst())
 	c.lastRefill = now
 }
 
 // retryAfterLocked derives the shed hint from the backlog: the time for
 // the executor(s) to clear the current queue at the smoothed service
-// rate, clamped to [RetryAfterMin, RetryAfterMax]. Callers hold mu.
+// rate, clamped to [retryAfterMin, retryAfterMax]. Callers hold mu.
 func (c *Controller) retryAfterLocked() time.Duration {
 	backlog := float64(c.queued+c.inflight) * c.estService / float64(c.opt.MaxInFlight)
-	d := time.Duration(backlog * float64(time.Second))
-	if d < c.opt.RetryAfterMin {
-		d = c.opt.RetryAfterMin
-	}
-	if d > c.opt.RetryAfterMax {
-		d = c.opt.RetryAfterMax
-	}
-	return d
+	return clampRetryAfter(time.Duration(backlog * float64(time.Second)))
 }
 
 // tokenRetryLocked is the hint for a rate-limit shed: time until one
 // token accrues. Callers hold mu.
 func (c *Controller) tokenRetryLocked() time.Duration {
 	if c.opt.Rate <= 0 {
-		return c.opt.RetryAfterMin
+		return retryAfterMin
 	}
-	need := 1 - c.tokens
-	if need < 0 {
-		need = 0
-	}
-	d := time.Duration(need / c.opt.Rate * float64(time.Second))
-	if d < c.opt.RetryAfterMin {
-		d = c.opt.RetryAfterMin
-	}
-	if d > c.opt.RetryAfterMax {
-		d = c.opt.RetryAfterMax
-	}
-	return d
+	need := max(1-c.tokens, 0)
+	return clampRetryAfter(time.Duration(need / c.opt.Rate * float64(time.Second)))
+}
+
+// clampRetryAfter clamps a shed hint to [retryAfterMin, retryAfterMax].
+func clampRetryAfter(d time.Duration) time.Duration {
+	return min(max(d, retryAfterMin), retryAfterMax)
 }
 
 // brownoutLocked reports whether the queue has passed the brownout
 // threshold. Callers hold mu.
 func (c *Controller) brownoutLocked() bool {
-	return float64(c.queued) >= c.opt.BrownoutFrac*float64(c.opt.MaxQueue)
+	return float64(c.queued) >= brownoutFrac*float64(c.opt.MaxQueue)
 }
 
 // ArriveInto decides one request, filling the caller-owned ticket t,

@@ -28,8 +28,8 @@ func TestDefaults(t *testing.T) {
 	if o.MaxInFlight != 1 || o.MaxQueue != 64 {
 		t.Errorf("defaults: %+v", o)
 	}
-	if o.BrownoutFrac != 0.5 || o.RetryAfterMin != 50*time.Millisecond {
-		t.Errorf("defaults: %+v", o)
+	if brownoutFrac != 0.5 || retryAfterMin != 50*time.Millisecond {
+		t.Errorf("constants: brownoutFrac %v, retryAfterMin %v", brownoutFrac, retryAfterMin)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 }
 
 func TestRetryAfterGrowsWithBacklog(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 100, ServiceTimeHint: time.Second})
+	c := New(Options{MaxInFlight: 1, MaxQueue: 100})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // running
 	var prev time.Duration
@@ -84,7 +84,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		arrive(c, ClassIO, -1, now) // queue up
 	}
 	// Shed probes at increasing depth must see non-decreasing hints.
-	c2 := New(Options{MaxInFlight: 1, MaxQueue: 5, ServiceTimeHint: time.Second})
+	c2 := New(Options{MaxInFlight: 1, MaxQueue: 5})
 	arrive(c2, ClassIO, -1, now)
 	for i := 0; i < 5; i++ {
 		arrive(c2, ClassIO, -1, now)
@@ -105,7 +105,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 
 func TestTokenBucketDeterministic(t *testing.T) {
 	run := func() []bool {
-		c := New(Options{MaxInFlight: 10, MaxQueue: 10, Rate: 2, Burst: 2})
+		c := New(Options{MaxInFlight: 10, MaxQueue: 10, Rate: 2})
 		var got []bool
 		// 10 arrivals at 0.25s spacing against a 2/s bucket of burst 2.
 		for i := 0; i < 10; i++ {
@@ -127,14 +127,14 @@ func TestTokenBucketDeterministic(t *testing.T) {
 			admitted++
 		}
 	}
-	// Burst 2 up front plus 2/s over 2.25s of arrivals: 6–7 admits.
+	// A full bucket of 2 up front plus 2/s over 2.25s of arrivals: 6–7 admits.
 	if admitted < 5 || admitted > 8 {
 		t.Errorf("admitted %d of 10, want ~6-7: %v", admitted, a)
 	}
 }
 
 func TestControlClassBypassesRateLimit(t *testing.T) {
-	c := New(Options{MaxInFlight: 100, MaxQueue: 10, Rate: 1, Burst: 1})
+	c := New(Options{MaxInFlight: 100, MaxQueue: 10, Rate: 1})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // drains the only token
 	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
@@ -148,7 +148,7 @@ func TestControlClassBypassesRateLimit(t *testing.T) {
 }
 
 func TestBrownoutShedsLaunchFirst(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 10, BrownoutFrac: 0.5})
+	c := New(Options{MaxInFlight: 1, MaxQueue: 10})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // running
 	for i := 0; i < 5; i++ {    // queue to the brownout threshold
@@ -219,7 +219,7 @@ func TestAbandonReleasesQueueSlot(t *testing.T) {
 }
 
 func TestServiceEstimateTracksCompletions(t *testing.T) {
-	c := New(Options{ServiceTimeHint: 100 * time.Millisecond})
+	c := New(Options{})
 	est0 := c.Snapshot().EstServiceS
 	for i := 0; i < 40; i++ {
 		tk, _ := arrive(c, ClassIO, -1, at(float64(i)))
@@ -257,7 +257,7 @@ func contains(s, sub string) bool {
 // race detector can vet the locking (the counts themselves are checked
 // for conservation).
 func TestConcurrentUse(t *testing.T) {
-	c := New(Options{MaxInFlight: 4, MaxQueue: 8, PerConn: 3, Rate: 1e9, Burst: 1e9})
+	c := New(Options{MaxInFlight: 4, MaxQueue: 8, PerConn: 3, Rate: 1e9})
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	wg.Add(workers)

@@ -72,17 +72,18 @@ type Result struct {
 
 // Options configures a run.
 type Options struct {
-	// InitialOffset x(0), metres (e.g. a 1 mm rail joint bump).
+	// InitialOffset x(0), metres (e.g. a 1 mm rail joint bump). The cart
+	// starts at rest.
 	InitialOffset float64
-	// InitialVelocity ẋ(0), m/s.
-	InitialVelocity float64
 	// Duration of the simulation.
 	Duration units.Seconds
 	// SettleBand: |x| below this counts as settled, metres.
 	SettleBand float64
-	// Step is the integrator time step; 0 picks 1/10 of the sample period.
-	Step units.Seconds
 }
+
+// stepsPerSample sets the integrator time step to this fraction of the
+// controller's sample period.
+const stepsPerSample = 10
 
 // DefaultOptions is a 1 mm perturbation watched for one second with a
 // 0.1 mm settle band.
@@ -111,12 +112,9 @@ func Simulate(p Plant, c Controller, o Options) (Result, error) {
 	if o.SettleBand <= 0 {
 		return Result{}, errors.New("control: settle band must be positive")
 	}
-	dt := float64(o.Step)
-	if dt <= 0 {
-		dt = 1 / (10 * c.SampleRate)
-	}
+	dt := 1 / (stepsPerSample * c.SampleRate)
 	m := p.Mass.Kg()
-	x, v := o.InitialOffset, o.InitialVelocity
+	x, v := o.InitialOffset, 0.0
 	samplePeriod := 1 / c.SampleRate
 	nextSample := 0.0
 	var heldX, heldV float64

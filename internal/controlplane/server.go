@@ -45,8 +45,7 @@ type ServerOptions struct {
 	MaxConns int
 	// Admission configures the overload controller (bounded queue,
 	// token bucket, priority classes, brownout — see internal/admit).
-	// nil disables admission control, leaving only RequestTimeout.
-	Admission *admit.Options
+	Admission admit.Options
 	// Clock supplies wall time for admission control, retry-after
 	// hints, and snapshot aging; nil means time.Now. Injected so the
 	// overload machinery is testable on a deterministic clock.
@@ -62,7 +61,7 @@ func DefaultServerOptions() ServerOptions {
 		RequestTimeout:  10 * time.Second,
 		DrainTimeout:    5 * time.Second,
 		MaxRequestBytes: 1 << 20,
-		Admission:       &admit.Options{MaxInFlight: 1, MaxQueue: 64},
+		Admission:       admit.Options{MaxInFlight: 1, MaxQueue: 64},
 	}
 }
 
@@ -147,9 +146,7 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 		sem:       make(chan struct{}, 1),
 		closed:    make(chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
-	}
-	if opt.Admission != nil {
-		s.adm = admit.New(*opt.Admission)
+		adm:       admit.New(opt.Admission),
 	}
 	s.ops = make([]opRecord, sys.NumCarts()+1)
 	for i := range s.ops {
@@ -172,14 +169,8 @@ type opRecord struct {
 	xferDone func(units.Seconds, error)
 }
 
-// Admission exposes the admission controller's ledger (zero Stats when
-// admission control is disabled).
-func (s *Server) Admission() admit.Stats {
-	if s.adm == nil {
-		return admit.Stats{}
-	}
-	return s.adm.Snapshot()
-}
+// Admission exposes the admission controller's ledger.
+func (s *Server) Admission() admit.Stats { return s.adm.Snapshot() }
 
 // Severed reports how many connections Close had to sever after the
 // drain deadline expired.
@@ -540,9 +531,6 @@ func (s *Server) Admit(tk *admit.Ticket, connID int64, req Request) (Response, a
 	if err := req.Validate(); err != nil {
 		return Response{OK: false, Error: err.Error(), Code: CodeBadRequest}, admit.Outcome{}
 	}
-	if s.adm == nil {
-		return Response{}, admit.Outcome{Admitted: true}
-	}
 	out := s.adm.ArriveInto(tk, classOf(req.Op), connID, s.now())
 	if !out.Admitted {
 		return busyResponse("overloaded: "+out.Reason.String(), out.RetryAfter), out
@@ -553,17 +541,13 @@ func (s *Server) Admit(tk *admit.Ticket, connID int64, req Request) (Response, a
 // Abandon gives up an admitted request that did not get the simulation
 // within RequestTimeout and returns its busy reply.
 func (s *Server) Abandon(tk *admit.Ticket) Response {
-	if s.adm != nil {
-		s.adm.Abandon(tk)
-	}
+	s.adm.Abandon(tk)
 	return busyResponse(fmt.Sprintf("simulation busy for %v", s.opt.RequestTimeout), s.opt.RequestTimeout)
 }
 
 // Start moves an admitted request from the waiting room to running.
 func (s *Server) Start(tk *admit.Ticket) {
-	if s.adm != nil {
-		s.adm.Started(tk, s.now())
-	}
+	s.adm.Started(tk, s.now())
 }
 
 // Execute runs one request against the simulation and builds its reply:
@@ -623,9 +607,7 @@ func (s *Server) Execute(req Request) Response {
 func (s *Server) Finish(tk *admit.Ticket) {
 	s.refreshCache()
 	s.release()
-	if s.adm != nil {
-		s.adm.Done(tk, s.now())
-	}
+	s.adm.Done(tk, s.now())
 }
 
 // handleControl answers status/metrics. Fast path: the simulation is

@@ -224,12 +224,6 @@ var ErrBudgetExhausted = errors.New("cpclient: retry budget exhausted")
 type Options struct {
 	// Addr is the server's TCP address.
 	Addr string
-	// DialTimeout bounds each (re)connect; default 2s.
-	DialTimeout time.Duration
-	// AttemptTimeout bounds one request/response exchange; default 10s.
-	// The effective per-attempt deadline is clipped to the caller's
-	// overall deadline (deadline propagation).
-	AttemptTimeout time.Duration
 	// Retry shapes backoff and the retry budget.
 	Retry RetryOptions
 	// Budget, when non-nil, replaces the client's private budget —
@@ -243,13 +237,16 @@ type Options struct {
 	Clock func() time.Time
 }
 
+const (
+	// dialTimeout bounds each (re)connect.
+	dialTimeout = 2 * time.Second
+	// attemptTimeout bounds one request/response exchange. The effective
+	// per-attempt deadline is clipped to the caller's overall deadline
+	// (deadline propagation).
+	attemptTimeout = 10 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 10 * time.Second
-	}
 	if o.Dial == nil {
 		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
@@ -339,7 +336,7 @@ func (c *Client) Close() error {
 // ErrClosed reports a request on a closed client.
 var ErrClosed = errors.New("cpclient: client closed")
 
-// Do performs one request with retries, bounded only by AttemptTimeout
+// Do performs one request with retries, bounded only by attemptTimeout
 // per attempt and the retry policy overall.
 func (c *Client) Do(req controlplane.Request) (controlplane.Response, error) {
 	return c.DoDeadline(req, time.Time{})
@@ -347,7 +344,7 @@ func (c *Client) Do(req controlplane.Request) (controlplane.Response, error) {
 
 // DoDeadline performs one request with retries, never exceeding the
 // overall deadline (zero means none): each attempt's I/O deadline is the
-// earlier of AttemptTimeout and the overall deadline, and a retry whose
+// earlier of attemptTimeout and the overall deadline, and a retry whose
 // backoff would overshoot the deadline is abandoned immediately — the
 // deadline propagates rather than being discovered by timing out.
 func (c *Client) DoDeadline(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
@@ -432,7 +429,7 @@ func (c *Client) ensureConn(deadline time.Time) (net.Conn, *bufio.Reader, error)
 	}
 	c.mu.Unlock()
 
-	dialTO := c.opt.DialTimeout
+	dialTO := dialTimeout
 	if !deadline.IsZero() {
 		if rem := deadline.Sub(c.opt.Clock()); rem <= 0 {
 			return nil, nil, fmt.Errorf("cpclient: deadline exceeded before dial")
@@ -468,7 +465,7 @@ func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlp
 		return controlplane.Response{}, err
 	}
 
-	attemptDL := c.opt.Clock().Add(c.opt.AttemptTimeout)
+	attemptDL := c.opt.Clock().Add(attemptTimeout)
 	if !deadline.IsZero() && deadline.Before(attemptDL) {
 		attemptDL = deadline
 	}

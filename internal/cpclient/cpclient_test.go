@@ -174,11 +174,10 @@ func (s *scriptServer) dial(string, time.Duration) (net.Conn, error) {
 func newTestClient(srv *scriptServer, tweak func(*Options)) (*Client, *[]time.Duration) {
 	var slept []time.Duration
 	opt := Options{
-		Addr:           "script",
-		AttemptTimeout: 2 * time.Second,
-		Dial:           srv.dial,
-		Sleep:          func(d time.Duration) { slept = append(slept, d) },
-		Retry:          RetryOptions{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, Seed: 5},
+		Addr:  "script",
+		Dial:  srv.dial,
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
+		Retry: RetryOptions{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, Seed: 5},
 	}
 	if tweak != nil {
 		tweak(&opt)

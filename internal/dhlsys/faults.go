@@ -109,10 +109,10 @@ func (s *System) recoverFault(f faults.Fault) {
 // limUp reports whether the LIM serving launch direction d is energised.
 func (s *System) limUp(d track.Direction) bool { return s.limDown[int(d)] == 0 }
 
-// effectiveTube is the tube at the worst currently-open leak pressure (or
-// nominal with no leaks open).
+// effectiveTube is the default tube at the worst currently-open leak
+// pressure (or nominal with no leaks open).
 func (s *System) effectiveTube() physics.Tube {
-	t := s.tube
+	t := physics.DefaultTube()
 	for _, p := range s.leaks {
 		if p > t.Pressure {
 			t.Pressure = p

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/physics"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -37,10 +36,8 @@ type Options struct {
 	DockStations int
 	// NumCarts in the fleet.
 	NumCarts int
-	// RAID level of each cart's array and the docking PCIe interface.
-	RAID        storage.RAIDLevel
-	PCIeGen     int
-	LanesPerSSD int
+	// RAID level of each cart's array.
+	RAID storage.RAIDLevel
 	// FailureRate is the per-launch probability that one SSD on the cart
 	// fails in flight (§III-D failure amelioration).
 	FailureRate float64
@@ -59,9 +56,6 @@ type Options struct {
 	Faults *faults.Script
 	// Recovery configures the failure-amelioration policies.
 	Recovery RecoveryPolicy
-	// Tube overrides the vacuum tube model (zero value = physics
-	// DefaultTube at rough vacuum). Vacuum-leak faults raise its pressure.
-	Tube physics.Tube
 	// Telemetry, if non-nil, instruments the whole deployment: metrics on
 	// the set's registry, cart lifecycle spans and fault marks on its span
 	// log. Nil (the default) disables instrumentation entirely — the hot
@@ -98,10 +92,15 @@ func DefaultOptions() Options {
 		DockStations: 4,
 		NumCarts:     2,
 		RAID:         storage.RAID0,
-		PCIeGen:      6,
-		LanesPerSSD:  1,
 	}
 }
+
+// The docking interface every cart's array mates through: PCIe 6, one
+// lane per SSD.
+const (
+	pcieGen     = 6
+	lanesPerSSD = 1
+)
 
 // Location of a cart.
 type Location int
@@ -210,7 +209,6 @@ type System struct {
 
 	// Fault-injection state.
 	inj   *faults.Injector
-	tube  physics.Tube
 	leaks []float64 // active leak pressures, Pa (max governs)
 	// limDown counts active power-loss faults per launch direction
 	// (index 0 = outbound LIM at the library, 1 = inbound at the endpoint).
@@ -246,10 +244,6 @@ func New(opt Options) (*System, error) {
 	if opt.DockStations < 1 {
 		return nil, errors.New("dhlsys: dock bank needs ≥1 station")
 	}
-	tube := opt.Tube
-	if tube.CrossSectionArea <= 0 {
-		tube = physics.DefaultTube()
-	}
 	s := &System{
 		Engine: sim.New(),
 		opt:    opt,
@@ -257,11 +251,10 @@ func New(opt Options) (*System, error) {
 		plant:  newPlant(opt.RailMode, opt.DockStations),
 		carts:  make([]*Cart, opt.NumCarts),
 		rng:    rand.New(rand.NewSource(opt.Seed)),
-		tube:   tube,
 	}
 	for i := 0; i < opt.NumCarts; i++ {
 		id := track.CartID(i)
-		arr, err := opt.Core.Cart.NewArray(opt.RAID, opt.PCIeGen, opt.LanesPerSSD)
+		arr, err := opt.Core.Cart.NewArray(opt.RAID, pcieGen, lanesPerSSD)
 		if err != nil {
 			return nil, err
 		}

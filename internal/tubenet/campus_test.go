@@ -410,7 +410,7 @@ func pinnedTopologies(t *testing.T) []namedTopology {
 		return build(NewCampus(cfg))
 	}
 	return []namedTopology{
-		{"fattree", build(FromFatTree(netmodel.DefaultFatTree(), DefaultCampusConfig()))},
+		{"fattree", build(FromFatTree(netmodel.DefaultFatTree()))},
 		{"campus-2x3", campus(2, 3)},
 		{"campus-6x4", campus(6, 4)},
 		{"mixed-line", mixedLineTopology(t)},

@@ -356,7 +356,7 @@ func TestRouterMatchesScanReference(t *testing.T) {
 	for _, js := range [][2]int{{1, 1}, {2, 3}, {3, 2}, {6, 4}, {8, 8}} {
 		cases = append(cases, campus(js[0], js[1]))
 	}
-	ft, err := FromFatTree(netmodel.DefaultFatTree(), DefaultCampusConfig())
+	ft, err := FromFatTree(netmodel.DefaultFatTree())
 	if err != nil {
 		t.Fatal(err)
 	}

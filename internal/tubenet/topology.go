@@ -263,36 +263,22 @@ type CampusConfig struct {
 	Junctions int
 	// SpurStations per junction.
 	SpurStations int
-	// DocksPerStation at every node.
-	DocksPerStation int
-	// TrunkCapacity is the cart capacity of each directed trunk edge.
-	TrunkCapacity int
-	// TrunkLength and SpurLength are the segment lengths.
-	TrunkLength units.Metres
-	SpurLength  units.Metres
-	// MaxSpeed and Acceleration apply to every segment.
-	MaxSpeed     units.MetresPerSecond
-	Acceleration units.MetresPerSecond2
-	// Tube and LIM apply to every segment.
-	Tube physics.Tube
-	LIM  physics.LIM
 }
+
+// The campus's fixed tube shape: every node's dock count, and the cart
+// capacity and length of each directed trunk edge. Spur segments are the
+// paper's core.DefaultLength, and every segment runs at its per-tube
+// cruise speed and acceleration over physics.DefaultTube and DefaultLIM.
+const (
+	campusDocksPerStation = 4
+	campusTrunkCapacity   = 8
+	campusTrunkLength     = units.Metres(2000)
+)
 
 // DefaultCampusConfig is a 4-junction ring with 5-station spurs — 24 nodes,
 // 48 directed segments — using the paper's per-tube physics defaults.
 func DefaultCampusConfig() CampusConfig {
-	return CampusConfig{
-		Junctions:       4,
-		SpurStations:    5,
-		DocksPerStation: 4,
-		TrunkCapacity:   8,
-		TrunkLength:     2000,
-		SpurLength:      core.DefaultLength,
-		MaxSpeed:        core.DefaultMaxSpeed,
-		Acceleration:    core.DefaultAcceleration,
-		Tube:            physics.DefaultTube(),
-		LIM:             physics.DefaultLIM(),
-	}
+	return CampusConfig{Junctions: 4, SpurStations: 5}
 }
 
 // NewCampus builds the ring-of-spurs campus topology. Junctions occupy node
@@ -308,26 +294,27 @@ func NewCampus(cfg CampusConfig) (*Topology, error) {
 	J, S := cfg.Junctions, cfg.SpurStations
 	nodes := make([]Node, 0, J+J*S)
 	for j := 0; j < J; j++ {
-		nodes = append(nodes, Node{Name: fmt.Sprintf("J%d", j), Docks: cfg.DocksPerStation, Junction: true})
+		nodes = append(nodes, Node{Name: fmt.Sprintf("J%d", j), Docks: campusDocksPerStation, Junction: true})
 	}
 	for j := 0; j < J; j++ {
 		for k := 0; k < S; k++ {
-			nodes = append(nodes, Node{Name: fmt.Sprintf("J%d.S%d", j, k), Docks: cfg.DocksPerStation})
+			nodes = append(nodes, Node{Name: fmt.Sprintf("J%d.S%d", j, k), Docks: campusDocksPerStation})
 		}
 	}
+	tube, lim := physics.DefaultTube(), physics.DefaultLIM()
 	trunk := func(from, to NodeID) Edge {
 		return Edge{
 			From: from, To: to,
-			Length: cfg.TrunkLength, MaxSpeed: cfg.MaxSpeed, Acceleration: cfg.Acceleration,
-			Tube: cfg.Tube, LIM: cfg.LIM,
-			Capacity: cfg.TrunkCapacity, Line: NoLine,
+			Length: campusTrunkLength, MaxSpeed: core.DefaultMaxSpeed, Acceleration: core.DefaultAcceleration,
+			Tube: tube, LIM: lim,
+			Capacity: campusTrunkCapacity, Line: NoLine,
 		}
 	}
 	spur := func(from, to NodeID, line, pos int) Edge {
 		return Edge{
 			From: from, To: to,
-			Length: cfg.SpurLength, MaxSpeed: cfg.MaxSpeed, Acceleration: cfg.Acceleration,
-			Tube: cfg.Tube, LIM: cfg.LIM,
+			Length: core.DefaultLength, MaxSpeed: core.DefaultMaxSpeed, Acceleration: core.DefaultAcceleration,
+			Tube: tube, LIM: lim,
 			Capacity: 1, Line: line, Span: NewSpan(pos, pos+1),
 		}
 	}
@@ -364,11 +351,9 @@ func NewCampus(cfg CampusConfig) (*Topology, error) {
 // that junction's spur line, so the tube network mirrors the electrical
 // topology it would relieve (netmodel computes the optical baseline over
 // the same shape).
-func FromFatTree(f netmodel.FatTree, cfg CampusConfig) (*Topology, error) {
+func FromFatTree(f netmodel.FatTree) (*Topology, error) {
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("tubenet: %w", err)
 	}
-	cfg.Junctions = f.Aisles
-	cfg.SpurStations = f.RacksPerAisle
-	return NewCampus(cfg)
+	return NewCampus(CampusConfig{Junctions: f.Aisles, SpurStations: f.RacksPerAisle})
 }

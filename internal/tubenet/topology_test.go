@@ -168,10 +168,18 @@ func TestTransitTimes(t *testing.T) {
 			t.Errorf("edge %d transit %v must be positive", i, b)
 		}
 	}
-	// A leaky tube slows the segment down.
-	cfg := DefaultCampusConfig()
-	cfg.Tube.Pressure = 10 * physics.RoughVacuumPascal
-	leaky, err := NewCampus(cfg)
+	// A leaky tube slows the segment down: the same campus with every
+	// tube at ten times rough vacuum.
+	nodes := make([]Node, topo.NumNodes())
+	for n := range nodes {
+		nodes[n] = topo.Node(NodeID(n))
+	}
+	edges := make([]Edge, topo.NumEdges())
+	for e := range edges {
+		edges[e] = topo.Edge(EdgeID(e))
+		edges[e].Tube.Pressure = 10 * physics.RoughVacuumPascal
+	}
+	leaky, err := NewTopology(nodes, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +194,7 @@ func TestTransitTimes(t *testing.T) {
 
 func TestFromFatTree(t *testing.T) {
 	ft := netmodel.DefaultFatTree()
-	topo, err := FromFatTree(ft, DefaultCampusConfig())
+	topo, err := FromFatTree(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func TestFromFatTree(t *testing.T) {
 	}
 	bad := ft
 	bad.Aisles = 0
-	if _, err := FromFatTree(bad, DefaultCampusConfig()); err == nil {
+	if _, err := FromFatTree(bad); err == nil {
 		t.Error("invalid fat tree must be rejected")
 	}
 }
