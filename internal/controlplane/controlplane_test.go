@@ -20,7 +20,7 @@ func startServer(t *testing.T, opt dhlsys.Options) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sys)
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestNewServerNilSystem(t *testing.T) {
-	if _, err := NewServer(nil); err == nil {
+	if _, err := NewServerWithOptions(nil, DefaultServerOptions()); err == nil {
 		t.Error("nil system must be rejected")
 	}
 }

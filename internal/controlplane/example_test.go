@@ -17,7 +17,7 @@ func ExampleServer() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := controlplane.NewServer(sys)
+	srv, err := controlplane.NewServerWithOptions(sys, controlplane.DefaultServerOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

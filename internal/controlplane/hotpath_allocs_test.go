@@ -22,7 +22,7 @@ func newAllocServer(t *testing.T, tel *telemetry.Set) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sys)
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,13 +122,9 @@ type Server struct {
 	cacheOK bool
 }
 
-// NewServer wraps a system with the default hardening options. The system
-// must not be driven elsewhere while the server owns it.
-func NewServer(sys *dhlsys.System) (*Server, error) {
-	return NewServerWithOptions(sys, DefaultServerOptions())
-}
-
-// NewServerWithOptions wraps a system with explicit hardening options.
+// NewServerWithOptions wraps a system with explicit hardening options
+// (DefaultServerOptions for the defaults). The system must not be driven
+// elsewhere while the server owns it.
 func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error) {
 	if sys == nil {
 		return nil, errors.New("controlplane: nil system")

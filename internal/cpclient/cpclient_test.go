@@ -309,7 +309,7 @@ func TestClientAgainstRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := controlplane.NewServer(sys)
+	srv, err := controlplane.NewServerWithOptions(sys, controlplane.DefaultServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

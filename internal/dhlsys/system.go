@@ -265,7 +265,8 @@ func New(opt Options) (*System, error) {
 	script := faults.Script{}
 	if opt.Faults != nil {
 		script = *opt.Faults
-		if err := script.Validate(opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs); err != nil {
+		dims := faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs}
+		if err := script.ValidateDims(dims); err != nil {
 			return nil, err
 		}
 	}

@@ -244,12 +244,6 @@ type Script struct {
 	Faults []Fault
 }
 
-// Validate checks every fault against a point-to-point deployment's
-// dimensions. Campus scripts need ValidateDims with Segments set.
-func (s Script) Validate(numCarts, numStations, devicesPerCart int) error {
-	return s.ValidateDims(Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
-
 // ValidateDims checks every fault against the deployment's dimensions.
 func (s Script) ValidateDims(d Dims) error {
 	for i, f := range s.Faults {

@@ -94,9 +94,9 @@ func TestFaultValidateDimsCampus(t *testing.T) {
 
 func TestScriptValidateWrapsBadScript(t *testing.T) {
 	s := Script{Name: "bad", Faults: []Fault{{Kind: VacuumLeak}}}
-	err := s.Validate(1, 1, 1)
+	err := s.ValidateDims(Dims{Carts: 1, Stations: 1, DevicesPerCart: 1})
 	if !errors.Is(err, ErrBadScript) {
-		t.Fatalf("Validate = %v, want ErrBadScript", err)
+		t.Fatalf("ValidateDims = %v, want ErrBadScript", err)
 	}
 	if !strings.Contains(err.Error(), `"bad" fault 0`) {
 		t.Errorf("error should name the script and index: %v", err)
