@@ -70,12 +70,12 @@ func main() {
 	)
 	flag.Parse()
 
-	// 0 selects each duration's default; a negative one is a typo, not a
-	// request for the default.
+	// 0 selects each duration's default (for -campus-epoch: no periodic
+	// recompute); a negative one is a typo, not a request for that.
 	for _, d := range []struct {
 		flag string
 		s    float64
-	}{{"-horizon", *horizon}, {"-timeout", *timeoutS}, {"-backoff", *backoffS}} {
+	}{{"-horizon", *horizon}, {"-timeout", *timeoutS}, {"-backoff", *backoffS}, {"-campus-epoch", *campusEpoch}} {
 		if !(d.s >= 0) {
 			log.Fatalf("%s must be 0 or more seconds, got %v", d.flag, d.s)
 		}

@@ -64,9 +64,10 @@ func TestCampusCountsBelowOneAreRejected(t *testing.T) {
 	}
 }
 
-// TestNegativeDurationsAreRejected: a negative -timeout, -backoff or
-// -horizon must fail with a message instead of running as if it were 0
-// ("none", "immediate", the default horizon).
+// TestNegativeDurationsAreRejected: a negative -timeout, -backoff,
+// -horizon or -campus-epoch must fail with a message instead of running as
+// if it were 0 ("none", "immediate", the default horizon, "recompute only
+// on faults").
 func TestNegativeDurationsAreRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -77,6 +78,7 @@ func TestNegativeDurationsAreRejected(t *testing.T) {
 		{[]string{"-horizon", "-5", "-chaos", "rough-day"}, "-horizon must be 0 or more seconds, got -5"},
 		{[]string{"-campus", "-campus-carts", "10", "-horizon", "-5"}, "-horizon must be 0 or more seconds"},
 		{[]string{"-timeout", "NaN"}, "-timeout must be 0 or more seconds, got NaN"},
+		{[]string{"-campus", "-campus-carts", "20", "-campus-epoch", "-5"}, "-campus-epoch must be 0 or more seconds, got -5"},
 	} {
 		stdout, stderr, code := runDhlsim(t, tc.args...)
 		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
