@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -287,25 +288,44 @@ func sortDiagnostics(ds []Diagnostic) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		if a.Message != b.Message {
+			return a.Message < b.Message
+		}
+		return slices.Compare(a.Chain, b.Chain) < 0
 	})
 }
 
-// dedupe collapses diagnostics reported at an identical file:line:col by
-// the same rule (e.g. two call chains through one call site), keeping the
-// first. ds must already be sorted.
+// dedupe collapses diagnostics one rule reports at an identical
+// file:line:col that lead to the same site — the same last Chain frame,
+// e.g. two call chains through one call site — keeping the first.
+// Diagnostics without a chain at one position collapse likewise. ds must
+// already be sorted.
 func dedupe(ds []Diagnostic) []Diagnostic {
 	out := ds[:0]
-	for i, d := range ds {
-		if i > 0 {
-			p := out[len(out)-1]
-			if p.File == d.File && p.Line == d.Line && p.Col == d.Col && p.Rule == d.Rule {
-				continue
+	start := 0 // first kept diagnostic at the current position and rule
+	for _, d := range ds {
+		if start < len(out) {
+			p := out[start]
+			if p.File != d.File || p.Line != d.Line || p.Col != d.Col || p.Rule != d.Rule {
+				start = len(out)
 			}
 		}
-		out = append(out, d)
+		if !slices.ContainsFunc(out[start:], func(p Diagnostic) bool { return lastFrame(p) == lastFrame(d) }) {
+			out = append(out, d)
+		}
 	}
 	return out
+}
+
+// lastFrame is the site a diagnostic's chain leads to ("" without one).
+func lastFrame(d Diagnostic) string {
+	if len(d.Chain) == 0 {
+		return ""
+	}
+	return d.Chain[len(d.Chain)-1]
 }
 
 // allowEntry is one (line, rule) suppression granted by a //dhllint:allow

@@ -394,6 +394,8 @@ func TestAllocFlowTransitiveChains(t *testing.T) {
 		{"allocflow", 33}, // interface boxing
 		{"allocflow", 34}, // map literal
 		{"allocflow", 35}, // map write
+		{"allocflow", 48}, // sink(make(...)): the boxing ...
+		{"allocflow", 48}, // ... and the make, one position, two sites
 	}
 	if !sameKeys(keysOf(diags), want) {
 		t.Fatalf("diagnostics = %v, want %v\nfull: %v", keysOf(diags), want, diags)
@@ -410,7 +412,8 @@ func TestAllocFlowTransitiveChains(t *testing.T) {
 			t.Errorf("Chain[%d] = %q, want it to mention %q", i, chain.Chain[i], frag)
 		}
 	}
-	for i, frag := range []string{"make([]int)", "growing append", "interface boxing", "map literal", "map write"} {
+	for i, frag := range []string{"make([]int)", "growing append", "interface boxing", "map literal", "map write",
+		"interface boxing ([]int → any)", "make([]int)"} {
 		d := diags[i+1]
 		if !strings.Contains(d.Message, frag) {
 			t.Errorf("direct site %d = %q, want it to mention %q", i, d.Message, frag)

@@ -36,3 +36,14 @@ func HotDirect(xs []int, n int) int {
 	_ = boxed
 	return len(buf) + len(grown) + len(m)
 }
+
+// sink takes any value, so its argument is boxed.
+func sink(x any) { _ = x }
+
+// HotBoxedMake boxes a fresh slice: the make and the boxing are two sites
+// at one position, and both are reported.
+//
+//dhllint:hotpath
+func HotBoxedMake() {
+	sink(make([]int, 3))
+}
