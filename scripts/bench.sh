@@ -7,29 +7,24 @@
 # Usage: scripts/bench.sh [output.json] [bench-regex]
 #   scripts/bench.sh                                  # sweep benches → BENCH_sweep.json
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
-#   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
-#   scripts/bench.sh faults                           # fault-injection overhead → BENCH_faults.json
+#   scripts/bench.sh kernel                           # event-kernel hot path and shuttle overheads → BENCH_kernel.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → SIM_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → SIM_campus.json
 #   scripts/bench.sh repro [runs] [base-rev]          # dhlrepro wall time → BENCH_repro.json
 #
-# The sweep (no bench-regex given) skips the benchmarks the kernel, faults
-# and lint modes own, so each benchmark is recorded in one file only,
-# except the shuttle baseline both the kernel and faults overheads divide
-# by, which each of those two files records.
+# The sweep (no bench-regex given) skips the benchmarks the kernel and
+# lint modes own, so each benchmark is recorded in one file only.
 #
 # The kernel mode runs the event-kernel pair (burst and steady-state),
 # the shuttle baseline (BenchmarkSystemSimulation: no faults, no
-# telemetry) and the two telemetry-enabled shuttles; kernel rows gain an
-# events_per_sec field and the output an overhead_pct (warm
-# telemetry-enabled shuttle vs the baseline, the pooled-Set operating
-# mode) plus overhead_cold_pct (fresh Set per run).
-#
-# The faults mode runs the same shuttle baseline, the shuttle with an
-# armed empty script, and the shuttle under the rough-day chaos scenario,
-# and adds an overhead_pct field (armed empty script vs baseline,
-# best-of-3 ns/op): the injector's own cost, which the acceptance target
-# keeps under 10 %.
+# telemetry), the two telemetry-enabled shuttles, the shuttle with an
+# armed empty fault script and the shuttle under the rough-day chaos
+# scenario. Kernel rows gain an events_per_sec field, and the output
+# three overheads against the one baseline (best-of-3 ns/op):
+# overhead_pct (warm telemetry-enabled shuttle, the pooled-Set operating
+# mode), overhead_cold_pct (fresh Set per run) and faults_overhead_pct
+# (armed empty script: the injector's own cost, which the acceptance
+# target keeps under 10 %).
 #
 # The lint mode adds a notes field when GOMAXPROCS is 1, so a recorded
 # no-speedup parallel run names its cause (a single-core host) instead of
@@ -159,16 +154,11 @@ out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
 skip=""
 kernel=0
-faults=0
 lint=0
 if [[ "${1:-}" == "kernel" ]]; then
     out="BENCH_kernel.json"
-    pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Enabled|EnabledCold)$"
+    pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Enabled|EnabledCold)$|BenchmarkShuttleArmedEmptyScript$|BenchmarkChaosShuttle$"
     kernel=1
-elif [[ "${1:-}" == "faults" ]]; then
-    out="BENCH_faults.json"
-    pattern="BenchmarkSystemSimulation$|BenchmarkShuttleArmedEmptyScript$|BenchmarkChaosShuttle$"
-    faults=1
 elif [[ "${1:-}" == "lint" ]]; then
     out="BENCH_lint.json"
     pattern="BenchmarkLintModule(Sequential|Parallel)$"
@@ -187,7 +177,7 @@ if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*
 fi
 
 awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" -v commit="$commit" \
-    -v kernel="$kernel" -v faults="$faults" -v lint="$lint" '
+    -v kernel="$kernel" -v lint="$lint" '
 /^Benchmark/ {
     # BenchmarkName-N  iters  ns/op  B/op  allocs/op
     name = $1
@@ -226,10 +216,6 @@ END {
     if (lint && gomaxprocs == 1) {
         printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential pins that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
     }
-    if (faults && ("BenchmarkSystemSimulation" in best) && ("BenchmarkShuttleArmedEmptyScript" in best)) {
-        base = best["BenchmarkSystemSimulation"]
-        printf ",\n  \"overhead_pct\": %.2f", (best["BenchmarkShuttleArmedEmptyScript"] - base) / base * 100
-    }
     if (kernel && ("BenchmarkSystemSimulation" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
         off = best["BenchmarkSystemSimulation"]
         on = best["BenchmarkShuttleTelemetryEnabled"]
@@ -237,6 +223,9 @@ END {
         if ("BenchmarkShuttleTelemetryEnabledCold" in best)
             printf ",\n  \"overhead_cold_pct\": %.2f", \
                 (best["BenchmarkShuttleTelemetryEnabledCold"] - off) / off * 100
+        if ("BenchmarkShuttleArmedEmptyScript" in best)
+            printf ",\n  \"faults_overhead_pct\": %.2f", \
+                (best["BenchmarkShuttleArmedEmptyScript"] - off) / off * 100
     }
     printf "\n}\n"
 }' "$raw" > "$out"
