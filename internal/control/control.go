@@ -81,8 +81,8 @@ type Options struct {
 	SettleBand float64
 }
 
-// stepsPerSample sets the integrator time step to this fraction of the
-// controller's sample period.
+// stepsPerSample is the number of integrator steps per controller sample
+// period.
 const stepsPerSample = 10
 
 // DefaultOptions is a 1 mm perturbation watched for one second with a
