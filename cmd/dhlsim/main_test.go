@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -157,4 +160,60 @@ func TestCampusEpochZeroRecomputesOnlyOnFaults(t *testing.T) {
 	if periodic <= off {
 		t.Errorf("-campus-epoch 30: %d route epochs, want more than the %d with epochs off", periodic, off)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite the metrics goldens under testdata/")
+
+// metricsGoldens are command lines whose full output, the -metrics
+// summary included, is pinned under testdata/: a shuttle under rough-day
+// chaos with endpoint reads, and a campus under campus-partition.
+var metricsGoldens = []struct{ name, args string }{
+	{"shuttle-rough-day", "-metrics -chaos rough-day -read -seed 7"},
+	{"campus-partition", "-campus -campus-carts 200 -chaos campus-partition -metrics -seed 3"},
+}
+
+// TestMetricsGoldens pins each run's stdout byte for byte, so a change to
+// how a metric is counted or exported shows up as a diff. Run with
+// -update to re-record.
+func TestMetricsGoldens(t *testing.T) {
+	for _, g := range metricsGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			stdout, stderr, code := runDhlsim(t, strings.Fields(g.args)...)
+			if code != 0 {
+				t.Fatalf("dhlsim %s: exit %d, stderr %q", g.args, code, stderr)
+			}
+			path := filepath.Join("testdata", g.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout != string(want) {
+				t.Errorf("%s differs from the golden; first difference:\n%s", path, firstDiff(string(want), stdout))
+			}
+		})
+	}
+}
+
+// firstDiff renders the first line where want and got disagree.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
+	}
+	return "(none)"
 }
