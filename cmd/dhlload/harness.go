@@ -106,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10
 	}
-	if c.Admission.MaxQueue == 0 {
-		c.Admission.MaxQueue = 64
-	}
 	return c
 }
 

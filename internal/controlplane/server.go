@@ -54,14 +54,14 @@ type ServerOptions struct {
 
 // DefaultServerOptions is the hardened default: 30 s frame deadline,
 // 10 s request budget, 5 s shutdown drain, 1 MiB frame cap, and
-// admission control with a 64-deep bounded queue.
+// admission control at admit.New's defaults (one executor slot, a
+// 64-deep bounded queue).
 func DefaultServerOptions() ServerOptions {
 	return ServerOptions{
 		ReadTimeout:     30 * time.Second,
 		RequestTimeout:  10 * time.Second,
 		DrainTimeout:    5 * time.Second,
 		MaxRequestBytes: 1 << 20,
-		Admission:       admit.Options{MaxInFlight: 1, MaxQueue: 64},
 	}
 }
 
