@@ -639,7 +639,7 @@ func (s *Server) refreshCache() {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	s.cacheStats = st
-	s.sys.MetricsSnapshotInto(&s.cacheMetrics)
+	s.sys.Telemetry().MetricsOf().SnapshotInto(&s.cacheMetrics)
 	s.cacheSimTime = simT
 	s.cacheAt = now
 	s.cacheOK = true

@@ -273,7 +273,6 @@ func (w *shuttleWorker) finish(delivered bool) {
 		if b := r.s.backoffDelay(w.consecFails); b > 0 {
 			r.s.stats.Backoffs++
 			r.s.stats.BackoffWait += b
-			r.s.tel.backoffs.Inc()
 			w.backoff = b
 		}
 		w.consecFails++

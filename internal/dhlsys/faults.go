@@ -173,15 +173,14 @@ func (s *System) dynamics() launchDynamics {
 }
 
 // scheduleTransit schedules a cart's rail transit with stall bookkeeping:
-// the pending event, its callback, and the held direction are recorded on
-// the cart so a CartStall fault can push the arrival out. fn is one of the
+// the pending event, its callback, and its name are recorded on the cart
+// so a CartStall fault can push the arrival out. fn is one of the
 // cart's pre-bound arrival steps (scratch.go) and must clear
 // c.transitEv/c.transitFn itself on entry — keeping the wrapper out of
 // this path makes a transit allocation-free.
-func (s *System) scheduleTransit(c *Cart, d units.Seconds, name string, dir track.Direction, fn func()) {
+func (s *System) scheduleTransit(c *Cart, d units.Seconds, name string, fn func()) {
 	c.transitFn = fn
 	c.transitName = name
-	c.transitDir = dir
 	c.transitEv = s.Engine.MustAfter(d, name, fn)
 }
 
@@ -206,7 +205,6 @@ func (s *System) stallCart(c *Cart, delay units.Seconds) {
 	c.transitEv = ev
 	s.stats.Stalls++
 	s.stats.StallTime += delay
-	s.tel.stalls.Inc()
 	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.stall, s.Engine.Now(),
 		s.tel.spans.ArgsOf(telemetry.KV{Key: "delay_s", Value: strconv.FormatFloat(float64(delay), 'g', -1, 64)}))
 }

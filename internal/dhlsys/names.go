@@ -2,10 +2,10 @@ package dhlsys
 
 // The simulation's event and span names form a small fixed vocabulary,
 // interned here as constants: the hot path never builds a name at run
-// time (the lone per-cart name, Cart.spanTrack, is precomputed at
-// construction), so scheduling and recording are free of string garbage,
-// and trace consumers (cmd/dhltracecheck, the chaos scenarios' golden
-// logs) can rely on the exact byte strings below.
+// time (the lone per-cart name, the cart's track, is built and interned
+// once when telemetry is attached), so scheduling and recording are free
+// of string garbage, and trace consumers (cmd/dhltracecheck, the chaos
+// scenarios' golden logs) can rely on the exact byte strings below.
 const (
 	// Event-kernel event names (sim.Engine schedule sites).
 	evUndockLibrary  = "undock@library"

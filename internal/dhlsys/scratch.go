@@ -94,17 +94,15 @@ func (s *System) tryOpenStep(c *Cart) bool {
 func (s *System) outUndockStep(c *Cart) {
 	sc := &c.scratch
 	s.stats.DockOps++
-	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.library)
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
 	s.maybeFailSSD(c)
 	sc.dyn = s.dynamics()
 	if sc.dyn.degraded {
 		s.stats.DegradedLaunches++
-		s.tel.degradedLaunches.Inc()
 	}
 	sc.depart = s.Engine.Now()
-	s.scheduleTransit(c, sc.dyn.transit, evTransitOut, sc.dir, sc.outArrive)
+	s.scheduleTransit(c, sc.dyn.transit, evTransitOut, sc.outArrive)
 }
 
 // outArriveStep fires at the endpoint end of the outbound transit. A
@@ -146,7 +144,6 @@ func (s *System) outDockStep(c *Cart) {
 	sc := &c.scratch
 	s.plant.endDock()
 	s.stats.DockOps++
-	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.endpoint)
 	if s.opt.Wear != nil {
 		// Endpoint mating cycle; service is deferred to the library
@@ -194,7 +191,6 @@ func (s *System) inUndockStep(c *Cart) {
 	sc := &c.scratch
 	s.plant.endUndock(c.ID)
 	s.stats.DockOps++
-	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.endpoint)
 	c.Loc = InTransit
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
@@ -202,10 +198,9 @@ func (s *System) inUndockStep(c *Cart) {
 	sc.dyn = s.dynamics()
 	if sc.dyn.degraded {
 		s.stats.DegradedLaunches++
-		s.tel.degradedLaunches.Inc()
 	}
 	sc.depart = s.Engine.Now()
-	s.scheduleTransit(c, sc.dyn.transit, evTransitIn, sc.dir, sc.inArrive)
+	s.scheduleTransit(c, sc.dyn.transit, evTransitIn, sc.inArrive)
 }
 
 // inArriveStep fires at the library end of the inbound transit.
@@ -226,7 +221,6 @@ func (s *System) inArriveStep(c *Cart) {
 func (s *System) inDockStep(c *Cart) {
 	sc := &c.scratch
 	s.stats.DockOps++
-	s.tel.dockOps.Inc()
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.library)
 	s.recordLaunch(c, sc.dyn)
 	s.plant.release(sc.dir)

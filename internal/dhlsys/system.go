@@ -138,19 +138,17 @@ type Cart struct {
 
 	// In-flight transit bookkeeping, used by stall faults to push the
 	// arrival event out: the pending rail-transit event, its callback,
-	// and the rail direction slot the cart holds.
+	// and its name.
 	transitEv   sim.Handle
 	transitFn   func()
 	transitName string
-	transitDir  track.Direction
 	// launchStart is when the current launch acquired its resources
 	// (launch-timeout accounting).
 	launchStart units.Seconds
-	// spanTrack is the cart's telemetry track name ("cart-N"); trackID is
-	// its interned span-log ID, bound in initTelemetry (zero when
-	// telemetry is disabled — harmless, records on a nil log are no-ops).
-	spanTrack string
-	trackID   telemetry.StrID
+	// trackID is the interned span-log ID of the cart's telemetry track
+	// ("cart-N"), bound in initTelemetry (zero when telemetry is disabled
+	// — harmless, records on a nil log are no-ops).
+	trackID telemetry.StrID
 	// needsService marks a cart whose connector was damaged by a
 	// dock-station failure; it is force-serviced at the library.
 	needsService bool
@@ -258,7 +256,7 @@ func New(opt Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &Cart{ID: id, Array: arr, Loc: AtLibrary, spanTrack: cartTrack(id)}
+		c := &Cart{ID: id, Array: arr, Loc: AtLibrary}
 		s.bindLaunchSteps(c)
 		s.carts[i] = c
 	}
@@ -296,7 +294,8 @@ func (s *System) cart(id track.CartID) (c *Cart, ok bool) {
 	return s.carts[id], true
 }
 
-// oneWayTime decomposes the launch into undock + transit + dock.
+// transitTime is the rail part of the launch: the launch time less the
+// undock and dock times.
 func (s *System) transitTime() units.Seconds {
 	return s.launch.Time - s.opt.Core.DockTime - s.opt.Core.UndockTime
 }
@@ -317,7 +316,6 @@ func (s *System) enqueue(try func() bool) {
 		return
 	}
 	s.stats.Queued++
-	s.tel.queued.Inc()
 	s.waiting = append(s.waiting, try)
 }
 
@@ -406,7 +404,6 @@ func (s *System) checkLaunchTimeout(c *Cart) error {
 		return nil
 	}
 	s.stats.Timeouts++
-	s.tel.timeouts.Inc()
 	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.timeout, s.Engine.Now(), 0)
 	//dhllint:allow allocflow -- timeout breach is a failed run's terminal report, not the steady loop
 	return fmt.Errorf("%w: cart %d took %.3fs (budget %.3fs)",
@@ -552,11 +549,9 @@ func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seco
 	name := s.tel.ids.ioWrite
 	if isRead {
 		s.stats.BytesRead += n
-		s.tel.bytesRead.Add(float64(n))
 		name = s.tel.ids.ioRead
 	} else {
 		s.stats.BytesWritten += n
-		s.tel.bytesWritten.Add(float64(n))
 	}
 	c.scratch.ioDone = done
 	c.scratch.ioDur = d
@@ -592,8 +587,6 @@ func (s *System) degradedRead(c *Cart, n units.Bytes, done func(units.Seconds, e
 	s.stats.DegradedReads++
 	s.stats.DegradedBytes += serve
 	s.stats.BytesRead += serve
-	s.tel.degradedReads.Inc()
-	s.tel.bytesRead.Add(float64(serve))
 	ioStart := s.Engine.Now()
 	s.Engine.MustAfter(d, evIODegraded, func() {
 		c.Busy = false

@@ -21,33 +21,18 @@ var (
 	waitBuckets   = []float64{0.1, 1, 5, 10, 50, 100, 500, 1000, 5000}
 )
 
-// telemetryHooks are the precomputed metric handles the hot paths touch.
-// The zero value (all nil) is the disabled state.
+// telemetryHooks are the precomputed metric handles the hot paths touch,
+// for the counts Stats does not keep. The zero value (all nil) is the
+// disabled state.
 type telemetryHooks struct {
 	spans *telemetry.SpanLog
 
-	launches         *telemetry.Counter
-	degradedLaunches *telemetry.Counter
-	dockOps          *telemetry.Counter
-	deliveries       *telemetry.Counter
-	retries          *telemetry.Counter
-	timeouts         *telemetry.Counter
-	backoffs         *telemetry.Counter
-	stalls           *telemetry.Counter
-	reroutes         *telemetry.Counter
-	denied           *telemetry.Counter
-	queued           *telemetry.Counter
-	degradedReads    *telemetry.Counter
-	energyJ          *telemetry.Counter
-	bytesRead        *telemetry.Counter
-	bytesWritten     *telemetry.Counter
+	deliveries *telemetry.Counter
+	retries    *telemetry.Counter
 
 	launchSeconds *telemetry.Histogram
 	ioSeconds     *telemetry.Histogram
 	waitSeconds   *telemetry.Histogram
-
-	simTime   *telemetry.Gauge
-	simEvents *telemetry.Counter
 
 	// ids are the span-log string IDs for the fixed name vocabulary
 	// (names.go), interned once here so every record site is an ID-based
@@ -79,36 +64,40 @@ type spanArgs struct {
 }
 
 // initTelemetry binds the system (and its plant, injector, and engine) to
-// the telemetry set. A nil set leaves every hook nil — the disabled state.
+// the telemetry set. A nil set leaves every hook nil — the disabled state
+// — and registers nothing.
 func (s *System) initTelemetry(set *telemetry.Set) {
 	s.telSet = set
-	reg := set.MetricsOf()
-	s.tel = telemetryHooks{
-		spans:            set.SpansOf(),
-		launches:         reg.Counter("dhl_launches_total"),
-		degradedLaunches: reg.Counter("dhl_degraded_launches_total"),
-		dockOps:          reg.Counter("dhl_dock_ops_total"),
-		deliveries:       reg.Counter("dhl_deliveries_total"),
-		retries:          reg.Counter("dhl_retries_total"),
-		timeouts:         reg.Counter("dhl_launch_timeouts_total"),
-		backoffs:         reg.Counter("dhl_backoffs_total"),
-		stalls:           reg.Counter("dhl_stalls_total"),
-		reroutes:         reg.Counter("dhl_reroutes_total"),
-		denied:           reg.Counter("dhl_api_denied_total"),
-		queued:           reg.Counter("dhl_api_queued_total"),
-		degradedReads:    reg.Counter("dhl_degraded_reads_total"),
-		energyJ:          reg.Counter("dhl_launch_energy_joules_total"),
-		bytesRead:        reg.Counter("dhl_bytes_read_total"),
-		bytesWritten:     reg.Counter("dhl_bytes_written_total"),
-		launchSeconds:    reg.Histogram("dhl_launch_seconds", launchBuckets),
-		ioSeconds:        reg.Histogram("dhl_io_seconds", ioBuckets),
-		waitSeconds:      reg.Histogram("dhl_queue_wait_seconds", waitBuckets),
-		simTime:          reg.Gauge("dhl_sim_time_seconds"),
-		simEvents:        reg.Counter("dhl_sim_events_total"),
-	}
 	if set == nil {
 		return
 	}
+	reg := set.MetricsOf()
+	s.tel = telemetryHooks{
+		spans:         set.SpansOf(),
+		deliveries:    reg.Counter("dhl_deliveries_total"),
+		retries:       reg.Counter("dhl_retries_total"),
+		launchSeconds: reg.Histogram("dhl_launch_seconds", launchBuckets),
+		ioSeconds:     reg.Histogram("dhl_io_seconds", ioBuckets),
+		waitSeconds:   reg.Histogram("dhl_queue_wait_seconds", waitBuckets),
+	}
+	// Counts Stats or the engine already keeps are views: recorded once,
+	// read at snapshot time.
+	st, eng := &s.stats, s.Engine
+	reg.CounterFunc("dhl_launches_total", func() float64 { return float64(st.Launches) })
+	reg.CounterFunc("dhl_degraded_launches_total", func() float64 { return float64(st.DegradedLaunches) })
+	reg.CounterFunc("dhl_dock_ops_total", func() float64 { return float64(st.DockOps) })
+	reg.CounterFunc("dhl_launch_timeouts_total", func() float64 { return float64(st.Timeouts) })
+	reg.CounterFunc("dhl_backoffs_total", func() float64 { return float64(st.Backoffs) })
+	reg.CounterFunc("dhl_stalls_total", func() float64 { return float64(st.Stalls) })
+	reg.CounterFunc("dhl_reroutes_total", func() float64 { return float64(st.Reroutes) })
+	reg.CounterFunc("dhl_api_denied_total", func() float64 { return float64(st.Denied) })
+	reg.CounterFunc("dhl_api_queued_total", func() float64 { return float64(st.Queued) })
+	reg.CounterFunc("dhl_degraded_reads_total", func() float64 { return float64(st.DegradedReads) })
+	reg.CounterFunc("dhl_launch_energy_joules_total", func() float64 { return float64(st.Energy) })
+	reg.CounterFunc("dhl_bytes_read_total", func() float64 { return float64(st.BytesRead) })
+	reg.CounterFunc("dhl_bytes_written_total", func() float64 { return float64(st.BytesWritten) })
+	reg.CounterFunc("dhl_sim_events_total", func() float64 { return float64(eng.Processed()) })
+	reg.GaugeFunc("dhl_sim_time_seconds", func() float64 { return float64(eng.Now()) })
 	sp := s.tel.spans
 	s.tel.ids = spanIDs{
 		undock: sp.Intern(spanUndock), dock: sp.Intern(spanDock),
@@ -133,7 +122,7 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 		s.tel.args.dirDegraded[d] = sp.InternArgs(dir, degraded)
 	}
 	for _, c := range s.carts {
-		c.trackID = sp.Intern(c.spanTrack)
+		c.trackID = sp.Intern(cartTrack(c.ID))
 	}
 	s.plant.instrument(reg)
 	s.inj.SetTelemetry(set)
@@ -142,44 +131,23 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 // Telemetry returns the system's telemetry set (nil when disabled).
 func (s *System) Telemetry() *telemetry.Set { return s.telSet }
 
-// MetricsSnapshot refreshes the derived metrics — the sim-time gauge and
-// the event counter, which syncs from the engine's processed count here
-// rather than paying a tracer callback per event — and snapshots the
-// registry. The zero snapshot is returned when telemetry is disabled.
-// Direct Registry.Snapshot calls bypass this refresh and see the derived
-// metrics as of the previous MetricsSnapshot.
+// MetricsSnapshot snapshots the registry; the zero snapshot when
+// telemetry is disabled.
 func (s *System) MetricsSnapshot() telemetry.Snapshot {
-	var snap telemetry.Snapshot
-	s.MetricsSnapshotInto(&snap)
-	return snap
-}
-
-// MetricsSnapshotInto is MetricsSnapshot writing into dst, reusing its
-// slices (see telemetry.Registry.SnapshotInto).
-//
-//dhllint:hotpath
-func (s *System) MetricsSnapshotInto(dst *telemetry.Snapshot) {
-	s.tel.simTime.Set(float64(s.Engine.Now()))
-	s.tel.simEvents.Add(float64(s.Engine.Processed()) - s.tel.simEvents.Value())
-	s.telSet.MetricsOf().SnapshotInto(dst)
+	return s.telSet.MetricsOf().Snapshot()
 }
 
 // deny accounts one immediately-failed API request.
-func (s *System) deny() {
-	s.stats.Denied++
-	s.tel.denied.Inc()
-}
+func (s *System) deny() { s.stats.Denied++ }
 
 // cartTrack names a cart's span track.
 func cartTrack(id track.CartID) string { return "cart-" + strconv.Itoa(int(id)) }
 
-// recordLaunch accounts one completed one-way trip: the Stats counters,
-// the telemetry counters, and the undock-to-dock duration histogram.
+// recordLaunch accounts one completed one-way trip: the Stats counters
+// and the undock-to-dock duration histogram.
 func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
 	s.stats.Launches++
 	s.stats.Energy += dyn.energy
-	s.tel.launches.Inc()
-	s.tel.energyJ.Add(float64(dyn.energy))
 	s.tel.launchSeconds.Observe(float64(s.Engine.Now() - c.launchStart))
 }
 
@@ -187,7 +155,6 @@ func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
 // a dual-rail track around a blocked direction.
 func (s *System) markReroute(c *Cart, dir track.Direction) {
 	s.stats.Reroutes++
-	s.tel.reroutes.Inc()
 	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.reroute, s.Engine.Now(), s.tel.args.dir[dir])
 }
 

@@ -8,10 +8,8 @@ import (
 	"repro/internal/units"
 )
 
-// shuttleWith runs a small instrumented bulk transfer and returns the
-// result and the telemetry set (nil set → uninstrumented). The returned
-// system has had MetricsSnapshot called, so derived metrics (sim time,
-// event count) are synced.
+// shuttleWith runs a small bulk transfer, instrumented with set (nil set
+// → uninstrumented), and returns the result and the stats.
 func shuttleWith(t *testing.T, set *telemetry.Set, script *faults.Script) (ShuttleResult, Stats) {
 	t.Helper()
 	opt := DefaultOptions()
@@ -28,9 +26,6 @@ func shuttleWith(t *testing.T, set *telemetry.Set, script *faults.Script) (Shutt
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if set != nil {
-		sys.MetricsSnapshot()
 	}
 	return res, sys.Stats()
 }
@@ -184,6 +179,38 @@ func TestMetricsSnapshotSetsSimTime(t *testing.T) {
 		}
 	}
 	t.Error("dhl_sim_time_seconds gauge missing")
+}
+
+// TestDirectSnapshotReadsEngine: a snapshot taken straight off the
+// registry, not through MetricsSnapshot, reads the engine's event count
+// and clock as they stand.
+func TestDirectSnapshotReadsEngine(t *testing.T) {
+	set := telemetry.NewSet()
+	opt := DefaultOptions()
+	opt.Telemetry = set
+	sys, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Shuttle(ShuttleOptions{Dataset: opt.Core.Cart.Capacity()}); err != nil {
+		t.Fatal(err)
+	}
+	snap := set.Metrics.Snapshot()
+	var events, simTime float64
+	for _, c := range snap.Counters {
+		if c.Name == "dhl_sim_events_total" {
+			events = c.Value
+		}
+	}
+	for _, g := range snap.Gauges {
+		if g.Name == "dhl_sim_time_seconds" {
+			simTime = g.Value
+		}
+	}
+	if int(events) != sys.Engine.Processed() || units.Seconds(simTime) != sys.Engine.Now() {
+		t.Errorf("dhl_sim_events_total = %v, dhl_sim_time_seconds = %v; engine processed %d events and stands at %v",
+			events, simTime, sys.Engine.Processed(), sys.Engine.Now())
+	}
 }
 
 func TestMetricsSnapshotDisabledIsZero(t *testing.T) {

@@ -92,12 +92,9 @@ type Injector struct {
 	openStart units.Seconds
 	downtime  units.Seconds
 
-	// Telemetry (optional, nil-safe): per-kind inject counters, a total,
-	// and instant marks + outage spans on the "faults" track.
-	telInjected  *telemetry.Counter
-	telRecovered *telemetry.Counter
-	telPerKind   [numKinds]*telemetry.Counter
-	telSpans     *telemetry.SpanLog
+	// Telemetry (optional, nil-safe): instant marks and outage spans on
+	// the "faults" track. The fault counters are views of perKind.
+	telSpans *telemetry.SpanLog
 
 	// Interned span-log IDs (SetTelemetry): the faults track, each kind's
 	// instant-mark name, and each kind's outage-span name. Stochastic
@@ -130,18 +127,25 @@ func init() {
 	}
 }
 
-// SetTelemetry wires the injector to a telemetry set: every fault
-// increments dhl_faults_injected_total and its per-kind counter, repairs
-// increment dhl_faults_recovered_total, and the span log receives an
-// instant mark per phase plus an outage span per windowed fault. A nil
-// set (or nil fields) disables the corresponding output; call before
-// driving the simulation.
+// SetTelemetry wires the injector to a telemetry set: the registry reads
+// dhl_faults_injected_total, dhl_faults_recovered_total and the per-kind
+// inject counters from the injector's own per-kind accounting, and the
+// span log receives an instant mark per phase plus an outage span per
+// windowed fault. A nil set (or nil fields) disables the corresponding
+// output; call before driving the simulation.
 func (in *Injector) SetTelemetry(set *telemetry.Set) {
-	reg := set.MetricsOf()
-	in.telInjected = reg.Counter("dhl_faults_injected_total")
-	in.telRecovered = reg.Counter("dhl_faults_recovered_total")
-	for k := 0; k < int(numKinds); k++ {
-		in.telPerKind[k] = reg.Counter(perKindMetricNames[k])
+	if reg := set.MetricsOf(); reg != nil {
+		reg.CounterFunc("dhl_faults_injected_total", func() float64 { return float64(in.Total()) })
+		reg.CounterFunc("dhl_faults_recovered_total", func() float64 {
+			n := 0
+			for i := range in.perKind {
+				n += in.perKind[i].Recovered
+			}
+			return float64(n)
+		})
+		for k := range in.perKind {
+			reg.CounterFunc(perKindMetricNames[k], func() float64 { return float64(in.perKind[k].Injected) })
+		}
 	}
 	in.telSpans = set.SpansOf()
 	in.trackID = in.telSpans.Intern(FaultTrack)
@@ -195,8 +199,6 @@ func (in *Injector) apply(f Fault) {
 	ks := &in.perKind[f.Kind]
 	ks.Kind = f.Kind
 	ks.Injected++
-	in.telInjected.Inc()
-	in.telPerKind[f.Kind].Inc()
 	in.telSpans.RecordInstant(in.trackID, in.kindIDs[f.Kind], now, in.telSpans.ArgsOf(
 		telemetry.KV{Key: "phase", Value: string(PhaseInject)},
 		telemetry.KV{Key: "target", Value: f.target()}))
@@ -218,7 +220,6 @@ func (in *Injector) recover(f Fault) {
 	ks := &in.perKind[f.Kind]
 	ks.Recovered++
 	ks.Downtime += f.Duration
-	in.telRecovered.Inc()
 	in.telSpans.RecordSpan(in.trackID, in.outageIDs[f.Kind], now-f.Duration, now,
 		in.telSpans.ArgsOf(telemetry.KV{Key: "target", Value: f.target()}))
 	in.active--

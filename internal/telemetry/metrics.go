@@ -10,6 +10,9 @@ import (
 // ready; all methods are no-ops on a nil receiver.
 type Counter struct {
 	v float64
+	// fn, when set (Registry.CounterFunc), makes the counter a view: reads
+	// return fn() and v is ignored.
+	fn func() float64
 }
 
 // Inc adds one.
@@ -30,8 +33,11 @@ func (c *Counter) Add(delta float64) {
 
 // Value returns the current count (0 on a nil receiver).
 func (c *Counter) Value() float64 {
-	if c == nil {
+	switch {
+	case c == nil:
 		return 0
+	case c.fn != nil:
+		return c.fn()
 	}
 	return c.v
 }
@@ -40,6 +46,9 @@ func (c *Counter) Value() float64 {
 // methods are no-ops on a nil receiver.
 type Gauge struct {
 	v float64
+	// fn, when set (Registry.GaugeFunc), makes the gauge a view: reads
+	// return fn() and v is ignored.
+	fn func() float64
 }
 
 // Set stores v.
@@ -64,8 +73,11 @@ func (g *Gauge) Add(delta float64) {
 
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
-	if g == nil {
+	switch {
+	case g == nil:
 		return 0
+	case g.fn != nil:
+		return g.fn()
 	}
 	return g.v
 }
@@ -168,20 +180,21 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Reset zeroes every metric while keeping the namespace and the handles —
-// the pooling path for drivers that run many simulations against one
-// long-lived registry. Handles obtained before the Reset stay valid (the
-// next run's Counter/Gauge/Histogram calls return the same ones) and read
-// as freshly created. Safe on a nil receiver.
+// Reset zeroes every metric and drops every view's function while keeping
+// the namespace and the handles — the pooling path for drivers that run
+// many simulations against one long-lived registry. Handles obtained
+// before the Reset stay valid (the next run's Counter/Gauge/Histogram
+// calls return the same ones) and read as freshly created. Safe on a nil
+// receiver.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
 	for _, c := range r.counterVals {
-		c.v = 0
+		c.v, c.fn = 0, nil
 	}
 	for _, g := range r.gaugeVals {
-		g.v = 0
+		g.v, g.fn = 0, nil
 	}
 	for _, h := range r.histVals {
 		clear(h.counts)
@@ -240,6 +253,25 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.gaugeIdx[name] = g
 	return g
+}
+
+// CounterFunc registers the named counter as a view of a count its owner
+// already keeps: every read (Value, Snapshot) returns fn(), so the count
+// is recorded once, where it is kept, and the registry adds no update on
+// the hot path. fn must be non-decreasing over a run. A later
+// CounterFunc replaces fn, and Reset drops it. No-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() float64) {
+	if c := r.Counter(name); c != nil {
+		c.fn = fn
+	}
+}
+
+// GaugeFunc registers the named gauge as a view of fn, as CounterFunc
+// does for counters. No-op on a nil registry.
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	if g := r.Gauge(name); g != nil {
+		g.fn = fn
+	}
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -324,7 +356,8 @@ func (r *Registry) Snapshot() Snapshot {
 // SnapshotInto captures the registry's current state into dst, reusing
 // dst's slices where they are long enough, so refreshing a warm snapshot
 // does not allocate. The slices of anything copied from dst earlier are
-// overwritten too; Clone first to keep a copy. A nil registry yields the
+// overwritten too; Clone first to keep a copy. Views (CounterFunc,
+// GaugeFunc) are read from their sources now. A nil registry yields the
 // zero snapshot.
 //
 //dhllint:hotpath
@@ -335,11 +368,11 @@ func (r *Registry) SnapshotInto(dst *Snapshot) {
 	}
 	dst.Counters = resize(dst.Counters, len(r.counterNames))
 	for i, name := range r.counterNames {
-		dst.Counters[i] = CounterPoint{Name: name, Value: r.counterVals[i].v}
+		dst.Counters[i] = CounterPoint{Name: name, Value: r.counterVals[i].Value()}
 	}
 	dst.Gauges = resize(dst.Gauges, len(r.gaugeNames))
 	for i, name := range r.gaugeNames {
-		dst.Gauges[i] = GaugePoint{Name: name, Value: r.gaugeVals[i].v}
+		dst.Gauges[i] = GaugePoint{Name: name, Value: r.gaugeVals[i].Value()}
 	}
 	dst.Histograms = resize(dst.Histograms, len(r.histNames))
 	for i, name := range r.histNames {

@@ -27,6 +27,39 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestViewsReadTheirSource: a CounterFunc or GaugeFunc reads its source
+// at every Value and snapshot, and after Reset it reads 0, like a fresh
+// metric, until it is registered again.
+func TestViewsReadTheirSource(t *testing.T) {
+	r := NewRegistry()
+	n, level := 0, 2.5
+	r.CounterFunc("dhl_launches_total", func() float64 { return float64(n) })
+	r.GaugeFunc("dhl_sim_time_seconds", func() float64 { return level })
+	c, g := r.Counter("dhl_launches_total"), r.Gauge("dhl_sim_time_seconds")
+	n, level = 3, 7.5
+	if c.Value() != 3 || g.Value() != 7.5 {
+		t.Errorf("views read %v and %v, want 3 and 7.5", c.Value(), g.Value())
+	}
+	snap := r.Snapshot()
+	if snap.Counters[0].Value != 3 || snap.Gauges[0].Value != 7.5 {
+		t.Errorf("snapshot = %+v, want the views' sources", snap)
+	}
+	r.Reset()
+	n, level = 9, 9
+	fresh := NewRegistry()
+	fresh.Counter("dhl_launches_total")
+	fresh.Gauge("dhl_sim_time_seconds")
+	if got, want := r.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Reset: %+v, want a fresh registry's %+v", got, want)
+	}
+	if c.Value() != 0 || g.Value() != 0 {
+		t.Errorf("after Reset the handles read %v and %v, want 0", c.Value(), g.Value())
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x", func() float64 { return 1 }) // no-op
+	nilReg.GaugeFunc("y", func() float64 { return 1 })
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("dhl_io_seconds", []float64{1, 10, 100})

@@ -74,11 +74,10 @@ type campusCart struct {
 	// edge is the occupied segment while in transit, NoEdge otherwise.
 	edge EdgeID
 	trip int
-	// planned is the committed next hop at the current node; hasPlan
-	// distinguishes a commitment (even a later-invalidated one) from none.
-	// Entering a different edge than planned counts as a reroute.
+	// planned is the committed next hop at the current node (even a
+	// later-invalidated one), NoEdge when there is none. Entering a
+	// different edge than planned counts as a reroute.
 	planned   EdgeID
-	hasPlan   bool
 	loitering bool
 	stalled   bool
 	parked    bool
@@ -157,15 +156,10 @@ func (r Result) String() string {
 }
 
 // campusTel holds the precomputed telemetry handles; the zero value is the
-// disabled state (every record site is nil-safe).
+// disabled state (every record site is nil-safe). The campus's counters
+// are views of its own counts (initTelemetry) and need no handle.
 type campusTel struct {
-	spans    *telemetry.SpanLog
-	trips    *telemetry.Counter
-	reroutes *telemetry.Counter
-	loiters  *telemetry.Counter
-	stalls   *telemetry.Counter
-	entries  *telemetry.Counter
-
+	spans       *telemetry.SpanLog
 	tripSeconds *telemetry.Histogram
 
 	idTransit telemetry.StrID
@@ -365,17 +359,26 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 	return c, nil
 }
 
-// initTelemetry binds the metric handles and interns the span vocabulary.
+// initTelemetry binds the metric handles, registers the counters that
+// read the campus's own counts, and interns the span vocabulary.
 func (c *Campus) initTelemetry(set *telemetry.Set) {
 	reg := set.MetricsOf()
 	c.tel = campusTel{
 		spans:       set.SpansOf(),
-		trips:       reg.Counter("tubenet_trips_total"),
-		reroutes:    reg.Counter("tubenet_reroutes_total"),
-		loiters:     reg.Counter("tubenet_loiters_total"),
-		stalls:      reg.Counter("tubenet_stalls_total"),
-		entries:     reg.Counter("tubenet_edge_entries_total"),
 		tripSeconds: reg.Histogram("tubenet_trip_seconds", tripBuckets),
+	}
+	if reg != nil {
+		reg.CounterFunc("tubenet_trips_total", func() float64 { return float64(c.tripsDone) })
+		reg.CounterFunc("tubenet_reroutes_total", func() float64 { return float64(c.nReroutes) })
+		reg.CounterFunc("tubenet_loiters_total", func() float64 { return float64(c.nLoiters) })
+		reg.CounterFunc("tubenet_stalls_total", func() float64 { return float64(c.nStalls) })
+		reg.CounterFunc("tubenet_edge_entries_total", func() float64 {
+			n := 0
+			for e := range c.perEdge {
+				n += c.perEdge[e].Entries
+			}
+			return float64(n)
+		})
 	}
 	if sp := c.tel.spans; sp != nil {
 		c.tel.idTransit = sp.Intern(spanTransit)
@@ -553,13 +556,11 @@ func (c *Campus) tryDepart(ci int32) {
 		c.loiterCart(ci)
 		return
 	}
-	if ct.hasPlan && ct.planned != h {
+	if ct.planned != NoEdge && ct.planned != h {
 		c.nReroutes++
-		c.tel.reroutes.Inc()
 		c.tel.spans.RecordInstant(ct.trackID, c.tel.idReroute, c.eng.Now(), 0)
 	}
 	ct.planned = h
-	ct.hasPlan = true
 	if !c.admissible(h) {
 		c.enqueueEdge(h, ci)
 		return
@@ -606,7 +607,6 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	}
 	c.perEdge[e].Entries++
 	c.perEdge[e].Busy += c.baseTransit[e]
-	c.tel.entries.Inc()
 	ct.edge = e
 	ct.entryT = c.eng.Now()
 	ct.arriveAt = ct.entryT + c.baseTransit[e]
@@ -617,7 +617,6 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	// cart gets there, the divergence at the junction counts as a reroute.
 	if ed.To != ct.dst {
 		ct.planned = c.router.NextHop(ed.To, ct.dst)
-		ct.hasPlan = ct.planned != NoEdge
 	}
 }
 
@@ -732,15 +731,12 @@ func (c *Campus) dockCart(ci int32) {
 	c.transits = append(c.transits, d)
 	c.totalTransit += d
 	c.tripsDone++
-	c.tel.trips.Inc()
 	c.tel.tripSeconds.Observe(float64(d))
 	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDock, ct.tripStart, now, 0)
 	ct.trip++
 	if ct.trip < c.opt.TripsPerCart {
 		ct.dst = c.dests[int(ci)*c.opt.TripsPerCart+ct.trip]
-		h := c.router.NextHop(ct.at, ct.dst)
-		ct.planned = h
-		ct.hasPlan = h != NoEdge
+		ct.planned = c.router.NextHop(ct.at, ct.dst)
 	}
 	c.eng.MustAfter(dwellTime, evDwell, ct.dwellFn)
 }
@@ -784,7 +780,6 @@ func (c *Campus) retryDockQueue(v NodeID) {
 func (c *Campus) loiterCart(ci int32) {
 	ct := &c.carts[ci]
 	c.nLoiters++
-	c.tel.loiters.Inc()
 	c.tel.spans.RecordInstant(ct.trackID, c.tel.idLoiter, c.eng.Now(), 0)
 	if !ct.loitering {
 		ct.loitering = true
@@ -877,7 +872,6 @@ func (c *Campus) killEdge(e EdgeID) {
 		ct.remaining = ct.arriveAt - now
 		ct.stalled = true
 		c.nStalls++
-		c.tel.stalls.Inc()
 		c.tel.spans.RecordInstant(ct.trackID, c.tel.idStall, now, 0)
 	}
 	c.mustRecompute()

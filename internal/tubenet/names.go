@@ -11,7 +11,6 @@ const (
 	evArrive = "campus-arrive"
 	evDwell  = "campus-dwell"
 	evEpoch  = "route-epoch"
-	evPark   = "campus-park"
 
 	// Span and instant names on cart telemetry tracks.
 	spanTransit = "transit"
