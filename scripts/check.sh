@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Tier-2 quality gate: vet, formatting, and the full test suite under the
-# race detector (the control-plane server, the campus study's replica pool
-# and dhllint's per-package pass run concurrently, so a data race is a real
-# failure mode). Tier-1 remains `go build ./... && go test ./...`.
+# Tier-2 quality gate: vet, formatting, dhllint, the full test suite under
+# the race detector (the control-plane server, the campus study's replica
+# pool and dhllint's per-package pass run concurrently, so a data race is a
+# real failure mode), the bench module's tests with its golden digests
+# (bench/ is its own module, so the root test run skips it), and the
+# zero-allocation budgets, which are built !race and so need a race-free
+# run. These are the CI check job's build, lint and test steps; its smoke
+# steps run only there. Tier-1 remains `go build ./... && go test ./...`.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -28,4 +32,10 @@ go run ./cmd/dhllint ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "OK: vet, gofmt, build, dhllint, race-clean tests"
+echo "== (cd bench && go test ./...)"
+(cd bench && go test ./...)
+
+echo "== go test -run TestHotPathAllocs . ./internal/controlplane"
+go test -run 'TestHotPathAllocs' . ./internal/controlplane
+
+echo "OK: vet, gofmt, build, dhllint, race-clean tests, bench module tests, alloc budgets"
