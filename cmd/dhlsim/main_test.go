@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -162,19 +161,18 @@ func TestCampusEpochZeroRecomputesOnlyOnFaults(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite the metrics goldens under testdata/")
-
 // metricsGoldens are command lines whose full output, the -metrics
-// summary included, is pinned under testdata/: a shuttle under rough-day
-// chaos with endpoint reads, and a campus under campus-partition.
+// summary included, is pinned in testdata/<name>.golden: a shuttle under
+// rough-day chaos with endpoint reads, and a campus under
+// campus-partition. Re-record one with
+// `go run ./cmd/dhlsim <args> > cmd/dhlsim/testdata/<name>.golden`.
 var metricsGoldens = []struct{ name, args string }{
 	{"shuttle-rough-day", "-metrics -chaos rough-day -read -seed 7"},
 	{"campus-partition", "-campus -campus-carts 200 -chaos campus-partition -metrics -seed 3"},
 }
 
 // TestMetricsGoldens pins each run's stdout byte for byte, so a change to
-// how a metric is counted or exported shows up as a diff. Run with
-// -update to re-record.
+// how a metric is counted or exported shows up as a diff.
 func TestMetricsGoldens(t *testing.T) {
 	for _, g := range metricsGoldens {
 		t.Run(g.name, func(t *testing.T) {
@@ -183,12 +181,6 @@ func TestMetricsGoldens(t *testing.T) {
 				t.Fatalf("dhlsim %s: exit %d, stderr %q", g.args, code, stderr)
 			}
 			path := filepath.Join("testdata", g.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
