@@ -175,6 +175,18 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				{"dimflow", 16}, // seconds wrapped as power
 				{"dimflow", 23}, // bytes laundered into Ratio
 				{"dimflow", 30}, // kilojoules += hours
+				{"dimflow", 42}, // if-init
+				{"dimflow", 45}, // else branch
+				{"dimflow", 47}, // for-post statement
+				{"dimflow", 50}, // range body
+				{"dimflow", 57}, // switch tag
+				{"dimflow", 60}, // case expression
+				{"dimflow", 64}, // type-switch clause
+				{"dimflow", 68}, // select clause
+				{"dimflow", 78}, // labeled statement
+				{"dimflow", 81}, // go call argument
+				{"dimflow", 82}, // defer call argument
+				{"dimflow", 84}, // function literal
 			},
 		},
 		{
@@ -489,6 +501,30 @@ func TestLockCheckChains(t *testing.T) {
 	}
 	if !strings.Contains(diags[3].Message, "not a sync.Mutex or sync.RWMutex field") {
 		t.Errorf("annotation error misses its phrasing: %q", diags[3].Message)
+	}
+}
+
+// TestLockCheckStatementForms pins the lockset through each statement form
+// the walk threads it through: a lock taken in one branch is gone after the
+// join, and a select clause, a range key, a go statement's callee and a
+// labeled loop each see the lockset of the statement around them.
+func TestLockCheckStatementForms(t *testing.T) {
+	cfg := fixtureConfig(t)
+	cfg.Enabled = map[string]bool{"lockcheck": true}
+	diags, err := RunWithLoader(cfg, loader(t), []string{fixtureBase + "lockcheck_flow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []diagKey{
+		{"lockcheck", 23}, // Join: the branch's lock is not held after the join
+		{"lockcheck", 41}, // Select: write in a select clause
+		{"lockcheck", 57}, // Range: write as a range key
+		{"lockcheck", 71}, // Spawn: the go statement's callee runs lock-free
+		{"lockcheck", 92}, // Loop: write in a labeled loop
+		{"lockcheck", 93}, // Loop: read in a labeled loop
+	}
+	if !sameKeys(keysOf(diags), want) {
+		t.Errorf("diagnostics = %v, want %v\nfull: %v", keysOf(diags), want, diags)
 	}
 }
 
