@@ -162,7 +162,7 @@ func runDimFlow(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, fd := range funcDecls(f) {
 			df := &dimFlow{p: p, info: p.Pkg.Info, env: make(map[types.Object]dimval)}
-			df.block(fd.Body)
+			walkFlow(df, fd.Body.List)
 		}
 	}
 }
@@ -271,16 +271,14 @@ func isFloatBasic(t types.Type) bool {
 
 // ---- statements ----
 
-func (df *dimFlow) block(b *ast.BlockStmt) {
-	if b == nil {
-		return
-	}
-	for _, s := range b.List {
-		df.stmt(s)
-	}
-}
+// dimFlow is a flowRule whose branches share its environment.
 
-func (df *dimFlow) stmt(s ast.Stmt) {
+func (df *dimFlow) expr(e ast.Expr)  { df.eval(e) }
+func (df *dimFlow) write(e ast.Expr) { df.eval(e) }
+func (df *dimFlow) branch() flowRule { return df }
+
+// stmt tags the variables that assignments and declarations bind.
+func (df *dimFlow) stmt(s ast.Stmt) bool {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		df.assign(s)
@@ -302,77 +300,10 @@ func (df *dimFlow) stmt(s ast.Stmt) {
 				}
 			}
 		}
-	case *ast.ExprStmt:
-		df.eval(s.X)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			df.eval(r)
-		}
-	case *ast.IfStmt:
-		df.stmt2(s.Init)
-		df.eval(s.Cond)
-		df.block(s.Body)
-		df.stmt2(s.Else)
-	case *ast.ForStmt:
-		df.stmt2(s.Init)
-		df.eval(s.Cond)
-		df.block(s.Body)
-		df.stmt2(s.Post)
-	case *ast.RangeStmt:
-		df.eval(s.X)
-		df.block(s.Body)
-	case *ast.SwitchStmt:
-		df.stmt2(s.Init)
-		df.eval(s.Tag)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					df.eval(e)
-				}
-				for _, st := range cc.Body {
-					df.stmt(st)
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		df.stmt2(s.Init)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, st := range cc.Body {
-					df.stmt(st)
-				}
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				df.stmt2(cc.Comm)
-				for _, st := range cc.Body {
-					df.stmt(st)
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		df.block(s)
-	case *ast.GoStmt:
-		df.eval(s.Call)
-	case *ast.DeferStmt:
-		df.eval(s.Call)
-	case *ast.SendStmt:
-		df.eval(s.Chan)
-		df.eval(s.Value)
-	case *ast.IncDecStmt:
-		df.eval(s.X)
-	case *ast.LabeledStmt:
-		df.stmt(s.Stmt)
+	default:
+		return false
 	}
-}
-
-// stmt2 is stmt for possibly-nil positions (if/for init, select comm).
-func (df *dimFlow) stmt2(s ast.Stmt) {
-	if s != nil {
-		df.stmt(s)
-	}
+	return true
 }
 
 func (df *dimFlow) assign(as *ast.AssignStmt) {
@@ -457,7 +388,7 @@ func (df *dimFlow) eval(e ast.Expr) dimval {
 		}
 		return unknownVal
 	case *ast.FuncLit:
-		df.block(e.Body)
+		walkFlow(df, e.Body.List)
 		return unknownVal
 	}
 

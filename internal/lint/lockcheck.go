@@ -160,8 +160,8 @@ func buildLockFacts(g *CallGraph, pkgs []*Package) *lockFacts {
 		lf.collectGuards(pkg)
 	}
 	for _, n := range g.order {
-		w := &lockWalker{g: g, n: n, guards: lf.guards, facts: &fnLockFacts{n: n}}
-		w.walkStmts(n.decl.Body.List, map[lockKey]lockMode{})
+		w := &lockWalker{g: g, n: n, guards: lf.guards, facts: &fnLockFacts{n: n}, held: map[lockKey]lockMode{}}
+		walkFlow(w, n.decl.Body.List)
 		lf.perFn[n] = w.facts
 	}
 	return lf
@@ -317,13 +317,25 @@ func joinPath(base, field string) string {
 	return base + "." + field
 }
 
-// lockWalker carries the per-function walk state.
+// lockWalker is the lockset flowRule: the per-function walk state plus
+// the lockset held at the current statement. Lock operations mutate held
+// in place so later statements see them; a branch walks a copy.
 type lockWalker struct {
 	g      *CallGraph
 	n      *cgNode
 	guards map[*types.Var]*guardInfo
 	facts  *fnLockFacts
+	held   map[lockKey]lockMode
 }
+
+// with returns the walker for the same function holding held instead.
+func (w *lockWalker) with(held map[lockKey]lockMode) *lockWalker {
+	c := *w
+	c.held = held
+	return &c
+}
+
+func (w *lockWalker) branch() flowRule { return w.with(cloneHeld(w.held)) }
 
 func cloneHeld(held map[lockKey]lockMode) map[lockKey]lockMode {
 	out := make(map[lockKey]lockMode, len(held))
@@ -373,7 +385,8 @@ func (w *lockWalker) lockOp(call *ast.CallExpr) (lockOpKind, ast.Expr) {
 	return kind, sel.X
 }
 
-func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.Pos, held map[lockKey]lockMode) {
+func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.Pos) {
+	held := w.held
 	root, path, ok := pathOf(w.n.pkg.Info, mutexExpr)
 	if !ok {
 		return
@@ -401,148 +414,74 @@ func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.
 	}
 }
 
-// walkStmts is the sequential spine: lock operations mutate held in
-// place so later statements see them.
-func (w *lockWalker) walkStmts(list []ast.Stmt, held map[lockKey]lockMode) {
-	for _, s := range list {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held map[lockKey]lockMode) {
+// stmt handles the lockset's own statements: lock operations, deferred
+// unlocks, go statements, assignments and declarations.
+func (w *lockWalker) stmt(s ast.Stmt) bool {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(st.X).(*ast.CallExpr); ok {
 			if kind, mexpr := w.lockOp(call); kind != opNone {
-				w.applyLockOp(kind, mexpr, call.Pos(), held)
-				return
+				w.applyLockOp(kind, mexpr, call.Pos())
+				return true
 			}
 		}
-		w.scanExpr(st.X, held)
+		return false
 	case *ast.DeferStmt:
-		if kind, _ := w.lockOp(st.Call); kind == opUnlock || kind == opRUnlock {
-			return // released at exit: the lock stays held for the walk
-		}
-		w.scanExpr(st.Call, held)
+		// A deferred unlock releases at exit: the lock stays held for the
+		// walk.
+		kind, _ := w.lockOp(st.Call)
+		return kind == opUnlock || kind == opRUnlock
 	case *ast.GoStmt:
 		// The spawned call runs without the caller's locks: arguments
 		// are evaluated now (current lockset), the callee is recorded
 		// with an empty one. Function literals are handled by scanExpr,
 		// which always walks their bodies lock-free.
-		w.scanGoCall(st.Call, held)
+		w.scanGoCall(st.Call)
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
-			w.scanExpr(r, held)
+			w.scanExpr(r)
 		}
 		for _, l := range st.Lhs {
-			w.markWrite(l, held)
+			w.markWrite(l)
 		}
-	case *ast.IncDecStmt:
-		w.markWrite(st.X, held)
-	case *ast.SendStmt:
-		w.scanExpr(st.Chan, held)
-		w.scanExpr(st.Value, held)
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			w.scanExpr(r, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init, held)
-		}
-		w.scanExpr(st.Cond, held)
-		w.walkStmts(st.Body.List, cloneHeld(held))
-		if st.Else != nil {
-			w.walkStmt(st.Else, cloneHeld(held))
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init, held)
-		}
-		w.scanExpr(st.Cond, held)
-		body := cloneHeld(held)
-		w.walkStmts(st.Body.List, body)
-		if st.Post != nil {
-			w.walkStmt(st.Post, body)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(st.X, held)
-		if st.Key != nil {
-			w.markWrite(st.Key, held)
-		}
-		if st.Value != nil {
-			w.markWrite(st.Value, held)
-		}
-		w.walkStmts(st.Body.List, cloneHeld(held))
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init, held)
-		}
-		w.scanExpr(st.Tag, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.scanExpr(e, held)
-				}
-				w.walkStmts(cc.Body, cloneHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.walkStmt(st.Init, held)
-		}
-		w.walkStmt(st.Assign, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, cloneHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				inner := cloneHeld(held)
-				if cc.Comm != nil {
-					w.walkStmt(cc.Comm, inner)
-				}
-				w.walkStmts(cc.Body, inner)
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(st.List, held)
-	case *ast.LabeledStmt:
-		w.walkStmt(st.Stmt, held)
 	case *ast.DeclStmt:
 		if gd, ok := st.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						w.scanExpr(v, held)
+						w.scanExpr(v)
 					}
 				}
 			}
 		}
+	default:
+		return false
 	}
+	return true
 }
+
+func (w *lockWalker) expr(e ast.Expr)  { w.scanExpr(e) }
+func (w *lockWalker) write(e ast.Expr) { w.markWrite(e) }
 
 // scanGoCall records a go statement's callee with an empty lockset and
 // its argument evaluation with the current one.
-func (w *lockWalker) scanGoCall(call *ast.CallExpr, held map[lockKey]lockMode) {
+func (w *lockWalker) scanGoCall(call *ast.CallExpr) {
 	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.scanExpr(call.Fun, held) // literal body walks lock-free inside scanExpr
+		w.scanExpr(call.Fun) // literal body walks lock-free inside scanExpr
 	} else {
 		w.recordCall(call, map[lockKey]lockMode{})
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			w.scanExpr(sel.X, held)
+			w.scanExpr(sel.X)
 		}
 	}
 	for _, a := range call.Args {
-		w.scanExpr(a, held)
+		w.scanExpr(a)
 	}
 }
 
 // scanExpr records guarded-field reads, call sites, and lock-free
 // closure bodies inside one expression.
-func (w *lockWalker) scanExpr(e ast.Expr, held map[lockKey]lockMode) {
+func (w *lockWalker) scanExpr(e ast.Expr) {
 	if e == nil {
 		return
 	}
@@ -551,7 +490,7 @@ func (w *lockWalker) scanExpr(e ast.Expr, held map[lockKey]lockMode) {
 		switch x := node.(type) {
 		case *ast.FuncLit:
 			// Runs later, without the current locks.
-			w.walkStmts(x.Body.List, map[lockKey]lockMode{})
+			walkFlow(w.with(map[lockKey]lockMode{}), x.Body.List)
 			return false
 		case *ast.CallExpr:
 			if kind, mexpr := w.lockOp(x); kind != opNone {
@@ -563,16 +502,16 @@ func (w *lockWalker) scanExpr(e ast.Expr, held map[lockKey]lockMode) {
 			}
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(x.Args) == 2 {
-					w.markWrite(x.Args[0], held)
-					w.scanExpr(x.Args[1], held)
+					w.markWrite(x.Args[0])
+					w.scanExpr(x.Args[1])
 					return false
 				}
 			}
-			w.recordCall(x, held)
+			w.recordCall(x, w.held)
 			return true
 		case *ast.SelectorExpr:
-			if w.checkSelector(x, held, modeRead) {
-				w.scanExpr(x.X, held)
+			if w.checkSelector(x, modeRead) {
+				w.scanExpr(x.X)
 				return false
 			}
 			return true
@@ -584,23 +523,23 @@ func (w *lockWalker) scanExpr(e ast.Expr, held map[lockKey]lockMode) {
 // markWrite classifies the spine of an assignment target: the base
 // guarded field (possibly behind index/star/paren wrappers) needs the
 // mutex write-held; index expressions along the way are reads.
-func (w *lockWalker) markWrite(e ast.Expr, held map[lockKey]lockMode) {
+func (w *lockWalker) markWrite(e ast.Expr) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.IndexExpr:
-		w.scanExpr(x.Index, held)
-		w.markWrite(x.X, held)
+		w.scanExpr(x.Index)
+		w.markWrite(x.X)
 	case *ast.StarExpr:
-		w.markWrite(x.X, held)
+		w.markWrite(x.X)
 	case *ast.SelectorExpr:
-		if w.checkSelector(x, held, modeWrite) {
-			w.scanExpr(x.X, held)
+		if w.checkSelector(x, modeWrite) {
+			w.scanExpr(x.X)
 			return
 		}
-		w.markWrite(x.X, held)
+		w.markWrite(x.X)
 	case *ast.Ident:
 		// Plain variable target: nothing guarded.
 	default:
-		w.scanExpr(e, held)
+		w.scanExpr(e)
 	}
 }
 
@@ -608,7 +547,7 @@ func (w *lockWalker) markWrite(e ast.Expr, held map[lockKey]lockMode) {
 // made without the mutex held (in at least the required mode) is
 // recorded as a requirement seed. Returns whether x is a guarded field
 // selection at all.
-func (w *lockWalker) checkSelector(x *ast.SelectorExpr, held map[lockKey]lockMode, mode lockMode) bool {
+func (w *lockWalker) checkSelector(x *ast.SelectorExpr, mode lockMode) bool {
 	info := w.n.pkg.Info
 	sel, ok := info.Selections[x]
 	if !ok || sel.Kind() != types.FieldVal {
@@ -627,7 +566,7 @@ func (w *lockWalker) checkSelector(x *ast.SelectorExpr, held map[lockKey]lockMod
 		return true // not a traceable instance; stay quiet
 	}
 	key := lockKey{root, joinPath(basePath, gi.mutexPath)}
-	if held[key] >= mode {
+	if w.held[key] >= mode {
 		return true
 	}
 	w.facts.accesses = append(w.facts.accesses, guardedAccess{
