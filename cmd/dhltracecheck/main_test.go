@@ -11,7 +11,7 @@ func TestCheckTraceAcceptsExporterOutput(t *testing.T) {
 	l := telemetry.NewSpanLog()
 	l.Span("cart-0", "transit", 10, 110, telemetry.KV{Key: "dir", Value: "outbound"})
 	l.Span("cart-1", "dock", 120, 125)
-	l.Mark("cart-0", "reroute", 130)
+	l.RecordInstant(l.Intern("cart-0"), l.Intern("reroute"), 130, 0)
 	data, err := telemetry.ChromeTrace(l)
 	if err != nil {
 		t.Fatal(err)

@@ -83,27 +83,8 @@ func TestHotPathAllocsSpanLog(t *testing.T) {
 		log.RecordInstant(cart, transit, 2, stall)
 	}
 	zeroAllocs(t, "span log record", rec)
-	if log.NumSpans() != 2 || log.NumInstants() != 1 {
-		t.Fatalf("log holds %d spans, %d instants; want 2, 1", log.NumSpans(), log.NumInstants())
-	}
-}
-
-// TestHotPathAllocsSpanLogGrow pins the pre-sizing path: after Grow, a
-// cold log records within capacity with no Reset needed.
-func TestHotPathAllocsSpanLogGrow(t *testing.T) {
-	log := telemetry.NewSpanLog()
-	cart := log.Intern("cart-0")
-	name := log.Intern("transit")
-	dir := log.InternArgs(telemetry.KV{Key: "dir", Value: "outbound"})
-	log.Grow(256, 256)
-	at := units.Seconds(0)
-	zeroAllocs(t, "record after Grow", func() {
-		at++
-		log.RecordSpan(cart, name, at, at+1, dir)
-		log.RecordInstant(cart, name, at, 0)
-	})
-	if log.NumSpans() == 0 || log.NumInstants() == 0 {
-		t.Fatal("grown log recorded nothing")
+	if spans := log.Len() - log.NumInstants(); spans != 2 || log.NumInstants() != 1 {
+		t.Fatalf("log holds %d spans, %d instants; want 2, 1", spans, log.NumInstants())
 	}
 }
 
@@ -118,10 +99,9 @@ func TestHotPathAllocsRegistry(t *testing.T) {
 		reg.Counter("dhl_launches_total").Inc()
 		reg.Counter("dhl_launch_energy_joules_total").Add(v)
 		reg.Gauge("dhl_sim_time_seconds").Set(v)
-		reg.Gauge("dhl_queue_depth").Add(-1)
 		hist.Observe(v)
 	})
-	if reg.Counter("dhl_launches_total").Value() == 0 || hist.Count() == 0 {
+	if reg.Counter("dhl_launches_total").Value() == 0 || reg.Snapshot().Histograms[0].Count == 0 {
 		t.Fatal("registry recorded nothing")
 	}
 }
@@ -132,11 +112,8 @@ func TestHotPathAllocsRegistry(t *testing.T) {
 func TestHotPathAllocsStorage(t *testing.T) {
 	dev := &storage.Device{Spec: storage.SabrentRocket4Plus}
 	failures := 0
-	zeroAllocs(t, "device write/read", func() {
+	zeroAllocs(t, "device write", func() {
 		if _, err := dev.Write(units.MB); err != nil {
-			failures++
-		}
-		if _, err := dev.Read(units.MB); err != nil {
 			failures++
 		}
 		dev.Repair()
@@ -209,20 +186,25 @@ func TestHotPathAllocsLaunchLoop(t *testing.T) {
 }
 
 // TestHotPathAllocsLaunchLoopTelemetry pins the same loop with telemetry
-// enabled. Metrics handles are warm map hits; the span log is pre-sized
-// with Grow so the record path appends within capacity throughout the
-// measurement.
+// enabled, on a recycled Set — the pooled operating mode that
+// BenchmarkShuttleTelemetryEnabled and the shuttle-bulk workload run.
+// Metrics handles are warm map hits; a first system grows the span log
+// past what the measured second system records (its warm-up and
+// AllocsPerRun's extra call included), and Reset keeps that capacity, so
+// the record path appends within it throughout the measurement.
 func TestHotPathAllocsLaunchLoopTelemetry(t *testing.T) {
 	set := telemetry.NewSet()
+	grow, _ := launchCycle(t, set)
+	for i := 0; i < 128; i++ {
+		grow()
+	}
+	set.Reset()
 	cycle, lastErr := launchCycle(t, set)
-	// ~12 spans per cycle; reserve for the measured runs plus
-	// AllocsPerRun's warm-up call with generous headroom.
-	set.Spans.Grow(4096, 512)
 	zeroAllocs(t, "launch loop (telemetry on)", cycle)
 	if *lastErr != nil {
 		t.Fatalf("cycle failed: %v", *lastErr)
 	}
-	if set.Spans.NumSpans() == 0 {
+	if set.Spans.Len()-set.Spans.NumInstants() == 0 {
 		t.Fatal("telemetry recorded no spans")
 	}
 }

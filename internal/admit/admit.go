@@ -258,9 +258,6 @@ func (o Options) burst() float64 {
 	return max(o.Rate, 1)
 }
 
-// Options reports the controller's effective (defaulted) options.
-func (c *Controller) Options() Options { return c.opt }
-
 // refillLocked advances the token bucket to now. Callers hold mu.
 func (c *Controller) refillLocked(now time.Time) {
 	if c.opt.Rate <= 0 {

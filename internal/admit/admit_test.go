@@ -24,7 +24,7 @@ func at(s float64) time.Time {
 
 func TestDefaults(t *testing.T) {
 	c := New(Options{})
-	o := c.Options()
+	o := c.opt
 	if o.MaxInFlight != 1 || o.MaxQueue != 64 {
 		t.Errorf("defaults: %+v", o)
 	}

@@ -66,7 +66,7 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	open, err := c.Open(0)
+	open, err := c.Do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Errorf("open took %v sim-s, want 8.6", open.OpSeconds)
 	}
 
-	wr, err := c.Write(0, 256*units.TB)
+	wr, err := c.Do(Request{Op: OpWrite, Cart: 0, Bytes: float64(256 * units.TB)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !wr.OK {
 		t.Fatalf("write failed: %s", wr.Error)
 	}
-	rd, err := c.Read(0, 256*units.TB)
+	rd, err := c.Do(Request{Op: OpRead, Cart: 0, Bytes: float64(256 * units.TB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Error("read must take simulated time")
 	}
 
-	cl, err := c.CloseCart(0)
+	cl, err := c.Do(Request{Op: OpClose, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Fatalf("close failed: %s", cl.Error)
 	}
 
-	st, err := c.Status()
+	st, err := c.Do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAPIErrorsPropagate(t *testing.T) {
 	defer c.Close()
 
 	// Unknown cart.
-	resp, err := c.Open(99)
+	resp, err := c.Do(Request{Op: OpOpen, Cart: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAPIErrorsPropagate(t *testing.T) {
 		t.Errorf("resp = %+v", resp)
 	}
 	// Read while at library.
-	resp, err = c.Read(0, units.GB)
+	resp, err = c.Do(Request{Op: OpRead, Cart: 0, Bytes: float64(units.GB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestErrorReportedDuringRunReachesReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Open(0)
+	resp, err := c.Do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if r, err := c.Open(cart); err != nil || !r.OK {
+			if r, err := c.Do(Request{Op: OpOpen, Cart: cart}); err != nil || !r.OK {
 				errs <- err
 				return
 			}
-			if r, err := c.CloseCart(cart); err != nil || !r.OK {
+			if r, err := c.Do(Request{Op: OpClose, Cart: cart}); err != nil || !r.OK {
 				errs <- err
 			}
 		}(i)
@@ -218,7 +218,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Status()
+	st, err := c.Do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestMultipleRequestsPerConnection(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Status(); err != nil {
+		if _, err := c.Do(Request{Op: OpStatus}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -249,14 +249,14 @@ func TestErrorCodesStructured(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Open(99)
+	resp, err := c.Do(Request{Op: OpOpen, Cart: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != CodeUnknownCart {
 		t.Errorf("open(99) code = %q, want %q", resp.Code, CodeUnknownCart)
 	}
-	resp, err = c.Read(0, units.GB)
+	resp, err = c.Do(Request{Op: OpRead, Cart: 0, Bytes: float64(units.GB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestErrorCodesStructured(t *testing.T) {
 		t.Errorf("bad op code = %q, want %q", resp.Code, CodeBadRequest)
 	}
 	// Successful ops carry no code.
-	resp, err = c.Open(0)
+	resp, err = c.Do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +322,12 @@ func TestReadDeadlineDropsIdleConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Status(); err != nil {
+	if _, err := c.Do(Request{Op: OpStatus}); err != nil {
 		t.Fatalf("first request should succeed: %v", err)
 	}
 	// Sit idle past the read deadline; the server must drop us.
 	time.Sleep(150 * time.Millisecond)
-	if _, err := c.Status(); err == nil {
+	if _, err := c.Do(Request{Op: OpStatus}); err == nil {
 		t.Error("idle connection should have been dropped by the read deadline")
 	}
 }
@@ -354,7 +354,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Status(); err != nil {
+	if _, err := c.Do(Request{Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -366,7 +366,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	// New connections are refused after shutdown.
 	if c2, err := Dial(addr); err == nil {
-		if _, err := c2.Status(); err == nil {
+		if _, err := c2.Do(Request{Op: OpStatus}); err == nil {
 			t.Error("request after shutdown should fail")
 		}
 		c2.Close()
@@ -380,10 +380,10 @@ func TestStatusCarriesAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if r, err := c.Open(0); err != nil || !r.OK {
+	if r, err := c.Do(Request{Op: OpOpen, Cart: 0}); err != nil || !r.OK {
 		t.Fatalf("open: %v %+v", err, r)
 	}
-	st, err := c.Status()
+	st, err := c.Do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,23 +43,23 @@ func ExampleServer() {
 	}
 
 	// The four paper commands, §III-D.
-	r, err := c.Open(0)
+	r, err := c.Do(controlplane.Request{Op: controlplane.OpOpen, Cart: 0})
 	step("Open(cart 0)", r, err)
-	r, err = c.Write(0, 100*units.TB)
+	r, err = c.Do(controlplane.Request{Op: controlplane.OpWrite, Cart: 0, Bytes: float64(100 * units.TB)})
 	step("Write(cart 0, 100 TB)", r, err)
-	r, err = c.Read(0, 100*units.TB)
+	r, err = c.Do(controlplane.Request{Op: controlplane.OpRead, Cart: 0, Bytes: float64(100 * units.TB)})
 	step("Read(cart 0, 100 TB)", r, err)
-	r, err = c.CloseCart(0)
+	r, err = c.Do(controlplane.Request{Op: controlplane.OpClose, Cart: 0})
 	step("Close(cart 0)", r, err)
 
 	// Errors are reported through the API, not hidden (§III-D).
-	bad, err := c.Read(0, units.GB)
+	bad, err := c.Do(controlplane.Request{Op: controlplane.OpRead, Cart: 0, Bytes: float64(units.GB)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Read at library rejected: %q\n", bad.Error)
 
-	st, err := c.Status()
+	st, err := c.Do(controlplane.Request{Op: controlplane.OpStatus})
 	if err != nil {
 		log.Fatal(err)
 	}

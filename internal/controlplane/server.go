@@ -781,7 +781,8 @@ func CodeForError(err error) string {
 	}
 }
 
-// Client is a minimal API client for the wire protocol. For deadline
+// Client is a minimal API client for the wire protocol: Do sends one
+// Request and returns its Response. For the per-op helpers, deadline
 // propagation, retries, and retry budgets, use internal/cpclient.
 type Client struct {
 	conn net.Conn
@@ -817,37 +818,6 @@ func (c *Client) Do(req Request) (Response, error) {
 		return Response{}, fmt.Errorf("controlplane: recv: %w", err)
 	}
 	return resp, nil
-}
-
-// Open shuttles a cart to the endpoint.
-func (c *Client) Open(cart int) (Response, error) {
-	return c.Do(Request{Op: OpOpen, Cart: cart})
-}
-
-// CloseCart returns a cart to the library.
-func (c *Client) CloseCart(cart int) (Response, error) {
-	return c.Do(Request{Op: OpClose, Cart: cart})
-}
-
-// Read reads bytes from a docked cart.
-func (c *Client) Read(cart int, b units.Bytes) (Response, error) {
-	return c.Do(Request{Op: OpRead, Cart: cart, Bytes: float64(b)})
-}
-
-// Write writes bytes to a docked cart.
-func (c *Client) Write(cart int, b units.Bytes) (Response, error) {
-	return c.Do(Request{Op: OpWrite, Cart: cart, Bytes: float64(b)})
-}
-
-// Status fetches the deployment counters.
-func (c *Client) Status() (Response, error) {
-	return c.Do(Request{Op: OpStatus})
-}
-
-// Metrics fetches the Prometheus text exposition of the deployment's
-// telemetry registry.
-func (c *Client) Metrics() (Response, error) {
-	return c.Do(Request{Op: OpMetrics})
 }
 
 // Close closes the connection.

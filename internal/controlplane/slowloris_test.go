@@ -66,7 +66,7 @@ func TestOversizedRequestLineRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if st, err := c.Status(); err != nil || !st.OK {
+	if st, err := c.Do(Request{Op: OpStatus}); err != nil || !st.OK {
 		t.Errorf("fresh connection after oversize rejection: %v %+v", err, st)
 	}
 }
@@ -178,7 +178,7 @@ func TestMaxConnsRefusedStructurally(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer keeper.Close()
-	if _, err := keeper.Status(); err != nil {
+	if _, err := keeper.Do(Request{Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +197,7 @@ func TestMaxConnsRefusedStructurally(t *testing.T) {
 		t.Errorf("over-cap response = %+v", resp)
 	}
 	// The kept connection still works.
-	if st, err := keeper.Status(); err != nil || !st.OK {
+	if st, err := keeper.Do(Request{Op: OpStatus}); err != nil || !st.OK {
 		t.Errorf("kept connection: %v %+v", err, st)
 	}
 }

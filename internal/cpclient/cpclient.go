@@ -182,13 +182,6 @@ func (b *Budget) Success() {
 	}
 }
 
-// Tokens reports the current reserve.
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
 // RetryableCode reports whether a structured server error code marks a
 // transient condition worth retrying. Overload sheds and busy physical
 // resources clear with time; validation and state errors do not.
@@ -308,9 +301,6 @@ func New(opt Options) *Client {
 	}
 	return c
 }
-
-// Budget exposes the client's (possibly shared) retry budget.
-func (c *Client) Budget() *Budget { return c.budget }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() Stats {

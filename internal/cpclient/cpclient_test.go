@@ -86,7 +86,7 @@ func TestBudgetBreaker(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Success()
 	}
-	if got := b.Tokens(); got != 2 {
+	if got := b.tokens; got != 2 {
 		t.Errorf("tokens cap at burst: got %v, want 2", got)
 	}
 }
@@ -296,7 +296,7 @@ func TestClientSuccessEarnsBudget(t *testing.T) {
 		}
 	}
 	want := 7 + 3*0.1
-	if got := budget.Tokens(); got < want-1e-9 || got > want+1e-9 {
+	if got := budget.tokens; got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("budget after successes = %v, want %v", got, want)
 	}
 }

@@ -144,15 +144,15 @@ func TestTelemetryStallDelayAnnotations(t *testing.T) {
 		t.Fatal("scenario stalled no cart; test is vacuous")
 	}
 	seen := map[string]int{}
-	for _, in := range set.Spans.Instants() {
+	set.Spans.EachInstant(func(in telemetry.Instant) {
 		if in.Name != markStall {
-			continue
+			return
 		}
 		if len(in.Args) != 1 || in.Args[0].Key != "delay_s" {
 			t.Fatalf("stall at %v carries %v, want one delay_s", in.At, in.Args)
 		}
 		seen[in.Args[0].Value]++
-	}
+	})
 	if seen["2"]+seen["3.5"] != stats.Stalls || seen["2"] == 0 || seen["3.5"] == 0 {
 		t.Errorf("stall delays %v over %d stalls, want both 2 and 3.5 and nothing else", seen, stats.Stalls)
 	}

@@ -321,7 +321,7 @@ func TestInjectNowStampsEngineTime(t *testing.T) {
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	log := inj.Log()
+	log := inj.log
 	if len(log) != 1 || log[0].T != 7 || log[0].Fault.At != 7 {
 		t.Fatalf("log = %+v, want one record stamped t=7", log)
 	}

@@ -167,9 +167,6 @@ func NewInjector(engine *sim.Engine, target Target, script Script) (*Injector, e
 	return &Injector{engine: engine, target: target, script: script}, nil
 }
 
-// Script returns the armed script.
-func (in *Injector) Script() Script { return in.script }
-
 // Arm schedules every scripted fault (and its recovery) on the engine.
 // Call once, before driving the simulation.
 func (in *Injector) Arm() error {
@@ -228,9 +225,6 @@ func (in *Injector) recover(f Fault) {
 	}
 	in.target.Recover(f)
 }
-
-// Log returns the event log so far, in simulation-time order.
-func (in *Injector) Log() []Record { return append([]Record(nil), in.log...) }
 
 // LogLines renders the event log as stable strings — the byte-identity
 // artefact chaos runs compare across replays.

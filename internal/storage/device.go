@@ -63,22 +63,3 @@ func (d *Device) Write(n units.Bytes) (units.Seconds, error) {
 	d.used += n
 	return d.Spec.WriteRate.TransferTime(n), nil
 }
-
-// Read reads n bytes from the allocated region, returning the transfer time
-// at the device's sequential read rate.
-//
-//dhllint:hotpath
-func (d *Device) Read(n units.Bytes) (units.Seconds, error) {
-	if n < 0 {
-		return 0, ErrNegativeLength
-	}
-	if d.failed {
-		//dhllint:allow allocflow -- failed-device rejection is the fault path, not steady-state I/O
-		return 0, fmt.Errorf("%w: %s", ErrDeviceFailed, d.Spec.Name)
-	}
-	if n > d.used {
-		//dhllint:allow allocflow -- out-of-range read is a caller bug, not steady-state I/O
-		return 0, fmt.Errorf("%w: %v allocated, %v requested", ErrOutOfRange, d.used, n)
-	}
-	return d.Spec.ReadRate.TransferTime(n), nil
-}

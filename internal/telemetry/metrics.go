@@ -61,16 +61,6 @@ func (g *Gauge) Set(v float64) {
 	g.v = v
 }
 
-// Add adjusts the gauge by delta (either sign).
-//
-//dhllint:hotpath
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	g.v += delta
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	switch {
@@ -111,22 +101,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Registry owns a flat namespace of metrics. Handles are created on first

@@ -204,30 +204,6 @@ func (l *SpanLog) ArgsOf(kv ...KV) ArgID {
 	return id
 }
 
-// Grow reserves capacity for at least spans more span records and
-// instants more instant records beyond the current lengths. A caller that
-// knows its recording volume can pre-size the log and keep every
-// subsequent record within capacity — the complement of Reset for pinning
-// the zero-allocation record path without recycling. Safe on a nil
-// receiver.
-func (l *SpanLog) Grow(spans, instants int) {
-	if l == nil {
-		return
-	}
-	l.recs = growCap(l.recs, spans)
-	l.instRecs = growCap(l.instRecs, instants)
-}
-
-// growCap ensures s has capacity for at least n more elements.
-func growCap[T any](s []T, n int) []T {
-	if n <= cap(s)-len(s) {
-		return s
-	}
-	out := make([]T, len(s), len(s)+n)
-	copy(out, s)
-	return out
-}
-
 // internDedup is the string-compat path's lookup: one table entry per
 // distinct string, building the reverse index lazily.
 func (l *SpanLog) internDedup(s string) StrID {
@@ -291,15 +267,6 @@ func (l *SpanLog) Span(track, name string, start, end units.Seconds, args ...KV)
 	l.RecordSpan(l.internDedup(track), l.internDedup(name), start, end, l.ArgsOf(args...))
 }
 
-// Mark records an instant event by name. The args slice is copied, never
-// retained.
-func (l *SpanLog) Mark(track, name string, at units.Seconds, args ...KV) {
-	if l == nil {
-		return
-	}
-	l.RecordInstant(l.internDedup(track), l.internDedup(name), at, l.ArgsOf(args...))
-}
-
 // argsOf returns annotation set id as a capacity-capped view.
 func (l *SpanLog) argsOf(id ArgID) []KV {
 	if id == 0 {
@@ -335,14 +302,6 @@ func (l *SpanLog) Len() int {
 		return 0
 	}
 	return len(l.recs) + len(l.instRecs)
-}
-
-// NumSpans returns the number of recorded spans (0 on nil).
-func (l *SpanLog) NumSpans() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.recs)
 }
 
 // NumInstants returns the number of recorded instants (0 on nil).
@@ -385,19 +344,6 @@ func (l *SpanLog) Spans() []Span {
 	out := make([]Span, len(l.recs))
 	for i := range l.recs {
 		out[i] = l.spanAt(i)
-	}
-	return out
-}
-
-// Instants returns a copy of the recorded instants in recording order.
-// Exporters that only walk the log should prefer EachInstant.
-func (l *SpanLog) Instants() []Instant {
-	if l == nil {
-		return nil
-	}
-	out := make([]Instant, len(l.instRecs))
-	for i := range l.instRecs {
-		out[i] = l.instantAt(i)
 	}
 	return out
 }

@@ -3,17 +3,33 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
+
+// mark records an instant by name through the interned path the models
+// use.
+func mark(l *SpanLog, track, name string, at units.Seconds, args ...KV) {
+	l.RecordInstant(l.Intern(track), l.Intern(name), at, l.ArgsOf(args...))
+}
+
+// instants collects the log's instants through EachInstant.
+func instants(l *SpanLog) []Instant {
+	var out []Instant
+	l.EachInstant(func(in Instant) { out = append(out, in) })
+	return out
+}
 
 func TestSpanLogRecordsAndSorts(t *testing.T) {
 	l := NewSpanLog()
 	l.Span("cart-1", "transit", 10, 30, KV{Key: "dir", Value: "outbound"})
 	l.Span("cart-0", "undock", 0, 5)
 	l.Span("cart-0", "transit", 5, 25)
-	l.Mark("faults", "ssd-failure", 12)
+	mark(l, "faults", "ssd-failure", 12)
 	if l.Len() != 4 {
 		t.Fatalf("len = %d, want 4", l.Len())
 	}
@@ -45,8 +61,8 @@ func TestSpanInvertedIntervalClamped(t *testing.T) {
 func TestNilSpanLogIsNoOp(t *testing.T) {
 	var l *SpanLog
 	l.Span("a", "b", 0, 1)
-	l.Mark("a", "c", 2)
-	if l.Len() != 0 || l.Spans() != nil || l.Instants() != nil || l.Tracks() != nil {
+	mark(l, "a", "c", 2)
+	if l.Len() != 0 || l.Spans() != nil || l.NumInstants() != 0 || l.Tracks() != nil {
 		t.Error("nil span log must stay empty")
 	}
 	b, err := ChromeTrace(l)
@@ -75,7 +91,7 @@ func TestChromeTraceStructure(t *testing.T) {
 	l := NewSpanLog()
 	l.Span("cart-0", "undock", 0, 5)
 	l.Span("cart-0", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
-	l.Mark("faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
+	mark(l, "faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
 	b, err := ChromeTrace(l)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +139,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 		l := NewSpanLog()
 		l.Span("cart-1", "transit", 3, 9)
 		l.Span("cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
-		l.Mark("faults", "stall", 2)
+		mark(l, "faults", "stall", 2)
 		b, err := ChromeTrace(l)
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +155,7 @@ func TestSpanSummary(t *testing.T) {
 	l := NewSpanLog()
 	l.Span("cart-0", "transit", 0, 10)
 	l.Span("cart-0", "transit", 20, 35)
-	l.Mark("faults", "stall", 5)
+	mark(l, "faults", "stall", 5)
 	out := SpanSummary(l)
 	if !strings.Contains(out, "transit") || !strings.Contains(out, "25.000") {
 		t.Errorf("span summary wrong:\n%s", out)
@@ -156,12 +172,12 @@ func TestSpanArgsCopiedNotRetained(t *testing.T) {
 	l := NewSpanLog()
 	args := []KV{{Key: "site", Value: "library"}}
 	l.Span("cart-0", "undock", 0, 5, args...)
-	l.Mark("faults", "stall", 3, args...)
+	mark(l, "faults", "stall", 3, args...)
 	args[0] = KV{Key: "clobbered", Value: "yes"}
 	if got := l.Spans()[0].Args[0]; got.Key != "site" || got.Value != "library" {
 		t.Errorf("span retained the caller's args slice: %+v", got)
 	}
-	if got := l.Instants()[0].Args[0]; got.Key != "site" || got.Value != "library" {
+	if got := instants(l)[0].Args[0]; got.Key != "site" || got.Value != "library" {
 		t.Errorf("instant retained the caller's args slice: %+v", got)
 	}
 }
@@ -189,15 +205,15 @@ func TestEachMatchesCopyingAccessors(t *testing.T) {
 	l := NewSpanLog()
 	l.Span("cart-1", "transit", 3, 9)
 	l.Span("cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
-	l.Mark("faults", "stall", 2, KV{Key: "delay_s", Value: "5"})
-	l.Mark("faults", "leak", 6)
+	mark(l, "faults", "stall", 2, KV{Key: "delay_s", Value: "5"})
+	mark(l, "faults", "leak", 6)
 
 	var iterSpans []Span
 	l.EachSpan(func(s Span) { iterSpans = append(iterSpans, s) })
 	copySpans := l.Spans()
-	if len(iterSpans) != len(copySpans) || len(iterSpans) != l.NumSpans() {
-		t.Fatalf("EachSpan yielded %d spans, Spans %d, NumSpans %d",
-			len(iterSpans), len(copySpans), l.NumSpans())
+	if len(iterSpans) != len(copySpans) || len(iterSpans) != l.Len()-l.NumInstants() {
+		t.Fatalf("EachSpan yielded %d spans, Spans %d, Len-NumInstants %d",
+			len(iterSpans), len(copySpans), l.Len()-l.NumInstants())
 	}
 	for i := range copySpans {
 		a, b := iterSpans[i], copySpans[i]
@@ -205,23 +221,17 @@ func TestEachMatchesCopyingAccessors(t *testing.T) {
 			t.Errorf("span %d differs between paths: %+v vs %+v", i, a, b)
 		}
 	}
-	var iterInstants []Instant
-	l.EachInstant(func(in Instant) { iterInstants = append(iterInstants, in) })
-	copyInstants := l.Instants()
-	if len(iterInstants) != len(copyInstants) || len(iterInstants) != l.NumInstants() {
-		t.Fatalf("EachInstant yielded %d, Instants %d, NumInstants %d",
-			len(iterInstants), len(copyInstants), l.NumInstants())
+	want := []Instant{
+		{Track: "faults", Name: "stall", At: 2, Args: []KV{{Key: "delay_s", Value: "5"}}},
+		{Track: "faults", Name: "leak", At: 6},
 	}
-	for i := range copyInstants {
-		a, b := iterInstants[i], copyInstants[i]
-		if a.Track != b.Track || a.Name != b.Name || a.At != b.At || len(a.Args) != len(b.Args) {
-			t.Errorf("instant %d differs between paths: %+v vs %+v", i, a, b)
-		}
+	if got := instants(l); !reflect.DeepEqual(got, want) || l.NumInstants() != len(want) {
+		t.Fatalf("EachInstant yielded %+v (NumInstants %d), want %+v", got, l.NumInstants(), want)
 	}
 
 	// Nil receivers: zero counts, no callbacks.
 	var nilLog *SpanLog
-	if nilLog.NumSpans() != 0 || nilLog.NumInstants() != 0 {
+	if nilLog.Len() != 0 || nilLog.NumInstants() != 0 {
 		t.Error("nil log counts must be zero")
 	}
 	nilLog.EachSpan(func(Span) { t.Error("EachSpan callback on nil log") })
@@ -236,8 +246,8 @@ func TestExportersByteIdenticalToCopyPath(t *testing.T) {
 	l.Span("cart-0", "undock", 0, 5, KV{Key: "site", Value: "library"})
 	l.Span("cart-1", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
 	l.Span("cart-0", "transit", 5, 20)
-	l.Mark("faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
-	l.Mark("faults", "stall", 9)
+	mark(l, "faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
+	mark(l, "faults", "stall", 9)
 
 	// Reference: a second log rebuilt through the copying accessors holds
 	// equal data, so both exports must serialise identically.
@@ -245,8 +255,8 @@ func TestExportersByteIdenticalToCopyPath(t *testing.T) {
 	for _, s := range l.Spans() {
 		ref.Span(s.Track, s.Name, s.Start, s.End, s.Args...)
 	}
-	for _, in := range l.Instants() {
-		ref.Mark(in.Track, in.Name, in.At, in.Args...)
+	for _, in := range instants(l) {
+		mark(ref, in.Track, in.Name, in.At, in.Args...)
 	}
 
 	got, err := ChromeTrace(l)

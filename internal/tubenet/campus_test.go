@@ -92,7 +92,7 @@ func newSpreadCampus(t *testing.T, opt Options, spread units.Seconds) *Campus {
 // four spur lines from each other, with no recovery scheduled.
 func partitionCampus(c *Campus) {
 	for e := 0; e < c.Topology().NumEdges(); e++ {
-		ed := c.Topology().Edge(EdgeID(e))
+		ed := c.Topology().edges[e]
 		if ed.Line == NoLine {
 			c.Inject(faults.Fault{Kind: faults.TubeSegmentFailure, Segment: e, Duration: 1})
 		}

@@ -92,7 +92,7 @@ func TestRouterSkipsZeroCapacityEdge(t *testing.T) {
 	// commissioned-but-closed tube.
 	edges := make([]Edge, topo.NumEdges())
 	for i := range edges {
-		edges[i] = topo.Edge(EdgeID(i))
+		edges[i] = topo.edges[i]
 	}
 	edges[0].Capacity = 0
 	topo2, err := NewTopology([]Node{
@@ -242,7 +242,7 @@ func referenceTable(topo *Topology, base []units.Seconds, alpha float64, live Li
 		cost[e] = float64(base[e]) * (1 + alpha*q)
 	}
 	usable := func(e EdgeID) bool {
-		ed := topo.Edge(e)
+		ed := topo.edges[e]
 		return ed.Capacity > 0 &&
 			(live.EdgeUp == nil || live.EdgeUp[e]) &&
 			(live.NodeUp == nil || live.NodeUp[ed.To])
@@ -278,7 +278,7 @@ func referenceTable(topo *Topology, base []units.Seconds, alpha float64, live Li
 				if !usable(e) {
 					continue
 				}
-				v := topo.Edge(e).To
+				v := topo.edges[e].To
 				if done[v] {
 					continue
 				}
@@ -375,7 +375,7 @@ func TestRouterMatchesScanReference(t *testing.T) {
 	}
 	edges := make([]Edge, c.topo.NumEdges())
 	for i := range edges {
-		edges[i] = c.topo.Edge(EdgeID(i))
+		edges[i] = c.topo.edges[i]
 		if i%5 == 0 {
 			edges[i].Capacity = 0
 		}

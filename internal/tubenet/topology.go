@@ -110,9 +110,6 @@ type Topology struct {
 	// out[n] lists the edges leaving node n in ascending EdgeID order —
 	// the deterministic relaxation order of the router.
 	out [][]EdgeID
-	// lines[l] lists the edges of conflict domain l in ascending EdgeID
-	// order.
-	lines [][]EdgeID
 	// conflicts[e] lists, for a line edge e, the edges of its line whose
 	// Span overlaps e's (e included) in ascending EdgeID order; nil for
 	// trunk edges.
@@ -169,16 +166,18 @@ func NewTopology(nodes []Node, edges []Edge) (*Topology, error) {
 		nodes:     append([]Node(nil), nodes...),
 		edges:     append([]Edge(nil), edges...),
 		out:       make([][]EdgeID, len(nodes)),
-		lines:     make([][]EdgeID, maxLine+1),
 		conflicts: make([][]EdgeID, len(edges)),
 	}
+	// lines[l] lists the edges of conflict domain l in ascending EdgeID
+	// order.
+	lines := make([][]EdgeID, maxLine+1)
 	for i, e := range t.edges {
 		t.out[e.From] = append(t.out[e.From], EdgeID(i))
 		if e.Line != NoLine {
-			t.lines[e.Line] = append(t.lines[e.Line], EdgeID(i))
+			lines[e.Line] = append(lines[e.Line], EdgeID(i))
 		}
 	}
-	for _, line := range t.lines {
+	for _, line := range lines {
 		for _, e := range line {
 			for _, g := range line {
 				if t.edges[g].Span.Overlaps(t.edges[e].Span) {
@@ -196,14 +195,8 @@ func (t *Topology) NumNodes() int { return len(t.nodes) }
 // NumEdges returns the directed-edge count.
 func (t *Topology) NumEdges() int { return len(t.edges) }
 
-// NumLines returns the number of single-rail conflict domains.
-func (t *Topology) NumLines() int { return len(t.lines) }
-
 // Node returns node n.
 func (t *Topology) Node(n NodeID) Node { return t.nodes[n] }
-
-// Edge returns edge e.
-func (t *Topology) Edge(e EdgeID) Edge { return t.edges[e] }
 
 // edgeAt returns edge e by pointer, for hot loops that must not copy the
 // struct. Callers must not mutate it.
@@ -212,10 +205,6 @@ func (t *Topology) edgeAt(e EdgeID) *Edge { return &t.edges[e] }
 // Out returns the edges leaving n in ascending EdgeID order. The slice is
 // owned by the topology; callers must not mutate it.
 func (t *Topology) Out(n NodeID) []EdgeID { return t.out[n] }
-
-// LineEdges returns the edges of conflict domain l in ascending EdgeID
-// order. The slice is owned by the topology; callers must not mutate it.
-func (t *Topology) LineEdges(l int) []EdgeID { return t.lines[l] }
 
 // conflictsOf returns the edges that may not be occupied while e is: for a
 // line edge, those of its line whose Span overlaps e's, e included, in

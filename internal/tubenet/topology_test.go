@@ -64,6 +64,22 @@ func TestNewTopologyValidation(t *testing.T) {
 	}
 }
 
+// linesOf groups topo's line edges by conflict domain, each in ascending
+// EdgeID order.
+func linesOf(topo *Topology) [][]EdgeID {
+	var lines [][]EdgeID
+	for e, ed := range topo.edges {
+		if ed.Line == NoLine {
+			continue
+		}
+		for len(lines) <= ed.Line {
+			lines = append(lines, nil)
+		}
+		lines[ed.Line] = append(lines[ed.Line], EdgeID(e))
+	}
+	return lines
+}
+
 func TestDefaultCampusShape(t *testing.T) {
 	topo, err := NewCampus(DefaultCampusConfig())
 	if err != nil {
@@ -76,8 +92,9 @@ func TestDefaultCampusShape(t *testing.T) {
 	if topo.NumEdges() != 48 {
 		t.Errorf("NumEdges = %d, want 48", topo.NumEdges())
 	}
-	if topo.NumLines() != 4 {
-		t.Errorf("NumLines = %d, want 4", topo.NumLines())
+	lines := linesOf(topo)
+	if len(lines) != 4 {
+		t.Errorf("%d lines, want 4", len(lines))
 	}
 	if got := len(topo.Stations()); got != 20 {
 		t.Errorf("Stations = %d, want 20 (junctions excluded)", got)
@@ -86,14 +103,14 @@ func TestDefaultCampusShape(t *testing.T) {
 		if !topo.Node(NodeID(j)).Junction {
 			t.Errorf("node %d should be a junction", j)
 		}
-		if len(topo.LineEdges(j)) != 10 {
-			t.Errorf("line %d has %d edges, want 10", j, len(topo.LineEdges(j)))
+		if len(lines[j]) != 10 {
+			t.Errorf("line %d has %d edges, want 10", j, len(lines[j]))
 		}
 	}
 	// Opposite directions of one rail segment carry the same span.
 	for _, l := range []int{0, 1, 2, 3} {
-		edges := topo.LineEdges(l)
-		fwd, rev := topo.Edge(edges[0]), topo.Edge(edges[1])
+		edges := lines[l]
+		fwd, rev := topo.edges[edges[0]], topo.edges[edges[1]]
 		if fwd.Span != rev.Span {
 			t.Errorf("line %d: paired directions carry spans %+v vs %+v", l, fwd.Span, rev.Span)
 		}
@@ -138,10 +155,10 @@ func TestCampusSpurSpansConflictAtSharedStations(t *testing.T) {
 	}
 	// Adjacent chain segments share a station index, so their inclusive
 	// spans overlap.
-	line := topo.LineEdges(0)
+	line := linesOf(topo)[0]
 	var spans []Span
 	for _, e := range line {
-		spans = append(spans, topo.Edge(e).Span)
+		spans = append(spans, topo.edges[e].Span)
 	}
 	if !spans[0].Overlaps(spans[2]) {
 		t.Errorf("adjacent segments %+v and %+v must conflict at the shared station", spans[0], spans[2])
@@ -176,7 +193,7 @@ func TestTransitTimes(t *testing.T) {
 	}
 	edges := make([]Edge, topo.NumEdges())
 	for e := range edges {
-		edges[e] = topo.Edge(EdgeID(e))
+		edges[e] = topo.edges[e]
 		edges[e].Tube.Pressure = 10 * physics.RoughVacuumPascal
 	}
 	leaky, err := NewTopology(nodes, edges)
@@ -238,11 +255,11 @@ func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
 	for _, tp := range topos {
 		topo := tp.topo
 		for e := EdgeID(0); int(e) < topo.NumEdges(); e++ {
-			ed := topo.Edge(e)
+			ed := topo.edges[e]
 			var want []EdgeID
 			if ed.Line != NoLine {
 				for g := EdgeID(0); int(g) < topo.NumEdges(); g++ {
-					if og := topo.Edge(g); og.Line == ed.Line && og.Span.Overlaps(ed.Span) {
+					if og := topo.edges[g]; og.Line == ed.Line && og.Span.Overlaps(ed.Span) {
 						want = append(want, g)
 					}
 				}
@@ -255,7 +272,7 @@ func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
 	// A default-campus spur edge conflicts with both directions of its own
 	// rail segment and of each neighbouring one: 4 at a chain end, 6 inside.
 	for e := EdgeID(0); int(e) < def.NumEdges(); e++ {
-		if def.Edge(e).Line == NoLine {
+		if def.edges[e].Line == NoLine {
 			continue
 		}
 		if n := len(def.conflictsOf(e)); n != 4 && n != 6 {
