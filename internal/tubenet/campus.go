@@ -359,8 +359,9 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 	return c, nil
 }
 
-// initTelemetry binds the metric handles, registers the counters that
-// read the campus's own counts, and interns the span vocabulary.
+// initTelemetry binds the metric handles, registers the counters and
+// per-edge gauges that read the campus's own counts, and interns the span
+// vocabulary.
 func (c *Campus) initTelemetry(set *telemetry.Set) {
 	reg := set.MetricsOf()
 	c.tel = campusTel{
@@ -379,6 +380,17 @@ func (c *Campus) initTelemetry(set *telemetry.Set) {
 			}
 			return float64(n)
 		})
+		for e := range c.perEdge {
+			reg.GaugeFunc(fmt.Sprintf("tubenet_edge_%03d_util", e), func() float64 {
+				if c.eng.Now() == 0 {
+					return 0
+				}
+				return float64(c.perEdge[e].Busy) / float64(c.eng.Now())
+			})
+			reg.GaugeFunc(fmt.Sprintf("tubenet_edge_%03d_max_queue", e), func() float64 {
+				return float64(c.perEdge[e].MaxQueue)
+			})
+		}
 	}
 	if sp := c.tel.spans; sp != nil {
 		c.tel.idTransit = sp.Intern(spanTransit)
@@ -431,7 +443,7 @@ func (c *Campus) Run() (Result, error) {
 	return c.result(), nil
 }
 
-// result assembles the Result and exports the per-edge telemetry gauges.
+// result assembles the Result.
 func (c *Campus) result() Result {
 	r := Result{
 		Carts:          c.opt.Carts,
@@ -458,13 +470,6 @@ func (c *Campus) result() Result {
 		scratch := append([]units.Seconds(nil), c.transits...)
 		r.TransitP50 = quantileSeconds(scratch, 0.50)
 		r.TransitP99 = quantileSeconds(scratch, 0.99)
-	}
-	if reg := c.opt.Telemetry.MetricsOf(); reg != nil && c.eng.Now() > 0 {
-		for e := range c.perEdge {
-			util := float64(c.perEdge[e].Busy) / float64(c.eng.Now())
-			reg.Gauge(fmt.Sprintf("tubenet_edge_%03d_util", e)).Set(util)
-			reg.Gauge(fmt.Sprintf("tubenet_edge_%03d_max_queue", e)).Set(float64(c.perEdge[e].MaxQueue))
-		}
 	}
 	return r
 }

@@ -294,6 +294,48 @@ func TestCampusTelemetryExportIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEdgeGaugesReadByStepDrivenCampus drives a telemetry-on campus with
+// Start and the engine instead of Run: a snapshot must still carry the
+// utilisation and max-queue gauge of every edge, equal to what Run reports
+// for the same options.
+func TestEdgeGaugesReadByStepDrivenCampus(t *testing.T) {
+	opt := Options{Carts: 25, TripsPerCart: 2, Seed: 13}
+	ref, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := telemetry.NewSet()
+	opt.Telemetry = set
+	c, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Engine().Run(0); err != nil {
+		t.Fatal(err)
+	}
+	gauges := map[string]float64{}
+	for _, g := range set.Metrics.Snapshot().Gauges {
+		gauges[g.Name] = g.Value
+	}
+	for e, s := range res.PerEdge {
+		for name, want := range map[string]float64{
+			fmt.Sprintf("tubenet_edge_%03d_util", e):      float64(s.Busy) / float64(res.Elapsed),
+			fmt.Sprintf("tubenet_edge_%03d_max_queue", e): float64(s.MaxQueue),
+		} {
+			if got, ok := gauges[name]; !ok || got != want {
+				t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestRunStudyDeterministicAcrossWorkers(t *testing.T) {
 	opt := Options{Carts: 20, TripsPerCart: 2}
 	seeds := []int64{1, 2, 3, 4}
