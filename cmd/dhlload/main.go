@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 )
@@ -44,7 +45,7 @@ func main() {
 		return
 	}
 	if err != nil {
-		os.Exit(2) // the flag set has already printed the error and usage
+		os.Exit(2) // parseArgs has already printed the error
 	}
 	cfg := o.cfg
 
@@ -114,9 +115,42 @@ func parseArgs(args []string) (cliOptions, error) {
 	fs.StringVar(&o.benchOut, "bench-out", "", "write the result as benchmark JSON to this file")
 	fs.BoolVar(&o.json, "json", false, "print the result as JSON instead of the text report")
 	fs.StringVar(&o.live, "live", "", "drive a real server at this TCP address (wall clock)")
-	err := fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	c.Retry.Seed = c.Seed
-	return o, err
+	// Every numeric flag must lie in the range its help text gives: NaN,
+	// ±Inf and out-of-range values are rejected here, not replaced by a
+	// default or left to hang the run.
+	positive := func(x float64) bool { return x > 0 && x < math.Inf(1) }
+	nonNegative := func(x float64) bool { return x >= 0 && x < math.Inf(1) }
+	for _, f := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"clients", c.Clients >= 1, "at least 1"},
+		{"duration", positive(c.Duration), "a positive number of seconds"},
+		{"think", nonNegative(c.Think), "a non-negative number of seconds"},
+		{"ops", c.Ops >= 1, "at least 1"},
+		{"read", c.ReadFrac >= 0 && c.ReadFrac <= 1, "a fraction in [0, 1]"},
+		{"bytes", positive(c.Bytes), "a positive number of bytes"},
+		{"rate", positive(c.Rate), "a positive rate"},
+		{"carts", c.Carts >= 0, "0 or more"},
+		{"status-every", nonNegative(c.StatusEvery), "a non-negative number of seconds"},
+		{"timeout", positive(c.RequestTimeout), "a positive number of seconds"},
+		{"max-inflight", c.Admission.MaxInFlight >= 1, "at least 1"},
+		{"max-queue", c.Admission.MaxQueue >= 1, "at least 1"},
+		{"admit-rate", nonNegative(c.Admission.Rate), "0 (off) or a positive rate"},
+		{"per-conn", c.Admission.PerConn >= 0, "0 (off) or more"},
+	} {
+		if !f.ok {
+			err := fmt.Errorf("invalid value %s for flag -%s: want %s", fs.Lookup(f.name).Value, f.name, f.want)
+			fmt.Fprintln(fs.Output(), err)
+			return o, err
+		}
+	}
+	return o, nil
 }
 
 // benchJSON is the stable schema of SIM_controlplane.json, consumed by

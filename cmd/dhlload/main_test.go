@@ -75,6 +75,27 @@ func TestReportGoldens(t *testing.T) {
 	}
 }
 
+// TestParseArgsRejectsBadValues: a NaN, infinite or out-of-range numeric
+// flag is an error naming the flag, never a silent default or a run that
+// hangs.
+func TestParseArgsRejectsBadValues(t *testing.T) {
+	for _, args := range []string{
+		"-duration NaN", "-duration -5", "-duration +Inf", "-think NaN", "-think -1",
+		"-clients 0", "-ops 0", "-read 1.5", "-read NaN", "-bytes -1", "-bytes NaN",
+		"-rate -3", "-rate NaN", "-carts -1", "-status-every NaN", "-timeout 0",
+		"-max-inflight 0", "-max-queue 0", "-admit-rate NaN", "-admit-rate -1", "-per-conn -1",
+	} {
+		flagName := strings.Fields(args)[0]
+		_, err := parseArgs(strings.Fields(args))
+		if err == nil || !strings.Contains(err.Error(), "flag "+flagName+":") {
+			t.Errorf("%s: err = %v, want an error naming %s", args, err, flagName)
+		}
+	}
+	if _, err := parseArgs([]string{"-think", "0", "-carts", "0", "-status-every", "0", "-admit-rate", "0"}); err != nil {
+		t.Errorf("the documented zero values must parse: %v", err)
+	}
+}
+
 // firstDiff renders the first line where want and got disagree.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

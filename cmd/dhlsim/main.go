@@ -306,6 +306,9 @@ func failureSweep(opt dhlsys.Options, dataset units.Bytes, read bool, spec strin
 		if err != nil {
 			log.Fatalf("-failure-sweep: bad rate %q: %v", tok, err)
 		}
+		if !(rate >= 0 && rate <= 1) { // NaN fails too
+			log.Fatalf("-failure-sweep: rate %q outside [0, 1]", tok)
+		}
 		rates = append(rates, rate)
 	}
 	fmt.Printf("Availability vs failure rate: %v, %d carts, %d docks, %v, read=%v, seed=%d\n",

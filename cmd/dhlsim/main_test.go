@@ -91,12 +91,19 @@ func TestNegativeDurationsAreRejected(t *testing.T) {
 }
 
 // TestFailureSweepRejectsBadRateBeforeRunning: the whole -failure-sweep
-// list is parsed first, so a bad entry prints no header and no rows.
+// list is parsed and range-checked first, so a bad entry prints no header
+// and no rows.
 func TestFailureSweepRejectsBadRateBeforeRunning(t *testing.T) {
-	stdout, stderr, code := runDhlsim(t, "-failure-sweep", "0.1,abc")
-	if code != 1 || !strings.Contains(stderr, `bad rate "abc"`) || stdout != "" {
-		t.Errorf("exit %d, stderr %q, stdout %q; want exit 1, a bad-rate message and no output",
-			code, stderr, stdout)
+	for _, tc := range []struct{ spec, want string }{
+		{"0.1,abc", `bad rate "abc"`},
+		{"0.1,-1", `rate "-1" outside [0, 1]`},
+		{"0.1,NaN", `rate "NaN" outside [0, 1]`},
+	} {
+		stdout, stderr, code := runDhlsim(t, "-failure-sweep", tc.spec)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 1, %q and no output",
+				tc.spec, code, stderr, stdout, tc.want)
+		}
 	}
 }
 

@@ -58,6 +58,27 @@ func TestNewServerNilSystem(t *testing.T) {
 	}
 }
 
+// TestNewServerRejectsBadAdmissionRate: a negative or NaN admission rate
+// is an error, not rate limiting silently switched off.
+func TestNewServerRejectsBadAdmissionRate(t *testing.T) {
+	sys, err := dhlsys.New(dhlsys.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{-1, math.NaN()} {
+		opt := DefaultServerOptions()
+		opt.Admission.Rate = rate
+		if _, err := NewServerWithOptions(sys, opt); err == nil {
+			t.Errorf("admission rate %v must be rejected", rate)
+		}
+	}
+	opt := DefaultServerOptions()
+	opt.Admission.Rate = 0
+	if _, err := NewServerWithOptions(sys, opt); err != nil {
+		t.Errorf("rate 0 (off) must be accepted: %v", err)
+	}
+}
+
 func TestFullAPICycleOverTCP(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
 	c, err := Dial(addr)

@@ -135,6 +135,9 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 	if opt.MaxRequestBytes < 0 || opt.MaxConns < 0 {
 		return nil, errors.New("controlplane: limits must be non-negative")
 	}
+	if !(opt.Admission.Rate >= 0) { // NaN fails too, rather than turning rate limiting off
+		return nil, errors.New("controlplane: admission rate must be non-negative")
+	}
 	s := &Server{
 		sys:       sys,
 		opt:       opt,

@@ -232,7 +232,7 @@ func New(opt Options) (*System, error) {
 	if opt.NumCarts < 1 {
 		return nil, errors.New("dhlsys: need at least one cart")
 	}
-	if opt.FailureRate < 0 || opt.FailureRate > 1 {
+	if !(opt.FailureRate >= 0 && opt.FailureRate <= 1) { // NaN fails too
 		return nil, fmt.Errorf("dhlsys: failure rate must be in [0,1], got %v", opt.FailureRate)
 	}
 	l, err := core.Launch(opt.Core)

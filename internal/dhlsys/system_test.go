@@ -33,10 +33,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(opt); err == nil {
 		t.Error("zero carts must be rejected")
 	}
-	opt = DefaultOptions()
-	opt.FailureRate = 1.5
-	if _, err := New(opt); err == nil {
-		t.Error("bad failure rate must be rejected")
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		opt = DefaultOptions()
+		opt.FailureRate = rate
+		if _, err := New(opt); err == nil {
+			t.Errorf("failure rate %v must be rejected", rate)
+		}
 	}
 	opt = DefaultOptions()
 	opt.DockStations = 0

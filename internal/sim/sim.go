@@ -116,7 +116,7 @@ func (e *Engine) freeSlot(i int32) {
 //
 //dhllint:hotpath
 func (e *Engine) At(t units.Seconds, name string, fn func()) (Handle, error) {
-	if t < e.now {
+	if !(t >= e.now) { // a NaN time is in no one's future
 		//dhllint:allow allocflow -- scheduling-in-the-past is a caller bug, never the steady state
 		return Handle{}, fmt.Errorf("%w: t=%v now=%v (%s)", ErrPastEvent, t, e.now, name)
 	}

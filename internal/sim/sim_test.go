@@ -72,6 +72,23 @@ func TestPastSchedulingRejected(t *testing.T) {
 	}
 }
 
+// TestNaNTimeRejected: a NaN time or delay is no point on the clock, so At
+// and After reject it as ErrPastEvent instead of scheduling it and letting
+// it become the clock.
+func TestNaNTimeRejected(t *testing.T) {
+	e := New()
+	nan := units.Seconds(math.NaN())
+	if _, err := e.At(nan, "nan", func() {}); !errors.Is(err, ErrPastEvent) {
+		t.Errorf("At(NaN) err = %v, want ErrPastEvent", err)
+	}
+	if _, err := e.After(nan, "nan", func() {}); !errors.Is(err, ErrPastEvent) {
+		t.Errorf("After(NaN) err = %v, want ErrPastEvent", err)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("%d events pending, want none", e.Pending())
+	}
+}
+
 func TestCancel(t *testing.T) {
 	e := New()
 	ran := false
