@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-2 quality gate: vet, formatting, dhllint, the full test suite under
-# the race detector (the control-plane server, the campus study's replica
-# pool and dhllint's per-package pass run concurrently, so a data race is a
-# real failure mode), the bench module's tests with its golden digests
-# (bench/ is its own module, so the root test run skips it), and the
+# Tier-2 quality gate: vet over both modules, formatting, dhllint, the
+# full test suite under the race detector (the control-plane server, the
+# campus study's replica pool and dhllint's per-package pass run
+# concurrently, so a data race is a real failure mode), the bench module's
+# tests with its golden digests (bench/ is its own module, so the root vet
+# and test runs skip it), and the
 # zero-allocation budgets, which are built !race and so need a race-free
 # run. These are the CI check job's build, lint and test steps; its smoke
 # steps run only there. Tier-1 remains `go build ./... && go test ./...`.
@@ -14,6 +15,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== (cd bench && go vet ./...)"
+(cd bench && go vet ./...)
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
@@ -38,4 +42,4 @@ echo "== (cd bench && go test ./...)"
 echo "== go test -run TestHotPathAllocs . ./internal/controlplane"
 go test -run 'TestHotPathAllocs' . ./internal/controlplane
 
-echo "OK: vet, gofmt, build, dhllint, race-clean tests, bench module tests, alloc budgets"
+echo "OK: vet (bench module too), gofmt, build, dhllint, race-clean tests, bench module tests, alloc budgets"
