@@ -58,7 +58,9 @@ func flowStmt(r flowRule, s ast.Stmt) {
 		flowStmt(r, s.Init)
 		r.expr(s.Cond)
 		walkFlow(r.branch(), s.Body.List)
-		flowStmt(r.branch(), s.Else)
+		if s.Else != nil {
+			flowStmt(r.branch(), s.Else)
+		}
 	case *ast.ForStmt:
 		flowStmt(r, s.Init)
 		r.expr(s.Cond)

@@ -160,7 +160,7 @@ func buildLockFacts(g *CallGraph, pkgs []*Package) *lockFacts {
 		lf.collectGuards(pkg)
 	}
 	for _, n := range g.order {
-		w := &lockWalker{g: g, n: n, guards: lf.guards, facts: &fnLockFacts{n: n}, held: map[lockKey]lockMode{}}
+		w := &lockWalker{g: g, n: n, guards: lf.guards, facts: &fnLockFacts{n: n}}
 		walkFlow(w, n.decl.Body.List)
 		lf.perFn[n] = w.facts
 	}
@@ -319,7 +319,9 @@ func joinPath(base, field string) string {
 
 // lockWalker is the lockset flowRule: the per-function walk state plus
 // the lockset held at the current statement. Lock operations mutate held
-// in place so later statements see them; a branch walks a copy.
+// in place so later statements see them; a branch walks a copy. An empty
+// lockset is nil, so the many lock-free branches and call sites copy
+// nothing.
 type lockWalker struct {
 	g      *CallGraph
 	n      *cgNode
@@ -338,6 +340,9 @@ func (w *lockWalker) with(held map[lockKey]lockMode) *lockWalker {
 func (w *lockWalker) branch() flowRule { return w.with(cloneHeld(w.held)) }
 
 func cloneHeld(held map[lockKey]lockMode) map[lockKey]lockMode {
+	if len(held) == 0 {
+		return nil
+	}
 	out := make(map[lockKey]lockMode, len(held))
 	for k, v := range held {
 		out[k] = v
@@ -386,7 +391,6 @@ func (w *lockWalker) lockOp(call *ast.CallExpr) (lockOpKind, ast.Expr) {
 }
 
 func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.Pos) {
-	held := w.held
 	root, path, ok := pathOf(w.n.pkg.Info, mutexExpr)
 	if !ok {
 		return
@@ -394,8 +398,8 @@ func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.
 	key := lockKey{root, path}
 	switch kind {
 	case opLock, opRLock:
-		snapshot := make([]lockKey, 0, len(held))
-		for k := range held {
+		snapshot := make([]lockKey, 0, len(w.held))
+		for k := range w.held {
 			snapshot = append(snapshot, k)
 		}
 		sort.Slice(snapshot, func(i, j int) bool {
@@ -404,13 +408,16 @@ func (w *lockWalker) applyLockOp(kind lockOpKind, mutexExpr ast.Expr, pos token.
 		w.facts.acquires = append(w.facts.acquires, acquireEvent{
 			pos: pos, key: key, read: kind == opRLock, held: snapshot,
 		})
+		if w.held == nil {
+			w.held = make(map[lockKey]lockMode)
+		}
 		if kind == opLock {
-			held[key] = modeWrite
-		} else if held[key] < modeRead {
-			held[key] = modeRead
+			w.held[key] = modeWrite
+		} else if w.held[key] < modeRead {
+			w.held[key] = modeRead
 		}
 	case opUnlock, opRUnlock:
-		delete(held, key)
+		delete(w.held, key)
 	}
 }
 
@@ -469,7 +476,7 @@ func (w *lockWalker) scanGoCall(call *ast.CallExpr) {
 	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		w.scanExpr(call.Fun) // literal body walks lock-free inside scanExpr
 	} else {
-		w.recordCall(call, map[lockKey]lockMode{})
+		w.recordCall(call, nil)
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			w.scanExpr(sel.X)
 		}
@@ -490,7 +497,7 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 		switch x := node.(type) {
 		case *ast.FuncLit:
 			// Runs later, without the current locks.
-			walkFlow(w.with(map[lockKey]lockMode{}), x.Body.List)
+			walkFlow(w.with(nil), x.Body.List)
 			return false
 		case *ast.CallExpr:
 			if kind, mexpr := w.lockOp(x); kind != opNone {
