@@ -441,22 +441,22 @@ func (w *lockWalker) stmt(s ast.Stmt) bool {
 	case *ast.GoStmt:
 		// The spawned call runs without the caller's locks: arguments
 		// are evaluated now (current lockset), the callee is recorded
-		// with an empty one. Function literals are handled by scanExpr,
+		// with an empty one. Function literals are handled by expr,
 		// which always walks their bodies lock-free.
 		w.scanGoCall(st.Call)
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
-			w.scanExpr(r)
+			w.expr(r)
 		}
 		for _, l := range st.Lhs {
-			w.markWrite(l)
+			w.write(l)
 		}
 	case *ast.DeclStmt:
 		if gd, ok := st.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						w.scanExpr(v)
+						w.expr(v)
 					}
 				}
 			}
@@ -467,28 +467,25 @@ func (w *lockWalker) stmt(s ast.Stmt) bool {
 	return true
 }
 
-func (w *lockWalker) expr(e ast.Expr)  { w.scanExpr(e) }
-func (w *lockWalker) write(e ast.Expr) { w.markWrite(e) }
-
 // scanGoCall records a go statement's callee with an empty lockset and
 // its argument evaluation with the current one.
 func (w *lockWalker) scanGoCall(call *ast.CallExpr) {
 	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.scanExpr(call.Fun) // literal body walks lock-free inside scanExpr
+		w.expr(call.Fun) // literal body walks lock-free inside expr
 	} else {
 		w.recordCall(call, nil)
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			w.scanExpr(sel.X)
+			w.expr(sel.X)
 		}
 	}
 	for _, a := range call.Args {
-		w.scanExpr(a)
+		w.expr(a)
 	}
 }
 
-// scanExpr records guarded-field reads, call sites, and lock-free
+// expr records guarded-field reads, call sites, and lock-free
 // closure bodies inside one expression.
-func (w *lockWalker) scanExpr(e ast.Expr) {
+func (w *lockWalker) expr(e ast.Expr) {
 	if e == nil {
 		return
 	}
@@ -509,8 +506,8 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 			}
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(x.Args) == 2 {
-					w.markWrite(x.Args[0])
-					w.scanExpr(x.Args[1])
+					w.write(x.Args[0])
+					w.expr(x.Args[1])
 					return false
 				}
 			}
@@ -518,7 +515,7 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 			return true
 		case *ast.SelectorExpr:
 			if w.checkSelector(x, modeRead) {
-				w.scanExpr(x.X)
+				w.expr(x.X)
 				return false
 			}
 			return true
@@ -527,26 +524,26 @@ func (w *lockWalker) scanExpr(e ast.Expr) {
 	})
 }
 
-// markWrite classifies the spine of an assignment target: the base
+// write classifies the spine of an assignment target: the base
 // guarded field (possibly behind index/star/paren wrappers) needs the
 // mutex write-held; index expressions along the way are reads.
-func (w *lockWalker) markWrite(e ast.Expr) {
+func (w *lockWalker) write(e ast.Expr) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.IndexExpr:
-		w.scanExpr(x.Index)
-		w.markWrite(x.X)
+		w.expr(x.Index)
+		w.write(x.X)
 	case *ast.StarExpr:
-		w.markWrite(x.X)
+		w.write(x.X)
 	case *ast.SelectorExpr:
 		if w.checkSelector(x, modeWrite) {
-			w.scanExpr(x.X)
+			w.expr(x.X)
 			return
 		}
-		w.markWrite(x.X)
+		w.write(x.X)
 	case *ast.Ident:
 		// Plain variable target: nothing guarded.
 	default:
-		w.scanExpr(e)
+		w.expr(e)
 	}
 }
 
