@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -105,8 +106,8 @@ func main() {
 	if *benchOut != "" {
 		log.Fatal("-bench-out is only meaningful with -campus")
 	}
-	if *datasetPB <= 0 {
-		log.Fatalf("-dataset-pb must be positive, got %v", *datasetPB)
+	if !(*datasetPB > 0 && *datasetPB < math.Inf(1)) { // NaN fails too
+		log.Fatalf("-dataset-pb must be positive and finite, got %v", *datasetPB)
 	}
 	dataset := units.Bytes(*datasetPB) * units.PB
 	if *datasetS != "" {

@@ -90,6 +90,19 @@ func TestNegativeDurationsAreRejected(t *testing.T) {
 	}
 }
 
+// TestDatasetSizeMustBePositive: a non-positive, NaN or infinite
+// -dataset-pb fails with a message naming the flag, not deep inside the
+// simulator.
+func TestDatasetSizeMustBePositive(t *testing.T) {
+	for _, v := range []string{"0", "-1", "NaN", "+Inf"} {
+		stdout, stderr, code := runDhlsim(t, "-dataset-pb", v)
+		if want := "-dataset-pb must be positive and finite, got " + v; code != 1 || !strings.Contains(stderr, want) || stdout != "" {
+			t.Errorf("-dataset-pb %s: exit %d, stderr %q, stdout %q; want exit 1 with %q and no output",
+				v, code, stderr, stdout, want)
+		}
+	}
+}
+
 // TestFailureSweepRejectsBadRateBeforeRunning: the whole -failure-sweep
 // list is parsed and range-checked first, so a bad entry prints no header
 // and no rows.

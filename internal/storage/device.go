@@ -33,7 +33,8 @@ func (d *Device) Free() units.Bytes { return d.Spec.Capacity - d.used }
 // failure injection, §III-D).
 func (d *Device) Failed() bool { return d.failed }
 
-// Fail marks the device as failed. Subsequent reads and writes error.
+// Fail marks the device as failed. Subsequent writes error, and an Array
+// no longer reads from it.
 func (d *Device) Fail() { d.failed = true }
 
 // Repair restores a failed device (cart serviced at the library, §III-B.6).
