@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,7 +20,8 @@ import (
 
 // Config shapes one deterministic load run. Every field feeds the virtual
 // clock or a seeded RNG; the same Config always produces a byte-identical
-// Result (the determinism contract documented in DESIGN.md §11).
+// Result (the determinism contract documented in DESIGN.md §11). parseArgs
+// fills every field from dhlload's flags.
 type Config struct {
 	Mode     string  // "closed" or "open"
 	Clients  int     // concurrent clients (closed) or connections (open)
@@ -55,7 +57,30 @@ type Config struct {
 	RequestTimeout float64
 
 	Admission admit.Options
-	Retry     cpclient.RetryOptions
+}
+
+// MarshalJSON writes the config in the schema earlier reports used, so
+// -json output and the report goldens keep their bytes. The admission
+// block still leads with the executor slot count, now always 1, and the
+// retry block, whose settings are now cpclient's constants, records only
+// the seed; its other fields read 0, as they did when left at their
+// defaults.
+func (c Config) MarshalJSON() ([]byte, error) {
+	type fields Config // the same fields, without this method
+	type admission struct {
+		MaxInFlight int
+		admit.Options
+	}
+	type retry struct {
+		MaxAttempts, BaseDelay, Multiplier, MaxDelay, Jitter int
+		Seed                                                 int64
+		BudgetBurst, BudgetPerSuccess                        int
+	}
+	return json.Marshal(struct {
+		fields
+		Admission admission
+		Retry     retry
+	}{fields(c), admission{1, c.Admission}, retry{Seed: c.Seed}})
 }
 
 // apiCost and ctlCost are the fixed per-request overheads (seconds) added
@@ -65,46 +90,14 @@ const (
 	ctlCost = 50e-6
 )
 
+// withDefaults works out the fleet size from the mode when Carts is 0.
 func (c Config) withDefaults() Config {
-	if c.Mode == "" {
-		c.Mode = "closed"
-	}
-	if c.Clients <= 0 {
-		c.Clients = 100
-	}
-	if c.Duration <= 0 {
-		c.Duration = 120
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Think < 0 {
-		c.Think = 0
-	}
-	if c.Ops <= 0 {
-		c.Ops = 4
-	}
-	if c.ReadFrac < 0 || c.ReadFrac > 1 {
-		c.ReadFrac = 0.5
-	}
-	if c.Bytes <= 0 {
-		c.Bytes = 1e9
-	}
-	if c.Rate <= 0 {
-		c.Rate = 50
-	}
 	if c.Carts <= 0 {
 		if c.Mode == "open" {
 			c.Carts = dhlsys.DefaultOptions().DockStations
 		} else {
 			c.Carts = c.Clients
 		}
-	}
-	if c.StatusEvery < 0 {
-		c.StatusEvery = 0
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10
 	}
 	return c
 }
@@ -206,8 +199,8 @@ func newHarness(cfg Config) (*harness, error) {
 		sys: sys,
 		eng: sim.New(),
 		// One retry budget for the whole fleet, scoped per server the way
-		// cpclient documents; NewBudget applies the defaults.
-		budget: cpclient.NewBudget(cfg.Retry.BudgetBurst, cfg.Retry.BudgetPerSuccess),
+		// cpclient documents.
+		budget: cpclient.NewBudget(),
 		reg:    telemetry.NewRegistry(),
 	}
 	h.srv, err = controlplane.NewServerWithOptions(sys, controlplane.ServerOptions{
@@ -305,7 +298,11 @@ func (h *harness) startService(tk *admit.Ticket, req controlplane.Request, overh
 	h.busyTime += math.Min(end, h.cfg.Duration) - math.Min(start, h.cfg.Duration)
 	h.schedule(end, func() {
 		h.srv.Finish(tk)
-		h.dispatchQueue()
+		if tk != nil {
+			// A status probe holds no admission slot, so its end starts
+			// no queued op.
+			h.dispatchQueue()
+		}
 		deliver(resp)
 	})
 }
@@ -345,8 +342,7 @@ func (h *harness) statusProbe() {
 }
 
 // loadClient is one closed-loop client: a state machine cycling
-// open → Ops×IO → close with retry/budget behaviour borrowed from
-// cpclient's pieces.
+// open → Ops×IO → close, retrying by cpclient's rule.
 type loadClient struct {
 	id      int64
 	cart    int
@@ -363,12 +359,10 @@ func (h *harness) startClosedLoop() {
 		stagger = 1e-3 / float64(h.cfg.Clients)
 	}
 	for i := 0; i < h.cfg.Clients; i++ {
-		r := h.cfg.Retry
-		r.Seed = h.cfg.Seed*1_000_003 + int64(i)
 		c := &loadClient{
 			id:     int64(i),
 			cart:   i % h.cfg.Carts,
-			policy: cpclient.NewPolicy(r),
+			policy: cpclient.NewPolicy(h.cfg.Seed*1_000_003+int64(i), h.budget),
 			rng:    rand.New(rand.NewSource(h.cfg.Seed*7_919 + int64(i))),
 		}
 		h.schedule(float64(i)*stagger, func() { h.clientIssue(c) })
@@ -406,26 +400,23 @@ func (h *harness) clientAttempt(c *loadClient) {
 }
 
 func (h *harness) clientDone(c *loadClient, resp controlplane.Response) {
-	if resp.OK {
+	verdict, wait := c.policy.Next(c.retries+1, resp, nil)
+	switch {
+	case resp.OK:
 		h.succeeded(c.began)
-		h.budget.Success()
 		h.clientAdvance(c, true)
 		return
-	}
-	if cpclient.RetryableCode(resp.Code) && c.retries+1 < c.policy.Attempts() {
-		if h.budget.Withdraw() {
-			c.retries++
-			h.res.Retries++
-			hint := time.Duration(resp.RetryAfterS * float64(time.Second))
-			wait := c.policy.Backoff(c.retries, hint).Seconds()
-			h.schedule(h.now()+wait, func() {
-				if h.now() >= h.cfg.Duration {
-					return
-				}
-				h.clientAttempt(c)
-			})
-			return
-		}
+	case verdict == cpclient.Retry:
+		c.retries++
+		h.res.Retries++
+		h.schedule(h.now()+wait.Seconds(), func() {
+			if h.now() >= h.cfg.Duration {
+				return
+			}
+			h.clientAttempt(c)
+		})
+		return
+	case verdict == cpclient.Denied:
 		h.res.BudgetDenied++
 	}
 	h.res.Failed++

@@ -24,7 +24,7 @@ type liveResult struct {
 // control-plane server for the given wall duration. Each client runs the
 // same open → ops×IO → close cycle as the virtual closed loop.
 func runLive(addr string, clients int, duration time.Duration, ops int, bytes float64, seed int64) liveResult {
-	budget := cpclient.NewBudget(0, 0) // defaults, shared per server
+	budget := cpclient.NewBudget() // shared per server
 	var (
 		mu  sync.Mutex
 		agg liveResult
@@ -34,11 +34,7 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 	start := time.Now()
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
-		c := cpclient.New(cpclient.Options{
-			Addr:   addr,
-			Budget: budget,
-			Retry:  cpclient.RetryOptions{Seed: seed*1_000_003 + int64(i)},
-		})
+		c := cpclient.New(cpclient.Options{Addr: addr, Budget: budget, Seed: seed*1_000_003 + int64(i)})
 		cart := i
 		//dhllint:allow goroutine -- live-mode wall-clock load driver; aggregation is mutex-guarded and joined below
 		go func() {

@@ -16,8 +16,12 @@
 //	               independent variable
 //
 // A -chaos scenario (see internal/faults) composes fault injection into
-// the same run. -live ADDR switches to a wall-clock driver hammering a
-// real dhlserve over TCP instead of the virtual harness.
+// the same run. -max-queue, -admit-rate and -per-conn configure the
+// server's admission controller, which has one executor slot; closed-loop
+// clients retry by internal/cpclient's one rule, whose only setting is
+// the seed (derived from -seed). -live ADDR switches to a wall-clock
+// driver hammering a real dhlserve over TCP instead of the virtual
+// harness.
 //
 // Examples:
 //
@@ -35,6 +39,8 @@ import (
 	"math"
 	"os"
 	"time"
+
+	"repro/internal/admit"
 )
 
 func main() {
@@ -107,8 +113,7 @@ func parseArgs(args []string) (cliOptions, error) {
 	fs.Float64Var(&c.StatusEvery, "status-every", 0.5, "control-probe period, virtual seconds (0 disables)")
 	fs.Float64Var(&c.RequestTimeout, "timeout", 10, "queued-request abandon timeout, virtual seconds")
 
-	fs.IntVar(&c.Admission.MaxInFlight, "max-inflight", 1, "admission: concurrent executor slots")
-	fs.IntVar(&c.Admission.MaxQueue, "max-queue", 64, "admission: bounded waiting room")
+	fs.IntVar(&c.Admission.MaxQueue, "max-queue", admit.DefaultMaxQueue, "admission: bounded waiting room")
 	fs.Float64Var(&c.Admission.Rate, "admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
 	fs.IntVar(&c.Admission.PerConn, "per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 
@@ -118,7 +123,6 @@ func parseArgs(args []string) (cliOptions, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	c.Retry.Seed = c.Seed
 	// Every numeric flag must lie in the range its help text gives: NaN,
 	// ±Inf and out-of-range values are rejected here, not replaced by a
 	// default or left to hang the run.
@@ -139,7 +143,6 @@ func parseArgs(args []string) (cliOptions, error) {
 		{"carts", c.Carts >= 0, "0 or more"},
 		{"status-every", nonNegative(c.StatusEvery), "a non-negative number of seconds"},
 		{"timeout", positive(c.RequestTimeout), "a positive number of seconds"},
-		{"max-inflight", c.Admission.MaxInFlight >= 1, "at least 1"},
 		{"max-queue", c.Admission.MaxQueue >= 1, "at least 1"},
 		{"admit-rate", nonNegative(c.Admission.Rate), "0 (off) or a positive rate"},
 		{"per-conn", c.Admission.PerConn >= 0, "0 (off) or more"},

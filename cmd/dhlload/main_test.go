@@ -29,6 +29,16 @@ func runHarness(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// configOf parses a dhlload command line into the Config it runs.
+func configOf(t *testing.T, args string) Config {
+	t.Helper()
+	o, err := parseArgs(strings.Fields(args))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.cfg
+}
+
 var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
 
 // goldenRuns are command lines whose full reports are pinned under
@@ -83,7 +93,7 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 		"-duration NaN", "-duration -5", "-duration +Inf", "-think NaN", "-think -1",
 		"-clients 0", "-ops 0", "-read 1.5", "-read NaN", "-bytes -1", "-bytes NaN",
 		"-rate -3", "-rate NaN", "-carts -1", "-status-every NaN", "-timeout 0",
-		"-max-inflight 0", "-max-queue 0", "-admit-rate NaN", "-admit-rate -1", "-per-conn -1",
+		"-max-queue 0", "-admit-rate NaN", "-admit-rate -1", "-per-conn -1",
 	} {
 		flagName := strings.Fields(args)[0]
 		_, err := parseArgs(strings.Fields(args))
@@ -114,22 +124,16 @@ func firstDiff(want, got string) string {
 	return "(none)"
 }
 
-// overloadConfig offers roughly 4× the executor's capacity: 48 clients
-// with 100ms think against a serial executor whose launch ops take
-// seconds each, behind an 8-deep queue.
-func overloadConfig() Config {
-	return Config{
-		Mode: "closed", Clients: 48, Duration: 30, Seed: 9,
-		Think: 0.1, StatusEvery: 0.5,
-		Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
-	}
-}
+// overloadArgs offers roughly 4× the executor's capacity: 48 writing
+// clients with 100ms think against a serial executor whose launch ops
+// take seconds each, behind an 8-deep queue.
+const overloadArgs = "-mode closed -clients 48 -duration 30 -seed 9 -think 0.1 -status-every 0.5 -max-queue 8 -read 0"
 
 // TestClosedLoopDeterministic pins the harness's core contract: two runs
 // with the same config produce byte-identical reports and JSON.
 func TestClosedLoopDeterministic(t *testing.T) {
-	a := runHarness(t, overloadConfig())
-	b := runHarness(t, overloadConfig())
+	a := runHarness(t, configOf(t, overloadArgs))
+	b := runHarness(t, configOf(t, overloadArgs))
 	if a.Report() != b.Report() {
 		t.Errorf("reports differ:\n--- run 1\n%s--- run 2\n%s", a.Report(), b.Report())
 	}
@@ -147,7 +151,7 @@ func TestClosedLoopDeterministic(t *testing.T) {
 }
 
 func TestSeedChangesOutcome(t *testing.T) {
-	cfg := overloadConfig()
+	cfg := configOf(t, overloadArgs)
 	a := runHarness(t, cfg)
 	cfg.Seed = 10
 	b := runHarness(t, cfg)
@@ -161,7 +165,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 // reads served stale from the cache, and goodput (executor utilization)
 // within 20% of saturation.
 func TestClosedLoopOverloadAcceptance(t *testing.T) {
-	res := runHarness(t, overloadConfig())
+	res := runHarness(t, configOf(t, overloadArgs))
 	if res.ShedBusy == 0 {
 		t.Error("overload produced no explicit sheds")
 	}
@@ -192,12 +196,8 @@ func TestClosedLoopOverloadAcceptance(t *testing.T) {
 // TestOpenLoopOverloadGoodput: at 4× the measured IO capacity the open
 // loop must shed the excess while goodput stays at the saturated rate.
 func TestOpenLoopOverloadGoodput(t *testing.T) {
-	base := Config{
-		Mode: "open", Clients: 16, Carts: 4, Duration: 20, Seed: 3,
-		Rate: 400, StatusEvery: 0.5,
-		Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
-	}
-	res := runHarness(t, base)
+	res := runHarness(t, configOf(t,
+		"-mode open -clients 16 -carts 4 -duration 20 -seed 3 -rate 400 -status-every 0.5 -max-queue 8 -read 0"))
 	if res.ShedBusy == 0 {
 		t.Error("4x offered load produced no sheds")
 	}
@@ -220,9 +220,8 @@ func TestOpenLoopOverloadGoodput(t *testing.T) {
 // stations, and each cart holds data before the first read.
 func TestOpenLoopBelowSaturationFailsNothing(t *testing.T) {
 	for _, read := range []float64{0.5, 1} {
-		res := runHarness(t, Config{
-			Mode: "open", Duration: 30, Seed: 3, Rate: 50, ReadFrac: read, StatusEvery: 0.5,
-		})
+		res := runHarness(t, configOf(t, fmt.Sprintf(
+			"-mode open -duration 30 -seed 3 -rate 50 -read %g -status-every 0.5", read)))
 		if res.Failed != 0 || res.ShedBusy != 0 || res.OK != res.Issued || res.OK == 0 {
 			t.Errorf("read fraction %g: issued=%d ok=%d failed=%d shed=%d, want every request ok",
 				read, res.Issued, res.OK, res.Failed, res.ShedBusy)
@@ -245,11 +244,8 @@ func TestOpenLoopRejectsMoreCartsThanDocks(t *testing.T) {
 // stays deterministic.
 func TestChaosComposition(t *testing.T) {
 	for _, mode := range []string{"closed", "open"} {
-		cfg := Config{
-			Mode: mode, Clients: 24, Duration: 20, Seed: 5,
-			Think: 0.2, StatusEvery: 0.5, Chaos: "rough-day",
-			Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
-		}
+		cfg := configOf(t, "-mode "+mode+
+			" -clients 24 -duration 20 -seed 5 -think 0.2 -status-every 0.5 -chaos rough-day -max-queue 8 -read 0")
 		a := runHarness(t, cfg)
 		if a.Faults == 0 {
 			t.Errorf("%s: chaos scenario injected no faults", mode)
@@ -262,7 +258,7 @@ func TestChaosComposition(t *testing.T) {
 }
 
 func TestUnknownChaosRejected(t *testing.T) {
-	if _, err := newHarness(Config{Chaos: "no-such-scenario"}); err == nil {
+	if _, err := newHarness(configOf(t, "-chaos no-such-scenario")); err == nil {
 		t.Error("unknown scenario should fail fast")
 	}
 }
@@ -272,10 +268,10 @@ func TestUnknownChaosRejected(t *testing.T) {
 func TestBenchOutputDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	p1, p2 := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	if err := writeBench(p1, runHarness(t, overloadConfig())); err != nil {
+	if err := writeBench(p1, runHarness(t, configOf(t, overloadArgs))); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBench(p2, runHarness(t, overloadConfig())); err != nil {
+	if err := writeBench(p2, runHarness(t, configOf(t, overloadArgs))); err != nil {
 		t.Fatal(err)
 	}
 	b1, err := os.ReadFile(p1)
@@ -301,10 +297,8 @@ func TestBenchOutputDeterministic(t *testing.T) {
 // TestRateLimitedAdmission: the token bucket caps admitted throughput in
 // the harness exactly as on the server.
 func TestRateLimitedAdmission(t *testing.T) {
-	cfg := Config{
-		Mode: "open", Clients: 8, Carts: 2, Duration: 20, Seed: 2, Rate: 100,
-		Admission: admit.Options{MaxInFlight: 4, MaxQueue: 16, Rate: 10},
-	}
+	cfg := configOf(t,
+		"-mode open -clients 8 -carts 2 -duration 20 -seed 2 -rate 100 -max-queue 16 -admit-rate 10 -read 0 -status-every 0")
 	res := runHarness(t, cfg)
 	io := res.Admission.Classes[int(admit.ClassIO)]
 	if io.RateLimited == 0 {
@@ -345,19 +339,21 @@ func TestLiveModeSmoke(t *testing.T) {
 	}
 }
 
-// TestPolicyPiecesWiredIntoHarness: sanity that the harness pulls real
-// cpclient pieces (a budget-denied retry shows up when the budget is
-// tiny, and retries respect MaxAttempts).
+// TestPolicyPiecesWiredIntoHarness: the harness retries by cpclient's
+// rule against one fleet-wide budget, so under overload the budget runs
+// dry and denies retries, and the retries it funded never exceed its
+// burst plus what the successes earned back.
 func TestPolicyPiecesWiredIntoHarness(t *testing.T) {
-	cfg := overloadConfig()
-	cfg.Retry = cpclient.RetryOptions{BudgetBurst: 1, BudgetPerSuccess: 0.001, Seed: 4}
-	res := runHarness(t, cfg)
+	res := runHarness(t, configOf(t, overloadArgs))
 	if res.BudgetDenied == 0 {
-		t.Error("1-token budget under overload never denied a retry")
+		t.Error("the shared budget never denied a retry under overload")
 	}
-	if res.Retries > 1+res.OK {
-		// With one token and ~no earn-back, retries are bounded by the
-		// burst plus what successes buy back.
-		t.Errorf("retries %d exceed what the budget could fund (ok=%d)", res.Retries, res.OK)
+	burst := 0
+	for b := cpclient.NewBudget(); b.Withdraw(); {
+		burst++
+	}
+	// Each success earns back a tenth of a token.
+	if funded := float64(burst) + 0.1*float64(res.OK); float64(res.Retries) > funded {
+		t.Errorf("retries %d exceed what the budget could fund (burst %d, ok %d)", res.Retries, burst, res.OK)
 	}
 }

@@ -10,8 +10,10 @@
 //	         [-pprof ADDR] [-drain 5s] [-max-conns N]
 //	         [-max-queue N] [-admit-rate R] [-per-conn N]
 //
-// SIGINT/SIGTERM drains in-flight exchanges for -drain, then severs the
-// stragglers and logs how many were cut off.
+// -max-queue defaults to admit.DefaultMaxQueue (64). A connection must
+// deliver each request frame within 30 s and keep it under 1 MiB; both
+// limits are fixed. SIGINT/SIGTERM drains in-flight exchanges for -drain,
+// then severs the stragglers and logs how many were cut off.
 //
 // Example session (one JSON object per line):
 //
@@ -33,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/controlplane"
 	"repro/internal/dhlsys"
 	"repro/internal/telemetry"
@@ -51,7 +54,7 @@ func main() {
 
 		drain     = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain before severing connections")
 		maxConns  = flag.Int("max-conns", 0, "connection cap (0 off); excess connections get a busy reply")
-		maxQueue  = flag.Int("max-queue", 64, "admission: bounded waiting room behind the simulation")
+		maxQueue  = flag.Int("max-queue", admit.DefaultMaxQueue, "admission: bounded waiting room behind the simulation")
 		admitRate = flag.Float64("admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
 		perConn   = flag.Int("per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 	)

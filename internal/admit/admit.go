@@ -8,8 +8,8 @@
 //   - A token-bucket rate limiter bounds sustained admission rate.
 //     Control-class requests (status/metrics reads) bypass the bucket so
 //     observability survives overload.
-//   - A global in-flight cap plus a bounded waiting room replace
-//     unbounded queueing: once MaxQueue waiters are parked, further
+//   - One executor slot plus a bounded waiting room replace unbounded
+//     queueing: once MaxQueue waiters are parked, further
 //     requests are rejected immediately with Outcome.RetryAfter derived
 //     from the queue depth and a smoothed service-time estimate.
 //   - A per-connection outstanding-request cap stops one pipelining peer
@@ -110,14 +110,11 @@ func (r Reason) String() string {
 }
 
 // Options configures a Controller. The zero value is not useful; New
-// applies the documented defaults to zero fields.
+// applies the documented defaults to zero fields. There is one executor
+// slot: the control plane's simulation runs one request at a time.
 type Options struct {
-	// MaxInFlight caps concurrently executing requests. The control
-	// plane's simulation executor is single-threaded, so its server uses
-	// 1; a sharded deployment would raise it. Default 1.
-	MaxInFlight int
 	// MaxQueue bounds the waiting room behind the executor. Arrivals
-	// beyond it are shed with ReasonQueueFull. Default 64.
+	// beyond it are shed with ReasonQueueFull. Default DefaultMaxQueue.
 	MaxQueue int
 	// PerConn caps outstanding (queued + running) requests per
 	// connection; 0 disables. A serial request/response connection never
@@ -128,6 +125,9 @@ type Options struct {
 	// tokens. Control-class requests bypass the bucket.
 	Rate float64
 }
+
+// DefaultMaxQueue is the waiting room's default depth.
+const DefaultMaxQueue = 64
 
 const (
 	// brownoutFrac is the queue-depth fraction of MaxQueue at which
@@ -143,11 +143,8 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
-	}
 	if o.MaxQueue <= 0 {
-		o.MaxQueue = 64
+		o.MaxQueue = DefaultMaxQueue
 	}
 	return o
 }
@@ -277,10 +274,10 @@ func (c *Controller) refillLocked(now time.Time) {
 }
 
 // retryAfterLocked derives the shed hint from the backlog: the time for
-// the executor(s) to clear the current queue at the smoothed service
-// rate, clamped to [retryAfterMin, retryAfterMax]. Callers hold mu.
+// the executor to clear the current queue at the smoothed service rate,
+// clamped to [retryAfterMin, retryAfterMax]. Callers hold mu.
 func (c *Controller) retryAfterLocked() time.Duration {
-	backlog := float64(c.queued+c.inflight) * c.estService / float64(c.opt.MaxInFlight)
+	backlog := float64(c.queued+c.inflight) * c.estService
 	return clampRetryAfter(time.Duration(backlog * float64(time.Second)))
 }
 
@@ -333,7 +330,7 @@ func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Tim
 	}
 
 	*t = Ticket{class: class, conn: conn, start: now}
-	if c.inflight < c.opt.MaxInFlight {
+	if c.inflight == 0 {
 		c.admitLocked(t, now)
 		return Outcome{Admitted: true}
 	}

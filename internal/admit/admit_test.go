@@ -25,7 +25,7 @@ func at(s float64) time.Time {
 func TestDefaults(t *testing.T) {
 	c := New(Options{})
 	o := c.opt
-	if o.MaxInFlight != 1 || o.MaxQueue != 64 {
+	if o.MaxQueue != DefaultMaxQueue {
 		t.Errorf("defaults: %+v", o)
 	}
 	if brownoutFrac != 0.5 || retryAfterMin != 50*time.Millisecond {
@@ -34,7 +34,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 2})
+	c := New(Options{MaxQueue: 2})
 	now := at(0)
 
 	t1, o1 := arrive(c, ClassIO, 1, now)
@@ -76,7 +76,7 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 }
 
 func TestRetryAfterGrowsWithBacklog(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 100})
+	c := New(Options{MaxQueue: 100})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // running
 	var prev time.Duration
@@ -84,7 +84,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		arrive(c, ClassIO, -1, now) // queue up
 	}
 	// Shed probes at increasing depth must see non-decreasing hints.
-	c2 := New(Options{MaxInFlight: 1, MaxQueue: 5})
+	c2 := New(Options{MaxQueue: 5})
 	arrive(c2, ClassIO, -1, now)
 	for i := 0; i < 5; i++ {
 		arrive(c2, ClassIO, -1, now)
@@ -105,7 +105,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 
 func TestTokenBucketDeterministic(t *testing.T) {
 	run := func() []bool {
-		c := New(Options{MaxInFlight: 10, MaxQueue: 10, Rate: 2})
+		c := New(Options{MaxQueue: 10, Rate: 2})
 		var got []bool
 		// 10 arrivals at 0.25s spacing against a 2/s bucket of burst 2.
 		for i := 0; i < 10; i++ {
@@ -134,7 +134,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 }
 
 func TestControlClassBypassesRateLimit(t *testing.T) {
-	c := New(Options{MaxInFlight: 100, MaxQueue: 10, Rate: 1})
+	c := New(Options{MaxQueue: 10, Rate: 1})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // drains the only token
 	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
@@ -148,7 +148,7 @@ func TestControlClassBypassesRateLimit(t *testing.T) {
 }
 
 func TestBrownoutShedsLaunchFirst(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 10})
+	c := New(Options{MaxQueue: 10})
 	now := at(0)
 	arrive(c, ClassIO, -1, now) // running
 	for i := 0; i < 5; i++ {    // queue to the brownout threshold
@@ -173,7 +173,7 @@ func TestBrownoutShedsLaunchFirst(t *testing.T) {
 }
 
 func TestPerConnCap(t *testing.T) {
-	c := New(Options{MaxInFlight: 10, MaxQueue: 10, PerConn: 2})
+	c := New(Options{MaxQueue: 10, PerConn: 2})
 	now := at(0)
 	t1, _ := arrive(c, ClassIO, 7, now)
 	arrive(c, ClassIO, 7, now)
@@ -194,7 +194,7 @@ func TestPerConnCap(t *testing.T) {
 }
 
 func TestAbandonReleasesQueueSlot(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 1})
+	c := New(Options{MaxQueue: 1})
 	now := at(0)
 	arrive(c, ClassIO, -1, now)
 	tq, o := arrive(c, ClassIO, -1, now)
@@ -257,7 +257,7 @@ func contains(s, sub string) bool {
 // race detector can vet the locking (the counts themselves are checked
 // for conservation).
 func TestConcurrentUse(t *testing.T) {
-	c := New(Options{MaxInFlight: 4, MaxQueue: 8, PerConn: 3, Rate: 1e9})
+	c := New(Options{MaxQueue: 8, PerConn: 3, Rate: 1e9})
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	wg.Add(workers)
@@ -292,7 +292,7 @@ func TestConcurrentUse(t *testing.T) {
 // after request, an admitted ticket goes back exactly once, and a shed
 // arrival leaves the ticket reading as released.
 func TestArriveIntoReusesOneTicket(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 1, PerConn: 1})
+	c := New(Options{MaxQueue: 1, PerConn: 1})
 	var tk Ticket
 	for i := 0; i < 3; i++ {
 		if o := c.ArriveInto(&tk, ClassIO, 7, at(float64(i))); !o.Admitted || o.Queued {

@@ -83,12 +83,12 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultServerOptions()
-	opt.ReadTimeout = 2 * time.Second
 	opt.DrainTimeout = 100 * time.Millisecond
 	srv, err := NewServerWithOptions(sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.readTimeout = 2 * time.Second
 	ln := newFakeListener(tempErr{}, tempErr{}, tempErr{})
 	srv.Serve(ln)
 	defer srv.Close()

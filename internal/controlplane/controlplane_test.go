@@ -326,12 +326,11 @@ func TestReadDeadlineDropsIdleConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultServerOptions()
-	opt.ReadTimeout = 50 * time.Millisecond
-	srv, err := NewServerWithOptions(sys, opt)
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.readTimeout = 50 * time.Millisecond
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

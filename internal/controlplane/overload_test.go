@@ -54,7 +54,7 @@ func newOverloadServer(t *testing.T, opt ServerOptions) *Server {
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	opt := DefaultServerOptions()
 	opt.RequestTimeout = 300 * time.Millisecond
-	opt.Admission = admit.Options{MaxInFlight: 1, MaxQueue: 2}
+	opt.Admission = admit.Options{MaxQueue: 2}
 	srv := newOverloadServer(t, opt)
 
 	// Prime the snapshot cache, then saturate the simulation.
@@ -157,7 +157,7 @@ func TestRateLimitDeterministicOnVirtualClock(t *testing.T) {
 		clk := newVclock()
 		opt := DefaultServerOptions()
 		opt.Clock = clk.Now
-		opt.Admission = admit.Options{MaxInFlight: 4, MaxQueue: 4, Rate: 1}
+		opt.Admission = admit.Options{MaxQueue: 4, Rate: 1}
 		srv := newOverloadServer(t, opt)
 		var codes []string
 		for i := 0; i < 6; i++ {
@@ -192,7 +192,7 @@ func TestRateLimitDeterministicOnVirtualClock(t *testing.T) {
 // status/metrics down with it.
 func TestControlBypassesRateLimit(t *testing.T) {
 	opt := DefaultServerOptions()
-	opt.Admission = admit.Options{MaxInFlight: 4, MaxQueue: 4, Rate: 0.001}
+	opt.Admission = admit.Options{MaxQueue: 4, Rate: 0.001}
 	srv := newOverloadServer(t, opt)
 	if resp := srv.handle(1, Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code == CodeServerBusy {
 		t.Fatalf("first write should consume the only token, got %+v", resp)

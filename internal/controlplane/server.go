@@ -22,10 +22,6 @@ import (
 // overload. All timeouts are wall-clock (the simulation clock is
 // unaffected).
 type ServerOptions struct {
-	// ReadTimeout bounds how long a connection may take to deliver one
-	// complete request frame (including sitting idle between requests)
-	// before it is dropped; 0 disables the deadline.
-	ReadTimeout time.Duration
 	// RequestTimeout bounds how long one admitted request may wait for
 	// the simulation (which serialises all clients) plus execute; a
 	// request that cannot acquire the simulation in time is answered
@@ -35,10 +31,6 @@ type ServerOptions struct {
 	// connections; connections still open when it expires are forcibly
 	// closed. 0 waits forever.
 	DrainTimeout time.Duration
-	// MaxRequestBytes caps one request frame; a longer line is answered
-	// CodeBadRequest and the connection dropped, so a peer streaming an
-	// endless line cannot balloon server memory. 0 disables the cap.
-	MaxRequestBytes int
 	// MaxConns caps concurrently served connections; further accepts
 	// are answered with a CodeServerBusy response and closed. 0
 	// disables the cap.
@@ -52,18 +44,26 @@ type ServerOptions struct {
 	Clock func() time.Time
 }
 
-// DefaultServerOptions is the hardened default: 30 s frame deadline,
-// 10 s request budget, 5 s shutdown drain, 1 MiB frame cap, and
-// admission control at admit.New's defaults (one executor slot, a
-// 64-deep bounded queue).
+// DefaultServerOptions is the hardened default: 10 s request budget, 5 s
+// shutdown drain, and admission control at admit.New's defaults (one
+// executor slot, a DefaultMaxQueue-deep bounded queue).
 func DefaultServerOptions() ServerOptions {
 	return ServerOptions{
-		ReadTimeout:     30 * time.Second,
-		RequestTimeout:  10 * time.Second,
-		DrainTimeout:    5 * time.Second,
-		MaxRequestBytes: 1 << 20,
+		RequestTimeout: 10 * time.Second,
+		DrainTimeout:   5 * time.Second,
 	}
 }
+
+const (
+	// readTimeout bounds how long a connection may take to deliver one
+	// complete request frame (including sitting idle between requests)
+	// before it is dropped.
+	readTimeout = 30 * time.Second
+	// maxRequestBytes caps one request frame; a longer line is answered
+	// CodeBadRequest and the connection dropped, so a peer streaming an
+	// endless line cannot balloon server memory.
+	maxRequestBytes = 1 << 20
+)
 
 // Server serves the §III-D API over TCP for one DHL deployment. The
 // underlying simulation is single-threaded; a capacity-1 semaphore
@@ -82,6 +82,11 @@ type Server struct {
 	telemetry bool
 
 	sem chan struct{} // capacity 1: holds the simulation
+
+	// readTimeout and maxRequestBytes hold the constants of the same
+	// names; the package's tests shorten them.
+	readTimeout     time.Duration
+	maxRequestBytes int
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -129,23 +134,25 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 	if sys == nil {
 		return nil, errors.New("controlplane: nil system")
 	}
-	if opt.ReadTimeout < 0 || opt.RequestTimeout < 0 || opt.DrainTimeout < 0 {
+	if opt.RequestTimeout < 0 || opt.DrainTimeout < 0 {
 		return nil, errors.New("controlplane: timeouts must be non-negative")
 	}
-	if opt.MaxRequestBytes < 0 || opt.MaxConns < 0 {
+	if opt.MaxConns < 0 {
 		return nil, errors.New("controlplane: limits must be non-negative")
 	}
 	if !(opt.Admission.Rate >= 0) { // NaN fails too, rather than turning rate limiting off
 		return nil, errors.New("controlplane: admission rate must be non-negative")
 	}
 	s := &Server{
-		sys:       sys,
-		opt:       opt,
-		telemetry: sys.Telemetry() != nil,
-		sem:       make(chan struct{}, 1),
-		closed:    make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		adm:       admit.New(opt.Admission),
+		sys:             sys,
+		opt:             opt,
+		telemetry:       sys.Telemetry() != nil,
+		sem:             make(chan struct{}, 1),
+		closed:          make(chan struct{}),
+		conns:           make(map[net.Conn]struct{}),
+		adm:             admit.New(opt.Admission),
+		readTimeout:     readTimeout,
+		maxRequestBytes: maxRequestBytes,
 	}
 	s.ops = make([]opRecord, sys.NumCarts()+1)
 	for i := range s.ops {
@@ -317,7 +324,7 @@ func (s *Server) severConns() {
 	}
 }
 
-// errFrameTooLarge marks a request frame over MaxRequestBytes.
+// errFrameTooLarge marks a request frame over the server's frame cap.
 var errFrameTooLarge = errors.New("controlplane: request frame too large")
 
 // readFrame reads one newline-terminated frame, bounding its size when
@@ -394,25 +401,18 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 			if !framePending(conn, br) {
 				return
 			}
-			if s.opt.ReadTimeout <= 0 {
-				if err := conn.SetReadDeadline(time.Time{}); err != nil {
-					return
-				}
-			}
 		default:
 		}
-		if s.opt.ReadTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout)); err != nil {
-				return
-			}
+		if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
+			return
 		}
-		frame, err := readFrame(br, s.opt.MaxRequestBytes)
+		frame, err := readFrame(br, s.maxRequestBytes)
 		if errors.Is(err, errFrameTooLarge) {
 			// Answer structurally, then drop: the rest of the line is
 			// still in flight and the stream cannot be resynchronised.
 			writeResponse(conn, out, Response{
 				OK:    false,
-				Error: fmt.Sprintf("controlplane: request exceeds %d bytes", s.opt.MaxRequestBytes),
+				Error: fmt.Sprintf("controlplane: request exceeds %d bytes", s.maxRequestBytes),
 				Code:  CodeBadRequest,
 			})
 			return
@@ -598,13 +598,16 @@ func (s *Server) Execute(req Request) Response {
 	return resp
 }
 
-// Finish completes a request that held the simulation: it publishes the
-// snapshot served to control reads, releases the simulation and closes
-// the ticket (nil for status and metrics, which are not admitted). A
-// virtual-time driver calls it at the request's completion instant, so
-// the snapshot appears no earlier.
+// Finish completes a request that held the simulation and releases it.
+// An op (tk non-nil) publishes its snapshot to control reads and closes
+// its ticket; a status or metrics read (tk nil) was not admitted, and
+// Execute has already refreshed the snapshot it answered from. A
+// virtual-time driver calls Finish at the request's completion instant,
+// so an op's snapshot appears no earlier.
 func (s *Server) Finish(tk *admit.Ticket) {
-	s.refreshCache()
+	if tk != nil {
+		s.refreshCache()
+	}
 	s.release()
 	s.adm.Done(tk, s.now())
 }
@@ -625,7 +628,7 @@ func (s *Server) handleControl(req Request) Response {
 		}
 	}
 	resp := s.Execute(req)
-	s.release()
+	s.Finish(nil)
 	return resp
 }
 

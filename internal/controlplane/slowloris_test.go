@@ -9,20 +9,20 @@ import (
 	"repro/internal/dhlsys"
 )
 
-// startHardened boots a TCP server with the given option tweaks.
-func startHardened(t *testing.T, tweak func(*ServerOptions)) (*Server, string) {
+// startHardened boots a TCP server with the default options, after
+// tweak has adjusted the server.
+func startHardened(t *testing.T, tweak func(*Server)) (*Server, string) {
 	t.Helper()
 	sys, err := dhlsys.New(dhlsys.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultServerOptions()
-	if tweak != nil {
-		tweak(&opt)
-	}
-	srv, err := NewServerWithOptions(sys, opt)
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tweak != nil {
+		tweak(srv)
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -36,7 +36,7 @@ func startHardened(t *testing.T, tweak func(*ServerOptions)) (*Server, string) {
 // answered with a structured CodeBadRequest and dropped — it cannot
 // balloon server memory — and the server keeps serving other clients.
 func TestOversizedRequestLineRejected(t *testing.T) {
-	_, addr := startHardened(t, func(o *ServerOptions) { o.MaxRequestBytes = 256 })
+	_, addr := startHardened(t, func(s *Server) { s.maxRequestBytes = 256 })
 
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestMalformedFrameAnsweredStructurally(t *testing.T) {
 // request and stalls is cut off by the read deadline — the deadline
 // covers the whole frame, not just the first byte.
 func TestPartialFrameIdleTimeout(t *testing.T) {
-	_, addr := startHardened(t, func(o *ServerOptions) { o.ReadTimeout = 100 * time.Millisecond })
+	_, addr := startHardened(t, func(s *Server) { s.readTimeout = 100 * time.Millisecond })
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDrainSeversStragglersAndCounts(t *testing.T) {
 // TestMaxConnsRefusedStructurally: connections over the cap get a
 // CodeServerBusy response with a retry hint, then a clean close.
 func TestMaxConnsRefusedStructurally(t *testing.T) {
-	_, addr := startHardened(t, func(o *ServerOptions) { o.MaxConns = 1 })
+	_, addr := startHardened(t, func(s *Server) { s.opt.MaxConns = 1 })
 
 	keeper, err := Dial(addr)
 	if err != nil {

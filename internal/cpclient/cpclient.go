@@ -5,13 +5,14 @@
 // and spends from a retry budget so a degraded server is never buried
 // under synchronised retry storms.
 //
-// Three pieces compose, and are exported separately so cmd/dhlload can
-// drive them on a virtual clock:
+// Three pieces compose. Policy and Budget are exported so cmd/dhlload can
+// drive the same rule on a virtual clock:
 //
-//   - Policy prices the wait before retry attempt N: jittered exponential
-//     backoff with the server's retry-after hint as a floor. The jitter
-//     RNG is seeded, so a fixed seed yields a byte-identical delay
-//     sequence.
+//   - Policy is the one retry rule: Next takes an attempt's outcome and
+//     decides, in order, on the attempt cap, whether the code is
+//     retryable, the budget, and the jittered exponential backoff with the
+//     server's retry-after hint as a floor. The jitter RNG is seeded, so a
+//     fixed seed yields a byte-identical delay sequence.
 //   - Budget is a token-bucket circuit breaker over retries: each retry
 //     spends one token, each success earns a fraction back. When the
 //     budget is dry the client fails fast instead of amplifying overload
@@ -34,105 +35,89 @@ import (
 	"repro/internal/controlplane"
 )
 
-// RetryOptions shapes the backoff policy and retry budget. Zero fields
-// take the documented defaults.
-type RetryOptions struct {
-	// MaxAttempts is the total number of tries including the first;
-	// default 4. 1 disables retries.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; default 50ms.
-	BaseDelay time.Duration
-	// Multiplier grows the delay per attempt; default 2.
-	Multiplier float64
-	// MaxDelay caps the un-jittered backoff; default 5s.
-	MaxDelay time.Duration
-	// Jitter is the half-width of the multiplicative jitter band: a delay
-	// d becomes uniform in [d*(1-Jitter), d*(1+Jitter)]. Default 0.2;
-	// negative disables jitter.
-	Jitter float64
-	// Seed seeds the jitter RNG; the same seed replays the same delay
-	// sequence. Default 1.
-	Seed int64
-	// BudgetBurst is the retry-token reserve a fresh client may burn
-	// before any success; default 10. Each retry spends one token.
-	BudgetBurst float64
-	// BudgetPerSuccess is the fraction of a token earned back per
-	// successful request (bounding steady-state retry rate to that
-	// fraction of the success rate); default 0.1.
-	BudgetPerSuccess float64
-}
+// The retry rule's parameters.
+const (
+	// maxAttempts is the number of tries per request, the first included.
+	maxAttempts = 4
+	// baseDelay is the backoff before the first retry; each further retry
+	// multiplies it by multiplier, up to maxDelay.
+	baseDelay  = 50 * time.Millisecond
+	multiplier = 2
+	maxDelay   = 5 * time.Second
+	// jitter is the half-width of the multiplicative jitter band: a delay
+	// d becomes uniform in [d*(1-jitter), d*(1+jitter)].
+	jitter = 0.2
+	// budgetBurst is the retry-token reserve of a fresh budget, and
+	// budgetPerSuccess the fraction of a token each success earns back
+	// (bounding the steady-state retry rate to that fraction of the
+	// success rate).
+	budgetBurst      = 10
+	budgetPerSuccess = 0.1
+)
 
-func (o RetryOptions) withDefaults() RetryOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.BaseDelay <= 0 {
-		o.BaseDelay = 50 * time.Millisecond
-	}
-	if o.Multiplier <= 1 {
-		o.Multiplier = 2
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 5 * time.Second
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.2
-	}
-	if o.Jitter < 0 {
-		o.Jitter = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.BudgetBurst <= 0 {
-		o.BudgetBurst = 10
-	}
-	if o.BudgetPerSuccess <= 0 {
-		o.BudgetPerSuccess = 0.1
-	}
-	return o
-}
+// Verdict is the retry rule's decision on one attempt's outcome.
+type Verdict int
 
-// Policy prices retry delays. Not safe for concurrent use; each
-// connection (or simulated client) owns one.
+const (
+	// Stop: the attempt succeeded, failed terminally or was the last one.
+	Stop Verdict = iota
+	// Denied: the failure is retryable, but the budget holds no token.
+	Denied
+	// Retry: a token is spent; wait the returned delay, then try again.
+	Retry
+)
+
+// Policy is one client's retry rule: the attempt cap, the retryable
+// codes, the shared budget and a seeded jittered backoff. Not safe for
+// concurrent use; each connection (or simulated client) owns one.
 type Policy struct {
-	opt RetryOptions
-	rng *rand.Rand
+	rng    *rand.Rand
+	budget *Budget
 }
 
-// NewPolicy builds a policy; zero option fields take defaults.
-func NewPolicy(opt RetryOptions) *Policy {
-	opt = opt.withDefaults()
-	return &Policy{opt: opt, rng: rand.New(rand.NewSource(opt.Seed))}
+// NewPolicy builds a policy that spends from budget. The same seed
+// replays the same delay sequence.
+func NewPolicy(seed int64, budget *Budget) *Policy {
+	return &Policy{rng: rand.New(rand.NewSource(seed)), budget: budget}
 }
 
-// Attempts reports the effective attempt cap.
-func (p *Policy) Attempts() int { return p.opt.MaxAttempts }
+// Next applies the rule to attempt number attempt (1-based), which
+// returned resp and err. A success earns budget back and stops. A
+// failure stops at the attempt cap or on a terminal code; otherwise it
+// takes a budget token, and with one returns Retry and the backoff
+// before the next attempt, floored by the server's retry-after hint.
+func (p *Policy) Next(attempt int, resp controlplane.Response, err error) (Verdict, time.Duration) {
+	if err == nil && resp.OK {
+		p.budget.Success()
+		return Stop, 0
+	}
+	if attempt >= maxAttempts || !retryable(resp, err) {
+		return Stop, 0
+	}
+	if !p.budget.Withdraw() {
+		return Denied, 0
+	}
+	var hint time.Duration
+	if err == nil {
+		hint = time.Duration(resp.RetryAfterS * float64(time.Second))
+	}
+	return Retry, p.backoff(attempt, hint)
+}
 
-// Backoff returns the wait before retry number retry (1-based: 1 follows
+// backoff returns the wait before retry number retry (1-based: 1 follows
 // the first failure). hint is the server's retry-after suggestion and
 // acts as a floor — the server knows its backlog better than the client's
 // exponential guess — while jitter desynchronises the herd around it.
-func (p *Policy) Backoff(retry int, hint time.Duration) time.Duration {
-	if retry < 1 {
-		retry = 1
+func (p *Policy) backoff(retry int, hint time.Duration) time.Duration {
+	d := float64(baseDelay)
+	for i := 1; i < retry && d < float64(maxDelay); i++ {
+		d *= multiplier
 	}
-	d := float64(p.opt.BaseDelay)
-	for i := 1; i < retry; i++ {
-		d *= p.opt.Multiplier
-		if d >= float64(p.opt.MaxDelay) {
-			break
-		}
-	}
-	if d > float64(p.opt.MaxDelay) {
-		d = float64(p.opt.MaxDelay)
-	}
+	d = min(d, float64(maxDelay))
 	if h := float64(hint); h > d {
 		d = h
 	}
-	if j := p.opt.Jitter; j > 0 {
-		d *= 1 - j + 2*j*p.rng.Float64()
-	}
+	d *= 1 - jitter + 2*jitter*p.rng.Float64()
 	return time.Duration(d)
 }
 
@@ -143,22 +128,10 @@ type Budget struct {
 	mu sync.Mutex
 	//dhllint:guardedby mu
 	tokens float64
-
-	burst      float64
-	perSuccess float64
 }
 
-// NewBudget builds a budget with the given burst reserve and per-success
-// earn rate (non-positive values take the RetryOptions defaults).
-func NewBudget(burst, perSuccess float64) *Budget {
-	if burst <= 0 {
-		burst = 10
-	}
-	if perSuccess <= 0 {
-		perSuccess = 0.1
-	}
-	return &Budget{tokens: burst, burst: burst, perSuccess: perSuccess}
-}
+// NewBudget builds a full budget.
+func NewBudget() *Budget { return &Budget{tokens: budgetBurst} }
 
 // Withdraw takes one retry token; false means the budget is exhausted and
 // the caller must fail fast rather than retry.
@@ -176,17 +149,23 @@ func (b *Budget) Withdraw() bool {
 func (b *Budget) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tokens += b.perSuccess
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+budgetPerSuccess, budgetBurst)
 }
 
-// RetryableCode reports whether a structured server error code marks a
-// transient condition worth retrying. Overload sheds and busy physical
-// resources clear with time; validation and state errors do not.
-func RetryableCode(code string) bool {
-	switch code {
+// retryable classifies one attempt's outcome: transport errors are always
+// retryable (the exchange may not have reached the server — note the API's
+// ops are idempotent-safe to repeat: open/close converge, read/write
+// re-simulate). Of the server's error codes, overload sheds and busy
+// physical resources clear with time and are retried; validation and
+// state errors do not and are terminal.
+func retryable(resp controlplane.Response, err error) bool {
+	if err != nil {
+		return true
+	}
+	if resp.OK {
+		return false
+	}
+	switch resp.Code {
 	case controlplane.CodeServerBusy,
 		controlplane.CodeCartBusy,
 		controlplane.CodeLaunchTimeout:
@@ -196,20 +175,6 @@ func RetryableCode(code string) bool {
 	}
 }
 
-// Retryable classifies one attempt's outcome: transport errors are always
-// retryable (the exchange may not have reached the server — note the API's
-// ops are idempotent-safe to repeat: open/close converge, read/write
-// re-simulate), server responses retry only on transient codes.
-func Retryable(resp controlplane.Response, err error) bool {
-	if err != nil {
-		return true
-	}
-	if resp.OK {
-		return false
-	}
-	return RetryableCode(resp.Code)
-}
-
 // ErrBudgetExhausted marks a retry suppressed by the budget breaker.
 var ErrBudgetExhausted = errors.New("cpclient: retry budget exhausted")
 
@@ -217,17 +182,12 @@ var ErrBudgetExhausted = errors.New("cpclient: retry budget exhausted")
 type Options struct {
 	// Addr is the server's TCP address.
 	Addr string
-	// Retry shapes backoff and the retry budget.
-	Retry RetryOptions
 	// Budget, when non-nil, replaces the client's private budget —
 	// share one across clients to scope the breaker per server.
 	Budget *Budget
-	// Dial, Sleep, Clock are injection points for tests and the
-	// deterministic harness; nil means net.DialTimeout, time.Sleep,
-	// time.Now.
-	Dial  func(addr string, timeout time.Duration) (net.Conn, error)
-	Sleep func(time.Duration)
-	Clock func() time.Time
+	// Seed seeds the retry jitter; the same seed replays the same delay
+	// sequence.
+	Seed int64
 }
 
 const (
@@ -238,21 +198,6 @@ const (
 	// (deadline propagation).
 	attemptTimeout = 10 * time.Second
 )
-
-func (o Options) withDefaults() Options {
-	if o.Dial == nil {
-		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
-}
 
 // Stats counts client-side outcomes. All counters are cumulative.
 type Stats struct {
@@ -271,9 +216,12 @@ type Stats struct {
 // protocol is strictly request/response). Close from another goroutine
 // severs an in-flight exchange.
 type Client struct {
-	opt    Options
+	addr   string
 	policy *Policy
-	budget *Budget
+	// dial and sleep are net.DialTimeout over TCP and time.Sleep; the
+	// package's tests replace them.
+	dial  func(addr string, timeout time.Duration) (net.Conn, error)
+	sleep func(time.Duration)
 
 	// exMu serialises request/response exchanges (held across I/O).
 	exMu sync.Mutex
@@ -291,15 +239,18 @@ type Client struct {
 
 // New builds a client; it does not connect until the first request.
 func New(opt Options) *Client {
-	opt = opt.withDefaults()
-	c := &Client{opt: opt, policy: NewPolicy(opt.Retry)}
-	if opt.Budget != nil {
-		c.budget = opt.Budget
-	} else {
-		r := opt.Retry.withDefaults()
-		c.budget = NewBudget(r.BudgetBurst, r.BudgetPerSuccess)
+	budget := opt.Budget
+	if budget == nil {
+		budget = NewBudget()
 	}
-	return c
+	return &Client{
+		addr:   opt.Addr,
+		policy: NewPolicy(opt.Seed, budget),
+		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+		sleep: time.Sleep,
+	}
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -355,18 +306,12 @@ func (c *Client) DoDeadline(req controlplane.Request, deadline time.Time) (contr
 				s.BusyResponses++
 			}
 		})
-		if err == nil && !Retryable(resp, nil) {
-			if resp.OK {
-				c.budget.Success()
-			}
-			return resp, nil
-		}
 		lastResp, lastErr = resp, err
-
-		if attempt >= c.policy.Attempts() {
+		verdict, wait := c.policy.Next(attempt, resp, err)
+		if verdict == Stop {
 			break
 		}
-		if !c.budget.Withdraw() {
+		if verdict == Denied {
 			c.note(func(s *Stats) { s.BudgetDenied++ })
 			if lastErr == nil {
 				lastErr = ErrBudgetExhausted
@@ -375,15 +320,9 @@ func (c *Client) DoDeadline(req controlplane.Request, deadline time.Time) (contr
 			}
 			break
 		}
-		var hint time.Duration
-		if err == nil && resp.RetryAfterS > 0 {
-			hint = time.Duration(resp.RetryAfterS * float64(time.Second))
-		}
-		wait := c.policy.Backoff(attempt, hint)
-		if !deadline.IsZero() && c.opt.Clock().Add(wait).After(deadline) {
-			// The backoff would outlive the caller's deadline: give the
-			// token back conceptually by failing fast instead of sleeping
-			// into certain failure.
+		if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
+			// The backoff would outlive the caller's deadline: fail fast
+			// instead of sleeping into certain failure.
 			c.note(func(s *Stats) { s.DeadlineDenied++ })
 			if lastErr == nil {
 				lastErr = fmt.Errorf("cpclient: deadline would expire during %v backoff", wait)
@@ -391,12 +330,9 @@ func (c *Client) DoDeadline(req controlplane.Request, deadline time.Time) (contr
 			break
 		}
 		c.note(func(s *Stats) { s.Retries++ })
-		c.opt.Sleep(wait)
+		c.sleep(wait)
 	}
-	if lastErr != nil {
-		return lastResp, lastErr
-	}
-	return lastResp, nil
+	return lastResp, lastErr
 }
 
 func (c *Client) note(f func(*Stats)) {
@@ -421,13 +357,13 @@ func (c *Client) ensureConn(deadline time.Time) (net.Conn, *bufio.Reader, error)
 
 	dialTO := dialTimeout
 	if !deadline.IsZero() {
-		if rem := deadline.Sub(c.opt.Clock()); rem <= 0 {
+		if rem := deadline.Sub(time.Now()); rem <= 0 {
 			return nil, nil, fmt.Errorf("cpclient: deadline exceeded before dial")
 		} else if rem < dialTO {
 			dialTO = rem
 		}
 	}
-	conn, err := c.opt.Dial(c.opt.Addr, dialTO)
+	conn, err := c.dial(c.addr, dialTO)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cpclient: dial: %w", err)
 	}
@@ -455,7 +391,7 @@ func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlp
 		return controlplane.Response{}, err
 	}
 
-	attemptDL := c.opt.Clock().Add(attemptTimeout)
+	attemptDL := time.Now().Add(attemptTimeout)
 	if !deadline.IsZero() && deadline.Before(attemptDL) {
 		attemptDL = deadline
 	}

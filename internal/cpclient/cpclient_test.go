@@ -15,19 +15,17 @@ import (
 )
 
 func TestPolicyDeterministicSequences(t *testing.T) {
-	opt := RetryOptions{Seed: 42}
-	a, b := NewPolicy(opt), NewPolicy(opt)
+	a, b := NewPolicy(42, NewBudget()), NewPolicy(42, NewBudget())
 	for i := 1; i <= 8; i++ {
-		da, db := a.Backoff(i, 0), b.Backoff(i, 0)
+		da, db := a.backoff(i, 0), b.backoff(i, 0)
 		if da != db {
 			t.Fatalf("retry %d: same seed diverged: %v vs %v", i, da, db)
 		}
 	}
-	other := NewPolicy(RetryOptions{Seed: 43})
 	same := true
-	x, y := NewPolicy(opt), other
+	x, y := NewPolicy(42, NewBudget()), NewPolicy(43, NewBudget())
 	for i := 1; i <= 8; i++ {
-		if x.Backoff(i, 0) != y.Backoff(i, 0) {
+		if x.backoff(i, 0) != y.backoff(i, 0) {
 			same = false
 		}
 	}
@@ -36,63 +34,97 @@ func TestPolicyDeterministicSequences(t *testing.T) {
 	}
 }
 
+// within reports whether d lies in the jitter band around target.
+func within(d, target time.Duration) bool {
+	return float64(d) >= (1-jitter)*float64(target) && float64(d) <= (1+jitter)*float64(target)
+}
+
 func TestPolicyBackoffShape(t *testing.T) {
-	p := NewPolicy(RetryOptions{
-		BaseDelay: 100 * time.Millisecond, Multiplier: 2,
-		MaxDelay: 400 * time.Millisecond, Jitter: -1, // disable jitter
-	})
+	p := NewPolicy(7, NewBudget())
 	for i, want := range []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 400 * time.Millisecond, // capped
+		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+		3200 * time.Millisecond, 5 * time.Second, 5 * time.Second, // capped
 	} {
-		if got := p.Backoff(i+1, 0); got != want {
-			t.Errorf("retry %d: backoff = %v, want %v", i+1, got, want)
+		if got := p.backoff(i+1, 0); !within(got, want) {
+			t.Errorf("retry %d: backoff = %v, want %v ±20%%", i+1, got, want)
 		}
 	}
 	// The server hint floors the exponential guess.
-	if got := p.Backoff(1, 3*time.Second); got != 3*time.Second {
-		t.Errorf("hinted backoff = %v, want the 3s hint", got)
+	if got := p.backoff(1, 3*time.Second); !within(got, 3*time.Second) {
+		t.Errorf("hinted backoff = %v, want the 3s hint ±20%%", got)
 	}
 	// A hint below the exponential delay does not shrink it.
-	if got := p.Backoff(3, time.Millisecond); got != 400*time.Millisecond {
-		t.Errorf("small hint shrank backoff to %v", got)
+	if got := p.backoff(3, time.Millisecond); !within(got, 200*time.Millisecond) {
+		t.Errorf("small hint moved backoff to %v", got)
 	}
-	// Jitter keeps the delay inside the ±J band around the target.
-	pj := NewPolicy(RetryOptions{BaseDelay: 100 * time.Millisecond, Jitter: 0.2, Seed: 7})
-	for i := 0; i < 100; i++ {
-		d := pj.Backoff(1, 0)
-		if d < 80*time.Millisecond || d > 120*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [80ms,120ms]", d)
-		}
+}
+
+// TestPolicyNextOrder: a success earns budget back; the attempt cap and
+// a terminal code stop without spending a token; a retryable failure
+// spends one and waits at least the server's hint less the jitter; a dry
+// budget denies.
+func TestPolicyNextOrder(t *testing.T) {
+	b := NewBudget()
+	p := NewPolicy(1, b)
+	busy := controlplane.Response{Code: controlplane.CodeServerBusy, RetryAfterS: 2}
+	if v, _ := p.Next(1, controlplane.Response{OK: true}, nil); v != Stop {
+		t.Errorf("success: verdict %v, want Stop", v)
+	}
+	if v, _ := p.Next(maxAttempts, busy, nil); v != Stop {
+		t.Errorf("last attempt: verdict %v, want Stop", v)
+	}
+	if v, _ := p.Next(1, controlplane.Response{Code: controlplane.CodeNotDocked}, nil); v != Stop {
+		t.Errorf("terminal code: verdict %v, want Stop", v)
+	}
+	if b.tokens != budgetBurst {
+		t.Errorf("tokens = %v after stops, want the full %v", b.tokens, budgetBurst)
+	}
+	v, wait := p.Next(1, busy, nil)
+	if v != Retry || !within(wait, 2*time.Second) {
+		t.Errorf("busy with a 2s hint: %v after %v, want Retry after 2s ±20%%", v, wait)
+	}
+	if v, _ := p.Next(1, controlplane.Response{}, errors.New("conn reset")); v != Retry {
+		t.Errorf("transport error: verdict %v, want Retry", v)
+	}
+	for b.Withdraw() {
+	}
+	if v, _ := p.Next(1, busy, nil); v != Denied {
+		t.Errorf("dry budget: verdict %v, want Denied", v)
 	}
 }
 
 func TestBudgetBreaker(t *testing.T) {
-	b := NewBudget(2, 0.5)
-	if !b.Withdraw() || !b.Withdraw() {
-		t.Fatal("burst of 2 should allow two retries")
+	b := NewBudget()
+	for i := 0; i < budgetBurst; i++ {
+		if !b.Withdraw() {
+			t.Fatalf("the burst of %d should allow retry %d", budgetBurst, i+1)
+		}
 	}
 	if b.Withdraw() {
-		t.Fatal("third retry should be denied")
+		t.Fatal("a retry past the burst should be denied")
 	}
-	b.Success() // 0.5 tokens: still under the 1-token price
+	for i := 0; i < 9; i++ {
+		b.Success() // 0.9 tokens: still under the 1-token price
+	}
 	if b.Withdraw() {
-		t.Fatal("half a token must not buy a retry")
+		t.Fatal("nine tenths of a token must not buy a retry")
 	}
-	b.Success() // 1.0
+	b.Success()
+	b.Success() // 1.1
 	if !b.Withdraw() {
 		t.Fatal("earned tokens should re-enable retries")
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		b.Success()
 	}
-	if got := b.tokens; got != 2 {
-		t.Errorf("tokens cap at burst: got %v, want 2", got)
+	if got := b.tokens; got != budgetBurst {
+		t.Errorf("tokens cap at burst: got %v, want %v", got, budgetBurst)
 	}
 }
 
 func TestRetryableClassification(t *testing.T) {
-	retryable := []string{
+	transient := []string{
 		controlplane.CodeServerBusy, controlplane.CodeCartBusy,
 		controlplane.CodeLaunchTimeout,
 	}
@@ -103,20 +135,20 @@ func TestRetryableClassification(t *testing.T) {
 		controlplane.CodeStorage, controlplane.CodeNoTelemetry,
 		controlplane.CodeInternal, controlplane.CodeError,
 	}
-	for _, code := range retryable {
-		if !Retryable(controlplane.Response{OK: false, Code: code}, nil) {
+	for _, code := range transient {
+		if !retryable(controlplane.Response{OK: false, Code: code}, nil) {
 			t.Errorf("code %q should be retryable", code)
 		}
 	}
 	for _, code := range terminal {
-		if Retryable(controlplane.Response{OK: false, Code: code}, nil) {
+		if retryable(controlplane.Response{OK: false, Code: code}, nil) {
 			t.Errorf("code %q should be terminal", code)
 		}
 	}
-	if Retryable(controlplane.Response{OK: true}, nil) {
+	if retryable(controlplane.Response{OK: true}, nil) {
 		t.Error("success is not retryable")
 	}
-	if !Retryable(controlplane.Response{}, errors.New("conn reset")) {
+	if !retryable(controlplane.Response{}, errors.New("conn reset")) {
 		t.Error("transport errors are retryable")
 	}
 }
@@ -171,18 +203,14 @@ func (s *scriptServer) dial(string, time.Duration) (net.Conn, error) {
 	return client, nil
 }
 
-func newTestClient(srv *scriptServer, tweak func(*Options)) (*Client, *[]time.Duration) {
+// newTestClient builds a client on srv that records its backoffs instead
+// of sleeping. A nil budget gives it a private one.
+func newTestClient(srv *scriptServer, budget *Budget) (*Client, *[]time.Duration) {
 	var slept []time.Duration
-	opt := Options{
-		Addr:  "script",
-		Dial:  srv.dial,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-		Retry: RetryOptions{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, Seed: 5},
-	}
-	if tweak != nil {
-		tweak(&opt)
-	}
-	return New(opt), &slept
+	c := New(Options{Addr: "script", Budget: budget, Seed: 5})
+	c.dial = srv.dial
+	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	return c, &slept
 }
 
 func TestClientRetriesBusyThenSucceeds(t *testing.T) {
@@ -226,9 +254,11 @@ func TestClientRedialsAfterTransportFailure(t *testing.T) {
 func TestClientBudgetExhaustionFailsFast(t *testing.T) {
 	busy := &controlplane.Response{OK: false, Code: controlplane.CodeServerBusy}
 	srv := newScriptServer(t, busy, busy, busy, busy)
-	c, _ := newTestClient(srv, func(o *Options) {
-		o.Budget = NewBudget(1, 0.001)
-	})
+	budget := NewBudget()
+	for i := 1; i < budgetBurst; i++ {
+		budget.Withdraw() // leave one token
+	}
+	c, _ := newTestClient(srv, budget)
 	defer c.Close()
 	resp, err := c.Status()
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -284,18 +314,18 @@ func TestClientTerminalErrorNotRetried(t *testing.T) {
 func TestClientSuccessEarnsBudget(t *testing.T) {
 	ok := &controlplane.Response{OK: true}
 	srv := newScriptServer(t, ok, ok, ok)
-	budget := NewBudget(10, 0.1)
+	budget := NewBudget()
 	for i := 0; i < 3; i++ {
 		budget.Withdraw()
 	}
-	c, _ := newTestClient(srv, func(o *Options) { o.Budget = budget })
+	c, _ := newTestClient(srv, budget)
 	defer c.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Status(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := 7 + 3*0.1
+	want := budgetBurst - 3 + 3*budgetPerSuccess
 	if got := budget.tokens; got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("budget after successes = %v, want %v", got, want)
 	}
@@ -319,7 +349,7 @@ func TestClientAgainstRealServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := New(Options{Addr: addr, Retry: RetryOptions{Seed: 11}})
+	c := New(Options{Addr: addr, Seed: 11})
 	defer c.Close()
 	if resp, err := c.Open(0); err != nil || !resp.OK {
 		t.Fatalf("open = %+v, %v", resp, err)
@@ -344,37 +374,36 @@ func TestClientAgainstRealServer(t *testing.T) {
 
 // TestCodecErrorsKeepTheirWrapping: a request the wire format cannot
 // carry fails as an encode error before anything is sent, and a reply
-// line that is not JSON fails as a decode error and drops the connection.
+// line that is not JSON fails as a decode error and drops the connection,
+// so every attempt dials afresh.
 func TestCodecErrorsKeepTheirWrapping(t *testing.T) {
-	c, _ := newTestClient(newScriptServer(t), func(o *Options) { o.Retry.MaxAttempts = 1 })
+	c, _ := newTestClient(newScriptServer(t), nil)
 	defer c.Close()
 	if _, err := c.Read(0, math.NaN()); err == nil || !strings.HasPrefix(err.Error(), "cpclient: encode: ") {
 		t.Errorf("NaN read: err = %v, want a cpclient: encode error", err)
 	}
 
 	dials := 0
-	g := New(Options{
-		Addr: "garbage",
-		Dial: func(string, time.Duration) (net.Conn, error) {
-			dials++
-			client, server := net.Pipe()
-			go func() {
-				defer server.Close()
-				if _, err := bufio.NewReader(server).ReadBytes('\n'); err == nil {
-					server.Write([]byte("not json\n"))
-				}
-			}()
-			return client, nil
-		},
-		Retry: RetryOptions{MaxAttempts: 1},
-	})
+	g := New(Options{Addr: "garbage"})
+	g.dial = func(string, time.Duration) (net.Conn, error) {
+		dials++
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			if _, err := bufio.NewReader(server).ReadBytes('\n'); err == nil {
+				server.Write([]byte("not json\n"))
+			}
+		}()
+		return client, nil
+	}
+	g.sleep = func(time.Duration) {}
 	defer g.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := g.Status(); err == nil || !strings.HasPrefix(err.Error(), "cpclient: decode: ") {
 			t.Errorf("garbage reply: err = %v, want a cpclient: decode error", err)
 		}
 	}
-	if dials != 2 {
-		t.Errorf("%d dials for 2 garbage replies; a decode error must drop the connection", dials)
+	if st := g.Stats(); dials != 2*maxAttempts || st.Attempts != uint64(dials) {
+		t.Errorf("%d dials for %d attempts at 2 garbage replies; a decode error must drop the connection", dials, st.Attempts)
 	}
 }
