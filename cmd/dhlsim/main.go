@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	dhlsim [-dataset-pb N] [-carts N] [-docks N] [-dual] [-read]
+//	dhlsim [-dataset SIZE] [-carts N] [-docks N] [-dual] [-read]
 //	       [-failure-rate F] [-seed N] [-raid5]
 //	       [-chaos NAME] [-horizon S] [-fault-log] [-strict]
 //	       [-timeout S] [-backoff S] [-failure-sweep R1,R2,...]
@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -41,8 +40,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dhlsim: ")
 	var (
-		datasetPB = flag.Float64("dataset-pb", 2.56, "dataset size in PB")
-		datasetS  = flag.String("dataset", "", "dataset size with units (e.g. \"512TB\", \"29PB\"); overrides -dataset-pb")
+		datasetS  = flag.String("dataset", "2.56PB", "dataset size with units (e.g. \"512TB\", \"29PB\")")
 		carts     = flag.Int("carts", 2, "fleet size")
 		docks     = flag.Int("docks", 4, "endpoint docking stations")
 		dual      = flag.Bool("dual", false, "dual-rail track (§VI)")
@@ -106,19 +104,12 @@ func main() {
 	if *benchOut != "" {
 		log.Fatal("-bench-out is only meaningful with -campus")
 	}
-	if !(*datasetPB > 0 && *datasetPB < math.Inf(1)) { // NaN fails too
-		log.Fatalf("-dataset-pb must be positive and finite, got %v", *datasetPB)
+	dataset, err := units.ParseBytes(*datasetS)
+	if err != nil {
+		log.Fatalf("-dataset: %v", err)
 	}
-	dataset := units.Bytes(*datasetPB) * units.PB
-	if *datasetS != "" {
-		var err error
-		dataset, err = units.ParseBytes(*datasetS)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if dataset <= 0 {
-			log.Fatalf("-dataset must be positive, got %v", dataset)
-		}
+	if dataset <= 0 {
+		log.Fatalf("-dataset must be positive, got %v", dataset)
 	}
 
 	opt := dhlsys.DefaultOptions()
@@ -262,32 +253,19 @@ func scenarioLabel(name string) string {
 	return "scenario " + name
 }
 
-// chaosScenarios pairs every valid -chaos value with its one-line
-// description, in faults.ScenarioNames order (a unit test keeps the two in
-// lockstep).
-var chaosScenarios = []struct{ name, desc string }{
-	{faults.ScenarioSSDStorm, "a burst of in-flight SSD deaths"},
-	{faults.ScenarioLeakyTube, "repeated vacuum leaks of varying severity"},
-	{faults.ScenarioBlockedTrack, "cart stalls and debris on the rail"},
-	{faults.ScenarioBrownout, "LIM power losses and dock-station failures"},
-	{faults.ScenarioRoughDay, "all of the above at once, at lower per-kind rates"},
-	{faults.ScenarioCampusPartition, "junction and tube-segment failures carving a campus apart (-campus only)"},
-}
-
 // unknownChaosMessage renders the fatal message for an unrecognised -chaos
 // value: the error itself plus one usage line per valid scenario.
 func unknownChaosMessage(err error) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v\n", err)
 	b.WriteString("valid -chaos scenarios:\n")
+	scenarios := faults.Scenarios()
 	width := 0
-	for _, s := range chaosScenarios {
-		if len(s.name) > width {
-			width = len(s.name)
-		}
+	for _, s := range scenarios {
+		width = max(width, len(s.Name))
 	}
-	for _, s := range chaosScenarios {
-		fmt.Fprintf(&b, "  %-*s  %s\n", width, s.name, s.desc)
+	for _, s := range scenarios {
+		fmt.Fprintf(&b, "  %-*s  %s\n", width, s.Name, s.Desc)
 	}
 	b.WriteString("replay any scenario byte-identically with -chaos NAME -seed N")
 	return b.String()

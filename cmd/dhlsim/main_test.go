@@ -90,15 +90,20 @@ func TestNegativeDurationsAreRejected(t *testing.T) {
 	}
 }
 
-// TestDatasetSizeMustBePositive: a non-positive, NaN or infinite
-// -dataset-pb fails with a message naming the flag, not deep inside the
+// TestDatasetSizeMustBePositive: a zero, negative, NaN or infinite
+// -dataset fails with a message naming the flag, not deep inside the
 // simulator.
 func TestDatasetSizeMustBePositive(t *testing.T) {
-	for _, v := range []string{"0", "-1", "NaN", "+Inf"} {
-		stdout, stderr, code := runDhlsim(t, "-dataset-pb", v)
-		if want := "-dataset-pb must be positive and finite, got " + v; code != 1 || !strings.Contains(stderr, want) || stdout != "" {
-			t.Errorf("-dataset-pb %s: exit %d, stderr %q, stdout %q; want exit 1 with %q and no output",
-				v, code, stderr, stdout, want)
+	for _, tc := range []struct{ v, want string }{
+		{"0PB", "-dataset must be positive, got 0B"},
+		{"NaNPB", `-dataset: units: size "NaNPB" is not finite`},
+		{"InfPB", `-dataset: units: size "InfPB" is not finite`},
+		{"-1PB", `-dataset: units: negative size "-1PB"`},
+	} {
+		stdout, stderr, code := runDhlsim(t, "-dataset", tc.v)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("-dataset %s: exit %d, stderr %q, stdout %q; want exit 1 with %q and no output",
+				tc.v, code, stderr, stdout, tc.want)
 		}
 	}
 }
@@ -116,22 +121,6 @@ func TestFailureSweepRejectsBadRateBeforeRunning(t *testing.T) {
 		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
 			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 1, %q and no output",
 				tc.spec, code, stderr, stdout, tc.want)
-		}
-	}
-}
-
-func TestChaosScenarioListMatchesFaults(t *testing.T) {
-	names := faults.ScenarioNames()
-	if len(chaosScenarios) != len(names) {
-		t.Fatalf("chaosScenarios has %d entries, faults.ScenarioNames %d — keep them in lockstep",
-			len(chaosScenarios), len(names))
-	}
-	for i, s := range chaosScenarios {
-		if s.name != names[i] {
-			t.Errorf("chaosScenarios[%d] = %q, want %q", i, s.name, names[i])
-		}
-		if s.desc == "" {
-			t.Errorf("scenario %q has no description", s.name)
 		}
 	}
 }

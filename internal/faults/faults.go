@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/track"
@@ -262,34 +263,60 @@ func (s Script) Sorted() []Fault {
 	return out
 }
 
-// Scenario names understood by Scenario, in the order ScenarioNames
-// returns them.
+// Scenario names, in the order Scenarios lists them.
 const (
-	// ScenarioSSDStorm: a burst of in-flight SSD deaths.
-	ScenarioSSDStorm = "ssd-storm"
-	// ScenarioLeakyTube: repeated vacuum leaks of varying severity.
-	ScenarioLeakyTube = "leaky-tube"
-	// ScenarioBlockedTrack: cart stalls and debris on the rail.
-	ScenarioBlockedTrack = "blocked-track"
-	// ScenarioBrownout: LIM power losses and dock-station failures.
-	ScenarioBrownout = "brownout"
-	// ScenarioRoughDay: all of the above at once, at lower per-kind rates.
-	ScenarioRoughDay = "rough-day"
-	// ScenarioCampusPartition: junction and tube-segment failures that
-	// carve a campus tube network apart. Campus-only: needs Dims.Segments.
+	ScenarioSSDStorm        = "ssd-storm"
+	ScenarioLeakyTube       = "leaky-tube"
+	ScenarioBlockedTrack    = "blocked-track"
+	ScenarioBrownout        = "brownout"
+	ScenarioRoughDay        = "rough-day"
 	ScenarioCampusPartition = "campus-partition"
 )
 
-// ScenarioNames lists the named chaos scenarios.
+// Scenario is one named chaos scenario.
+type Scenario struct {
+	Name string
+	// Desc is the one-line description -chaos help and its unknown-name
+	// message print.
+	Desc string
+	// gen draws the scenario's faults.
+	gen func(g *generator) []Fault
+}
+
+// scenarios is the one table of named chaos scenarios.
+var scenarios = []Scenario{
+	{ScenarioSSDStorm, "a burst of in-flight SSD deaths",
+		func(g *generator) []Fault { return g.ssdFailures(12) }},
+	{ScenarioLeakyTube, "repeated vacuum leaks of varying severity",
+		func(g *generator) []Fault { return g.vacuumLeaks(4) }},
+	{ScenarioBlockedTrack, "cart stalls and debris on the rail",
+		func(g *generator) []Fault { return g.stalls(6) }},
+	{ScenarioBrownout, "LIM power losses and dock-station failures",
+		func(g *generator) []Fault { return append(g.limLosses(4), g.dockFailures(3)...) }},
+	{ScenarioRoughDay, "all of the above at once, at lower per-kind rates",
+		func(g *generator) []Fault {
+			var fs []Fault
+			fs = append(fs, g.ssdFailures(5)...)
+			fs = append(fs, g.vacuumLeaks(2)...)
+			fs = append(fs, g.stalls(3)...)
+			fs = append(fs, g.limLosses(2)...)
+			return append(fs, g.dockFailures(2)...)
+		}},
+	// Campus-only: it needs Dims.Segments.
+	{ScenarioCampusPartition, "junction and tube-segment failures carving a campus apart (-campus only)",
+		func(g *generator) []Fault { return append(g.junctionFailures(3), g.segmentFailures(6)...) }},
+}
+
+// Scenarios lists the named chaos scenarios.
+func Scenarios() []Scenario { return slices.Clone(scenarios) }
+
+// ScenarioNames lists the named chaos scenarios' names.
 func ScenarioNames() []string {
-	return []string{
-		ScenarioSSDStorm,
-		ScenarioLeakyTube,
-		ScenarioBlockedTrack,
-		ScenarioBrownout,
-		ScenarioRoughDay,
-		ScenarioCampusPartition,
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.Name
 	}
+	return names
 }
 
 // ErrUnknownScenario is returned for scenario names outside ScenarioNames.
@@ -310,30 +337,12 @@ func ScenarioDims(name string, seed int64, horizon units.Seconds, d Dims) (Scrip
 	if name == ScenarioCampusPartition && d.Segments < 1 {
 		return Script{}, fmt.Errorf("%w: scenario %q needs a campus deployment (Dims.Segments >= 1)", ErrBadScript, name)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	g := generator{rng: rng, horizon: horizon, carts: d.Carts, stations: d.Stations, devices: d.DevicesPerCart, segments: d.Segments}
-	s := Script{Name: name}
-	switch name {
-	case ScenarioSSDStorm:
-		s.Faults = g.ssdFailures(12)
-	case ScenarioLeakyTube:
-		s.Faults = g.vacuumLeaks(4)
-	case ScenarioBlockedTrack:
-		s.Faults = g.stalls(6)
-	case ScenarioBrownout:
-		s.Faults = append(g.limLosses(4), g.dockFailures(3)...)
-	case ScenarioRoughDay:
-		s.Faults = append(s.Faults, g.ssdFailures(5)...)
-		s.Faults = append(s.Faults, g.vacuumLeaks(2)...)
-		s.Faults = append(s.Faults, g.stalls(3)...)
-		s.Faults = append(s.Faults, g.limLosses(2)...)
-		s.Faults = append(s.Faults, g.dockFailures(2)...)
-	case ScenarioCampusPartition:
-		s.Faults = append(g.junctionFailures(3), g.segmentFailures(6)...)
-	default:
+	i := slices.IndexFunc(scenarios, func(sc Scenario) bool { return sc.Name == name })
+	if i < 0 {
 		return Script{}, fmt.Errorf("%w: %q (known: %v)", ErrUnknownScenario, name, ScenarioNames())
 	}
-	s.Faults = Script{Faults: s.Faults}.Sorted()
+	g := generator{rng: rand.New(rand.NewSource(seed)), horizon: horizon, carts: d.Carts, stations: d.Stations, devices: d.DevicesPerCart, segments: d.Segments}
+	s := Script{Name: name, Faults: Script{Faults: scenarios[i].gen(&g)}.Sorted()}
 	if err := s.ValidateDims(d); err != nil {
 		return Script{}, err
 	}

@@ -56,6 +56,12 @@ func TestParseBytesErrorMessages(t *testing.T) {
 		{"12XB", "bad size"},   // unknown prefix leaves non-numeric text
 		{"1..5TB", "bad size"}, // malformed mantissa
 		{"ten GB", "bad size"},
+		{"NaNPB", "not finite"},
+		{"NaN", "not finite"},
+		{"InfPB", "not finite"},
+		{"+Inf", "not finite"},
+		{"-InfPB", "negative"},
+		{"1e300PB", "not finite"}, // finite number, infinite product
 	}
 	for _, tt := range tests {
 		got, err := ParseBytes(tt.in)
