@@ -3,8 +3,8 @@
 package repro
 
 // Dynamic verification of the //dhllint:hotpath annotations: every
-// annotated entry point is driven through testing.AllocsPerRun and must
-// measure exactly zero steady-state allocations. The static allocflow
+// annotated entry point is driven through zeroAllocs and must make
+// exactly zero steady-state allocations. The static allocflow
 // pass and these tests pin each other — the analyzer proves no allocating
 // construct is reachable, the run proves the exemptions (amortised
 // appends, cold branches behind allows) really stay cold.
@@ -14,6 +14,7 @@ package repro
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -25,12 +26,27 @@ import (
 	"repro/internal/units"
 )
 
-// zeroAllocs asserts f performs no allocations per run after its warm-up
-// call (AllocsPerRun runs f once before measuring).
+// zeroAllocs asserts f performs no allocation at all over 100 runs after
+// one warm-up call. It counts the runs' mallocs in total, where
+// testing.AllocsPerRun reports their integer mean and so misses growth
+// amortised over many runs.
 func zeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
-	if n := testing.AllocsPerRun(100, f); n != 0 {
-		t.Errorf("%s: %.1f allocs/run, want 0", name, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	// Each collection wakes the unique package's map cleanup, which
+	// allocates on its own goroutine: collect now and let it run, so no
+	// collection is pending during the measurement.
+	runtime.GC()
+	runtime.Gosched()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%s: %d allocations over 100 runs, want 0", name, n)
 	}
 }
 
@@ -190,7 +206,7 @@ func TestHotPathAllocsLaunchLoop(t *testing.T) {
 // BenchmarkShuttleTelemetryEnabled and the shuttle-bulk workload run.
 // Metrics handles are warm map hits; a first system grows the span log
 // past what the measured second system records (its warm-up and
-// AllocsPerRun's extra call included), and Reset keeps that capacity, so
+// zeroAllocs' warm-up call included), and Reset keeps that capacity, so
 // the record path appends within it throughout the measurement.
 func TestHotPathAllocsLaunchLoopTelemetry(t *testing.T) {
 	set := telemetry.NewSet()

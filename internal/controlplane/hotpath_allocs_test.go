@@ -7,11 +7,32 @@ package controlplane
 // unexported methods. Excluded under -race, whose runtime allocates.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dhlsys"
 	"repro/internal/telemetry"
 )
+
+// mallocs counts the allocations of 100 runs of f after one warm-up call:
+// their total, where testing.AllocsPerRun reports the integer mean and so
+// misses growth amortised over many runs.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	// Each collection wakes the unique package's map cleanup, which
+	// allocates on its own goroutine: collect now and let it run, so no
+	// collection is pending during the measurement.
+	runtime.GC()
+	runtime.Gosched()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 func newAllocServer(t *testing.T, tel *telemetry.Set) *Server {
 	t.Helper()
@@ -34,8 +55,8 @@ func newAllocServer(t *testing.T, tel *telemetry.Set) *Server {
 func TestHotPathAllocsRefreshCache(t *testing.T) {
 	srv := newAllocServer(t, telemetry.NewSet())
 	srv.refreshCache() // warm: size the cached snapshot's slices
-	if n := testing.AllocsPerRun(100, srv.refreshCache); n != 0 {
-		t.Errorf("refreshCache: %.1f allocs/run, want 0", n)
+	if n := mallocs(srv.refreshCache); n != 0 {
+		t.Errorf("refreshCache: %d allocations over 100 runs, want 0", n)
 	}
 	if len(srv.cacheMetrics.Counters) == 0 {
 		t.Fatal("cached snapshot is empty")
@@ -62,8 +83,8 @@ func TestHotPathAllocsHandle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run() // warm the event arena and request queues
 	}
-	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Errorf("handle: %.1f allocs per open/write/read/close cycle, want 0", n)
+	if n := mallocs(run); n != 0 {
+		t.Errorf("handle: %d allocations over 100 open/write/read/close cycles, want 0", n)
 	}
 	if failed != 0 {
 		t.Fatalf("%d requests failed", failed)

@@ -88,10 +88,36 @@ type campusCart struct {
 	entryT    units.Seconds
 	dockStart units.Seconds
 	trackID   telemetry.StrID
+	// next is the cart behind this one in its entry or dock queue.
+	next int32
 
 	departFn func()
 	arriveFn func()
 	dwellFn  func()
+}
+
+// cartQueue is a FIFO of carts threaded through their next links. A cart
+// waits in at most one queue, an edge's entry queue or a station's dock
+// queue, so one link per cart serves both and a queue never allocates.
+type cartQueue struct{ head, tail, n int32 }
+
+// push appends cart ci to q.
+func (c *Campus) push(q *cartQueue, ci int32) {
+	if q.n == 0 {
+		q.head = ci
+	} else {
+		c.carts[q.tail].next = ci
+	}
+	q.tail = ci
+	q.n++
+}
+
+// pop removes and returns the cart at the head of the non-empty q.
+func (c *Campus) pop(q *cartQueue) int32 {
+	ci := q.head
+	q.head = c.carts[ci].next
+	q.n--
+	return ci
 }
 
 // EdgeStats is the per-segment utilisation summary.
@@ -192,10 +218,10 @@ type Campus struct {
 	edgeUp   []bool
 
 	dockFree  []int
-	dockQueue [][]int32
+	dockQueue []cartQueue
 
 	edgeOcc       []int
-	edgeQueue     [][]int32
+	edgeQueue     []cartQueue
 	edgeOccupants [][]int32
 	// blocked[e] counts the carts on edges in e's conflict set (their
 	// spans overlap e's); a line edge is admissible only at zero.
@@ -311,10 +337,10 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		edgeUp:   make([]bool, m),
 
 		dockFree:  make([]int, n),
-		dockQueue: make([][]int32, n),
+		dockQueue: make([]cartQueue, n),
 
 		edgeOcc:       make([]int, m),
-		edgeQueue:     make([][]int32, m),
+		edgeQueue:     make([]cartQueue, m),
 		edgeOccupants: make([][]int32, m),
 		blocked:       make([]int, m),
 		queueScratch:  make([]int, m),
@@ -330,8 +356,19 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		c.nodeUp[i] = true
 		c.dockFree[i] = topo.Node(NodeID(i)).Docks
 	}
+	// An edge holds at most Capacity carts, and never more than the
+	// fleet, so each occupant list is a window of one slab sized to that
+	// and never grows.
+	occupants := func(e int) int { return min(topo.edgeAt(EdgeID(e)).Capacity, opt.Carts) }
+	slots := 0
 	for i := range c.edgeUp {
 		c.edgeUp[i] = true
+		slots += occupants(i)
+	}
+	slab := make([]int32, slots)
+	for i := range c.edgeOccupants {
+		k := occupants(i)
+		c.edgeOccupants[i], slab = slab[:0:k], slab[k:]
 	}
 	c.initTelemetry(opt.Telemetry)
 
@@ -519,7 +556,7 @@ func quantileSeconds(xs []units.Seconds, q float64) units.Seconds {
 // from the dispatch hot loop.
 func (c *Campus) recomputeRoutes() error {
 	for e := range c.queueScratch {
-		c.queueScratch[e] = len(c.edgeQueue[e])
+		c.queueScratch[e] = int(c.edgeQueue[e].n)
 	}
 	return c.router.Recompute(c.ctx, Liveness{NodeUp: c.nodeUp, EdgeUp: c.edgeUp}, c.queueScratch)
 }
@@ -590,8 +627,9 @@ func (c *Campus) admissible(e EdgeID) bool {
 //
 //dhllint:hotpath
 func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
-	c.edgeQueue[e] = append(c.edgeQueue[e], ci)
-	if n := len(c.edgeQueue[e]); n > c.perEdge[e].MaxQueue {
+	q := &c.edgeQueue[e]
+	c.push(q, ci)
+	if n := int(q.n); n > c.perEdge[e].MaxQueue {
 		c.perEdge[e].MaxQueue = n
 		if n > c.maxQueue {
 			c.maxQueue = n
@@ -699,12 +737,8 @@ func (c *Campus) removeOccupant(e EdgeID, ci int32) {
 //
 //dhllint:hotpath
 func (c *Campus) retryEdgeQueue(e EdgeID) {
-	for len(c.edgeQueue[e]) > 0 && c.admissible(e) {
-		q := c.edgeQueue[e]
-		ci := q[0]
-		copy(q, q[1:])
-		c.edgeQueue[e] = q[:len(q)-1]
-		c.enterEdge(ci, e)
+	for c.edgeQueue[e].n > 0 && c.admissible(e) {
+		c.enterEdge(c.pop(&c.edgeQueue[e]), e)
 	}
 }
 
@@ -719,7 +753,7 @@ func (c *Campus) tryDock(ci int32) {
 		c.dockCart(ci)
 		return
 	}
-	c.dockQueue[ct.at] = append(c.dockQueue[ct.at], ci)
+	c.push(&c.dockQueue[ct.at], ci)
 }
 
 // dockCart completes the trip: claims the dock, accounts trip time, lines
@@ -769,12 +803,8 @@ func (c *Campus) endDwell(ci int32) {
 //
 //dhllint:hotpath
 func (c *Campus) retryDockQueue(v NodeID) {
-	for len(c.dockQueue[v]) > 0 && c.dockFree[v] > 0 {
-		q := c.dockQueue[v]
-		ci := q[0]
-		copy(q, q[1:])
-		c.dockQueue[v] = q[:len(q)-1]
-		c.dockCart(ci)
+	for c.dockQueue[v].n > 0 && c.dockFree[v] > 0 {
+		c.dockCart(c.pop(&c.dockQueue[v]))
 	}
 }
 
@@ -910,9 +940,7 @@ func (c *Campus) healEdge(e EdgeID) {
 // keeps its committed (now dead) plan, so its eventual escape over a
 // different edge is counted as a reroute.
 func (c *Campus) drainQueueToLoiter(e EdgeID) {
-	q := c.edgeQueue[e]
-	for _, ci := range q {
-		c.loiterCart(ci)
+	for q := &c.edgeQueue[e]; q.n > 0; {
+		c.loiterCart(c.pop(q))
 	}
-	c.edgeQueue[e] = q[:0]
 }
