@@ -303,8 +303,9 @@ func TestHotPathAllocsRouterRecompute(t *testing.T) {
 }
 
 // TestHotPathAllocsWireCodec pins the canonical wire codec: encoding
-// requests and op replies into a warm buffer, and decoding request frames
-// and OK op replies, allocate nothing.
+// requests, op replies, a status reply and a metrics reply into a warm
+// buffer, and decoding request frames and OK op replies, allocate
+// nothing.
 func TestHotPathAllocsWireCodec(t *testing.T) {
 	reqs := []controlplane.Request{
 		{Op: controlplane.OpOpen, Cart: 3},
@@ -312,10 +313,21 @@ func TestHotPathAllocsWireCodec(t *testing.T) {
 		{Op: controlplane.OpRead, Bytes: 2.5e-7},
 		{Op: controlplane.OpStatus},
 	}
+	opt := dhlsys.DefaultOptions()
+	opt.Telemetry = telemetry.NewSet()
+	sys, err := dhlsys.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.MetricsSnapshot()
+	stats := controlplane.StatsJSON{Launches: 4, DockOps: 8, EnergyJ: 1.5e5, BytesRead: 1e9,
+		DegradedLaunches: 1, StallTimeS: 2.5, FaultsInjected: 1, DowntimeS: 30, Availability: 0.99}
 	replies := []controlplane.Response{
 		{OK: true, SimTime: 1234.5, OpSeconds: 8.6},
 		{OK: true, SimTime: 1e21, OpSeconds: 1e-7},
 		{OK: false, Error: "controlplane: overloaded: queue-full", Code: controlplane.CodeServerBusy, RetryAfterS: 0.25},
+		{OK: true, Stale: true, CacheAgeS: 0.5, SimTime: 42, Stats: &stats, Metrics: &snap},
+		{OK: true, SimTime: 42, Text: telemetry.PrometheusText(snap)},
 	}
 	var buf []byte
 	var failed error

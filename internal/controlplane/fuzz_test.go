@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dhlsys"
+	"repro/internal/telemetry"
 )
 
 // FuzzDecodeRequest pins the frame decoder: any byte string either decodes
@@ -132,7 +135,26 @@ func FuzzDecodeResponse(f *testing.F) {
 		``,
 		`null`,
 		`{}`,
+		// Near-canonical status and metrics replies.
+		`{"ok":true,"sim_time":1,"metrics":{"counters":[]}}`,
+		`{"ok":true,"sim_time":1,"metrics":{"gauges":[{"name":"g","value":1}],"counters":[{"name":"c","value":1}]}}`,
+		`{"ok":true,"sim_time":1,"metrics":{"histograms":[{"name":"h","buckets":null,"sum":0,"count":0}]}}`,
+		`{"ok":true,"sim_time":1,"metrics":{"histograms":[{"name":"h","buckets":[],"sum":0,"count":0}]}}`,
+		`{"ok":true,"sim_time":1,"metrics":{"histograms":[{"name":"h","sum":0,"count":0}]}}`,
+		`{"ok":true,"sim_time":1,"metrics":{"histograms":[{"name":"h","buckets":[{"le":1,"count":-1}],"sum":0,"count":0}]}}`,
+		`{"ok":true,"sim_time":1,"text":"a\u003cb\u003e\u0026\u0000\u001f\n\"\\"}`,
+		`{"ok":true,"sim_time":1,"text":"\u000a"}`,
+		`{"ok":true,"sim_time":1,"text":"\u003C"}`,
+		`{"ok":true,"sim_time":1,"text":"\u2028"}`,
+		`{"ok":true,"sim_time":1,"text":"\ud800"}`,
+		`{"ok":true,"sim_time":1,"text":"\/"}`,
+		`{"ok":true,"sim_time":1,"text":"<\u007f"}`,
+		"{\"ok\":true,\"sim_time\":1,\"text\":\"\x7f\xc3\xa9\"}",
+		`{"ok":true,"sim_time":1,"stats":{"launches":1,"dock_ops":0,"energy_j":0,"bytes_read":0,"bytes_written":0,"failures_seen":0,"denied":0,"queued":0,"faults_injected":0,"downtime_s":0}}`,
+		`{"ok":true,"sim_time":1,"stats":{"launches":1.5,"dock_ops":0,"energy_j":0,"bytes_read":0,"bytes_written":0,"failures_seen":0,"denied":0,"queued":0,"faults_injected":0,"downtime_s":0,"availability":1}}`,
+		`{"ok":true,"sim_time":1,"stats":null}`,
 	}
+	seeds = append(seeds, serverReplyLines(f)...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -153,6 +175,30 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("line %q: DecodeResponse %+v, json.Unmarshal %+v", line, got, want)
 		}
 	})
+}
+
+// serverReplyLines returns the status and metrics reply lines of a
+// server with telemetry on, after one open.
+func serverReplyLines(tb testing.TB) []string {
+	opt := dhlsys.DefaultOptions()
+	opt.Telemetry = telemetry.NewSet()
+	sys, err := dhlsys.New(opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := NewServerWithOptions(sys, DefaultServerOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var lines []string
+	for _, req := range []Request{{Op: OpOpen}, {Op: OpStatus}, {Op: OpMetrics}} {
+		line, err := AppendResponse(nil, srv.handle(1, req))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines = append(lines, string(line))
+	}
+	return lines[1:]
 }
 
 // sameRequest compares requests field by field, floats by their bits.

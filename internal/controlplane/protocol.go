@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/dhlsys"
 	"repro/internal/telemetry"
@@ -161,21 +162,27 @@ func bytesOf(r Request) units.Bytes { return units.Bytes(r.Bytes) }
 //
 // Every frame is exactly what encoding/json's Encoder writes for the value:
 // fields in struct order, omitempty honoured, <, > and & escaped, floats
-// in its format, and a trailing newline. The frames that make up nearly
-// all traffic form the canonical subset, which this file writes and parses
-// by hand, without reflection or allocation:
+// in its format, and a trailing newline. Nearly every frame the server and
+// its clients exchange is in the canonical subset, which this file writes
+// without reflection or allocation, and parses by hand:
 //
 //   - a request whose op needs no escaping and whose size is finite;
-//   - an op reply: no stats, metrics or text, strings that need no
-//     escaping, finite floats.
+//   - a reply whose error and code need no escaping, whose floats are all
+//     finite, whose metric names need no escaping, and whose text is ASCII.
+//     That covers op replies, status replies (stats and the telemetry
+//     snapshot) and metrics replies (the Prometheus text, written with
+//     json.Encoder's escapes).
 //
 // A parsed frame is canonical when its keys are exact, in struct order,
-// each at most once, its strings are printable ASCII without escapes, its
-// numbers fit their fields, and only JSON whitespace follows the object
-// (and, for a request, its op is one of the six Op constants). Everything
-// else — status and metrics replies, other key orders, whitespace inside
-// the object, escapes, non-finite floats — goes through encoding/json,
-// as every frame did before the hand-written paths existed. That
+// each at most once, with every non-omitempty key of stats and snapshot
+// objects present; its strings are printable ASCII without escapes, except
+// the text, which may hold 0x7f and exactly the escapes the encoder writes;
+// its arrays are non-empty, except a histogram's buckets, which may also
+// be [] or null; its numbers fit their fields; and only JSON whitespace
+// follows the object (and, for a request, its op is one of the six Op
+// constants). Everything else goes through encoding/json: other key
+// orders, whitespace inside the object, other escapes (\u2028, \/,
+// uppercase hex), non-ASCII bytes, empty sections, non-finite floats. That
 // fallback stays: it is the only path for those inputs, and it is the
 // reference the fuzz and property tests hold the hand-written paths to.
 
@@ -210,13 +217,15 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 //
 //dhllint:hotpath
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
-	if resp.Stats != nil || resp.Metrics != nil || resp.Text != "" ||
-		!plain(resp.Error) || !plain(resp.Code) ||
+	if !plain(resp.Error) || !plain(resp.Code) ||
 		!finite(resp.RetryAfterS) || !finite(resp.CacheAgeS) ||
-		!finite(resp.SimTime) || !finite(resp.OpSeconds) {
-		//dhllint:allow allocflow -- fallback for status, metrics and other non-canonical replies; the op-reply path below does not allocate
+		!finite(resp.SimTime) || !finite(resp.OpSeconds) ||
+		(resp.Stats != nil && !statsCanonical(resp.Stats)) ||
+		(resp.Metrics != nil && !snapshotCanonical(resp.Metrics)) {
+		//dhllint:allow allocflow -- fallback for non-canonical replies; the canonical path below does not allocate
 		return appendJSON(dst, resp)
 	}
+	start := len(dst)
 	dst = append(dst, `{"ok":`...)
 	dst = strconv.AppendBool(dst, resp.OK)
 	if resp.Error != "" {
@@ -246,9 +255,240 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		dst = append(dst, `,"op_seconds":`...)
 		dst = appendFloat(dst, resp.OpSeconds)
 	}
+	if resp.Stats != nil {
+		dst = append(dst, `,"stats":`...)
+		dst = appendStats(dst, resp.Stats)
+	}
+	if resp.Metrics != nil {
+		dst = append(dst, `,"metrics":`...)
+		dst = appendSnapshot(dst, resp.Metrics)
+	}
+	if resp.Text != "" {
+		dst = append(dst, `,"text":`...)
+		var ascii bool
+		if dst, ascii = appendText(dst, resp.Text); !ascii {
+			//dhllint:allow allocflow -- fallback for text with non-ASCII bytes, whose UTF-8 encoding/json checks and rewrites
+			return appendJSON(dst[:start], resp)
+		}
+	}
 	dst = append(dst, "}\n"...)
 	return dst, nil
 }
+
+// statsCanonical reports whether every float in s is finite.
+func statsCanonical(s *StatsJSON) bool {
+	return finite(s.EnergyJ) && finite(s.BytesRead) && finite(s.BytesWritten) &&
+		finite(s.DegradedBytes) && finite(s.StallTimeS) && finite(s.BackoffWaitS) &&
+		finite(s.DowntimeS) && finite(s.Availability)
+}
+
+// snapshotCanonical reports whether every name in m is plain and every
+// float finite.
+func snapshotCanonical(m *telemetry.Snapshot) bool {
+	for _, c := range m.Counters {
+		if !plain(c.Name) || !finite(c.Value) {
+			return false
+		}
+	}
+	for _, g := range m.Gauges {
+		if !plain(g.Name) || !finite(g.Value) {
+			return false
+		}
+	}
+	for _, h := range m.Histograms {
+		if !plain(h.Name) || !finite(h.Sum) {
+			return false
+		}
+		for _, b := range h.Buckets {
+			if !finite(b.UpperBound) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// appendStats writes s's object: every field in struct order, the
+// fault-recovery ones only when non-zero.
+func appendStats(dst []byte, s *StatsJSON) []byte {
+	dst = append(dst, `{"launches":`...)
+	dst = strconv.AppendInt(dst, int64(s.Launches), 10)
+	dst = append(dst, `,"dock_ops":`...)
+	dst = strconv.AppendInt(dst, int64(s.DockOps), 10)
+	dst = append(dst, `,"energy_j":`...)
+	dst = appendFloat(dst, s.EnergyJ)
+	dst = append(dst, `,"bytes_read":`...)
+	dst = appendFloat(dst, s.BytesRead)
+	dst = append(dst, `,"bytes_written":`...)
+	dst = appendFloat(dst, s.BytesWritten)
+	dst = append(dst, `,"failures_seen":`...)
+	dst = strconv.AppendInt(dst, int64(s.FailuresSeen), 10)
+	dst = append(dst, `,"denied":`...)
+	dst = strconv.AppendInt(dst, int64(s.Denied), 10)
+	dst = append(dst, `,"queued":`...)
+	dst = strconv.AppendInt(dst, int64(s.Queued), 10)
+	dst = appendOptInt(dst, `,"degraded_launches":`, s.DegradedLaunches)
+	dst = appendOptInt(dst, `,"degraded_reads":`, s.DegradedReads)
+	dst = appendOptFloat(dst, `,"degraded_bytes":`, s.DegradedBytes)
+	dst = appendOptInt(dst, `,"stalls":`, s.Stalls)
+	dst = appendOptFloat(dst, `,"stall_time_s":`, s.StallTimeS)
+	dst = appendOptInt(dst, `,"reroutes":`, s.Reroutes)
+	dst = appendOptInt(dst, `,"timeouts":`, s.Timeouts)
+	dst = appendOptInt(dst, `,"backoffs":`, s.Backoffs)
+	dst = appendOptFloat(dst, `,"backoff_wait_s":`, s.BackoffWaitS)
+	dst = append(dst, `,"faults_injected":`...)
+	dst = strconv.AppendInt(dst, int64(s.FaultsInjected), 10)
+	dst = append(dst, `,"downtime_s":`...)
+	dst = appendFloat(dst, s.DowntimeS)
+	dst = append(dst, `,"availability":`...)
+	dst = appendFloat(dst, s.Availability)
+	dst = append(dst, '}')
+	return dst
+}
+
+// appendOptInt writes an omitempty int field: key, then n, unless n is 0.
+func appendOptInt(dst []byte, key string, n int) []byte {
+	if n != 0 {
+		dst = append(dst, key...)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return dst
+}
+
+// appendOptFloat writes an omitempty float field: key, then f, unless f
+// is zero.
+func appendOptFloat(dst []byte, key string, f float64) []byte {
+	if f != 0 {
+		dst = append(dst, key...)
+		dst = appendFloat(dst, f)
+	}
+	return dst
+}
+
+// appendSnapshot writes m's object. Each section is left out when empty;
+// a histogram's buckets are null when nil.
+func appendSnapshot(dst []byte, m *telemetry.Snapshot) []byte {
+	dst = append(dst, '{')
+	if len(m.Counters) > 0 {
+		dst = append(dst, `"counters":[`...)
+		for i, c := range m.Counters {
+			dst = appendPoint(dst, i, c.Name, c.Value)
+		}
+		dst = append(dst, ']')
+	}
+	if len(m.Gauges) > 0 {
+		if len(m.Counters) > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"gauges":[`...)
+		for i, g := range m.Gauges {
+			dst = appendPoint(dst, i, g.Name, g.Value)
+		}
+		dst = append(dst, ']')
+	}
+	if len(m.Histograms) > 0 {
+		if len(m.Counters) > 0 || len(m.Gauges) > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"histograms":[`...)
+		for i := range m.Histograms {
+			h := &m.Histograms[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":"`...)
+			dst = append(dst, h.Name...)
+			dst = append(dst, `","buckets":`...)
+			if h.Buckets == nil {
+				dst = append(dst, "null"...)
+			} else {
+				dst = append(dst, '[')
+				for j, b := range h.Buckets {
+					if j > 0 {
+						dst = append(dst, ',')
+					}
+					dst = append(dst, `{"le":`...)
+					dst = appendFloat(dst, b.UpperBound)
+					dst = append(dst, `,"count":`...)
+					dst = strconv.AppendUint(dst, b.Count, 10)
+					dst = append(dst, '}')
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, `,"sum":`...)
+			dst = appendFloat(dst, h.Sum)
+			dst = append(dst, `,"count":`...)
+			dst = strconv.AppendUint(dst, h.Count, 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, '}')
+	return dst
+}
+
+// appendPoint writes the i-th element of a counters or gauges array.
+func appendPoint(dst []byte, i int, name string, value float64) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"name":"`...)
+	dst = append(dst, name...)
+	dst = append(dst, `","value":`...)
+	dst = appendFloat(dst, value)
+	dst = append(dst, '}')
+	return dst
+}
+
+// appendText writes s as a JSON string with json.Encoder's escapes. It
+// stops at the first non-ASCII byte and returns false: encoding/json
+// validates UTF-8 and escapes U+2028 and U+2029, which this does not.
+func appendText(dst []byte, s string) ([]byte, bool) {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		e := textEscape[s[i]]
+		if e == 0 {
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch e {
+		case nonASCII:
+			return dst, false
+		case 'u':
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[s[i]>>4], hexDigits[s[i]&0xf])
+		default:
+			dst = append(dst, '\\', e)
+		}
+		start = i + 1
+	}
+	dst = append(dst, s[start:]...)
+	dst = append(dst, '"')
+	return dst, true
+}
+
+const hexDigits = "0123456789abcdef"
+
+// nonASCII marks the bytes from 0x80 up in textEscape.
+const nonASCII = 0x80
+
+// textEscape holds, for each ASCII byte json.Encoder escapes, the letter
+// after its backslash: the byte itself for a quote or backslash, b, f, n,
+// r or t for the short control escapes, and u for \u00XX, which it writes
+// for the other control bytes and for <, > and &. A byte it writes
+// verbatim has 0, and a non-ASCII byte nonASCII.
+var textEscape = func() (t [256]byte) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = 'u'
+	}
+	for c := 0x80; c < 0x100; c++ {
+		t[c] = nonASCII
+	}
+	t['<'], t['>'], t['&'] = 'u', 'u', 'u'
+	t['"'], t['\\'] = '"', '\\'
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
+	return t
+}()
 
 // DecodeRequest parses one newline-delimited request frame. It rejects
 // frames that carry trailing data after the JSON object (a desynchronised
@@ -309,8 +549,7 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // escapes.
 func plain(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+		if c := s[i]; c == 0x7f || textEscape[c] != 0 {
 			return false
 		}
 	}
@@ -319,9 +558,15 @@ func plain(s string) bool {
 
 // appendFloat formats f as encoding/json does: 'f' notation, except 'e'
 // below 1e-6 and from 1e21 up, with a two-digit negative exponent cut to
-// one digit (e-07 becomes e-7).
+// one digit (e-07 becomes e-7). An integer below 2^53 in magnitude, other
+// than -0, is written as an integer: every such value is a float of its
+// own, so its shortest form is all its digits.
 func appendFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
+	//dhllint:allow floateq -- an exact test for an integral value, not a comparison of computed results
+	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -394,7 +639,204 @@ func parseResponse(line []byte) (resp Response, ok bool) {
 	if sc.lit(`,"op_seconds":`) {
 		resp.OpSeconds = sc.float()
 	}
+	if sc.lit(`,"stats":`) {
+		resp.Stats = sc.stats()
+	}
+	if sc.lit(`,"metrics":`) {
+		resp.Metrics = sc.snapshot()
+	}
+	if sc.lit(`,"text":`) {
+		resp.Text = sc.text()
+	}
 	return resp, sc.end()
+}
+
+// stats consumes a StatsJSON object: every field in struct order, the
+// fault-recovery ones optional.
+func (sc *scanner) stats() *StatsJSON {
+	s := new(StatsJSON)
+	sc.need(`{"launches":`)
+	s.Launches = sc.int()
+	sc.need(`,"dock_ops":`)
+	s.DockOps = sc.int()
+	sc.need(`,"energy_j":`)
+	s.EnergyJ = sc.float()
+	sc.need(`,"bytes_read":`)
+	s.BytesRead = sc.float()
+	sc.need(`,"bytes_written":`)
+	s.BytesWritten = sc.float()
+	sc.need(`,"failures_seen":`)
+	s.FailuresSeen = sc.int()
+	sc.need(`,"denied":`)
+	s.Denied = sc.int()
+	sc.need(`,"queued":`)
+	s.Queued = sc.int()
+	if sc.lit(`,"degraded_launches":`) {
+		s.DegradedLaunches = sc.int()
+	}
+	if sc.lit(`,"degraded_reads":`) {
+		s.DegradedReads = sc.int()
+	}
+	if sc.lit(`,"degraded_bytes":`) {
+		s.DegradedBytes = sc.float()
+	}
+	if sc.lit(`,"stalls":`) {
+		s.Stalls = sc.int()
+	}
+	if sc.lit(`,"stall_time_s":`) {
+		s.StallTimeS = sc.float()
+	}
+	if sc.lit(`,"reroutes":`) {
+		s.Reroutes = sc.int()
+	}
+	if sc.lit(`,"timeouts":`) {
+		s.Timeouts = sc.int()
+	}
+	if sc.lit(`,"backoffs":`) {
+		s.Backoffs = sc.int()
+	}
+	if sc.lit(`,"backoff_wait_s":`) {
+		s.BackoffWaitS = sc.float()
+	}
+	sc.need(`,"faults_injected":`)
+	s.FaultsInjected = sc.int()
+	sc.need(`,"downtime_s":`)
+	s.DowntimeS = sc.float()
+	sc.need(`,"availability":`)
+	s.Availability = sc.float()
+	sc.need("}")
+	return s
+}
+
+// snapshot consumes a telemetry.Snapshot object whose sections are
+// non-empty; a histogram's buckets may be null (nil) or [] (empty).
+func (sc *scanner) snapshot() *telemetry.Snapshot {
+	m := new(telemetry.Snapshot)
+	sc.need("{")
+	sep := ""
+	if sc.lit(`"counters":[`) {
+		for ok := true; ok; ok = sc.lit(",") {
+			name, value := sc.point()
+			m.Counters = append(m.Counters, telemetry.CounterPoint{Name: name, Value: value})
+		}
+		sc.need("]")
+		sep = ","
+	}
+	if sc.key(sep, `"gauges":[`) {
+		for ok := true; ok; ok = sc.lit(",") {
+			name, value := sc.point()
+			m.Gauges = append(m.Gauges, telemetry.GaugePoint{Name: name, Value: value})
+		}
+		sc.need("]")
+		sep = ","
+	}
+	if sc.key(sep, `"histograms":[`) {
+		for ok := true; ok; ok = sc.lit(",") {
+			var h telemetry.HistogramPoint
+			sc.need(`{"name":`)
+			h.Name = string(sc.str())
+			sc.need(`,"buckets":`)
+			switch {
+			case sc.lit("null"):
+			case sc.lit("[]"):
+				h.Buckets = []telemetry.BucketPoint{}
+			default:
+				sc.need("[")
+				for ok := true; ok; ok = sc.lit(",") {
+					var b telemetry.BucketPoint
+					sc.need(`{"le":`)
+					b.UpperBound = sc.float()
+					sc.need(`,"count":`)
+					b.Count = sc.uint()
+					sc.need("}")
+					h.Buckets = append(h.Buckets, b)
+				}
+				sc.need("]")
+			}
+			sc.need(`,"sum":`)
+			h.Sum = sc.float()
+			sc.need(`,"count":`)
+			h.Count = sc.uint()
+			sc.need("}")
+			m.Histograms = append(m.Histograms, h)
+		}
+		sc.need("]")
+	}
+	sc.need("}")
+	return m
+}
+
+// point consumes one {"name":…,"value":…} element of a counters or
+// gauges array.
+func (sc *scanner) point() (string, float64) {
+	sc.need(`{"name":`)
+	name := string(sc.str())
+	sc.need(`,"value":`)
+	value := sc.float()
+	sc.need("}")
+	return name, value
+}
+
+// text consumes a JSON string of ASCII bytes with the escapes appendText
+// writes, and no others, and returns its contents.
+func (sc *scanner) text() string {
+	if !sc.lit(`"`) {
+		sc.bad = true
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(len(sc.p))
+	p := sc.p
+	start := 0
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if textEscape[c] == 0 {
+			continue
+		}
+		switch c {
+		case '"':
+			b.Write(p[start:i])
+			sc.p = p[i+1:]
+			return b.String()
+		case '<', '>', '&':
+			continue // escaped by the encoder, but valid JSON as they are
+		case '\\':
+			if c, n := unescape(p[i:]); n > 0 {
+				b.Write(p[start:i])
+				b.WriteByte(c)
+				i += n - 1
+				start = i + 1
+				continue
+			}
+		}
+		break
+	}
+	sc.bad = true
+	return ""
+}
+
+// unescape decodes the escape at the start of p if appendText writes it:
+// the byte, and the escape's length, 0 for any other escape.
+func unescape(p []byte) (byte, int) {
+	if len(p) < 2 {
+		return 0, 0
+	}
+	if e := p[1]; e != 'u' {
+		for _, c := range [...]byte{'"', '\\', '\b', '\f', '\n', '\r', '\t'} {
+			if textEscape[c] == e {
+				return c, 2
+			}
+		}
+		return 0, 0
+	}
+	if len(p) < 6 || p[2] != '0' || p[3] != '0' {
+		return 0, 0
+	}
+	hi, lo := strings.IndexByte(hexDigits, p[4]), strings.IndexByte(hexDigits, p[5])
+	if hi < 0 || lo < 0 || textEscape[hi<<4|lo] != 'u' {
+		return 0, 0
+	}
+	return byte(hi<<4 | lo), 6
 }
 
 // scanner reads a canonical frame front to back. The first mismatch
@@ -411,6 +853,23 @@ func (sc *scanner) lit(s string) bool {
 		return false
 	}
 	sc.p = sc.p[len(s):]
+	return true
+}
+
+// need consumes s, and clears ok if the input does not start with it.
+func (sc *scanner) need(s string) {
+	if !sc.lit(s) {
+		sc.bad = true
+	}
+}
+
+// key consumes sep then k if the input starts with both.
+func (sc *scanner) key(sep, k string) bool {
+	if sc.bad || len(sc.p) < len(sep)+len(k) || !equal(sc.p[:len(sep)], sep) ||
+		!equal(sc.p[len(sep):len(sep)+len(k)], k) {
+		return false
+	}
+	sc.p = sc.p[len(sep)+len(k):]
 	return true
 }
 
@@ -501,6 +960,20 @@ func (sc *scanner) int() int {
 		return 0
 	}
 	return int(n)
+}
+
+// uint consumes a JSON integer that fits a uint64.
+func (sc *scanner) uint() uint64 {
+	num := sc.number(true)
+	if sc.bad {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(num), 10, 64)
+	if err != nil {
+		sc.bad = true
+		return 0
+	}
+	return n
 }
 
 // float consumes a JSON number that fits a float64, rounded as

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dhlsys"
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -143,19 +144,136 @@ func isOp(op Op) bool {
 	return false
 }
 
+// randStats draws a StatsJSON whose every field, the omitempty ones
+// included, is zero half the time.
+func randStats(rng *rand.Rand) *StatsJSON {
+	n := func() int {
+		if rng.Intn(2) == 0 {
+			return 0
+		}
+		return randCart(rng)
+	}
+	f := func() float64 {
+		if rng.Intn(2) == 0 {
+			return 0
+		}
+		return randFloat(rng)
+	}
+	return &StatsJSON{
+		Launches: n(), DockOps: n(), EnergyJ: f(), BytesRead: f(), BytesWritten: f(),
+		FailuresSeen: n(), Denied: n(), Queued: n(),
+		DegradedLaunches: n(), DegradedReads: n(), DegradedBytes: f(), Stalls: n(),
+		StallTimeS: f(), Reroutes: n(), Timeouts: n(), Backoffs: n(), BackoffWaitS: f(),
+		FaultsInjected: n(), DowntimeS: f(), Availability: f(),
+	}
+}
+
+// randLen draws a section length: -1 for nil, 0 for empty, or 1–4.
+func randLen(rng *rand.Rand) int { return rng.Intn(6) - 1 }
+
+// randSnapshot draws a snapshot with nil, empty and filled sections and
+// buckets, names that are plain most of the time, and random floats.
+func randSnapshot(rng *rand.Rand) *telemetry.Snapshot {
+	names := []string{"dhl_launches_total", "dhl_sim_time_seconds", "dhl_io_seconds", "ns:sub", ""}
+	var m telemetry.Snapshot
+	if n := randLen(rng); n >= 0 {
+		m.Counters = make([]telemetry.CounterPoint, n)
+		for i := range m.Counters {
+			m.Counters[i] = telemetry.CounterPoint{Name: randString(rng, names), Value: randFloat(rng)}
+		}
+	}
+	if n := randLen(rng); n >= 0 {
+		m.Gauges = make([]telemetry.GaugePoint, n)
+		for i := range m.Gauges {
+			m.Gauges[i] = telemetry.GaugePoint{Name: randString(rng, names), Value: randFloat(rng)}
+		}
+	}
+	if n := randLen(rng); n >= 0 {
+		m.Histograms = make([]telemetry.HistogramPoint, n)
+		for i := range m.Histograms {
+			h := telemetry.HistogramPoint{Name: randString(rng, names), Sum: randFloat(rng), Count: rng.Uint64() >> rng.Intn(64)}
+			if nb := randLen(rng); nb >= 0 {
+				h.Buckets = make([]telemetry.BucketPoint, nb)
+				for j := range h.Buckets {
+					h.Buckets[j] = telemetry.BucketPoint{UpperBound: randFloat(rng), Count: rng.Uint64() >> rng.Intn(64)}
+				}
+			}
+			m.Histograms[i] = h
+		}
+	}
+	return &m
+}
+
+// randText draws a metrics text: empty, a real exposition line, or up
+// to 40 random bytes over 0x00–0x7f with now and then a non-ASCII byte,
+// a two-byte rune or U+2028.
+func randText(rng *rand.Rand) string {
+	switch rng.Intn(4) {
+	case 0:
+		return ""
+	case 1:
+		return `# TYPE dhl_io_seconds histogram` + "\n" + `dhl_io_seconds_bucket{le="+Inf"} 3` + "\n"
+	}
+	var b []byte
+	for i := rng.Intn(41); i > 0; i-- {
+		switch rng.Intn(120) {
+		case 0:
+			b = append(b, byte(0x80+rng.Intn(0x80)))
+		case 1:
+			b = append(b, "é"...)
+		case 2:
+			b = append(b, "\u2028"...)
+		default:
+			b = append(b, byte(rng.Intn(0x80)))
+		}
+	}
+	return string(b)
+}
+
+// canonicalReply reports whether AppendResponse writes resp by hand:
+// plain error, code and metric names, and ASCII text. (A reply with a
+// non-finite float fails in either path.)
+func canonicalReply(resp Response) bool {
+	if !plain(resp.Error) || !plain(resp.Code) {
+		return false
+	}
+	for i := 0; i < len(resp.Text); i++ {
+		if resp.Text[i] >= 0x80 {
+			return false
+		}
+	}
+	if m := resp.Metrics; m != nil {
+		for _, c := range m.Counters {
+			if !plain(c.Name) {
+				return false
+			}
+		}
+		for _, g := range m.Gauges {
+			if !plain(g.Name) {
+				return false
+			}
+		}
+		for _, h := range m.Histograms {
+			if !plain(h.Name) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestAppendResponseMatchesEncodingJSON: for seeded random replies — op
-// replies, error and busy replies, stale control replies, and status and
-// metrics replies that take the fallback — AppendResponse writes exactly
-// json.Encoder's bytes, and every reply decodes back, through
-// DecodeResponse, to what json.Unmarshal yields.
+// replies, error and busy replies, stale control replies, status replies
+// with random stats and snapshots, and metrics replies with random text —
+// AppendResponse writes exactly json.Encoder's bytes, every reply decodes
+// back, through DecodeResponse, to what json.Unmarshal yields, and every
+// reply written by hand is parsed back by hand.
 func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	errs := []string{"", "", "dhlsys: cart 3 busy", "controlplane: overloaded: queue-full"}
 	codes := []string{"", "", CodeCartBusy, CodeServerBusy, CodeUnknownCart}
-	texts := []string{"", "", "", "# TYPE dhl_launches_total counter\ndhl_launches_total 3\n"}
-	snap := telemetry.Snapshot{Counters: []telemetry.CounterPoint{{Name: "dhl_launches_total", Value: 3}}}
 	prefix := []byte("prefix:")
-	canonical := 0
+	var canonical, control, texts, fallback int
 	for i := 0; i < 50000; i++ {
 		resp := Response{
 			OK:          rng.Intn(2) == 0,
@@ -166,13 +284,17 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 			CacheAgeS:   randFloat(rng),
 			SimTime:     randFloat(rng),
 			OpSeconds:   randFloat(rng),
-			Text:        texts[rng.Intn(len(texts))],
 		}
-		switch rng.Intn(8) {
+		switch rng.Intn(4) {
 		case 0:
-			resp.Stats = &StatsJSON{Launches: rng.Intn(100), EnergyJ: randFloat(rng), Availability: 1}
+			resp.Stats = randStats(rng)
+			if rng.Intn(3) > 0 {
+				resp.Metrics = randSnapshot(rng)
+			}
 		case 1:
-			resp.Metrics = &snap
+			resp.Metrics = randSnapshot(rng)
+		case 2:
+			resp.Text = randText(rng)
 		}
 		got, err := AppendResponse(append([]byte(nil), prefix...), resp)
 		checkAppend(t, resp, got, err, prefix)
@@ -188,15 +310,30 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		if err != nil || !sameResponse(back, want) {
 			t.Fatalf("%q decodes to %+v (%v), json.Unmarshal gives %+v", line, back, err, want)
 		}
-		if resp.Stats == nil && resp.Metrics == nil && resp.Text == "" && plain(resp.Error) && plain(resp.Code) {
+		fast, ok := parseResponse(line)
+		if ok && !sameResponse(fast, want) {
+			t.Fatalf("%q parses to %+v, json.Unmarshal gives %+v", line, fast, want)
+		}
+		if !canonicalReply(resp) {
+			fallback++
+			continue
+		}
+		if !ok {
+			t.Fatalf("canonical reply %q is not parsed canonically", line)
+		}
+		switch {
+		case resp.Stats != nil || resp.Metrics != nil:
+			control++
+		case resp.Text != "":
+			texts++
+		default:
 			canonical++
-			if _, ok := parseResponse(line); !ok {
-				t.Fatalf("op reply %q is not parsed canonically", line)
-			}
 		}
 	}
-	if canonical < 10000 {
-		t.Fatalf("only %d canonical replies drawn", canonical)
+	t.Logf("%d canonical op replies, %d status, %d metrics, %d fallback", canonical, control, texts, fallback)
+	if canonical < 5000 || control < 5000 || texts < 2000 || fallback < 5000 {
+		t.Fatalf("drew %d canonical op replies, %d status replies, %d metrics replies and %d fallback replies",
+			canonical, control, texts, fallback)
 	}
 }
 
@@ -243,6 +380,63 @@ func TestLongRepliesRoundTripThroughClient(t *testing.T) {
 		}
 		if !bytes.Equal(gotFrame, wantFrame) {
 			t.Errorf("%s reply differs:\n got  %s\n want %s", op, gotFrame, wantFrame)
+		}
+	}
+}
+
+// TestServerRepliesParseCanonically: every status and metrics reply a
+// server builds — fresh and cached, with telemetry on (the registry of
+// TestLongRepliesRoundTripThroughClient, under a vacuum leak that makes
+// the fault-recovery fields non-zero) and off — is written by the
+// hand-written encoder and read back by the canonical parser, both as
+// encoding/json would.
+func TestServerRepliesParseCanonically(t *testing.T) {
+	for _, withTelemetry := range []bool{true, false} {
+		opt := dhlsys.DefaultOptions()
+		opt.Faults = &faults.Script{Faults: []faults.Fault{
+			{At: 1, Kind: faults.VacuumLeak, Pressure: 40_000, Duration: 100_000},
+		}}
+		if withTelemetry {
+			opt.Telemetry = telemetry.NewSet()
+			for i := 0; i < 64; i++ {
+				opt.Telemetry.Metrics.Counter(fmt.Sprintf("dhl_extra_rack_%02d_bytes_total", i)).Add(float64(i))
+			}
+		}
+		sys, err := dhlsys.New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServerWithOptions(sys, DefaultServerOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []Request{{Op: OpOpen}, {Op: OpWrite, Bytes: 1e9}, {Op: OpRead, Bytes: 1e9}} {
+			if resp := srv.handle(1, req); !resp.OK {
+				t.Fatalf("%+v: %+v", req, resp)
+			}
+		}
+		for _, op := range []Op{OpStatus, OpMetrics} {
+			req := Request{Op: op}
+			srv.sem <- struct{}{}
+			fresh := srv.Execute(req)
+			srv.release()
+			cached, _ := srv.Cached(req)
+			for _, resp := range []Response{fresh, cached} {
+				line, err := AppendResponse(nil, resp)
+				checkAppend(t, resp, line, err, nil)
+				fast, ok := parseResponse(line)
+				var want Response
+				if err := json.Unmarshal(line, &want); err != nil {
+					t.Fatal(err)
+				}
+				if !ok || !sameResponse(fast, want) {
+					t.Fatalf("telemetry=%v %s: %q parses to %+v (canonical %v), json.Unmarshal gives %+v",
+						withTelemetry, op, line, fast, ok, want)
+				}
+				if withTelemetry && op == OpStatus && (resp.Metrics == nil || resp.Stats.DegradedLaunches == 0) {
+					t.Fatalf("status reply lacks metrics or degraded launches: %+v", resp)
+				}
+			}
 		}
 	}
 }

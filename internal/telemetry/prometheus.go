@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // Prometheus text-exposition exporter (version 0.0.4 of the format): the
@@ -10,51 +10,105 @@ import (
 // byte-deterministic: snapshots are already name-sorted, and floats are
 // formatted with strconv's shortest round-trip representation.
 
-// promName sanitises a metric name into the Prometheus charset
+// appendPromName appends name sanitised into the Prometheus charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*; every illegal rune becomes '_'.
-func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
+func appendPromName(dst []byte, name string) []byte {
+	for i := 0; i < len(name); {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			_, size := utf8.DecodeRuneInString(name[i:])
+			dst = append(dst, '_')
+			i += size
+			continue
 		}
+		if c == '_' || c == ':' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') ||
+			(i > 0 && '0' <= c && c <= '9') {
+			dst = append(dst, c)
+		} else {
+			dst = append(dst, '_')
+		}
+		i++
 	}
-	return b.String()
+	return dst
 }
 
-// promFloat formats a value the way Prometheus clients expect.
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendPromFloat formats a value the way Prometheus clients expect.
+func appendPromFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
+
+// appendPromSample appends one "name[suffix] value" line; the name is
+// sanitised and the suffix written as is.
+func appendPromSample(dst []byte, name, suffix string, v float64) []byte {
+	dst = appendPromName(dst, name)
+	dst = append(dst, suffix...)
+	dst = append(dst, ' ')
+	dst = appendPromFloat(dst, v)
+	dst = append(dst, '\n')
+	return dst
+}
+
+// appendPromType appends a metric's "# TYPE name kind" line.
+func appendPromType(dst []byte, name, kind string) []byte {
+	dst = append(dst, "# TYPE "...)
+	dst = appendPromName(dst, name)
+	dst = append(dst, ' ')
+	dst = append(dst, kind...)
+	dst = append(dst, '\n')
+	return dst
+}
+
+// appendPromCount appends one "name[suffix] count" line.
+func appendPromCount(dst []byte, name, suffix string, n uint64) []byte {
+	dst = appendPromName(dst, name)
+	dst = append(dst, suffix...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, n, 10)
+	dst = append(dst, '\n')
+	return dst
+}
+
+// promSize estimates the exposition's length from its names, at 24 bytes
+// per number, so the buffer rarely grows.
+func promSize(s Snapshot) int {
+	n := 0
+	for _, c := range s.Counters {
+		n += 2*len(c.Name) + 48
+	}
+	for _, g := range s.Gauges {
+		n += 2*len(g.Name) + 48
+	}
+	for _, h := range s.Histograms {
+		n += (len(h.Buckets)+4)*(len(h.Name)+48) + 16
+	}
+	return n
+}
 
 // PrometheusText renders a snapshot in the Prometheus text exposition
 // format: one TYPE line per metric, histograms expanded into cumulative
-// _bucket series with the +Inf bucket, plus _sum and _count.
+// _bucket series with the +Inf bucket, plus _sum and _count. It renders
+// into one buffer, so the whole exposition costs one string conversion.
 func PrometheusText(s Snapshot) string {
-	var b strings.Builder
+	b := make([]byte, 0, promSize(s))
 	for _, c := range s.Counters {
-		name := promName(c.Name)
-		b.WriteString("# TYPE " + name + " counter\n")
-		b.WriteString(name + " " + promFloat(c.Value) + "\n")
+		b = appendPromType(b, c.Name, "counter")
+		b = appendPromSample(b, c.Name, "", c.Value)
 	}
 	for _, g := range s.Gauges {
-		name := promName(g.Name)
-		b.WriteString("# TYPE " + name + " gauge\n")
-		b.WriteString(name + " " + promFloat(g.Value) + "\n")
+		b = appendPromType(b, g.Name, "gauge")
+		b = appendPromSample(b, g.Name, "", g.Value)
 	}
 	for _, h := range s.Histograms {
-		name := promName(h.Name)
-		b.WriteString("# TYPE " + name + " histogram\n")
+		b = appendPromType(b, h.Name, "histogram")
 		for _, bk := range h.Buckets {
-			b.WriteString(name + `_bucket{le="` + promFloat(bk.UpperBound) + `"} ` +
-				strconv.FormatUint(bk.Count, 10) + "\n")
+			b = appendPromName(b, h.Name)
+			b = append(b, `_bucket{le="`...)
+			b = appendPromFloat(b, bk.UpperBound)
+			b = append(b, `"} `...)
+			b = strconv.AppendUint(b, bk.Count, 10)
+			b = append(b, '\n')
 		}
-		b.WriteString(name + `_bucket{le="+Inf"} ` + strconv.FormatUint(h.Count, 10) + "\n")
-		b.WriteString(name + "_sum " + promFloat(h.Sum) + "\n")
-		b.WriteString(name + "_count " + strconv.FormatUint(h.Count, 10) + "\n")
+		b = appendPromCount(b, h.Name, `_bucket{le="+Inf"}`, h.Count)
+		b = appendPromSample(b, h.Name, "_sum", h.Sum)
+		b = appendPromCount(b, h.Name, "_count", h.Count)
 	}
-	return b.String()
+	return string(b)
 }
