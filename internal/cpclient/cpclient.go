@@ -47,12 +47,12 @@ const (
 	// jitter is the half-width of the multiplicative jitter band: a delay
 	// d becomes uniform in [d*(1-jitter), d*(1+jitter)].
 	jitter = 0.2
-	// budgetBurst is the retry-token reserve of a fresh budget, and
-	// budgetPerSuccess the fraction of a token each success earns back
-	// (bounding the steady-state retry rate to that fraction of the
-	// success rate).
-	budgetBurst      = 10
-	budgetPerSuccess = 0.1
+	// budgetBurst is the retry-token reserve of a fresh budget. A budget
+	// counts whole tenths of a token: a retry spends tenthsPerToken of
+	// them and each success earns one back, bounding the steady-state
+	// retry rate to a tenth of the success rate.
+	budgetBurst    = 10
+	tenthsPerToken = 10
 )
 
 // Verdict is the retry rule's decision on one attempt's outcome.
@@ -127,29 +127,29 @@ func (p *Policy) backoff(retry int, hint time.Duration) time.Duration {
 type Budget struct {
 	mu sync.Mutex
 	//dhllint:guardedby mu
-	tokens float64
+	tenths int
 }
 
 // NewBudget builds a full budget.
-func NewBudget() *Budget { return &Budget{tokens: budgetBurst} }
+func NewBudget() *Budget { return &Budget{tenths: budgetBurst * tenthsPerToken} }
 
 // Withdraw takes one retry token; false means the budget is exhausted and
 // the caller must fail fast rather than retry.
 func (b *Budget) Withdraw() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tokens < 1 {
+	if b.tenths < tenthsPerToken {
 		return false
 	}
-	b.tokens--
+	b.tenths -= tenthsPerToken
 	return true
 }
 
-// Success earns back the per-success fraction, capped at the burst.
+// Success earns back a tenth of a token, capped at the burst.
 func (b *Budget) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tokens = min(b.tokens+budgetPerSuccess, budgetBurst)
+	b.tenths = min(b.tenths+1, budgetBurst*tenthsPerToken)
 }
 
 // retryable classifies one attempt's outcome: transport errors are always

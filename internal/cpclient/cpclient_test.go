@@ -77,8 +77,8 @@ func TestPolicyNextOrder(t *testing.T) {
 	if v, _ := p.Next(1, controlplane.Response{Code: controlplane.CodeNotDocked}, nil); v != Stop {
 		t.Errorf("terminal code: verdict %v, want Stop", v)
 	}
-	if b.tokens != budgetBurst {
-		t.Errorf("tokens = %v after stops, want the full %v", b.tokens, budgetBurst)
+	if b.tenths != budgetBurst*tenthsPerToken {
+		t.Errorf("tenths = %v after stops, want the full %v", b.tenths, budgetBurst*tenthsPerToken)
 	}
 	v, wait := p.Next(1, busy, nil)
 	if v != Retry || !within(wait, 2*time.Second) {
@@ -118,8 +118,28 @@ func TestBudgetBreaker(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		b.Success()
 	}
-	if got := b.tokens; got != budgetBurst {
-		t.Errorf("tokens cap at burst: got %v, want %v", got, budgetBurst)
+	if got := b.tenths; got != budgetBurst*tenthsPerToken {
+		t.Errorf("tenths cap at burst: got %v, want %v", got, budgetBurst*tenthsPerToken)
+	}
+}
+
+// TestBudgetTenSuccessesBuyOneRetry: a drained budget buys exactly one
+// retry with ten successes, the documented rate, where adding 0.1 ten
+// times to a float reaches only 0.9999999999999999.
+func TestBudgetTenSuccessesBuyOneRetry(t *testing.T) {
+	b := NewBudget()
+	for b.Withdraw() {
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 10; i++ {
+			b.Success()
+		}
+		if !b.Withdraw() {
+			t.Fatalf("round %d: ten successes did not buy a retry", round)
+		}
+		if b.Withdraw() {
+			t.Fatalf("round %d: ten successes bought more than one retry", round)
+		}
 	}
 }
 
@@ -325,9 +345,9 @@ func TestClientSuccessEarnsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := budgetBurst - 3 + 3*budgetPerSuccess
-	if got := budget.tokens; got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("budget after successes = %v, want %v", got, want)
+	want := (budgetBurst-3)*tenthsPerToken + 3
+	if got := budget.tenths; got != want {
+		t.Errorf("budget after successes = %v tenths, want %v", got, want)
 	}
 }
 
