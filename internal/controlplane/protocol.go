@@ -199,14 +199,8 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	dst = append(dst, `{"op":"`...)
 	dst = append(dst, req.Op...)
 	dst = append(dst, '"')
-	if req.Cart != 0 {
-		dst = append(dst, `,"cart":`...)
-		dst = strconv.AppendInt(dst, int64(req.Cart), 10)
-	}
-	if req.Bytes != 0 {
-		dst = append(dst, `,"bytes":`...)
-		dst = appendFloat(dst, req.Bytes)
-	}
+	dst = appendOptInt(dst, `,"cart":`, req.Cart)
+	dst = appendOptFloat(dst, `,"bytes":`, req.Bytes)
 	dst = append(dst, "}\n"...)
 	return dst, nil
 }
@@ -238,23 +232,14 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		dst = append(dst, resp.Code...)
 		dst = append(dst, '"')
 	}
-	if resp.RetryAfterS != 0 {
-		dst = append(dst, `,"retry_after_s":`...)
-		dst = appendFloat(dst, resp.RetryAfterS)
-	}
+	dst = appendOptFloat(dst, `,"retry_after_s":`, resp.RetryAfterS)
 	if resp.Stale {
 		dst = append(dst, `,"stale":true`...)
 	}
-	if resp.CacheAgeS != 0 {
-		dst = append(dst, `,"cache_age_s":`...)
-		dst = appendFloat(dst, resp.CacheAgeS)
-	}
+	dst = appendOptFloat(dst, `,"cache_age_s":`, resp.CacheAgeS)
 	dst = append(dst, `,"sim_time":`...)
 	dst = appendFloat(dst, resp.SimTime)
-	if resp.OpSeconds != 0 {
-		dst = append(dst, `,"op_seconds":`...)
-		dst = appendFloat(dst, resp.OpSeconds)
-	}
+	dst = appendOptFloat(dst, `,"op_seconds":`, resp.OpSeconds)
 	if resp.Stats != nil {
 		dst = append(dst, `,"stats":`...)
 		dst = appendStats(dst, resp.Stats)
