@@ -27,6 +27,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dhlsys"
 	"repro/internal/telemetry"
@@ -215,11 +216,11 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		!finite(resp.RetryAfterS) || !finite(resp.CacheAgeS) ||
 		!finite(resp.SimTime) || !finite(resp.OpSeconds) ||
 		(resp.Stats != nil && !statsCanonical(resp.Stats)) ||
-		(resp.Metrics != nil && !snapshotCanonical(resp.Metrics)) {
+		(resp.Metrics != nil && !snapshotCanonical(resp.Metrics)) ||
+		!ascii(resp.Text) {
 		//dhllint:allow allocflow -- fallback for non-canonical replies; the canonical path below does not allocate
 		return appendJSON(dst, resp)
 	}
-	start := len(dst)
 	dst = append(dst, `{"ok":`...)
 	dst = strconv.AppendBool(dst, resp.OK)
 	if resp.Error != "" {
@@ -250,11 +251,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	}
 	if resp.Text != "" {
 		dst = append(dst, `,"text":`...)
-		var ascii bool
-		if dst, ascii = appendText(dst, resp.Text); !ascii {
-			//dhllint:allow allocflow -- fallback for text with non-ASCII bytes, whose UTF-8 encoding/json checks and rewrites
-			return appendJSON(dst[:start], resp)
-		}
+		dst = appendText(dst, resp.Text)
 	}
 	dst = append(dst, "}\n"...)
 	return dst, nil
@@ -425,10 +422,9 @@ func appendPoint(dst []byte, i int, name string, value float64) []byte {
 	return dst
 }
 
-// appendText writes s as a JSON string with json.Encoder's escapes. It
-// stops at the first non-ASCII byte and returns false: encoding/json
-// validates UTF-8 and escapes U+2028 and U+2029, which this does not.
-func appendText(dst []byte, s string) ([]byte, bool) {
+// appendText writes the ASCII string s as a JSON string with
+// json.Encoder's escapes.
+func appendText(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -438,8 +434,6 @@ func appendText(dst []byte, s string) ([]byte, bool) {
 		}
 		dst = append(dst, s[start:i]...)
 		switch e {
-		case nonASCII:
-			return dst, false
 		case 'u':
 			dst = append(dst, '\\', 'u', '0', '0', hexDigits[s[i]>>4], hexDigits[s[i]&0xf])
 		default:
@@ -449,7 +443,7 @@ func appendText(dst []byte, s string) ([]byte, bool) {
 	}
 	dst = append(dst, s[start:]...)
 	dst = append(dst, '"')
-	return dst, true
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"
@@ -529,6 +523,17 @@ func appendJSON(dst []byte, v any) ([]byte, error) {
 // finite reports whether encoding/json can encode f.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
+// ascii reports whether s has no byte from 0x80 up: encoding/json
+// validates UTF-8 and escapes U+2028 and U+2029, which appendText does not.
+func ascii(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
 // plain reports whether json.Encoder writes s verbatim inside its quotes:
 // printable ASCII without a quote, a backslash, or the <, > and & it
 // escapes.
@@ -543,15 +548,9 @@ func plain(s string) bool {
 
 // appendFloat formats f as encoding/json does: 'f' notation, except 'e'
 // below 1e-6 and from 1e21 up, with a two-digit negative exponent cut to
-// one digit (e-07 becomes e-7). An integer below 2^53 in magnitude, other
-// than -0, is written as an integer: every such value is a float of its
-// own, so its shortest form is all its digits.
+// one digit (e-07 becomes e-7).
 func appendFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
-	//dhllint:allow floateq -- an exact test for an integral value, not a comparison of computed results
-	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
-		return strconv.AppendInt(dst, int64(f), 10)
-	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -274,7 +274,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	codes := []string{"", "", CodeCartBusy, CodeServerBusy, CodeUnknownCart}
 	prefix := []byte("prefix:")
 	var canonical, control, texts, fallback int
-	for i := 0; i < 50000; i++ {
+	for i := 0; i < 100000; i++ {
 		resp := Response{
 			OK:          rng.Intn(2) == 0,
 			Error:       randString(rng, errs),
@@ -285,7 +285,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 			SimTime:     randFloat(rng),
 			OpSeconds:   randFloat(rng),
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(8) {
 		case 0:
 			resp.Stats = randStats(rng)
 			if rng.Intn(3) > 0 {
@@ -331,7 +331,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	t.Logf("%d canonical op replies, %d status, %d metrics, %d fallback", canonical, control, texts, fallback)
-	if canonical < 5000 || control < 5000 || texts < 2000 || fallback < 5000 {
+	if canonical < 10000 || control < 5000 || texts < 2000 || fallback < 5000 {
 		t.Fatalf("drew %d canonical op replies, %d status replies, %d metrics replies and %d fallback replies",
 			canonical, control, texts, fallback)
 	}

@@ -66,28 +66,12 @@ func appendPromCount(dst []byte, name, suffix string, n uint64) []byte {
 	return dst
 }
 
-// promSize estimates the exposition's length from its names, at 24 bytes
-// per number, so the buffer rarely grows.
-func promSize(s Snapshot) int {
-	n := 0
-	for _, c := range s.Counters {
-		n += 2*len(c.Name) + 48
-	}
-	for _, g := range s.Gauges {
-		n += 2*len(g.Name) + 48
-	}
-	for _, h := range s.Histograms {
-		n += (len(h.Buckets)+4)*(len(h.Name)+48) + 16
-	}
-	return n
-}
-
 // PrometheusText renders a snapshot in the Prometheus text exposition
 // format: one TYPE line per metric, histograms expanded into cumulative
 // _bucket series with the +Inf bucket, plus _sum and _count. It renders
 // into one buffer, so the whole exposition costs one string conversion.
 func PrometheusText(s Snapshot) string {
-	b := make([]byte, 0, promSize(s))
+	var b []byte
 	for _, c := range s.Counters {
 		b = appendPromType(b, c.Name, "counter")
 		b = appendPromSample(b, c.Name, "", c.Value)

@@ -20,11 +20,11 @@
 # telemetry), the two telemetry-enabled shuttles, the shuttle with an
 # armed empty fault script and the shuttle under the rough-day chaos
 # scenario. It runs each row 10 times and records the median ns/op, where
-# the other modes record the best of 3. The 10 runs are interleaved: ten
-# passes of one run per row, so drift on a shared host widens every row's
-# spread alike rather than shifting one row against another. Kernel rows gain an events_per_sec
-# field, and the output three overheads of medians against the one
-# baseline: overhead_pct (warm telemetry-enabled shuttle, the pooled-Set
+# the other modes record the best of 3. Every mode interleaves its runs:
+# each pass runs every row once, so drift on a shared host widens every
+# row's spread alike rather than shifting one row against another. Kernel
+# rows gain an events_per_sec field, and the output three overheads of
+# medians against the one baseline: overhead_pct (warm telemetry-enabled shuttle, the pooled-Set
 # operating mode), overhead_cold_pct (fresh Set per run) and
 # faults_overhead_pct (armed empty script: the injector's own cost, which
 # the acceptance target keeps under 10 %). Beside each, <overhead>_spread_pct
@@ -176,16 +176,12 @@ fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-if ((kernel)); then
-    # Interleave the rows: each pass runs every row once, so host drift
-    # over the run lands in every row's spread (the baseline's included)
-    # instead of between rows.
-    for ((pass = 1; pass <= count; pass++)); do
-        go test -run=NONE -bench="$pattern" -benchmem -count=1 . | tee -a "$raw"
-    done
-else
-    go test -run=NONE -bench="$pattern" -skip="$skip" -benchmem -count="$count" . | tee "$raw"
-fi
+# Interleave the rows: each pass runs every row once, so host drift over
+# the run lands in every row's spread (the kernel baseline's included)
+# instead of between rows.
+for ((pass = 1; pass <= count; pass++)); do
+    go test -run=NONE -bench="$pattern" -skip="$skip" -benchmem -count=1 . | tee -a "$raw"
+done
 
 commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json' ':(exclude)SIM_*.json'; then
