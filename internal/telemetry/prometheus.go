@@ -68,8 +68,8 @@ func appendPromCount(dst []byte, name, suffix string, n uint64) []byte {
 
 // PrometheusText renders a snapshot in the Prometheus text exposition
 // format: one TYPE line per metric, histograms expanded into cumulative
-// _bucket series with the +Inf bucket, plus _sum and _count. It renders
-// into one buffer, so the whole exposition costs one string conversion.
+// _bucket series with the +Inf bucket, plus _sum and _count. It appends
+// every line to one buffer and converts it to a string once.
 func PrometheusText(s Snapshot) string {
 	var b []byte
 	for _, c := range s.Counters {
