@@ -156,8 +156,9 @@ func TestHotPathAllocsStorage(t *testing.T) {
 }
 
 // launchCycle builds a warmed single-cart system and returns one full
-// Open→drain→Close→drain cycle as a closure, plus a pointer to the error
-// slot the completion callbacks write.
+// Open→Write→Read→Close cycle, each op drained before the next, as a
+// closure, plus a pointer to the error slot the completion callbacks
+// write.
 func launchCycle(t *testing.T, set *telemetry.Set) (func(), *error) {
 	t.Helper()
 	opt := dhlsys.DefaultOptions()
@@ -174,8 +175,15 @@ func launchCycle(t *testing.T, set *telemetry.Set) (func(), *error) {
 			*lastErr = err
 		}
 	}
+	ioDone := func(_ units.Seconds, err error) { done(err) }
 	cycle := func() {
 		sys.Open(0, done)
+		for sys.Engine.Step() {
+		}
+		sys.Write(0, 1e9, ioDone)
+		for sys.Engine.Step() {
+		}
+		sys.Read(0, 1e9, ioDone)
 		for sys.Engine.Step() {
 		}
 		sys.Close(0, done)
