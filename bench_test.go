@@ -334,8 +334,7 @@ func BenchmarkChaosShuttle(b *testing.B) {
 		opt := dhlsys.DefaultOptions()
 		opt.NumCarts = 4
 		opt.Seed = 1337
-		script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120,
-			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+		script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120, opt.FaultDims())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -179,8 +179,7 @@ func newHarness(cfg Config) (*harness, error) {
 	opt := dhlsys.DefaultOptions()
 	opt.NumCarts = cfg.Carts
 	if cfg.Chaos != "" {
-		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration),
-			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration), opt.FaultDims())
 		if err != nil {
 			return nil, err
 		}

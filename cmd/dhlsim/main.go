@@ -142,8 +142,7 @@ func main() {
 		if h <= 0 {
 			h = an.Time * 1.1
 		}
-		script, err := faults.ScenarioDims(*chaos, *seed, h,
-			faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+		script, err := faults.ScenarioDims(*chaos, *seed, h, opt.FaultDims())
 		if err != nil {
 			if errors.Is(err, faults.ErrUnknownScenario) {
 				log.Fatal(unknownChaosMessage(err))

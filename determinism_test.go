@@ -116,8 +116,7 @@ func chaosRun(t *testing.T, scenario string, seed int64) string {
 	t.Helper()
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
-	script, err := faults.ScenarioDims(scenario, seed, 60,
-		faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+	script, err := faults.ScenarioDims(scenario, seed, 60, opt.FaultDims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +145,7 @@ func telemetryChaosRun(t *testing.T, set *telemetry.Set, scenario string, seed i
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
 	opt.Telemetry = set
-	script, err := faults.ScenarioDims(scenario, seed, 60,
-		faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+	script, err := faults.ScenarioDims(scenario, seed, 60, opt.FaultDims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +260,7 @@ func TestRandomFaultSchedulesNeverDeadlockDockFIFO(t *testing.T) {
 				opt.DockStations = cfg.docks
 				opt.RailMode = cfg.rail
 				opt.Seed = seed
-				script, err := faults.ScenarioDims(scenario, seed, 90,
-					faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+				script, err := faults.ScenarioDims(scenario, seed, 90, opt.FaultDims())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/lint"
 )
 
@@ -110,6 +112,76 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 					t.Errorf("%s cites %s, which does not exist", doc, m[1])
 				}
 			}
+		}
+	}
+}
+
+// tableNames returns the backticked first cells of the markdown table
+// whose header row starts with header, in the given text.
+func tableNames(text, header string) []string {
+	_, table, _ := strings.Cut(text, "\n"+header)
+	rows := strings.Split(table, "\n")
+	if len(rows) < 2 {
+		return nil
+	}
+	var names []string
+	for _, row := range rows[2:] { // past the header's rest and the |---| rule
+		cell, ok := strings.CutPrefix(row, "| `")
+		if !ok {
+			break
+		}
+		name, _, _ := strings.Cut(cell, "`")
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestDocsListEveryFaultKindAndScenario checks that DESIGN.md §8 names
+// exactly the fault kinds faults.Kinds returns and the scenarios
+// faults.ScenarioNames returns, and that scripts/chaos.sh replays every
+// scenario: the shuttle ones in its scenario loop, a campus-only one on a
+// -campus line.
+func TestDocsListEveryFaultKindAndScenario(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(b), "\n## 8. ")
+	sec, _, _ = strings.Cut(sec, "\n## 9. ")
+	var kinds []string
+	for _, k := range faults.Kinds() {
+		kinds = append(kinds, k.String())
+	}
+	if got := tableNames(sec, "| Kind |"); !slices.Equal(got, kinds) {
+		t.Errorf("DESIGN.md §8 taxonomy lists %v, faults.Kinds() is %v", got, kinds)
+	}
+	if got := tableNames(sec, "| Scenario |"); !slices.Equal(got, faults.ScenarioNames()) {
+		t.Errorf("DESIGN.md §8 scenarios list %v, faults.ScenarioNames() is %v", got, faults.ScenarioNames())
+	}
+
+	b, err = os.ReadFile("scripts/chaos.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := string(b)
+	var loop []string
+	for _, line := range strings.Split(script, "\n") {
+		if list, ok := strings.CutPrefix(line, "scenarios="); ok {
+			loop = strings.Fields(strings.Trim(list, `"`))
+		}
+	}
+	shuttle := faults.Dims{Carts: 1, Stations: 1, DevicesPerCart: 1}
+	for _, name := range faults.ScenarioNames() {
+		// A scenario that cannot be drawn without campus segments is
+		// campus-only.
+		if _, err := faults.ScenarioDims(name, 1, 100, shuttle); err == nil {
+			if !slices.Contains(loop, name) {
+				t.Errorf("scripts/chaos.sh's scenario loop %v omits %s", loop, name)
+			}
+			continue
+		}
+		if !regexp.MustCompile(`-campus .*-chaos ` + regexp.QuoteMeta(name) + `\b`).MatchString(script) {
+			t.Errorf("scripts/chaos.sh has no -campus line replaying %s", name)
 		}
 	}
 }

@@ -199,8 +199,9 @@ func launchCycle(t *testing.T, set *telemetry.Set) (func(), *error) {
 }
 
 // TestHotPathAllocsLaunchLoop pins the full dhlsys scratch/launch loop —
-// every step function from tryOpen through ioFinish — with telemetry
-// disabled: the steady-state cycle must not allocate at all.
+// every pre-bound step, from both launch legs' try through the IO finish
+// — with telemetry disabled: the steady-state cycle must not allocate at
+// all.
 func TestHotPathAllocsLaunchLoop(t *testing.T) {
 	cycle, lastErr := launchCycle(t, nil)
 	zeroAllocs(t, "launch loop (telemetry off)", cycle)

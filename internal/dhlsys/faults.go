@@ -172,18 +172,6 @@ func (s *System) dynamics() launchDynamics {
 	return d
 }
 
-// scheduleTransit schedules a cart's rail transit with stall bookkeeping:
-// the pending event, its callback, and its name are recorded on the cart
-// so a CartStall fault can push the arrival out. fn is one of the
-// cart's pre-bound arrival steps (scratch.go) and must clear
-// c.transitEv/c.transitFn itself on entry — keeping the wrapper out of
-// this path makes a transit allocation-free.
-func (s *System) scheduleTransit(c *Cart, d units.Seconds, name string, fn func()) {
-	c.transitFn = fn
-	c.transitName = name
-	c.transitEv = s.Engine.MustAfter(d, name, fn)
-}
-
 // stallCart pushes a mid-transit cart's arrival out by delay. Carts not on
 // the rail are unaffected (a stall needs a moving cart).
 func (s *System) stallCart(c *Cart, delay units.Seconds) {
@@ -198,7 +186,7 @@ func (s *System) stallCart(c *Cart, delay units.Seconds) {
 	if !s.Engine.Cancel(c.transitEv) {
 		return
 	}
-	ev, err := s.Engine.At(t, c.transitName, c.transitFn)
+	ev, err := s.Engine.At(t, c.scratch.leg.evTransit, c.scratch.arrive)
 	if err != nil {
 		panic(fmt.Sprintf("dhlsys: rescheduling stalled transit: %v", err))
 	}

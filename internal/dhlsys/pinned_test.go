@@ -83,8 +83,7 @@ func (p pinnedShuttle) run(t *testing.T) (state, trace string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dims := faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs}
-		script, err := faults.ScenarioDims(p.scenario, p.seed, an.Time*1.1, dims)
+		script, err := faults.ScenarioDims(p.scenario, p.seed, an.Time*1.1, opt.FaultDims())
 		if err != nil {
 			t.Fatal(err)
 		}

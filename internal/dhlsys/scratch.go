@@ -2,7 +2,6 @@ package dhlsys
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -11,71 +10,90 @@ import (
 )
 
 // launchScratch is a cart's reusable in-flight operation state plus the
-// launch chain's pre-bound step closures. A cart runs at most one
-// operation at a time (Cart.Busy), so one scratch per cart replaces the
-// per-launch closure chain Open/Close/Read/Write used to allocate: the
-// steps below are bound once at construction and the per-launch state
-// they need travels through these fields instead of closure captures.
+// operation lifecycle's pre-bound step closures. A cart runs at most one
+// operation at a time (Cart.Busy), so one scratch per cart holds what a
+// per-operation closure chain would capture: the steps below are bound
+// once at construction, and Open/Close/Read/Write allocate nothing.
 //
 // Re-entrancy rule: a step that invokes a caller callback (done/ioDone)
 // must copy the field to a local and clear it first — the callback may
 // immediately start the cart's next operation, which rewrites the
 // scratch (the bulk-transfer driver chains Open→Read→Close this way).
 type launchScratch struct {
-	// Per-operation state (valid while Cart.Busy).
-	dir       track.Direction
-	done      func(error)
-	dyn       launchDynamics
-	reqAt     units.Seconds
-	depart    units.Seconds
-	arrive    units.Seconds
-	dockStart units.Seconds
+	// Per-launch state (valid while Cart.Busy).
+	leg         *launchLeg
+	dir         track.Direction // the rail slot reserved (leg.natural unless rerouted)
+	done        func(error)
+	dyn         launchDynamics
+	reqAt       units.Seconds
+	launchStart units.Seconds // resources acquired (launch-timeout accounting)
+	depart      units.Seconds
+	arrivedAt   units.Seconds
+	dockStart   units.Seconds
 	// IO-operation state (an IO never overlaps a launch on one cart).
 	ioDone  func(units.Seconds, error)
 	ioDur   units.Seconds
 	ioStart units.Seconds
-	ioName  telemetry.StrID // interned io-read/io-write span name
+	ioName  telemetry.StrID // interned io-read/io-write/io-degraded span name
+	ioArgs  telemetry.ArgID // degraded=true on a degraded read, else none
+	ioErr   error           // reported with the duration (ErrDegradedRead)
 
 	// Pre-bound steps, allocated once per cart.
-	tryOpen    func() bool
-	tryClose   func() bool
-	outUndock  func()
-	outArrive  func()
-	outTryDock func() bool
-	outDock    func()
-	inUndock   func()
-	inArrive   func()
-	inDock     func()
-	ioFinish   func()
+	try      func() bool
+	undock   func()
+	arrive   func()
+	tryDock  func() bool
+	dock     func()
+	ioFinish func()
+}
+
+// launchLeg is what differs between the two launches: Open flies the
+// outbound leg from the library to the endpoint, Close the inbound leg
+// back. Both run the same chain of steps below — try, undock, transit,
+// arrive, dock — and branch only where the endpoint's dock bank is
+// involved, at the leg's from (undock) or to (dock) end.
+type launchLeg struct {
+	natural  track.Direction
+	from, to Location // AtLibrary or AtDock
+	// Event names (names.go); trace consumers classify events by them.
+	evUndock, evTransit, evDock string
+}
+
+// legs holds the two launch legs, indexed by natural direction.
+var legs = [2]launchLeg{
+	track.Outbound: {track.Outbound, AtLibrary, AtDock, evUndockLibrary, evTransitOut, evDockEndpoint},
+	track.Inbound:  {track.Inbound, AtDock, AtLibrary, evUndockEndpoint, evTransitIn, evDockLibrary},
 }
 
 // bindLaunchSteps allocates the cart's step closures; called once per
 // cart at system construction.
 func (s *System) bindLaunchSteps(c *Cart) {
 	sc := &c.scratch
-	sc.tryOpen = func() bool { return s.tryOpenStep(c) }
-	sc.tryClose = func() bool { return s.tryCloseStep(c) }
-	sc.outUndock = func() { s.outUndockStep(c) }
-	sc.outArrive = func() { s.outArriveStep(c) }
-	sc.outTryDock = func() bool { return s.outTryDockStep(c) }
-	sc.outDock = func() { s.outDockStep(c) }
-	sc.inUndock = func() { s.inUndockStep(c) }
-	sc.inArrive = func() { s.inArriveStep(c) }
-	sc.inDock = func() { s.inDockStep(c) }
+	sc.try = func() bool { return s.tryLaunchStep(c) }
+	sc.undock = func() { s.undockStep(c) }
+	sc.arrive = func() { s.arriveStep(c) }
+	sc.tryDock = func() bool { return s.tryDockStep(c) }
+	sc.dock = func() { s.dockStep(c) }
 	sc.ioFinish = func() { s.ioFinishStep(c) }
 }
 
-// tryOpenStep acquires the outbound launch resources: the outbound LIM
-// energised, a usable rail direction, and a free in-service station with
-// no mid-dock cart.
+// tryLaunchStep acquires a launch's resources: the leg's LIM energised,
+// the dock bank passable (a free in-service station with no mid-dock cart
+// to dock into, or no mid-dock cart to undock past), and a usable rail
+// direction. It then begins the undock: an endpoint undock holds the bank
+// as the mid-dock cart, a library undock puts the cart on the rail.
 //
 //dhllint:hotpath
-func (s *System) tryOpenStep(c *Cart) bool {
+func (s *System) tryLaunchStep(c *Cart) bool {
 	sc := &c.scratch
-	if !s.limUp(track.Outbound) || s.plant.dockable() < 0 {
+	l := sc.leg
+	if !s.limUp(l.natural) {
 		return false
 	}
-	dir, reroute, ok := s.launchDirection(track.Outbound)
+	if l.to == AtDock && s.plant.dockable() < 0 || l.from == AtDock && s.plant.midDock != track.NoCart {
+		return false
+	}
+	dir, reroute, ok := s.launchDirection(l.natural)
 	if !ok {
 		return false
 	}
@@ -83,116 +101,30 @@ func (s *System) tryOpenStep(c *Cart) bool {
 	if reroute {
 		s.markReroute(c, dir)
 	}
-	s.recordQueueWait(c, s.tel.args.open, sc.reqAt)
-	s.runOutbound(c, dir, sc.done)
+	if l.from == AtDock {
+		s.plant.midDock = c.ID
+	} else {
+		c.Loc = InTransit
+	}
+	s.recordQueueWait(c, s.tel.args.op[l.natural], sc.reqAt)
+	sc.dir = dir
+	sc.launchStart = s.Engine.Now()
+	s.Engine.MustAfter(s.opt.Core.UndockTime, l.evUndock, sc.undock)
 	return true
 }
 
-// outUndockStep completes the library-side undock of an outbound launch.
+// undockStep completes the undock and puts the cart into transit.
 //
 //dhllint:hotpath
-func (s *System) outUndockStep(c *Cart) {
+func (s *System) undockStep(c *Cart) {
 	sc := &c.scratch
-	s.stats.DockOps++
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.library)
-	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
-	s.maybeFailSSD(c)
-	sc.dyn = s.dynamics()
-	if sc.dyn.degraded {
-		s.stats.DegradedLaunches++
+	l := sc.leg
+	if l.from == AtDock {
+		s.plant.endUndock(c.ID)
 	}
-	sc.depart = s.Engine.Now()
-	s.scheduleTransit(c, sc.dyn.transit, evTransitOut, sc.outArrive)
-}
-
-// outArriveStep fires at the endpoint end of the outbound transit. A
-// station free at reservation time may have failed in flight; the cart
-// loiters at the bank (holding its rail slot) until a station is repaired
-// or freed.
-//
-//dhllint:hotpath
-func (s *System) outArriveStep(c *Cart) {
-	sc := &c.scratch
-	c.transitEv, c.transitFn = sim.Handle{}, nil
-	s.recordTransit(c, sc.depart, s.Engine.Now(), sc.dyn, sc.dir)
-	sc.arrive = s.Engine.Now()
-	s.enqueue(sc.outTryDock)
-}
-
-// outTryDockStep claims a docking station for an arrived outbound cart.
-//
-//dhllint:hotpath
-func (s *System) outTryDockStep(c *Cart) bool {
-	sc := &c.scratch
-	station := s.plant.dockable()
-	if station < 0 {
-		return false
-	}
-	s.plant.beginDock(c.ID, station)
-	if s.tel.spans != nil && sc.arrive < s.Engine.Now() {
-		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.loiter, sc.arrive, s.Engine.Now(), 0)
-	}
-	sc.dockStart = s.Engine.Now()
-	s.Engine.MustAfter(s.opt.Core.DockTime, evDockEndpoint, sc.outDock)
-	return true
-}
-
-// outDockStep completes the endpoint dock and the outbound launch.
-//
-//dhllint:hotpath
-func (s *System) outDockStep(c *Cart) {
-	sc := &c.scratch
-	s.plant.endDock()
-	s.stats.DockOps++
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.endpoint)
-	if s.opt.Wear != nil {
-		// Endpoint mating cycle; service is deferred to the library
-		// (§III-B.6).
-		if _, err := s.opt.Wear.RecordDock(c.ID); err != nil {
-			panic(err)
-		}
-	}
-	s.recordLaunch(c, sc.dyn)
-	s.plant.release(sc.dir)
-	c.Loc = AtDock
-	c.Busy = false
-	done := sc.done
-	sc.done = nil
-	s.retryWaiting()
-	done(s.checkLaunchTimeout(c))
-}
-
-// tryCloseStep acquires the inbound return resources.
-//
-//dhllint:hotpath
-func (s *System) tryCloseStep(c *Cart) bool {
-	sc := &c.scratch
-	if !s.limUp(track.Inbound) || s.plant.midDock != track.NoCart {
-		return false
-	}
-	dir, reroute, ok := s.launchDirection(track.Inbound)
-	if !ok {
-		return false
-	}
-	s.plant.reserve(c.ID, dir)
-	if reroute {
-		s.markReroute(c, dir)
-	}
-	s.plant.midDock = c.ID // begin the undock
-	s.recordQueueWait(c, s.tel.args.close, sc.reqAt)
-	s.runInbound(c, dir, sc.done)
-	return true
-}
-
-// inUndockStep completes the endpoint-side undock of an inbound return.
-//
-//dhllint:hotpath
-func (s *System) inUndockStep(c *Cart) {
-	sc := &c.scratch
-	s.plant.endUndock(c.ID)
-	s.stats.DockOps++
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, c.launchStart, s.Engine.Now(), s.tel.args.endpoint)
 	c.Loc = InTransit
+	s.stats.DockOps++
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, sc.launchStart, s.Engine.Now(), s.tel.args.site[l.from])
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
 	s.maybeFailSSD(c)
 	sc.dyn = s.dynamics()
@@ -200,65 +132,83 @@ func (s *System) inUndockStep(c *Cart) {
 		s.stats.DegradedLaunches++
 	}
 	sc.depart = s.Engine.Now()
-	s.scheduleTransit(c, sc.dyn.transit, evTransitIn, sc.inArrive)
+	c.transitEv = s.Engine.MustAfter(sc.dyn.transit, l.evTransit, sc.arrive)
 }
 
-// inArriveStep fires at the library end of the inbound transit.
+// arriveStep fires at the far end of the transit and queues the dock.
 //
 //dhllint:hotpath
-func (s *System) inArriveStep(c *Cart) {
+func (s *System) arriveStep(c *Cart) {
 	sc := &c.scratch
-	c.transitEv, c.transitFn = sim.Handle{}, nil
+	c.transitEv = sim.Handle{}
 	s.recordTransit(c, sc.depart, s.Engine.Now(), sc.dyn, sc.dir)
-	sc.dockStart = s.Engine.Now()
-	s.Engine.MustAfter(s.opt.Core.DockTime, evDockLibrary, sc.inDock)
+	sc.arrivedAt = s.Engine.Now()
+	s.enqueue(sc.tryDock)
 }
 
-// inDockStep completes the library dock, services the cart, and finishes
-// the inbound return.
+// tryDockStep starts the dock of an arrived cart. The library always takes
+// it; at the endpoint it needs a station, and one free at launch may have
+// failed in flight, so the cart loiters at the bank (holding its rail
+// slot) until a station is repaired or freed.
 //
 //dhllint:hotpath
-func (s *System) inDockStep(c *Cart) {
+func (s *System) tryDockStep(c *Cart) bool {
 	sc := &c.scratch
+	if sc.leg.to == AtDock {
+		station := s.plant.dockable()
+		if station < 0 {
+			return false
+		}
+		s.plant.beginDock(c.ID, station)
+	}
+	if s.tel.spans != nil && sc.arrivedAt < s.Engine.Now() {
+		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.loiter, sc.arrivedAt, s.Engine.Now(), 0)
+	}
+	sc.dockStart = s.Engine.Now()
+	s.Engine.MustAfter(s.opt.Core.DockTime, sc.leg.evDock, sc.dock)
+	return true
+}
+
+// dockStep completes the dock and the launch, runs the arrival work —
+// the endpoint's wear count, or the library's repair, reload and
+// connector service — and reports to the caller.
+//
+//dhllint:hotpath
+func (s *System) dockStep(c *Cart) {
+	sc := &c.scratch
+	l := sc.leg
 	s.stats.DockOps++
-	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.library)
+	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.dock, sc.dockStart, s.Engine.Now(), s.tel.args.site[l.to])
 	s.recordLaunch(c, sc.dyn)
 	s.plant.release(sc.dir)
+	c.Loc = l.to
+	c.Busy = false
 	done := sc.done
 	sc.done = nil
-	c.Loc = AtLibrary
-	c.Busy = false
-	// Failed SSDs are serviced at the library (§III-B.6). With autoReload
-	// each device is then topped up: only serviced (emptied) SSDs need
-	// reloading; the rest are already full.
-	for _, d := range c.Array.Devices {
-		if d.Failed() {
-			d.Repair()
+	var err error
+	if l.to == AtDock {
+		s.plant.endDock()
+		if s.opt.Wear != nil {
+			// Endpoint mating cycle; service is deferred to the library
+			// (§III-B.6).
+			_, err = s.opt.Wear.RecordDock(c.ID)
 		}
-		if !s.autoReload {
-			continue
-		}
-		if free := d.Free(); free > 0 {
-			if _, err := d.Write(free); err != nil {
-				//dhllint:allow allocflow -- reload failure aborts the cycle; the wrap only fires on a broken device
-				done(fmt.Errorf("dhlsys: reload cart %d: %w", c.ID, err))
-				return
-			}
-		}
+	} else {
+		//dhllint:allow allocflow -- repair and connector service are library maintenance: a reload error or a deferred-completion closure, off the steady loop
+		err = s.serviceAtLibrary(c, done)
 	}
-	//dhllint:allow allocflow -- connector service is scheduled maintenance: a deferred-completion closure, off the steady loop
-	switch err := s.maybeServiceConnector(c, done); {
-	case errors.Is(err, errServiceScheduled):
-		return // done fires when the service completes
-	case err != nil:
-		done(err)
+	if err != nil {
+		// On errServiceScheduled, done fires when the service completes.
+		if !errors.Is(err, errServiceScheduled) {
+			done(err)
+		}
 		return
 	}
 	s.retryWaiting()
 	done(s.checkLaunchTimeout(c))
 }
 
-// ioFinishStep completes a healthy-array Read/Write transfer.
+// ioFinishStep completes a Read/Write transfer, healthy or degraded.
 //
 //dhllint:hotpath
 func (s *System) ioFinishStep(c *Cart) {
@@ -266,8 +216,8 @@ func (s *System) ioFinishStep(c *Cart) {
 	c.Busy = false
 	d := sc.ioDur
 	s.tel.ioSeconds.Observe(float64(d))
-	s.tel.spans.RecordSpan(c.trackID, sc.ioName, sc.ioStart, s.Engine.Now(), 0)
-	done := sc.ioDone
-	sc.ioDone = nil
-	done(d, nil)
+	s.tel.spans.RecordSpan(c.trackID, sc.ioName, sc.ioStart, s.Engine.Now(), sc.ioArgs)
+	done, err := sc.ioDone, sc.ioErr
+	sc.ioDone, sc.ioErr = nil, nil
+	done(d, err)
 }

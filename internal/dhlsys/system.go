@@ -83,6 +83,12 @@ type RecoveryPolicy struct {
 	RetryBackoff units.Seconds
 }
 
+// FaultDims is the deployment's shape as fault scripts address it: carts,
+// endpoint dock stations and SSDs per cart.
+func (opt Options) FaultDims() faults.Dims {
+	return faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs}
+}
+
 // DefaultOptions is the paper's primary setup: default DHL, single rail,
 // 4 docking stations, 2-cart fleet, RAID0, PCIe 6 ×1/SSD, no failures.
 func DefaultOptions() Options {
@@ -136,15 +142,9 @@ type Cart struct {
 	// Busy marks a cart with an in-flight operation (launch, return, IO).
 	Busy bool
 
-	// In-flight transit bookkeeping, used by stall faults to push the
-	// arrival event out: the pending rail-transit event, its callback,
-	// and its name.
-	transitEv   sim.Handle
-	transitFn   func()
-	transitName string
-	// launchStart is when the current launch acquired its resources
-	// (launch-timeout accounting).
-	launchStart units.Seconds
+	// transitEv is the pending rail-transit arrival (the leg's transit
+	// event, firing the arrival step), which a stall fault pushes out.
+	transitEv sim.Handle
 	// trackID is the interned span-log ID of the cart's telemetry track
 	// ("cart-N"), bound in initTelemetry (zero when telemetry is disabled
 	// — harmless, records on a nil log are no-ops).
@@ -212,7 +212,9 @@ type System struct {
 	// (index 0 = outbound LIM at the library, 1 = inbound at the endpoint).
 	limDown [2]int
 
-	// waiting holds deferred Open requests (FIFO).
+	// waiting holds the launch and dock attempts that lacked resources
+	// (FIFO): Open and Close launches, and arrived carts awaiting a free
+	// endpoint station.
 	waiting []func() bool
 
 	// autoReload refills cart arrays on return to the library (the dataset
@@ -263,8 +265,7 @@ func New(opt Options) (*System, error) {
 	script := faults.Script{}
 	if opt.Faults != nil {
 		script = *opt.Faults
-		dims := faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs}
-		if err := script.ValidateDims(dims); err != nil {
+		if err := script.ValidateDims(opt.FaultDims()); err != nil {
 			return nil, err
 		}
 	}
@@ -350,56 +351,68 @@ func (s *System) launchDirection(natural track.Direction) (dir track.Direction, 
 	return natural, false, false
 }
 
+// gate is the request check every API op passes: the cart exists, has no
+// operation in flight, and is at want. A refused request is counted as
+// denied and its error returned.
+func (s *System) gate(id track.CartID, want Location) (*Cart, error) {
+	c, ok := s.cart(id)
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %d", ErrUnknownCart, id)
+	case c.Busy:
+		err = fmt.Errorf("%w: cart %d", ErrCartBusy, id)
+	case c.Loc != want && want == AtLibrary:
+		err = fmt.Errorf("%w: cart %d at %v", ErrNotAtLibrary, id, c.Loc)
+	case c.Loc != want:
+		err = fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc)
+	default:
+		return c, nil
+	}
+	s.deny()
+	return nil, err
+}
+
 // Open requests cart id be shuttled from the library to an endpoint docking
 // station (§III-D command 1). done is invoked at completion (or with the
 // reason the request was denied outright). Requests that only lack resources
 // (rail busy, docks full) wait in FIFO order rather than failing.
 func (s *System) Open(id track.CartID, done func(error)) {
-	c, ok := s.cart(id)
-	if !ok {
-		s.deny()
-		done(fmt.Errorf("%w: %d", ErrUnknownCart, id))
-		return
-	}
-	if c.Busy {
-		s.deny()
-		done(fmt.Errorf("%w: cart %d", ErrCartBusy, id))
-		return
-	}
-	if c.Loc != AtLibrary {
-		s.deny()
-		done(fmt.Errorf("%w: cart %d at %v", ErrNotAtLibrary, id, c.Loc))
+	s.startLeg(id, &legs[track.Outbound], done)
+}
+
+// Close requests cart id be undocked and returned to the library (§III-D
+// command 2).
+func (s *System) Close(id track.CartID, done func(error)) {
+	s.startLeg(id, &legs[track.Inbound], done)
+}
+
+// startLeg gates a launch request and queues its resource acquisition;
+// the undock→transit→dock chain then runs on the cart's pre-bound steps
+// (scratch.go) — no per-launch closures.
+func (s *System) startLeg(id track.CartID, l *launchLeg, done func(error)) {
+	c, err := s.gate(id, l.from)
+	if err != nil {
+		done(err)
 		return
 	}
 	c.Busy = true
-	c.scratch.done = done
-	c.scratch.reqAt = s.Engine.Now()
-	// Resource acquisition and the undock→transit→dock chain run on the
-	// cart's pre-bound steps (scratch.go) — no per-launch closures.
-	s.enqueue(c.scratch.tryOpen)
-}
-
-// runOutbound performs library undock → transit → endpoint dock. dir is the
-// rail slot the cart reserved (normally Outbound; Inbound when rerouted
-// around a blocked rail on a dual-rail track).
-func (s *System) runOutbound(c *Cart, dir track.Direction, done func(error)) {
-	c.scratch.dir, c.scratch.done = dir, done
-	c.Loc = InTransit
-	c.launchStart = s.Engine.Now()
-	s.Engine.MustAfter(s.opt.Core.UndockTime, evUndockLibrary, c.scratch.outUndock)
+	sc := &c.scratch
+	sc.leg, sc.done, sc.reqAt = l, done, s.Engine.Now()
+	s.enqueue(sc.try)
 }
 
 // checkLaunchTimeout applies the recovery policy's launch timeout to the
-// journey that started at c.launchStart: nil inside the budget, a wrapped
-// ErrLaunchTimeout past it. The cart has already arrived either way — the
-// plant cannot abort mid-tube — so the error is purely the management
-// layer's redelivery signal.
+// journey that started at the cart's launchStart: nil inside the budget, a
+// wrapped ErrLaunchTimeout past it. The cart has already arrived either
+// way — the plant cannot abort mid-tube — so the error is purely the
+// management layer's redelivery signal.
 func (s *System) checkLaunchTimeout(c *Cart) error {
 	limit := s.opt.Recovery.LaunchTimeout
 	if limit <= 0 {
 		return nil
 	}
-	elapsed := s.Engine.Now() - c.launchStart
+	elapsed := s.Engine.Now() - c.scratch.launchStart
 	if elapsed <= limit {
 		return nil
 	}
@@ -410,49 +423,32 @@ func (s *System) checkLaunchTimeout(c *Cart) error {
 		ErrLaunchTimeout, c.ID, float64(elapsed), float64(limit))
 }
 
-// Close requests cart id be undocked and returned to the library (§III-D
-// command 2).
-func (s *System) Close(id track.CartID, done func(error)) {
-	c, ok := s.cart(id)
-	if !ok {
-		s.deny()
-		done(fmt.Errorf("%w: %d", ErrUnknownCart, id))
-		return
-	}
-	if c.Busy {
-		s.deny()
-		done(fmt.Errorf("%w: cart %d", ErrCartBusy, id))
-		return
-	}
-	if c.Loc != AtDock {
-		s.deny()
-		done(fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc))
-		return
-	}
-	c.Busy = true
-	c.scratch.done = done
-	c.scratch.reqAt = s.Engine.Now()
-	s.enqueue(c.scratch.tryClose)
-}
-
-// runInbound performs endpoint undock → transit → library dock. dir is the
-// reserved rail slot (normally Inbound; Outbound when rerouted).
-func (s *System) runInbound(c *Cart, dir track.Direction, done func(error)) {
-	c.scratch.dir, c.scratch.done = dir, done
-	c.launchStart = s.Engine.Now()
-	s.Engine.MustAfter(s.opt.Core.UndockTime, evUndockEndpoint, c.scratch.inUndock)
-}
-
-// errServiceScheduled is the sentinel maybeServiceConnector uses internally
-// to signal that completion was handed to the service event.
+// errServiceScheduled is the sentinel serviceAtLibrary uses internally to
+// signal that completion was handed to the service event.
 var errServiceScheduled = errors.New("dhlsys: connector service scheduled")
 
-// maybeServiceConnector runs the library-side connector checks on a cart
-// that just returned: wear-policy preventive replacement, plus forced
-// replacement when a dock-station failure damaged the cart's connector
-// (needsService). A non-nil return other than errServiceScheduled is a hard
-// error; errServiceScheduled means done will be invoked later.
-func (s *System) maybeServiceConnector(c *Cart, done func(error)) error {
+// serviceAtLibrary services a cart that just returned to the library.
+// Failed SSDs are repaired (§III-B.6) and, with autoReload, each device is
+// topped up: only serviced (emptied) SSDs need reloading; the rest are
+// already full. Then the connector checks run: wear-policy preventive
+// replacement, plus forced replacement when a dock-station failure damaged
+// the cart's connector (needsService). A non-nil return other than
+// errServiceScheduled is a hard error; errServiceScheduled means done will
+// be invoked later.
+func (s *System) serviceAtLibrary(c *Cart, done func(error)) error {
+	for _, d := range c.Array.Devices {
+		if d.Failed() {
+			d.Repair()
+		}
+		if !s.autoReload {
+			continue
+		}
+		if free := d.Free(); free > 0 {
+			if _, err := d.Write(free); err != nil {
+				return fmt.Errorf("dhlsys: reload cart %d: %w", c.ID, err)
+			}
+		}
+	}
 	forced := c.needsService
 	if s.opt.Wear == nil {
 		// No wear model to service against; a damaged connector is swapped
@@ -504,73 +500,56 @@ func (s *System) Write(id track.CartID, n units.Bytes, done func(units.Seconds, 
 }
 
 func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seconds, error), isRead bool) {
-	c, ok := s.cart(id)
-	if !ok {
-		s.deny()
-		done(0, fmt.Errorf("%w: %d", ErrUnknownCart, id))
-		return
-	}
-	if c.Busy {
-		s.deny()
-		done(0, fmt.Errorf("%w: cart %d", ErrCartBusy, id))
-		return
-	}
-	if c.Loc != AtDock {
-		s.deny()
-		done(0, fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc))
+	c, err := s.gate(id, AtDock)
+	if err != nil {
+		done(0, err)
 		return
 	}
 	var d units.Seconds
-	var err error
 	if isRead {
 		d, err = c.Array.Read(n)
 	} else {
 		d, err = c.Array.Write(n)
 	}
+	// Health decides before size, as when the health check ran first: a
+	// negative size on an array past its redundancy takes the failed-cart
+	// branch too.
+	failed := err != nil && (errors.Is(err, storage.ErrDegraded) ||
+		errors.Is(err, storage.ErrNegativeLength) && !c.Array.Healthy())
+	sc := &c.scratch
+	sc.ioName, sc.ioArgs, sc.ioErr = s.tel.ids.ioWrite, 0, nil
+	ev := evIO
+	switch {
+	case err == nil && isRead:
+		s.stats.BytesRead += n
+		sc.ioName = s.tel.ids.ioRead
+	case err == nil:
+		s.stats.BytesWritten += n
+	case failed && (!isRead || s.opt.Recovery.StrictSSD):
+		err = fmt.Errorf("%w: cart %d", ErrCartFailed, id)
+	case failed:
+		d, err = s.degradedRead(c, n)
+		ev = evIODegraded
+	}
 	if err != nil {
-		// Health decides before size, as when the health check ran first:
-		// a negative size on an array past its redundancy takes the
-		// failed-cart branch too.
-		if errors.Is(err, storage.ErrDegraded) ||
-			(errors.Is(err, storage.ErrNegativeLength) && !c.Array.Healthy()) {
-			if !isRead || s.opt.Recovery.StrictSSD {
-				s.deny()
-				done(0, fmt.Errorf("%w: cart %d", ErrCartFailed, id))
-				return
-			}
-			s.degradedRead(c, n, done)
-			return
-		}
 		s.deny()
 		done(0, err)
 		return
 	}
 	c.Busy = true
-	name := s.tel.ids.ioWrite
-	if isRead {
-		s.stats.BytesRead += n
-		name = s.tel.ids.ioRead
-	} else {
-		s.stats.BytesWritten += n
-	}
-	c.scratch.ioDone = done
-	c.scratch.ioDur = d
-	c.scratch.ioStart = s.Engine.Now()
-	c.scratch.ioName = name
-	s.Engine.MustAfter(d, evIO, c.scratch.ioFinish)
+	sc.ioDone, sc.ioDur, sc.ioStart = done, d, s.Engine.Now()
+	s.Engine.MustAfter(d, ev, sc.ioFinish)
 }
 
 // degradedRead serves what survives of an n-byte read on an array past its
 // redundancy: the stripes on failed devices are gone, so only the surviving
 // fraction of the requested range is returned, at the survivors' aggregate
-// bandwidth. done receives the transfer time and a wrapped ErrDegradedRead
-// reporting the shortfall.
-func (s *System) degradedRead(c *Cart, n units.Bytes, done func(units.Seconds, error)) {
+// bandwidth. It returns the transfer time and sets the cart's IO scratch so
+// the finish step reports a wrapped ErrDegradedRead naming the shortfall.
+func (s *System) degradedRead(c *Cart, n units.Bytes) (units.Seconds, error) {
 	used := c.Array.Used()
 	if n > used {
-		s.deny()
-		done(0, fmt.Errorf("%w: cart %d holds %v, %v requested", storage.ErrOutOfRange, c.ID, used, n))
-		return
+		return 0, fmt.Errorf("%w: cart %d holds %v, %v requested", storage.ErrOutOfRange, c.ID, used, n)
 	}
 	avail := c.Array.AvailablePayload()
 	serve := n
@@ -579,21 +558,15 @@ func (s *System) degradedRead(c *Cart, n units.Bytes, done func(units.Seconds, e
 	}
 	d, err := c.Array.DegradedRead(serve)
 	if err != nil {
-		s.deny()
-		done(0, err)
-		return
+		return 0, err
 	}
-	c.Busy = true
 	s.stats.DegradedReads++
 	s.stats.DegradedBytes += serve
 	s.stats.BytesRead += serve
-	ioStart := s.Engine.Now()
-	s.Engine.MustAfter(d, evIODegraded, func() {
-		c.Busy = false
-		s.tel.ioSeconds.Observe(float64(d))
-		s.tel.spans.RecordSpan(c.trackID, s.tel.ids.ioDegr, ioStart, s.Engine.Now(), s.tel.args.degraded)
-		done(d, fmt.Errorf("%w: cart %d served %v of %v", ErrDegradedRead, c.ID, serve, n))
-	})
+	sc := &c.scratch
+	sc.ioName, sc.ioArgs = s.tel.ids.ioDegr, s.tel.args.degraded
+	sc.ioErr = fmt.Errorf("%w: cart %d served %v of %v", ErrDegradedRead, c.ID, serve, n)
+	return d, nil
 }
 
 // Run drains the event queue (bounded) and returns the simulated end time.

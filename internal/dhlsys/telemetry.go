@@ -56,11 +56,11 @@ type spanIDs struct {
 
 // spanArgs holds the interned IDs of the dhlsys annotation sets.
 type spanArgs struct {
-	library, endpoint telemetry.ArgID    // site=library, site=endpoint
-	dir               [2]telemetry.ArgID // dir=<track.Direction>
-	dirDegraded       [2]telemetry.ArgID // dir=<track.Direction>, degraded=true
-	open, close       telemetry.ArgID    // op=open, op=close
-	degraded          telemetry.ArgID    // degraded=true
+	site        [AtDock + 1]telemetry.ArgID // site=library, site=endpoint at [AtLibrary], [AtDock]
+	dir         [2]telemetry.ArgID          // dir=<track.Direction>
+	dirDegraded [2]telemetry.ArgID          // dir=<track.Direction>, degraded=true
+	op          [2]telemetry.ArgID          // op=open, op=close at [Outbound], [Inbound]
+	degraded    telemetry.ArgID             // degraded=true
 }
 
 // initTelemetry binds the system (and its plant, injector, and engine) to
@@ -109,11 +109,17 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 		reroute: sp.Intern(markReroute), timeout: sp.Intern(markTimeout),
 	}
 	degraded := telemetry.KV{Key: "degraded", Value: "true"}
+	// Composite-literal calls run left to right, so the sets intern in
+	// the order written.
 	s.tel.args = spanArgs{
-		library:  sp.InternArgs(telemetry.KV{Key: "site", Value: "library"}),
-		endpoint: sp.InternArgs(telemetry.KV{Key: "site", Value: "endpoint"}),
-		open:     sp.InternArgs(telemetry.KV{Key: "op", Value: "open"}),
-		close:    sp.InternArgs(telemetry.KV{Key: "op", Value: "close"}),
+		site: [AtDock + 1]telemetry.ArgID{
+			AtLibrary: sp.InternArgs(telemetry.KV{Key: "site", Value: "library"}),
+			AtDock:    sp.InternArgs(telemetry.KV{Key: "site", Value: "endpoint"}),
+		},
+		op: [2]telemetry.ArgID{
+			track.Outbound: sp.InternArgs(telemetry.KV{Key: "op", Value: "open"}),
+			track.Inbound:  sp.InternArgs(telemetry.KV{Key: "op", Value: "close"}),
+		},
 		degraded: sp.InternArgs(degraded),
 	}
 	for _, d := range []track.Direction{track.Outbound, track.Inbound} {
@@ -148,7 +154,7 @@ func cartTrack(id track.CartID) string { return "cart-" + strconv.Itoa(int(id)) 
 func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
 	s.stats.Launches++
 	s.stats.Energy += dyn.energy
-	s.tel.launchSeconds.Observe(float64(s.Engine.Now() - c.launchStart))
+	s.tel.launchSeconds.Observe(float64(s.Engine.Now() - c.scratch.launchStart))
 }
 
 // markReroute accounts a launch reverse-running over the opposite rail of

@@ -45,8 +45,7 @@ func TestPrometheusTextPinned(t *testing.T) {
 	opt.NumCarts = 4
 	opt.Seed = 1337
 	opt.Telemetry = telemetry.NewSet()
-	script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120,
-		faults.Dims{Carts: opt.NumCarts, Stations: opt.DockStations, DevicesPerCart: opt.Core.Cart.Config.NumSSDs})
+	script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120, opt.FaultDims())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ go test -race ./...
 echo "== (cd bench && go test ./...)"
 (cd bench && go test ./...)
 
-echo "== go test -run TestHotPathAllocs . ./internal/controlplane"
-go test -run 'TestHotPathAllocs' . ./internal/controlplane
+echo "== go test -run '^TestHotPathAllocs' ./..."
+go test -run '^TestHotPathAllocs' ./...
 
 echo "OK: vet (bench module too), gofmt, build, dhllint, race-clean tests, bench module tests, alloc budgets"
