@@ -55,7 +55,7 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 				}
 				reqs = append(reqs, controlplane.Request{Op: controlplane.OpClose, Cart: cart})
 				for _, req := range reqs {
-					resp, err := c.DoDeadline(req, deadline)
+					resp, err := c.Do(req, deadline)
 					switch {
 					case err == nil && resp.OK:
 						ok++

@@ -44,6 +44,13 @@ func TestRequestValidation(t *testing.T) {
 		{Request{Op: OpRead}, false},
 		{Request{Op: OpWrite, Bytes: -1}, false},
 		{Request{Op: "teleport"}, false},
+		{Request{Op: OpRead, Bytes: math.NaN()}, false},
+		{Request{Op: OpWrite, Bytes: math.NaN()}, false},
+		{Request{Op: OpWrite, Bytes: math.Inf(1)}, false},
+		{Request{Op: OpOpen, Bytes: math.NaN()}, false},
+		{Request{Op: OpClose, Bytes: math.Inf(-1)}, false},
+		{Request{Op: OpStatus, Bytes: math.Inf(1)}, false},
+		{Request{Op: OpMetrics, Bytes: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		if err := c.req.Validate(); (err == nil) != c.ok {

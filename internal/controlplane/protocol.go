@@ -59,13 +59,17 @@ type Request struct {
 	Bytes float64 `json:"bytes,omitempty"`
 }
 
-// Validate checks the request shape.
+// Validate checks the request shape: Bytes is finite on every op, and
+// positive on read and write.
 func (r Request) Validate() error {
+	if math.IsInf(r.Bytes, 0) || math.IsNaN(r.Bytes) {
+		return fmt.Errorf("controlplane: %s bytes %v is not finite", r.Op, r.Bytes)
+	}
 	switch r.Op {
 	case OpOpen, OpClose, OpStatus, OpMetrics:
 		return nil
 	case OpRead, OpWrite:
-		if r.Bytes <= 0 {
+		if !(r.Bytes > 0) {
 			return fmt.Errorf("controlplane: %s needs positive bytes, got %v", r.Op, r.Bytes)
 		}
 		return nil

@@ -787,9 +787,11 @@ func CodeForError(err error) string {
 	}
 }
 
-// Client is a minimal API client for the wire protocol: Do sends one
-// Request and returns its Response. For the per-op helpers, deadline
-// propagation, retries, and retry budgets, use internal/cpclient.
+// Client is the one wire exchange of the API: Do sends one Request and
+// reads its Response over one connection. It is the benchmark's timed
+// client, and internal/cpclient runs every attempt of its retry loop
+// (deadlines, backoff, the retry budget, re-dials) through it. A Client
+// belongs to one goroutine.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -802,7 +804,13 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: dial: %w", err)
 	}
-	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
+	return NewClient(conn), nil
+}
+
+// NewClient wraps an open connection; the caller keeps the connection's
+// deadlines.
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // Do performs one request/response exchange.

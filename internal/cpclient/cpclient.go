@@ -18,13 +18,14 @@
 //     budget is dry the client fails fast instead of amplifying overload
 //     (the classic retry-budget rule: retry rate is bounded by a fraction
 //     of the success rate).
-//   - Client is the blocking TCP client: lazy dial, per-attempt deadlines
-//     clipped to the caller's overall deadline, automatic re-dial after
-//     transport failures, and retryable-vs-terminal error classification.
+//   - Client is the retry loop over one TCP connection: lazy dial,
+//     per-attempt deadlines clipped to the caller's overall deadline,
+//     re-dial after a failed exchange, and retryable-vs-terminal error
+//     classification. Every exchange is controlplane.Client.Do, so this
+//     package frames nothing itself.
 package cpclient
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -211,10 +212,9 @@ type Stats struct {
 	DeadlineDenied  uint64 `json:"deadline_denied"`
 }
 
-// Client is a blocking control-plane client with retries. Safe for
-// concurrent use; requests are serialised over one connection (the wire
-// protocol is strictly request/response). Close from another goroutine
-// severs an in-flight exchange.
+// Client is a blocking control-plane client with retries. A Client
+// belongs to one goroutine: it holds one connection, and the wire
+// protocol is strictly request/response. Only its Budget may be shared.
 type Client struct {
 	addr   string
 	policy *Policy
@@ -223,17 +223,8 @@ type Client struct {
 	dial  func(addr string, timeout time.Duration) (net.Conn, error)
 	sleep func(time.Duration)
 
-	// exMu serialises request/response exchanges (held across I/O).
-	exMu sync.Mutex
-
-	mu sync.Mutex
-	//dhllint:guardedby mu
-	conn net.Conn
-	//dhllint:guardedby mu
-	br *bufio.Reader
-	//dhllint:guardedby mu
-	closed bool
-	//dhllint:guardedby mu
+	conn  net.Conn             // nil until the first attempt and after a drop
+	wire  *controlplane.Client // the exchange over conn
 	stats Stats
 }
 
@@ -253,218 +244,102 @@ func New(opt Options) *Client {
 	}
 }
 
-// Stats returns a snapshot of the client's counters.
-func (c *Client) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+// Stats returns the client's counters.
+func (c *Client) Stats() Stats { return c.stats }
 
-// Close severs the connection; in-flight exchanges fail.
+// Close closes the connection, if one is open; a later request dials
+// afresh.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		c.br = nil
-		return err
+	if c.conn == nil {
+		return nil
 	}
-	return nil
+	err := c.conn.Close()
+	c.conn, c.wire = nil, nil
+	return err
 }
 
-// ErrClosed reports a request on a closed client.
-var ErrClosed = errors.New("cpclient: client closed")
-
-// Do performs one request with retries, bounded only by attemptTimeout
-// per attempt and the retry policy overall.
-func (c *Client) Do(req controlplane.Request) (controlplane.Response, error) {
-	return c.DoDeadline(req, time.Time{})
-}
-
-// DoDeadline performs one request with retries, never exceeding the
-// overall deadline (zero means none): each attempt's I/O deadline is the
-// earlier of attemptTimeout and the overall deadline, and a retry whose
-// backoff would overshoot the deadline is abandoned immediately — the
-// deadline propagates rather than being discovered by timing out.
-func (c *Client) DoDeadline(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
-	var (
-		lastResp controlplane.Response
-		lastErr  error
-	)
-	c.mu.Lock()
+// Do performs one request with retries, never exceeding the overall
+// deadline (zero means none): each attempt's I/O deadline is the earlier
+// of attemptTimeout and the overall deadline, and a retry whose backoff
+// would overshoot the deadline is abandoned immediately — the deadline
+// propagates rather than being discovered by timing out. A request that
+// fails Validate returns that error without an attempt.
+func (c *Client) Do(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
 	c.stats.Requests++
-	c.mu.Unlock()
-	for attempt := 1; ; attempt++ {
-		resp, err := c.attempt(req, deadline)
-		c.note(func(s *Stats) {
-			s.Attempts++
-			if err != nil {
-				s.TransportErrors++
-			} else if resp.Code == controlplane.CodeServerBusy {
-				s.BusyResponses++
-			}
-		})
-		lastResp, lastErr = resp, err
-		verdict, wait := c.policy.Next(attempt, resp, err)
-		if verdict == Stop {
-			break
-		}
-		if verdict == Denied {
-			c.note(func(s *Stats) { s.BudgetDenied++ })
-			if lastErr == nil {
-				lastErr = ErrBudgetExhausted
-			} else {
-				lastErr = fmt.Errorf("%w (after %v)", ErrBudgetExhausted, lastErr)
-			}
-			break
-		}
-		if !deadline.IsZero() && time.Now().Add(wait).After(deadline) {
-			// The backoff would outlive the caller's deadline: fail fast
-			// instead of sleeping into certain failure.
-			c.note(func(s *Stats) { s.DeadlineDenied++ })
-			if lastErr == nil {
-				lastErr = fmt.Errorf("cpclient: deadline would expire during %v backoff", wait)
-			}
-			break
-		}
-		c.note(func(s *Stats) { s.Retries++ })
-		c.sleep(wait)
-	}
-	return lastResp, lastErr
-}
-
-func (c *Client) note(f func(*Stats)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f(&c.stats)
-}
-
-// ensureConn returns the live connection and reader, dialling if needed.
-func (c *Client) ensureConn(deadline time.Time) (net.Conn, *bufio.Reader, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if c.conn != nil {
-		conn, br := c.conn, c.br
-		c.mu.Unlock()
-		return conn, br, nil
-	}
-	c.mu.Unlock()
-
-	dialTO := dialTimeout
-	if !deadline.IsZero() {
-		if rem := deadline.Sub(time.Now()); rem <= 0 {
-			return nil, nil, fmt.Errorf("cpclient: deadline exceeded before dial")
-		} else if rem < dialTO {
-			dialTO = rem
-		}
-	}
-	conn, err := c.dial(c.addr, dialTO)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cpclient: dial: %w", err)
-	}
-	br := bufio.NewReader(conn)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		conn.Close()
-		return nil, nil, ErrClosed
-	}
-	c.conn = conn
-	c.br = br
-	c.stats.Redials++
-	return conn, br, nil
-}
-
-// attempt performs one exchange, (re)dialling as needed. exMu serialises
-// exchanges; the state mutex is held only for pointer swaps so Close can
-// sever an in-flight exchange.
-func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
-	c.exMu.Lock()
-	defer c.exMu.Unlock()
-	conn, br, err := c.ensureConn(deadline)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return controlplane.Response{}, err
 	}
+	for attempt := 1; ; attempt++ {
+		resp, err := c.attempt(req, deadline)
+		c.stats.Attempts++
+		if err != nil {
+			c.stats.TransportErrors++
+		} else if resp.Code == controlplane.CodeServerBusy {
+			c.stats.BusyResponses++
+		}
+		verdict, wait := c.policy.Next(attempt, resp, err)
+		switch {
+		case verdict == Stop:
+			return resp, err
+		case verdict == Denied:
+			c.stats.BudgetDenied++
+			if err == nil {
+				return resp, ErrBudgetExhausted
+			}
+			return resp, fmt.Errorf("%w (after %v)", ErrBudgetExhausted, err)
+		case !deadline.IsZero() && time.Now().Add(wait).After(deadline):
+			// The backoff would outlive the caller's deadline: fail fast
+			// instead of sleeping into certain failure.
+			c.stats.DeadlineDenied++
+			if err == nil {
+				err = fmt.Errorf("cpclient: deadline would expire during %v backoff", wait)
+			}
+			return resp, err
+		}
+		c.stats.Retries++
+		c.sleep(wait)
+	}
+}
 
+// attempt performs one exchange, dialling first if no connection is
+// open. It drops the connection after a failed exchange, and after a
+// bad-request reply, since the server closes the stream after one.
+func (c *Client) attempt(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
+	if c.conn == nil {
+		if err := c.redial(deadline); err != nil {
+			return controlplane.Response{}, err
+		}
+	}
 	attemptDL := time.Now().Add(attemptTimeout)
 	if !deadline.IsZero() && deadline.Before(attemptDL) {
 		attemptDL = deadline
 	}
-	if err := conn.SetDeadline(attemptDL); err != nil {
-		c.drop()
+	if err := c.conn.SetDeadline(attemptDL); err != nil {
+		c.Close()
 		return controlplane.Response{}, fmt.Errorf("cpclient: set deadline: %w", err)
 	}
+	resp, err := c.wire.Do(req)
+	if err != nil || !resp.OK && resp.Code == controlplane.CodeBadRequest {
+		c.Close()
+	}
+	return resp, err
+}
 
-	frame, err := controlplane.AppendRequest(nil, req)
+// redial connects, with the dial timeout clipped to the deadline.
+func (c *Client) redial(deadline time.Time) error {
+	timeout := dialTimeout
+	if !deadline.IsZero() {
+		rem := time.Until(deadline)
+		if rem <= 0 {
+			return errors.New("cpclient: deadline exceeded before dial")
+		}
+		timeout = min(timeout, rem)
+	}
+	conn, err := c.dial(c.addr, timeout)
 	if err != nil {
-		return controlplane.Response{}, fmt.Errorf("cpclient: encode: %w", err)
+		return fmt.Errorf("cpclient: dial: %w", err)
 	}
-	if _, err := conn.Write(frame); err != nil {
-		c.drop()
-		return controlplane.Response{}, fmt.Errorf("cpclient: send: %w", err)
-	}
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		c.drop()
-		return controlplane.Response{}, fmt.Errorf("cpclient: recv: %w", err)
-	}
-	resp, err := controlplane.DecodeResponse(line)
-	if err != nil {
-		c.drop()
-		return controlplane.Response{}, fmt.Errorf("cpclient: decode: %w", err)
-	}
-	if !resp.OK && resp.Code == controlplane.CodeBadRequest {
-		// The server drops the connection after a bad-request reply; don't
-		// reuse a stream the server has abandoned.
-		c.drop()
-	}
-	return resp, nil
-}
-
-// drop discards the connection so the next attempt re-dials.
-func (c *Client) drop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.br = nil
-	}
-}
-
-// Convenience wrappers mirroring the §III-D API.
-
-// Open shuttles a cart to the endpoint.
-func (c *Client) Open(cart int) (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpOpen, Cart: cart})
-}
-
-// CloseCart returns a cart to the library.
-func (c *Client) CloseCart(cart int) (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpClose, Cart: cart})
-}
-
-// Read reads bytes from a docked cart.
-func (c *Client) Read(cart int, bytes float64) (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpRead, Cart: cart, Bytes: bytes})
-}
-
-// Write writes bytes to a docked cart.
-func (c *Client) Write(cart int, bytes float64) (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpWrite, Cart: cart, Bytes: bytes})
-}
-
-// Status fetches the deployment counters.
-func (c *Client) Status() (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpStatus})
-}
-
-// Metrics fetches the Prometheus exposition.
-func (c *Client) Metrics() (controlplane.Response, error) {
-	return c.Do(controlplane.Request{Op: controlplane.OpMetrics})
+	c.conn, c.wire = conn, controlplane.NewClient(conn)
+	c.stats.Redials++
+	return nil
 }

@@ -2,8 +2,10 @@ package cpclient
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/dhlsys"
+	"repro/internal/telemetry"
 )
 
 func TestPolicyDeterministicSequences(t *testing.T) {
@@ -240,7 +243,7 @@ func TestClientRetriesBusyThenSucceeds(t *testing.T) {
 	)
 	c, slept := newTestClient(srv, nil)
 	defer c.Close()
-	resp, err := c.Status()
+	resp, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{})
 	if err != nil || !resp.OK {
 		t.Fatalf("Do = %+v, %v", resp, err)
 	}
@@ -261,7 +264,7 @@ func TestClientRedialsAfterTransportFailure(t *testing.T) {
 	)
 	c, _ := newTestClient(srv, nil)
 	defer c.Close()
-	resp, err := c.Status()
+	resp, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{})
 	if err != nil || !resp.OK {
 		t.Fatalf("Do = %+v, %v", resp, err)
 	}
@@ -280,7 +283,7 @@ func TestClientBudgetExhaustionFailsFast(t *testing.T) {
 	}
 	c, _ := newTestClient(srv, budget)
 	defer c.Close()
-	resp, err := c.Status()
+	resp, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{})
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %+v, %v", resp, err)
 	}
@@ -298,7 +301,7 @@ func TestClientDeadlineStopsBackoff(t *testing.T) {
 	c, slept := newTestClient(srv, nil)
 	defer c.Close()
 	start := time.Now()
-	resp, err := c.DoDeadline(controlplane.Request{Op: controlplane.OpStatus}, start.Add(time.Second))
+	resp, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, start.Add(time.Second))
 	if err == nil {
 		t.Fatalf("want deadline error, got %+v", resp)
 	}
@@ -319,7 +322,7 @@ func TestClientTerminalErrorNotRetried(t *testing.T) {
 	)
 	c, slept := newTestClient(srv, nil)
 	defer c.Close()
-	resp, err := c.Open(99)
+	resp, err := c.Do(controlplane.Request{Op: controlplane.OpOpen, Cart: 99}, time.Time{})
 	if err != nil {
 		t.Fatalf("terminal server error is not a client error: %v", err)
 	}
@@ -341,7 +344,7 @@ func TestClientSuccessEarnsBudget(t *testing.T) {
 	c, _ := newTestClient(srv, budget)
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Status(); err != nil {
+		if _, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,36 +374,46 @@ func TestClientAgainstRealServer(t *testing.T) {
 
 	c := New(Options{Addr: addr, Seed: 11})
 	defer c.Close()
-	if resp, err := c.Open(0); err != nil || !resp.OK {
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpOpen}, time.Time{}); err != nil || !resp.OK {
 		t.Fatalf("open = %+v, %v", resp, err)
 	}
-	if resp, err := c.Write(0, 1<<20); err != nil || !resp.OK {
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpWrite, Bytes: 1 << 20}, time.Time{}); err != nil || !resp.OK {
 		t.Fatalf("write = %+v, %v", resp, err)
 	}
-	if resp, err := c.Read(0, 1<<20); err != nil || !resp.OK {
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpRead, Bytes: 1 << 20}, time.Time{}); err != nil || !resp.OK {
 		t.Fatalf("read = %+v, %v", resp, err)
 	}
-	if resp, err := c.CloseCart(0); err != nil || !resp.OK {
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpClose}, time.Time{}); err != nil || !resp.OK {
 		t.Fatalf("close = %+v, %v", resp, err)
 	}
-	if resp, err := c.Status(); err != nil || !resp.OK || resp.Stats == nil {
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{}); err != nil || !resp.OK || resp.Stats == nil {
 		t.Fatalf("status = %+v, %v", resp, err)
 	}
-	if resp, err := c.Open(-1); err != nil || resp.OK ||
+	if resp, err := c.Do(controlplane.Request{Op: controlplane.OpOpen, Cart: -1}, time.Time{}); err != nil || resp.OK ||
 		resp.Code != controlplane.CodeUnknownCart {
 		t.Fatalf("bad open = %+v, %v", resp, err)
 	}
 }
 
 // TestCodecErrorsKeepTheirWrapping: a request the wire format cannot
-// carry fails as an encode error before anything is sent, and a reply
-// line that is not JSON fails as a decode error and drops the connection,
-// so every attempt dials afresh.
+// carry fails Validate before anything is dialled or sent, and a reply
+// line that is not JSON fails as a receive error wrapping the decoder's
+// *json.SyntaxError and drops the connection, so every attempt dials
+// afresh.
 func TestCodecErrorsKeepTheirWrapping(t *testing.T) {
-	c, _ := newTestClient(newScriptServer(t), nil)
+	nanDials := 0
+	c := New(Options{Addr: "unused"})
+	c.dial = func(string, time.Duration) (net.Conn, error) {
+		nanDials++
+		return nil, errors.New("dialled for a request that cannot be sent")
+	}
 	defer c.Close()
-	if _, err := c.Read(0, math.NaN()); err == nil || !strings.HasPrefix(err.Error(), "cpclient: encode: ") {
-		t.Errorf("NaN read: err = %v, want a cpclient: encode error", err)
+	nan := controlplane.Request{Op: controlplane.OpRead, Bytes: math.NaN()}
+	if _, err := c.Do(nan, time.Time{}); err == nil || err.Error() != nan.Validate().Error() {
+		t.Errorf("NaN read: err = %v, want the Validate error", err)
+	}
+	if st := c.Stats(); nanDials != 0 || st.Attempts != 0 {
+		t.Errorf("NaN read: %d dials, %d attempts; want it refused before either", nanDials, st.Attempts)
 	}
 
 	dials := 0
@@ -419,11 +432,73 @@ func TestCodecErrorsKeepTheirWrapping(t *testing.T) {
 	g.sleep = func(time.Duration) {}
 	defer g.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := g.Status(); err == nil || !strings.HasPrefix(err.Error(), "cpclient: decode: ") {
-			t.Errorf("garbage reply: err = %v, want a cpclient: decode error", err)
+		_, err := g.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Time{})
+		var syntax *json.SyntaxError
+		if err == nil || !strings.HasPrefix(err.Error(), "controlplane: recv: ") || !errors.As(err, &syntax) {
+			t.Errorf("garbage reply: err = %v, want a controlplane: recv error wrapping a *json.SyntaxError", err)
 		}
 	}
 	if st := g.Stats(); dials != 2*maxAttempts || st.Attempts != uint64(dials) {
 		t.Errorf("%d dials for %d attempts at 2 garbage replies; a decode error must drop the connection", dials, st.Attempts)
+	}
+}
+
+// TestLongRepliesComeBackWhole: status and metrics replies longer than
+// bufio's 4 KiB default come back through Do byte for byte as the server
+// builds them, compared as encoding/json frames.
+func TestLongRepliesComeBackWhole(t *testing.T) {
+	opt := dhlsys.DefaultOptions()
+	opt.Telemetry = telemetry.NewSet()
+	for i := 0; i < 64; i++ {
+		opt.Telemetry.Metrics.Counter(fmt.Sprintf("dhl_extra_rack_%02d_bytes_total", i)).Add(float64(i))
+	}
+	sys, err := dhlsys.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := controlplane.NewServerWithOptions(sys, controlplane.DefaultServerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c := New(Options{Addr: addr, Seed: 3})
+	defer c.Close()
+	for _, req := range []controlplane.Request{
+		{Op: controlplane.OpOpen}, {Op: controlplane.OpWrite, Bytes: 1e9},
+		{Op: controlplane.OpRead, Bytes: 1e9}, {Op: controlplane.OpClose},
+	} {
+		if resp, err := c.Do(req, time.Time{}); err != nil || !resp.OK {
+			t.Fatalf("%+v: %+v, %v", req, resp, err)
+		}
+	}
+	for _, op := range []controlplane.Op{controlplane.OpStatus, controlplane.OpMetrics} {
+		got, err := c.Do(controlplane.Request{Op: op}, time.Time{})
+		if err != nil || !got.OK {
+			t.Fatalf("%s: %+v, %v", op, got, err)
+		}
+		if !srv.TryAcquire() {
+			t.Fatal("the simulation is held with no request in flight")
+		}
+		want := srv.Execute(controlplane.Request{Op: op})
+		srv.Finish(nil)
+		gotFrame, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFrame, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantFrame) <= 4096 {
+			t.Fatalf("%s reply is %d bytes; the test needs one past bufio's 4096", op, len(wantFrame))
+		}
+		if !bytes.Equal(gotFrame, wantFrame) {
+			t.Errorf("%s reply differs:\n got  %s\n want %s", op, gotFrame, wantFrame)
+		}
 	}
 }

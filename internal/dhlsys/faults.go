@@ -174,7 +174,7 @@ func (s *System) dynamics() launchDynamics {
 
 // stallCart pushes a mid-transit cart's arrival out by delay. Carts not on
 // the rail are unaffected (a stall needs a moving cart).
-func (s *System) stallCart(c *Cart, delay units.Seconds) {
+func (s *System) stallCart(c *cart, delay units.Seconds) {
 	if delay <= 0 {
 		return
 	}

@@ -8,7 +8,7 @@ import (
 // plant is the shared state of the physical DHL of §III-B: the rail(s)
 // between the library and the endpoint, the endpoint's bank of
 // vertically-stacked docking stations, and the cart mid-dock. Where each
-// cart is lives on the cart itself (Cart.Loc, Cart.Busy); plant holds only
+// cart is lives on the cart itself (cart.Loc, cart.Busy); plant holds only
 // what carts contend for. The paper's rules — one cart in transit per rail
 // direction, one cart per station, and no shuttling past a station while a
 // cart is mid-dock — are checked by the launch steps (scratch.go) before

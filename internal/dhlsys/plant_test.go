@@ -47,7 +47,7 @@ func (k *plantChecker) check() error {
 		if !ok {
 			return fmt.Errorf("station %d holds unknown cart %d", i, id)
 		}
-		if c.Loc != AtDock && p.midDock != id {
+		if c.Loc != atDock && p.midDock != id {
 			return fmt.Errorf("station %d holds cart %d at %v, not mid-dock", i, id, c.Loc)
 		}
 		if p.failed[i] && k.prevStations != nil && k.prevStations[i] == track.NoCart {
@@ -73,7 +73,7 @@ func (k *plantChecker) check() error {
 			// have finished first.
 			c, _ := s.cart(k.prevMid)
 			_, docked := stationOf[k.prevMid]
-			if k.prevDocking && c.Loc != AtDock {
+			if k.prevDocking && c.Loc != atDock {
 				return fmt.Errorf("cart %d left mid-dock at %v without docking", c.ID, c.Loc)
 			}
 			if !k.prevDocking && docked {
@@ -92,7 +92,7 @@ func (k *plantChecker) check() error {
 			return fmt.Errorf("single rail holds cart %d in slot %d", id, slot)
 		}
 		c, ok := s.cart(id)
-		if !ok || !c.Busy || c.Loc == AtLibrary {
+		if !ok || !c.Busy || c.Loc == atLibrary {
 			return fmt.Errorf("rail slot %d held by cart %d (known %t)", slot, id, ok)
 		}
 	}
@@ -106,24 +106,24 @@ func (k *plantChecker) check() error {
 	var at [3]int
 	for _, c := range s.carts {
 		at[c.Loc]++
-		if c.Loc == InTransit && p.holder[0] != c.ID && p.holder[1] != c.ID {
+		if c.Loc == inTransit && p.holder[0] != c.ID && p.holder[1] != c.ID {
 			return fmt.Errorf("cart %d in transit without a rail slot", c.ID)
 		}
-		if c.Loc == AtDock {
+		if c.Loc == atDock {
 			if _, ok := stationOf[c.ID]; !ok {
 				return fmt.Errorf("cart %d at dock holds no station", c.ID)
 			}
 		}
 	}
-	if at[AtLibrary]+at[InTransit]+at[AtDock] != s.NumCarts() {
+	if at[atLibrary]+at[inTransit]+at[atDock] != s.NumCarts() {
 		return fmt.Errorf("library %d + transit %d + dock %d carts ≠ fleet of %d",
-			at[AtLibrary], at[InTransit], at[AtDock], s.NumCarts())
+			at[atLibrary], at[inTransit], at[atDock], s.NumCarts())
 	}
 
 	k.prevMid = p.midDock
 	if k.prevMid != track.NoCart {
 		c, _ := s.cart(k.prevMid)
-		k.prevDocking = c.Loc == InTransit
+		k.prevDocking = c.Loc == inTransit
 	}
 	k.prevStations = append(k.prevStations[:0], p.stations...)
 	return nil
@@ -199,9 +199,9 @@ func randomPlantRun(seed int64, mode track.RailMode) error {
 			op := rng.Intn(4)
 			if rng.Intn(5) > 0 {
 				switch c, _ := s.cart(id); c.Loc {
-				case AtLibrary:
+				case atLibrary:
 					op = 0
-				case AtDock:
+				case atDock:
 					op = 1 + rng.Intn(3)
 				}
 			}
@@ -286,7 +286,7 @@ func TestMidDockBlocksNextDock(t *testing.T) {
 		t.Errorf("cart 1 docked by %.3fs, before cart 0's undock ended at %.3fs plus a dock",
 			float64(openedAt), float64(undockEnd))
 	}
-	if c, _ := s.cart(1); c.Loc != AtDock {
+	if c, _ := s.cart(1); c.Loc != atDock {
 		t.Errorf("cart 1 at %v, want dock", c.Loc)
 	}
 }
@@ -334,7 +334,7 @@ func TestFailedStationRefusesDocksUntilRepaired(t *testing.T) {
 		t.Errorf("cart 1 docked by %.3fs, before the repair at %.3fs plus a dock",
 			float64(openedAt), float64(repairAt))
 	}
-	if c, _ := s.cart(1); c.Loc != AtDock {
+	if c, _ := s.cart(1); c.Loc != atDock {
 		t.Errorf("cart 1 at %v, want dock", c.Loc)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // launchScratch is a cart's reusable in-flight operation state plus the
 // operation lifecycle's pre-bound step closures. A cart runs at most one
-// operation at a time (Cart.Busy), so one scratch per cart holds what a
+// operation at a time (cart.Busy), so one scratch per cart holds what a
 // per-operation closure chain would capture: the steps below are bound
 // once at construction, and Open/Close/Read/Write allocate nothing.
 //
@@ -20,7 +20,7 @@ import (
 // immediately start the cart's next operation, which rewrites the
 // scratch (the bulk-transfer driver chains Open→Read→Close this way).
 type launchScratch struct {
-	// Per-launch state (valid while Cart.Busy).
+	// Per-launch state (valid while cart.Busy).
 	leg         *launchLeg
 	dir         track.Direction // the rail slot reserved (leg.natural unless rerouted)
 	done        func(error)
@@ -54,20 +54,20 @@ type launchScratch struct {
 // involved, at the leg's from (undock) or to (dock) end.
 type launchLeg struct {
 	natural  track.Direction
-	from, to Location // AtLibrary or AtDock
+	from, to location // atLibrary or atDock
 	// Event names (names.go); trace consumers classify events by them.
 	evUndock, evTransit, evDock string
 }
 
 // legs holds the two launch legs, indexed by natural direction.
 var legs = [2]launchLeg{
-	track.Outbound: {track.Outbound, AtLibrary, AtDock, evUndockLibrary, evTransitOut, evDockEndpoint},
-	track.Inbound:  {track.Inbound, AtDock, AtLibrary, evUndockEndpoint, evTransitIn, evDockLibrary},
+	track.Outbound: {track.Outbound, atLibrary, atDock, evUndockLibrary, evTransitOut, evDockEndpoint},
+	track.Inbound:  {track.Inbound, atDock, atLibrary, evUndockEndpoint, evTransitIn, evDockLibrary},
 }
 
 // bindLaunchSteps allocates the cart's step closures; called once per
 // cart at system construction.
-func (s *System) bindLaunchSteps(c *Cart) {
+func (s *System) bindLaunchSteps(c *cart) {
 	sc := &c.scratch
 	sc.try = func() bool { return s.tryLaunchStep(c) }
 	sc.undock = func() { s.undockStep(c) }
@@ -84,13 +84,13 @@ func (s *System) bindLaunchSteps(c *Cart) {
 // as the mid-dock cart, a library undock puts the cart on the rail.
 //
 //dhllint:hotpath
-func (s *System) tryLaunchStep(c *Cart) bool {
+func (s *System) tryLaunchStep(c *cart) bool {
 	sc := &c.scratch
 	l := sc.leg
 	if !s.limUp(l.natural) {
 		return false
 	}
-	if l.to == AtDock && s.plant.dockable() < 0 || l.from == AtDock && s.plant.midDock != track.NoCart {
+	if l.to == atDock && s.plant.dockable() < 0 || l.from == atDock && s.plant.midDock != track.NoCart {
 		return false
 	}
 	dir, reroute, ok := s.launchDirection(l.natural)
@@ -101,10 +101,10 @@ func (s *System) tryLaunchStep(c *Cart) bool {
 	if reroute {
 		s.markReroute(c, dir)
 	}
-	if l.from == AtDock {
+	if l.from == atDock {
 		s.plant.midDock = c.ID
 	} else {
-		c.Loc = InTransit
+		c.Loc = inTransit
 	}
 	s.recordQueueWait(c, s.tel.args.op[l.natural], sc.reqAt)
 	sc.dir = dir
@@ -116,13 +116,13 @@ func (s *System) tryLaunchStep(c *Cart) bool {
 // undockStep completes the undock and puts the cart into transit.
 //
 //dhllint:hotpath
-func (s *System) undockStep(c *Cart) {
+func (s *System) undockStep(c *cart) {
 	sc := &c.scratch
 	l := sc.leg
-	if l.from == AtDock {
+	if l.from == atDock {
 		s.plant.endUndock(c.ID)
 	}
-	c.Loc = InTransit
+	c.Loc = inTransit
 	s.stats.DockOps++
 	s.tel.spans.RecordSpan(c.trackID, s.tel.ids.undock, sc.launchStart, s.Engine.Now(), s.tel.args.site[l.from])
 	//dhllint:allow allocflow -- fault injection schedules a repair closure; faults are off the steady path by definition
@@ -138,7 +138,7 @@ func (s *System) undockStep(c *Cart) {
 // arriveStep fires at the far end of the transit and queues the dock.
 //
 //dhllint:hotpath
-func (s *System) arriveStep(c *Cart) {
+func (s *System) arriveStep(c *cart) {
 	sc := &c.scratch
 	c.transitEv = sim.Handle{}
 	s.recordTransit(c, sc.depart, s.Engine.Now(), sc.dyn, sc.dir)
@@ -152,9 +152,9 @@ func (s *System) arriveStep(c *Cart) {
 // slot) until a station is repaired or freed.
 //
 //dhllint:hotpath
-func (s *System) tryDockStep(c *Cart) bool {
+func (s *System) tryDockStep(c *cart) bool {
 	sc := &c.scratch
-	if sc.leg.to == AtDock {
+	if sc.leg.to == atDock {
 		station := s.plant.dockable()
 		if station < 0 {
 			return false
@@ -174,7 +174,7 @@ func (s *System) tryDockStep(c *Cart) bool {
 // connector service — and reports to the caller.
 //
 //dhllint:hotpath
-func (s *System) dockStep(c *Cart) {
+func (s *System) dockStep(c *cart) {
 	sc := &c.scratch
 	l := sc.leg
 	s.stats.DockOps++
@@ -186,7 +186,7 @@ func (s *System) dockStep(c *Cart) {
 	done := sc.done
 	sc.done = nil
 	var err error
-	if l.to == AtDock {
+	if l.to == atDock {
 		s.plant.endDock()
 		if s.opt.Wear != nil {
 			// Endpoint mating cycle; service is deferred to the library
@@ -211,7 +211,7 @@ func (s *System) dockStep(c *Cart) {
 // ioFinishStep completes a Read/Write transfer, healthy or degraded.
 //
 //dhllint:hotpath
-func (s *System) ioFinishStep(c *Cart) {
+func (s *System) ioFinishStep(c *cart) {
 	sc := &c.scratch
 	c.Busy = false
 	d := sc.ioDur

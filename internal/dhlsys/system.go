@@ -108,37 +108,37 @@ const (
 	lanesPerSSD = 1
 )
 
-// Location of a cart.
-type Location int
+// location is where a cart is.
+type location int
 
 const (
-	// AtLibrary: parked in cold storage.
-	AtLibrary Location = iota
-	// InTransit: on the rail.
-	InTransit
-	// AtDock: docked at the endpoint (or mid-dock).
-	AtDock
+	// atLibrary: parked in cold storage.
+	atLibrary location = iota
+	// inTransit: on the rail.
+	inTransit
+	// atDock: docked at the endpoint (or mid-dock).
+	atDock
 )
 
 // String implements fmt.Stringer.
-func (l Location) String() string {
+func (l location) String() string {
 	switch l {
-	case AtLibrary:
+	case atLibrary:
 		return "library"
-	case InTransit:
+	case inTransit:
 		return "transit"
-	case AtDock:
+	case atDock:
 		return "dock"
 	default:
-		return fmt.Sprintf("Location(%d)", int(l))
+		return fmt.Sprintf("location(%d)", int(l))
 	}
 }
 
-// Cart is a simulated cart: identity, storage array, and position.
-type Cart struct {
+// cart is a simulated cart: identity, storage array, and position.
+type cart struct {
 	ID    track.CartID
 	Array *storage.Array
-	Loc   Location
+	Loc   location
 	// Busy marks a cart with an in-flight operation (launch, return, IO).
 	Busy bool
 
@@ -166,7 +166,11 @@ type Stats struct {
 	BytesWritten units.Bytes
 	FailuresSeen int // SSDs failed in flight
 	Denied       int // API requests failed immediately
-	Queued       int // API requests that had to wait for resources
+	// Queued counts waits for a resource: a launch that cannot yet have
+	// its LIM, dock bank or rail, and an arrived cart that finds no free
+	// station at the endpoint (one free at launch may fail in flight).
+	// One Open can count twice.
+	Queued int
 	// Connector-wear accounting (only populated when Options.Wear is set).
 	ConnectorServices int
 	MaintenanceTime   units.Seconds
@@ -201,7 +205,7 @@ type System struct {
 	opt    Options
 	launch core.LaunchMetrics
 	plant  plant
-	carts  []*Cart // indexed by CartID: New assigns IDs 0..NumCarts−1
+	carts  []*cart // indexed by CartID: New assigns IDs 0..NumCarts−1
 	rng    *rand.Rand
 	stats  Stats
 
@@ -249,7 +253,7 @@ func New(opt Options) (*System, error) {
 		opt:    opt,
 		launch: l,
 		plant:  newPlant(opt.RailMode, opt.DockStations),
-		carts:  make([]*Cart, opt.NumCarts),
+		carts:  make([]*cart, opt.NumCarts),
 		rng:    rand.New(rand.NewSource(opt.Seed)),
 	}
 	for i := 0; i < opt.NumCarts; i++ {
@@ -258,7 +262,7 @@ func New(opt Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &Cart{ID: id, Array: arr, Loc: AtLibrary}
+		c := &cart{ID: id, Array: arr, Loc: atLibrary}
 		s.bindLaunchSteps(c)
 		s.carts[i] = c
 	}
@@ -288,7 +292,7 @@ func (s *System) Stats() Stats { return s.stats }
 func (s *System) NumCarts() int { return len(s.carts) }
 
 // cart looks up a fleet cart; ok is false for an ID outside 0..NumCarts−1.
-func (s *System) cart(id track.CartID) (c *Cart, ok bool) {
+func (s *System) cart(id track.CartID) (c *cart, ok bool) {
 	if id < 0 || int(id) >= len(s.carts) {
 		return nil, false
 	}
@@ -324,7 +328,7 @@ func (s *System) enqueue(try func() bool) {
 // order (Float64 then Intn) is part of the determinism contract — runs with
 // a fixed seed replay identically. The hit routes through the injector so
 // stochastic and scripted SSD deaths share one log and taxonomy.
-func (s *System) maybeFailSSD(c *Cart) {
+func (s *System) maybeFailSSD(c *cart) {
 	if s.opt.FailureRate <= 0 {
 		return
 	}
@@ -354,7 +358,7 @@ func (s *System) launchDirection(natural track.Direction) (dir track.Direction, 
 // gate is the request check every API op passes: the cart exists, has no
 // operation in flight, and is at want. A refused request is counted as
 // denied and its error returned.
-func (s *System) gate(id track.CartID, want Location) (*Cart, error) {
+func (s *System) gate(id track.CartID, want location) (*cart, error) {
 	c, ok := s.cart(id)
 	var err error
 	switch {
@@ -362,7 +366,7 @@ func (s *System) gate(id track.CartID, want Location) (*Cart, error) {
 		err = fmt.Errorf("%w: %d", ErrUnknownCart, id)
 	case c.Busy:
 		err = fmt.Errorf("%w: cart %d", ErrCartBusy, id)
-	case c.Loc != want && want == AtLibrary:
+	case c.Loc != want && want == atLibrary:
 		err = fmt.Errorf("%w: cart %d at %v", ErrNotAtLibrary, id, c.Loc)
 	case c.Loc != want:
 		err = fmt.Errorf("%w: cart %d at %v", ErrNotDocked, id, c.Loc)
@@ -407,7 +411,7 @@ func (s *System) startLeg(id track.CartID, l *launchLeg, done func(error)) {
 // wrapped ErrLaunchTimeout past it. The cart has already arrived either
 // way — the plant cannot abort mid-tube — so the error is purely the
 // management layer's redelivery signal.
-func (s *System) checkLaunchTimeout(c *Cart) error {
+func (s *System) checkLaunchTimeout(c *cart) error {
 	limit := s.opt.Recovery.LaunchTimeout
 	if limit <= 0 {
 		return nil
@@ -435,7 +439,7 @@ var errServiceScheduled = errors.New("dhlsys: connector service scheduled")
 // the cart's connector (needsService). A non-nil return other than
 // errServiceScheduled is a hard error; errServiceScheduled means done will
 // be invoked later.
-func (s *System) serviceAtLibrary(c *Cart, done func(error)) error {
+func (s *System) serviceAtLibrary(c *cart, done func(error)) error {
 	for _, d := range c.Array.Devices {
 		if d.Failed() {
 			d.Repair()
@@ -500,7 +504,7 @@ func (s *System) Write(id track.CartID, n units.Bytes, done func(units.Seconds, 
 }
 
 func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seconds, error), isRead bool) {
-	c, err := s.gate(id, AtDock)
+	c, err := s.gate(id, atDock)
 	if err != nil {
 		done(0, err)
 		return
@@ -546,7 +550,7 @@ func (s *System) transferOp(id track.CartID, n units.Bytes, done func(units.Seco
 // fraction of the requested range is returned, at the survivors' aggregate
 // bandwidth. It returns the transfer time and sets the cart's IO scratch so
 // the finish step reports a wrapped ErrDegradedRead naming the shortfall.
-func (s *System) degradedRead(c *Cart, n units.Bytes) (units.Seconds, error) {
+func (s *System) degradedRead(c *cart, n units.Bytes) (units.Seconds, error) {
 	used := c.Array.Used()
 	if n > used {
 		return 0, fmt.Errorf("%w: cart %d holds %v, %v requested", storage.ErrOutOfRange, c.ID, used, n)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/storage"
 	"repro/internal/track"
 	"repro/internal/units"
@@ -62,7 +63,7 @@ func TestOpenCloseSingleRoundTrip(t *testing.T) {
 		openErr = err
 		opened = true
 		c, _ := s.cart(0)
-		if c.Loc != AtDock {
+		if c.Loc != atDock {
 			t.Errorf("after open, loc = %v", c.Loc)
 		}
 		s.Close(0, func(err error) { closeErr = err })
@@ -88,7 +89,7 @@ func TestOpenCloseSingleRoundTrip(t *testing.T) {
 	}
 	approx(t, "energy", float64(st.Energy), 2*float64(s.launch.Energy), 1e-9)
 	c, _ := s.cart(0)
-	if c.Loc != AtLibrary || c.Busy {
+	if c.Loc != atLibrary || c.Busy {
 		t.Errorf("cart end state: loc=%v busy=%v", c.Loc, c.Busy)
 	}
 }
@@ -376,11 +377,43 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestLocationString(t *testing.T) {
-	if AtLibrary.String() != "library" || InTransit.String() != "transit" || AtDock.String() != "dock" {
+	if atLibrary.String() != "library" || inTransit.String() != "transit" || atDock.String() != "dock" {
 		t.Error("location strings wrong")
 	}
-	if Location(9).String() != "Location(9)" {
-		t.Errorf("got %q", Location(9).String())
+	if location(9).String() != "location(9)" {
+		t.Errorf("got %q", location(9).String())
+	}
+}
+
+// TestQueuedCountsAnArrivalWaitingForAStation: Stats.Queued also counts
+// an arrived cart that loiters for a station. One cart's Open is granted
+// at once, and its only station fails mid-transit, so the one wait is
+// the arrival's.
+func TestQueuedCountsAnArrivalWaitingForAStation(t *testing.T) {
+	opt := DefaultOptions()
+	opt.NumCarts = 1
+	opt.DockStations = 1
+	probe := mustSystem(t, opt)
+	failAt := opt.Core.UndockTime + probe.transitTime()/2
+	opt.Faults = &faults.Script{Name: "station-fails-mid-transit", Faults: []faults.Fault{
+		{Kind: faults.DockFailure, At: failAt, Duration: 10 * probe.launch.Time, Station: 0},
+	}}
+	s := mustSystem(t, opt)
+	opened := false
+	s.Open(0, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		opened = true
+	})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !opened {
+		t.Fatal("open never completed")
+	}
+	if got := s.Stats().Queued; got != 1 {
+		t.Errorf("Queued = %d, want 1: the arrival waited for the failed station", got)
 	}
 }
 
@@ -408,7 +441,7 @@ func TestQueueingCounters(t *testing.T) {
 	// Both docked in the end.
 	for id := track.CartID(0); id < 2; id++ {
 		c, _ := s.cart(id)
-		if c.Loc != AtDock {
+		if c.Loc != atDock {
 			t.Errorf("cart %d at %v, want dock", id, c.Loc)
 		}
 	}

@@ -56,7 +56,7 @@ type spanIDs struct {
 
 // spanArgs holds the interned IDs of the dhlsys annotation sets.
 type spanArgs struct {
-	site        [AtDock + 1]telemetry.ArgID // site=library, site=endpoint at [AtLibrary], [AtDock]
+	site        [atDock + 1]telemetry.ArgID // site=library, site=endpoint at [atLibrary], [atDock]
 	dir         [2]telemetry.ArgID          // dir=<track.Direction>
 	dirDegraded [2]telemetry.ArgID          // dir=<track.Direction>, degraded=true
 	op          [2]telemetry.ArgID          // op=open, op=close at [Outbound], [Inbound]
@@ -91,6 +91,8 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 	reg.CounterFunc("dhl_stalls_total", func() float64 { return float64(st.Stalls) })
 	reg.CounterFunc("dhl_reroutes_total", func() float64 { return float64(st.Reroutes) })
 	reg.CounterFunc("dhl_api_denied_total", func() float64 { return float64(st.Denied) })
+	// Like Stats.Queued, dhl_api_queued_total also counts an arrived cart
+	// that waits for a station.
 	reg.CounterFunc("dhl_api_queued_total", func() float64 { return float64(st.Queued) })
 	reg.CounterFunc("dhl_degraded_reads_total", func() float64 { return float64(st.DegradedReads) })
 	reg.CounterFunc("dhl_launch_energy_joules_total", func() float64 { return float64(st.Energy) })
@@ -112,9 +114,9 @@ func (s *System) initTelemetry(set *telemetry.Set) {
 	// Composite-literal calls run left to right, so the sets intern in
 	// the order written.
 	s.tel.args = spanArgs{
-		site: [AtDock + 1]telemetry.ArgID{
-			AtLibrary: sp.InternArgs(telemetry.KV{Key: "site", Value: "library"}),
-			AtDock:    sp.InternArgs(telemetry.KV{Key: "site", Value: "endpoint"}),
+		site: [atDock + 1]telemetry.ArgID{
+			atLibrary: sp.InternArgs(telemetry.KV{Key: "site", Value: "library"}),
+			atDock:    sp.InternArgs(telemetry.KV{Key: "site", Value: "endpoint"}),
 		},
 		op: [2]telemetry.ArgID{
 			track.Outbound: sp.InternArgs(telemetry.KV{Key: "op", Value: "open"}),
@@ -151,7 +153,7 @@ func cartTrack(id track.CartID) string { return "cart-" + strconv.Itoa(int(id)) 
 
 // recordLaunch accounts one completed one-way trip: the Stats counters
 // and the undock-to-dock duration histogram.
-func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
+func (s *System) recordLaunch(c *cart, dyn launchDynamics) {
 	s.stats.Launches++
 	s.stats.Energy += dyn.energy
 	s.tel.launchSeconds.Observe(float64(s.Engine.Now() - c.scratch.launchStart))
@@ -159,7 +161,7 @@ func (s *System) recordLaunch(c *Cart, dyn launchDynamics) {
 
 // markReroute accounts a launch reverse-running over the opposite rail of
 // a dual-rail track around a blocked direction.
-func (s *System) markReroute(c *Cart, dir track.Direction) {
+func (s *System) markReroute(c *cart, dir track.Direction) {
 	s.stats.Reroutes++
 	s.tel.spans.RecordInstant(c.trackID, s.tel.ids.reroute, s.Engine.Now(), s.tel.args.dir[dir])
 }
@@ -167,7 +169,7 @@ func (s *System) markReroute(c *Cart, dir track.Direction) {
 // recordQueueWait observes how long a request sat in the FIFO between
 // arrival and resource acquisition, and logs the wait as a span annotated
 // with the request's op set when it was non-zero.
-func (s *System) recordQueueWait(c *Cart, op telemetry.ArgID, since units.Seconds) {
+func (s *System) recordQueueWait(c *cart, op telemetry.ArgID, since units.Seconds) {
 	now := s.Engine.Now()
 	s.tel.waitSeconds.Observe(float64(now - since))
 	if s.tel.spans != nil && since < now {
@@ -179,7 +181,7 @@ func (s *System) recordQueueWait(c *Cart, op telemetry.ArgID, since units.Second
 // phase decomposition. The ramps are the launch physics (dyn.ramp); any
 // stall delay stretches the cruise, since the plant cannot re-accelerate a
 // cart mid-tube.
-func (s *System) recordTransit(c *Cart, start, end units.Seconds, dyn launchDynamics, dir track.Direction) {
+func (s *System) recordTransit(c *cart, start, end units.Seconds, dyn launchDynamics, dir track.Direction) {
 	if s.tel.spans == nil {
 		return
 	}

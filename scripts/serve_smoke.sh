@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Serve smoke: the dhlserve binary end to end over loopback TCP. It starts
+# dhlserve on an ephemeral port, reads the bound address from its first
+# stdout line, drives it with `dhlload -live` (two cpclient loops for two
+# wall seconds), requires failed=0, then sends SIGTERM and requires the
+# server to log "drained cleanly". The exit trap stops the server on
+# every path, so no process outlives the script.
+#
+# Usage: scripts/serve_smoke.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+tmp="$(mktemp -d)"
+pid=""
+cleanup() {
+    if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
+        kill -KILL "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    fi
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+echo "== building dhlserve and dhlload"
+go build -o "$tmp/" ./cmd/dhlserve ./cmd/dhlload
+
+"$tmp/dhlserve" -addr 127.0.0.1:0 >"$tmp/serve.out" 2>"$tmp/serve.err" &
+pid=$!
+
+# The first stdout line is "DHL control plane on ADDR (...)".
+addr=""
+for _ in $(seq 100); do
+    addr="$(sed -n '1s/^DHL control plane on \([^ ]*\) .*/\1/p' "$tmp/serve.out")"
+    [ -n "$addr" ] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "FAIL: dhlserve printed no address" >&2
+    cat "$tmp/serve.out" "$tmp/serve.err" >&2
+    exit 1
+fi
+
+echo "== dhlload -live $addr -clients 2 -duration 2"
+"$tmp/dhlload" -live "$addr" -clients 2 -duration 2 | tee "$tmp/load.out"
+if ! grep -q ' failed=0 ' "$tmp/load.out"; then
+    echo "FAIL: live load had failed requests" >&2
+    exit 1
+fi
+
+echo "== SIGTERM: graceful drain"
+kill -TERM "$pid"
+status=0
+wait "$pid" || status=$?
+pid=""
+cat "$tmp/serve.err"
+if [ "$status" -ne 0 ] || ! grep -q 'drained cleanly' "$tmp/serve.err"; then
+    echo "FAIL: dhlserve exited $status without draining cleanly" >&2
+    exit 1
+fi
+echo "serve smoke: ok"
