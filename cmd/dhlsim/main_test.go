@@ -170,14 +170,38 @@ func TestCampusEpochZeroRecomputesOnlyOnFaults(t *testing.T) {
 	}
 }
 
-// metricsGoldens are command lines whose full output, the -metrics
-// summary included, is pinned in testdata/<name>.golden: a shuttle under
-// rough-day chaos with endpoint reads, and a campus under
-// campus-partition. Re-record one with
+// golden is one command line whose stdout is pinned in
+// testdata/<name>.golden.
+type golden struct{ name, args string }
+
+// metricsGoldens are the command lines whose full output is pinned: a
+// shuttle under rough-day chaos and a 200-cart campus under
+// campus-partition, both with the -metrics summary; the 1,000-cart campus
+// of EXPERIMENTS.md; the failure-rate sweep; and every fault scenario
+// replayed with its fault log (scenarioGoldens). Re-record one with
 // `go run ./cmd/dhlsim <args> > cmd/dhlsim/testdata/<name>.golden`.
-var metricsGoldens = []struct{ name, args string }{
+var metricsGoldens = append([]golden{
 	{"shuttle-rough-day", "-metrics -chaos rough-day -read -seed 7"},
 	{"campus-partition", "-campus -campus-carts 200 -chaos campus-partition -metrics -seed 3"},
+	{"campus-1000", "-campus -campus-carts 1000 -campus-trips 2 -chaos campus-partition -seed 3"},
+	{"failure-sweep", "-failure-sweep 0,0.1,0.3 -seed 1337 -read"},
+}, scenarioGoldens()...)
+
+// scenarioGoldens has one row per faults.Scenarios() entry, named
+// chaos-<scenario>: a shuttle scenario runs with endpoint reads, and a
+// campus-only one, whose script cannot be drawn without campus segments,
+// runs on a 200-cart campus.
+func scenarioGoldens() []golden {
+	shuttle := faults.Dims{Carts: 1, Stations: 1, DevicesPerCart: 1}
+	var rows []golden
+	for _, s := range faults.Scenarios() {
+		args := "-chaos " + s.Name + " -seed 1337 -read -fault-log"
+		if _, err := faults.ScenarioDims(s.Name, 1, 100, shuttle); err != nil {
+			args = "-campus -campus-carts 200 -chaos " + s.Name + " -seed 1337 -fault-log"
+		}
+		rows = append(rows, golden{"chaos-" + s.Name, args})
+	}
+	return rows
 }
 
 // TestMetricsGoldens pins each run's stdout byte for byte, so a change to
