@@ -543,8 +543,8 @@ func BenchmarkThermalAnalysis(b *testing.B) {
 
 // BenchmarkCampusSimulation runs the acceptance-scale tubenet campus: the
 // 1,000-cart fleet over the 20-station default campus under the
-// campus-partition chaos scenario — the workload scripts/bench.sh campus
-// pins in SIM_campus.json.
+// campus-partition chaos scenario — the run whose dhlsim report
+// cmd/dhlsim's TestMetricsGoldens pins in testdata/campus-1000.golden.
 func BenchmarkCampusSimulation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

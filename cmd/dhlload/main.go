@@ -5,7 +5,8 @@
 // execution, snapshot cache) over a real simulated deployment, all on a
 // virtual clock. The same flags and seed always produce a byte-identical
 // report, so overload behaviour (shed rates, brownout, goodput under 4×
-// saturation) is regression-testable and CI byte-compares two runs.
+// saturation) is regression-testable; go test pins four reports byte for
+// byte (testdata/*.golden).
 //
 // Modes:
 //
@@ -27,7 +28,6 @@
 //
 //	dhlload -clients 1000 -duration 300 -think 0.5
 //	dhlload -mode open -rate 200 -duration 120 -chaos rough-day
-//	dhlload -clients 64 -duration 60 -bench-out SIM_controlplane.json
 //	dhlload -live 127.0.0.1:7070 -clients 32 -duration 10
 package main
 
@@ -79,19 +79,13 @@ func main() {
 	} else {
 		fmt.Print(res.Report())
 	}
-	if o.benchOut != "" {
-		if err := writeBench(o.benchOut, res); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // cliOptions is everything one command line asks for.
 type cliOptions struct {
-	cfg      Config
-	live     string
-	benchOut string
-	json     bool
+	cfg  Config
+	live string
+	json bool
 }
 
 // parseArgs reads a command line (without the program name) into the run
@@ -117,7 +111,6 @@ func parseArgs(args []string) (cliOptions, error) {
 	fs.Float64Var(&c.Admission.Rate, "admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
 	fs.IntVar(&c.Admission.PerConn, "per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 
-	fs.StringVar(&o.benchOut, "bench-out", "", "write the result as benchmark JSON to this file")
 	fs.BoolVar(&o.json, "json", false, "print the result as JSON instead of the text report")
 	fs.StringVar(&o.live, "live", "", "drive a real server at this TCP address (wall clock)")
 	if err := fs.Parse(args); err != nil {
@@ -154,56 +147,4 @@ func parseArgs(args []string) (cliOptions, error) {
 		}
 	}
 	return o, nil
-}
-
-// benchJSON is the stable schema of SIM_controlplane.json, consumed by
-// CI trend tracking. Its latencies and req/s are virtual-time outcomes of
-// the simulated fleet, not the server's wall-clock speed. Field order and
-// formatting are fixed; two identical runs produce identical bytes.
-type benchJSON struct {
-	Name        string  `json:"name"`
-	Mode        string  `json:"mode"`
-	Clients     int     `json:"clients"`
-	DurationS   float64 `json:"duration_s"`
-	Seed        int64   `json:"seed"`
-	Chaos       string  `json:"chaos,omitempty"`
-	P50S        float64 `json:"p50_s"`
-	P90S        float64 `json:"p90_s"`
-	P99S        float64 `json:"p99_s"`
-	OfferedRPS  float64 `json:"offered_rps"`
-	GoodputRPS  float64 `json:"goodput_rps"`
-	Utilization float64 `json:"utilization"`
-	ShedBusy    int     `json:"shed_busy"`
-	Retries     int     `json:"retries"`
-	CtlStale    int     `json:"ctl_stale"`
-	OK          int     `json:"ok"`
-	Failed      int     `json:"failed"`
-}
-
-func writeBench(path string, r *Result) error {
-	b := benchJSON{
-		Name:        "controlplane-load",
-		Mode:        r.Config.Mode,
-		Clients:     r.Config.Clients,
-		DurationS:   r.Config.Duration,
-		Seed:        r.Config.Seed,
-		Chaos:       r.Config.Chaos,
-		P50S:        r.P50S,
-		P90S:        r.P90S,
-		P99S:        r.P99S,
-		OfferedRPS:  r.OfferedRPS,
-		GoodputRPS:  r.GoodputRPS,
-		Utilization: r.Utilization,
-		ShedBusy:    r.ShedBusy,
-		Retries:     r.Retries,
-		CtlStale:    r.CtlStale,
-		OK:          r.OK,
-		Failed:      r.Failed,
-	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
 }

@@ -85,6 +85,35 @@ func TestReportGoldens(t *testing.T) {
 	}
 }
 
+// TestGoldenFilesMatchRows: every row of goldenRuns has its file under
+// testdata/, and every file there belongs to a row, so a renamed or
+// dropped row cannot leave behind a golden that nothing checks.
+func TestGoldenFilesMatchRows(t *testing.T) {
+	rows := map[string]bool{}
+	for _, g := range goldenRuns {
+		if rows[g.name+".golden"] {
+			t.Errorf("two rows of goldenRuns are named %s", g.name)
+		}
+		rows[g.name+".golden"] = true
+	}
+	files, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, f := range files {
+		onDisk[f.Name()] = true
+		if !rows[f.Name()] {
+			t.Errorf("testdata/%s belongs to no row of goldenRuns", f.Name())
+		}
+	}
+	for _, g := range goldenRuns {
+		if !onDisk[g.name+".golden"] {
+			t.Errorf("row %s has no testdata/%s.golden", g.name, g.name)
+		}
+	}
+}
+
 // TestParseArgsRejectsBadValues: a NaN, infinite or out-of-range numeric
 // flag is an error naming the flag, never a silent default or a run that
 // hangs.
@@ -260,37 +289,6 @@ func TestChaosComposition(t *testing.T) {
 func TestUnknownChaosRejected(t *testing.T) {
 	if _, err := newHarness(configOf(t, "-chaos no-such-scenario")); err == nil {
 		t.Error("unknown scenario should fail fast")
-	}
-}
-
-// TestBenchOutputDeterministic: the benchmark JSON written for CI is
-// byte-identical across identical runs.
-func TestBenchOutputDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	p1, p2 := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	if err := writeBench(p1, runHarness(t, configOf(t, overloadArgs))); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBench(p2, runHarness(t, configOf(t, overloadArgs))); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Errorf("bench JSON differs:\n%s\nvs\n%s", b1, b2)
-	}
-	var bench benchJSON
-	if err := json.Unmarshal(b1, &bench); err != nil {
-		t.Fatal(err)
-	}
-	if bench.Name != "controlplane-load" || bench.P99S <= 0 || bench.OfferedRPS <= 0 {
-		t.Errorf("bench record incomplete: %+v", bench)
 	}
 }
 

@@ -8,11 +8,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 
@@ -32,7 +30,6 @@ type campusOptions struct {
 	horizon  float64
 	faultLog bool
 	metrics  bool
-	benchOut string
 	study    string
 }
 
@@ -119,11 +116,6 @@ func runCampus(opt campusOptions) {
 			fmt.Print(rollup)
 		}
 	}
-	if opt.benchOut != "" {
-		if err := writeCampusBench(opt.benchOut, opt, topo, res); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // runCampusStudy runs the chaos-vs-calm replica comparison: the same fleet
@@ -175,60 +167,4 @@ func runCampusStudy(opt campusOptions) {
 	}
 	row("calm", calmTot)
 	row(scenario, chaosTot)
-}
-
-// campusBenchJSON is the stable schema of SIM_campus.json, consumed by
-// CI trend tracking. Its transit times are simulated seconds, a model
-// output rather than a measure of the simulator's speed. Two identical runs
-// produce identical bytes (scripts/bench.sh campus runs twice and compares).
-type campusBenchJSON struct {
-	Name           string  `json:"name"`
-	Carts          int     `json:"carts"`
-	TripsPerCart   int     `json:"trips_per_cart"`
-	Stations       int     `json:"stations"`
-	Segments       int     `json:"segments"`
-	Seed           int64   `json:"seed"`
-	Chaos          string  `json:"chaos,omitempty"`
-	TripsCompleted int     `json:"trips_completed"`
-	TripsPending   int     `json:"trips_pending"`
-	Availability   float64 `json:"availability"`
-	TransitP50S    float64 `json:"transit_p50_s"`
-	TransitP99S    float64 `json:"transit_p99_s"`
-	Reroutes       int     `json:"reroutes"`
-	Loiters        int     `json:"loiters"`
-	Stalls         int     `json:"stalls"`
-	MaxQueue       int     `json:"max_queue"`
-	RouteEpochs    int     `json:"route_epochs"`
-	Events         int     `json:"events"`
-	ElapsedS       float64 `json:"elapsed_s"`
-}
-
-func writeCampusBench(path string, opt campusOptions, topo *tubenet.Topology, r tubenet.Result) error {
-	b := campusBenchJSON{
-		Name:           "campus-sim",
-		Carts:          r.Carts,
-		TripsPerCart:   opt.trips,
-		Stations:       len(topo.Stations()),
-		Segments:       topo.NumEdges(),
-		Seed:           opt.seed,
-		Chaos:          opt.chaos,
-		TripsCompleted: r.TripsCompleted,
-		TripsPending:   r.TripsPending,
-		Availability:   r.Availability(),
-		TransitP50S:    float64(r.TransitP50),
-		TransitP99S:    float64(r.TransitP99),
-		Reroutes:       r.Reroutes,
-		Loiters:        r.Loiters,
-		Stalls:         r.Stalls,
-		MaxQueue:       r.MaxQueue,
-		RouteEpochs:    r.RouteEpochs,
-		Events:         r.Events,
-		ElapsedS:       float64(r.Elapsed),
-	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
 }

@@ -12,7 +12,7 @@
 //	       [-timeout S] [-backoff S] [-failure-sweep R1,R2,...]
 //	       [-metrics] [-trace-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	dhlsim -campus [-campus-carts N] [-campus-trips N] [-campus-epoch S]
-//	       [-chaos campus-partition] [-fault-log] [-metrics] [-bench-out FILE]
+//	       [-chaos campus-partition] [-fault-log] [-metrics]
 //	       [-campus-study S1,S2,...]
 package main
 
@@ -65,7 +65,6 @@ func main() {
 		campusTrips = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
 		campusEpoch = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
 		campusStudy = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")
-		benchOut    = flag.String("bench-out", "", "campus mode: write p50/p99 transit and reroute counts as benchmark JSON to this file")
 	)
 	flag.Parse()
 
@@ -96,13 +95,9 @@ func main() {
 			horizon:  *horizon,
 			faultLog: *faultLog,
 			metrics:  *metrics,
-			benchOut: *benchOut,
 			study:    *campusStudy,
 		})
 		return
-	}
-	if *benchOut != "" {
-		log.Fatal("-bench-out is only meaningful with -campus")
 	}
 	dataset, err := units.ParseBytes(*datasetS)
 	if err != nil {

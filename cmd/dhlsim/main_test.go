@@ -225,6 +225,36 @@ func TestMetricsGoldens(t *testing.T) {
 	}
 }
 
+// TestGoldenFilesMatchRows: every row of metricsGoldens has its file under
+// testdata/, and every file there belongs to a row, so a renamed or
+// dropped row (a scenario leaving faults.Scenarios(), say) cannot leave
+// behind a golden that nothing checks.
+func TestGoldenFilesMatchRows(t *testing.T) {
+	rows := map[string]bool{}
+	for _, g := range metricsGoldens {
+		if rows[g.name+".golden"] {
+			t.Errorf("two rows of metricsGoldens are named %s", g.name)
+		}
+		rows[g.name+".golden"] = true
+	}
+	files, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, f := range files {
+		onDisk[f.Name()] = true
+		if !rows[f.Name()] {
+			t.Errorf("testdata/%s belongs to no row of metricsGoldens", f.Name())
+		}
+	}
+	for _, g := range metricsGoldens {
+		if !onDisk[g.name+".golden"] {
+			t.Errorf("row %s has no testdata/%s.golden", g.name, g.name)
+		}
+	}
+}
+
 // firstDiff renders the first line where want and got disagree.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -138,9 +138,8 @@ func tableNames(text, header string) []string {
 
 // TestDocsListEveryFaultKindAndScenario checks that DESIGN.md §8 names
 // exactly the fault kinds faults.Kinds returns and the scenarios
-// faults.ScenarioNames returns, and that scripts/chaos.sh replays every
-// scenario: the shuttle ones in its scenario loop, a campus-only one on a
-// -campus line.
+// faults.ScenarioNames returns. (cmd/dhlsim's TestMetricsGoldens replays
+// every scenario: its chaos rows are generated from the same table.)
 func TestDocsListEveryFaultKindAndScenario(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -157,32 +156,6 @@ func TestDocsListEveryFaultKindAndScenario(t *testing.T) {
 	}
 	if got := tableNames(sec, "| Scenario |"); !slices.Equal(got, faults.ScenarioNames()) {
 		t.Errorf("DESIGN.md §8 scenarios list %v, faults.ScenarioNames() is %v", got, faults.ScenarioNames())
-	}
-
-	b, err = os.ReadFile("scripts/chaos.sh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := string(b)
-	var loop []string
-	for _, line := range strings.Split(script, "\n") {
-		if list, ok := strings.CutPrefix(line, "scenarios="); ok {
-			loop = strings.Fields(strings.Trim(list, `"`))
-		}
-	}
-	shuttle := faults.Dims{Carts: 1, Stations: 1, DevicesPerCart: 1}
-	for _, name := range faults.ScenarioNames() {
-		// A scenario that cannot be drawn without campus segments is
-		// campus-only.
-		if _, err := faults.ScenarioDims(name, 1, 100, shuttle); err == nil {
-			if !slices.Contains(loop, name) {
-				t.Errorf("scripts/chaos.sh's scenario loop %v omits %s", loop, name)
-			}
-			continue
-		}
-		if !regexp.MustCompile(`-campus .*-chaos ` + regexp.QuoteMeta(name) + `\b`).MatchString(script) {
-			t.Errorf("scripts/chaos.sh has no -campus line replaying %s", name)
-		}
 	}
 }
 

@@ -262,8 +262,10 @@ func (c *Client) Close() error {
 // deadline (zero means none): each attempt's I/O deadline is the earlier
 // of attemptTimeout and the overall deadline, and a retry whose backoff
 // would overshoot the deadline is abandoned immediately — the deadline
-// propagates rather than being discovered by timing out. A request that
-// fails Validate returns that error without an attempt.
+// propagates rather than being discovered by timing out. An attempt that
+// fails at or after the deadline ends the request, counted as an attempt
+// only. A request that fails Validate returns that error without an
+// attempt.
 func (c *Client) Do(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
 	c.stats.Requests++
 	if err := req.Validate(); err != nil {
@@ -272,6 +274,12 @@ func (c *Client) Do(req controlplane.Request, deadline time.Time) (controlplane.
 	for attempt := 1; ; attempt++ {
 		resp, err := c.attempt(req, deadline)
 		c.stats.Attempts++
+		if err != nil && !deadline.IsZero() && !time.Now().Before(deadline) {
+			// The caller's own deadline ended the attempt, or came before
+			// its dial: no retry can follow, so it is not a transport
+			// fault, and the policy must not spend a token on it.
+			return resp, err
+		}
 		if err != nil {
 			c.stats.TransportErrors++
 		} else if resp.Code == controlplane.CodeServerBusy {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -313,6 +314,51 @@ func TestClientDeadlineStopsBackoff(t *testing.T) {
 	}
 	if st := c.Stats(); st.DeadlineDenied != 1 {
 		t.Errorf("stats = %+v, want 1 deadline denial", st)
+	}
+}
+
+// TestClientDeadlineCutIsNoFault: an attempt that the caller's own
+// deadline ends, against a peer that reads the request and never replies,
+// or that the deadline overtakes before its dial, is counted as an
+// attempt and nothing else: no transport error, no deadline denial, no
+// retry, and no budget token withdrawn for a retry that cannot happen.
+func TestClientDeadlineCutIsNoFault(t *testing.T) {
+	budget := NewBudget()
+	c := New(Options{Addr: "silent", Budget: budget})
+	dials := 0
+	c.dial = func(string, time.Duration) (net.Conn, error) {
+		dials++
+		client, server := net.Pipe()
+		t.Cleanup(func() { server.Close() })
+		go io.Copy(io.Discard, server)
+		return client, nil
+	}
+	c.sleep = func(d time.Duration) { t.Errorf("slept %v after the deadline", d) }
+	defer c.Close()
+	want := budget.tenths
+	check := func(label string, attempts uint64) {
+		t.Helper()
+		st := c.Stats()
+		if st.Attempts != attempts || st.TransportErrors != 0 || st.DeadlineDenied != 0 || st.Retries != 0 {
+			t.Errorf("%s: stats = %+v; want %d attempt(s) and no transport error, deadline denial or retry",
+				label, st, attempts)
+		}
+		if budget.tenths != want {
+			t.Errorf("%s: budget holds %d tenths, want %d untouched", label, budget.tenths, want)
+		}
+	}
+
+	if _, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Now().Add(50*time.Millisecond)); err == nil {
+		t.Fatal("a peer that never replies answered")
+	}
+	check("silent peer", 1)
+
+	if _, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Now().Add(-time.Second)); err == nil {
+		t.Fatal("a request past its deadline succeeded")
+	}
+	check("deadline before dial", 2)
+	if dials != 1 {
+		t.Errorf("%d dials; the request past its deadline must not dial", dials)
 	}
 }
 

@@ -8,8 +8,6 @@
 #   scripts/bench.sh                                  # sweep benches → BENCH_sweep.json
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
 #   scripts/bench.sh kernel                           # event-kernel hot path and shuttle overheads → BENCH_kernel.json
-#   scripts/bench.sh controlplane                     # dhlload overload run → SIM_controlplane.json
-#   scripts/bench.sh campus                           # 1000-cart campus chaos run → SIM_campus.json
 #   scripts/bench.sh repro [runs] [base-rev]          # dhlrepro wall time → BENCH_repro.json
 #
 # The sweep (no bench-regex given) skips the benchmarks the kernel and
@@ -35,19 +33,14 @@
 # no-speedup parallel run names its cause (a single-core host) instead of
 # looking like a pool bug.
 #
-# Every Go-benchmark mode records the host beside the results: cpu,
-# gomaxprocs, the Go version and the commit (`git rev-parse HEAD`, with a
-# -dirty suffix when tracked files other than BENCH_*.json and SIM_*.json
-# differ from it).
+# Every mode records the host beside the results: cpu, gomaxprocs, the Go
+# version and the commit (`git rev-parse HEAD`, with a -dirty suffix when
+# tracked files other than BENCH_*.json differ from it).
 #
-# The controlplane and campus modes record simulated (virtual-time) model
-# outputs, not the code's speed, hence their SIM_ prefix.
-#
-# The controlplane mode is not a Go benchmark: it runs the cmd/dhlload
-# virtual-time load harness at ~4x saturation (closed loop, fixed seed)
-# and records p50/p99 latency, offered vs goodput req/s, and shed counts.
-# The run is byte-deterministic — it is executed twice and the outputs
-# compared, so a nondeterminism regression fails the bench itself.
+# Every mode measures the code's speed. The simulators' model outputs
+# (sim-time transits, goodput, shed counts) are deterministic and pinned
+# byte for byte by go test instead: cmd/dhlsim's TestMetricsGoldens and
+# cmd/dhlload's TestReportGoldens.
 #
 # The repro mode times the end-to-end `dhlrepro` process: it builds
 # cmd/dhlrepro, runs it `runs` times (default 30) writing every artefact
@@ -57,48 +50,8 @@
 # `git archive` copy) and alternates the two binaries run by run, so both
 # sides see the same host noise; the base side is recorded under
 # "baseline".
-#
-# The campus mode follows the same pattern over internal/tubenet: the
-# acceptance-scale 1000-cart campus simulation under the campus-partition
-# chaos scenario, recording p50/p99 cart transit time and reroute counts.
-# Seed 3 is pinned because its fault draw exercises the trunk ring, so the
-# recorded run has a non-zero reroute count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if [[ "${1:-}" == "campus" ]]; then
-    out="SIM_campus.json"
-    campus_args=(-campus -campus-carts 1000 -campus-trips 2
-                 -chaos campus-partition -seed 3)
-    go run ./cmd/dhlsim "${campus_args[@]}" -bench-out "$out" > /dev/null
-    second="$(mktemp)"
-    trap 'rm -f "$second"' EXIT
-    go run ./cmd/dhlsim "${campus_args[@]}" -bench-out "$second" > /dev/null
-    if ! cmp -s "$out" "$second"; then
-        echo "bench.sh: campus runs diverged — determinism regression" >&2
-        diff "$out" "$second" >&2 || true
-        exit 1
-    fi
-    echo "wrote $out (two runs byte-identical)"
-    exit 0
-fi
-
-if [[ "${1:-}" == "controlplane" ]]; then
-    out="SIM_controlplane.json"
-    load_args=(-mode closed -clients 48 -duration 30 -seed 9
-               -think 0.1 -status-every 0.5 -max-queue 8)
-    go run ./cmd/dhlload "${load_args[@]}" -bench-out "$out"
-    second="$(mktemp)"
-    trap 'rm -f "$second"' EXIT
-    go run ./cmd/dhlload "${load_args[@]}" -bench-out "$second" > /dev/null
-    if ! cmp -s "$out" "$second"; then
-        echo "bench.sh: dhlload runs diverged — determinism regression" >&2
-        diff "$out" "$second" >&2 || true
-        exit 1
-    fi
-    echo "wrote $out (two runs byte-identical)"
-    exit 0
-fi
 
 if [[ "${1:-}" == "repro" ]]; then
     out="BENCH_repro.json"
@@ -127,7 +80,7 @@ if [[ "${1:-}" == "repro" ]]; then
         echo "bench.sh: note: $base and this checkout write different artefacts" >&2
     fi
     commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
-    if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json' ':(exclude)SIM_*.json'; then
+    if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
         commit="$commit-dirty"
     fi
     # quartiles prints {"median", "q1", "q3"} of one side's sorted times,
@@ -184,7 +137,7 @@ for ((pass = 1; pass <= count; pass++)); do
 done
 
 commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
-if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json' ':(exclude)SIM_*.json'; then
+if [[ "$commit" != unknown ]] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
     commit="$commit-dirty"
 fi
 

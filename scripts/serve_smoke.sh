@@ -2,8 +2,10 @@
 # Serve smoke: the dhlserve binary end to end over loopback TCP. It starts
 # dhlserve on an ephemeral port, reads the bound address from its first
 # stdout line, drives it with `dhlload -live` (two cpclient loops for two
-# wall seconds), requires failed=0, then sends SIGTERM and requires the
-# server to log "drained cleanly". The exit trap stops the server on
+# wall seconds), requires failed=0, transport_errors=0 and
+# deadline_denied=0 (the requests the run's own deadline cuts count as
+# cut=, not as client errors), then sends SIGTERM and requires the server
+# to log "drained cleanly". The exit trap stops the server on
 # every path, so no process outlives the script.
 #
 # Usage: scripts/serve_smoke.sh
@@ -43,10 +45,12 @@ fi
 
 echo "== dhlload -live $addr -clients 2 -duration 2"
 "$tmp/dhlload" -live "$addr" -clients 2 -duration 2 | tee "$tmp/load.out"
-if ! grep -q ' failed=0 ' "$tmp/load.out"; then
-    echo "FAIL: live load had failed requests" >&2
-    exit 1
-fi
+for want in ' failed=0 ' ' transport_errors=0 ' ' deadline_denied=0$'; do
+    if ! grep -q -- "$want" "$tmp/load.out"; then
+        echo "FAIL: live load report lacks '${want}'" >&2
+        exit 1
+    fi
+done
 
 echo "== SIGTERM: graceful drain"
 kill -TERM "$pid"
