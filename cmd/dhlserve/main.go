@@ -2,7 +2,10 @@
 // simulated DHL deployment's Open/Close/Read/Write/Status/Metrics API as
 // newline-delimited JSON. Telemetry is always on: status responses carry
 // the metrics snapshot, and the metrics op returns the Prometheus text
-// exposition of the deployment's registry.
+// exposition of the deployment's registry. Metrics are exact over the
+// server's life, but its span log keeps only the last 65 536 spans (and
+// instants); dhl_telemetry_dropped_records_total counts the records it
+// has evicted, so a long-running server's memory stays bounded.
 //
 // Usage:
 //

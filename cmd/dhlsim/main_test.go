@@ -184,7 +184,7 @@ var metricsGoldens = append([]golden{
 	{"shuttle-rough-day", "-metrics -chaos rough-day -read -seed 7"},
 	{"campus-partition", "-campus -campus-carts 200 -chaos campus-partition -metrics -seed 3"},
 	{"campus-1000", "-campus -campus-carts 1000 -campus-trips 2 -chaos campus-partition -seed 3"},
-	{"failure-sweep", "-failure-sweep 0,0.1,0.3 -seed 1337 -read"},
+	{"failure-sweep", "-failure-sweep 0,0.05,0.1,0.2,0.3,0.5 -seed 1337 -read"},
 }, scenarioGoldens()...)
 
 // scenarioGoldens has one row per faults.Scenarios() entry, named

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
 func TestCheckTraceAcceptsExporterOutput(t *testing.T) {
@@ -16,13 +17,34 @@ func TestCheckTraceAcceptsExporterOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := checkTrace(data)
+	n, dropped, err := checkTrace(data)
 	if err != nil {
 		t.Fatalf("exporter output rejected: %v", err)
 	}
 	// 2 tracks × 1 metadata event + 3 timeline events.
-	if n != 5 {
-		t.Errorf("checked %d events, want 5", n)
+	if n != 5 || dropped != 0 {
+		t.Errorf("checked %d events with %d dropped, want 5 and 0", n, dropped)
+	}
+}
+
+// TestCheckTraceReportsAWindow: the trace of a windowed log that dropped
+// records is valid, and the check reads how many it dropped.
+func TestCheckTraceReportsAWindow(t *testing.T) {
+	l := telemetry.NewSpanLog()
+	l.SetWindow(2)
+	for i := 0; i < 5; i++ {
+		l.Span("cart-0", "transit", units.Seconds(i), units.Seconds(i+1))
+	}
+	data, err := telemetry.ChromeTrace(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, dropped, err := checkTrace(data)
+	if err != nil {
+		t.Fatalf("windowed exporter output rejected: %v", err)
+	}
+	if n != 3 || dropped != 3 {
+		t.Errorf("checked %d events with %d dropped, want 3 and 3", n, dropped)
 	}
 }
 
@@ -42,10 +64,11 @@ func TestCheckTraceRejectsBadInput(t *testing.T) {
 			{"name": "b", "ph": "X", "ts": 50, "dur": 1, "pid": 1, "tid": 1}]}`, "sim-time order violated"},
 		{"missing dur", `{"traceEvents": [{"name": "x", "ph": "X", "ts": 1, "pid": 1, "tid": 1}]}`, "missing dur"},
 		{"negative dur", `{"traceEvents": [{"name": "x", "ph": "X", "ts": 1, "dur": -2, "pid": 1, "tid": 1}]}`, "negative dur"},
+		{"dropped not a count", `{"traceEvents": [], "otherData": {"dropped_records": "-3"}}`, "not a count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := checkTrace([]byte(tc.data))
+			_, _, err := checkTrace([]byte(tc.data))
 			if err == nil {
 				t.Fatal("invalid trace accepted")
 			}
@@ -63,7 +86,7 @@ func TestCheckTraceMetadataExemptFromOrdering(t *testing.T) {
 		{"name": "a", "ph": "X", "ts": 100, "dur": 5, "pid": 1, "tid": 1},
 		{"name": "thread_name", "ph": "M", "pid": 1, "tid": 2},
 		{"name": "b", "ph": "i", "ts": 200, "pid": 1, "tid": 2}]}`
-	if _, err := checkTrace([]byte(data)); err != nil {
+	if _, _, err := checkTrace([]byte(data)); err != nil {
 		t.Errorf("metadata between timeline events rejected: %v", err)
 	}
 }

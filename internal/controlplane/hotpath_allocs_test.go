@@ -63,30 +63,62 @@ func TestHotPathAllocsRefreshCache(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocsHandle pins one admitted simulation request through
-// handle — validation, admission, the semaphore, Execute and the cache
-// refresh — over an open/write/read/close cycle with telemetry off, whose
-// span log would otherwise grow.
-func TestHotPathAllocsHandle(t *testing.T) {
-	srv := newAllocServer(t, nil)
+// handleCycle returns a function that sends one open/write/read/close
+// cycle through srv.handle, and the count of requests that failed.
+func handleCycle(srv *Server) (func(), *int) {
 	cycle := []Request{
 		{Op: OpOpen}, {Op: OpWrite, Bytes: 1e6}, {Op: OpRead, Bytes: 1e6}, {Op: OpClose},
 	}
 	failed := 0
-	run := func() {
+	return func() {
 		for _, req := range cycle {
 			if resp := srv.handle(1, req); !resp.OK {
 				failed++
 			}
 		}
-	}
+	}, &failed
+}
+
+// TestHotPathAllocsHandle pins one admitted simulation request through
+// handle — validation, admission, the semaphore, Execute and the cache
+// refresh — over an open/write/read/close cycle with telemetry off.
+func TestHotPathAllocsHandle(t *testing.T) {
+	srv := newAllocServer(t, nil)
+	run, failed := handleCycle(srv)
 	for i := 0; i < 4; i++ {
 		run() // warm the event arena and request queues
 	}
 	if n := mallocs(run); n != 0 {
 		t.Errorf("handle: %d allocations over 100 open/write/read/close cycles, want 0", n)
 	}
-	if failed != 0 {
-		t.Fatalf("%d requests failed", failed)
+	if *failed != 0 {
+		t.Fatalf("%d requests failed", *failed)
+	}
+}
+
+// TestHotPathAllocsHandleTelemetry is TestHotPathAllocsHandle with
+// telemetry on, as dhlserve runs: once the server's span window is full,
+// each span overwrites the oldest in place, so the cycle allocates
+// nothing, spans and metrics included.
+func TestHotPathAllocsHandleTelemetry(t *testing.T) {
+	tel := telemetry.NewSet()
+	srv := newAllocServer(t, tel)
+	run, failed := handleCycle(srv)
+	// Fill the span window; every cycle records spans, so it is full
+	// within spanWindow cycles.
+	for i := 0; tel.Spans.Dropped() == 0; i++ {
+		if i == spanWindow {
+			t.Fatalf("%d cycles dropped no span; the server's span log is not windowed", i)
+		}
+		run()
+	}
+	if n := mallocs(run); n != 0 {
+		t.Errorf("handle: %d allocations over 100 open/write/read/close cycles, want 0", n)
+	}
+	if *failed != 0 {
+		t.Fatalf("%d requests failed", *failed)
+	}
+	if got := tel.Spans.Len() - tel.Spans.NumInstants(); got != spanWindow {
+		t.Errorf("server keeps %d spans, want the %d-span window", got, spanWindow)
 	}
 }

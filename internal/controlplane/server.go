@@ -63,6 +63,11 @@ const (
 	// CodeBadRequest and the connection dropped, so a peer streaming an
 	// endless line cannot balloon server memory.
 	maxRequestBytes = 1 << 20
+	// spanWindow bounds the span log of a served system to its last
+	// spanWindow spans and instants each (about 1.5 MB of spans). A server
+	// runs for its deployment's life, so a log that kept every record
+	// would grow with every request; metrics stay exact.
+	spanWindow = 1 << 16
 )
 
 // Server serves the §III-D API over TCP for one DHL deployment. The
@@ -129,7 +134,9 @@ type Server struct {
 
 // NewServerWithOptions wraps a system with explicit hardening options
 // (DefaultServerOptions for the defaults). The system must not be driven
-// elsewhere while the server owns it.
+// elsewhere while the server owns it. A system with a span log has it
+// windowed to the last spanWindow records, with the evicted count exported
+// as dhl_telemetry_dropped_records_total.
 func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error) {
 	if sys == nil {
 		return nil, errors.New("controlplane: nil system")
@@ -153,6 +160,11 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 		adm:             admit.New(opt.Admission),
 		readTimeout:     readTimeout,
 		maxRequestBytes: maxRequestBytes,
+	}
+	if spans := sys.Telemetry().SpansOf(); spans != nil {
+		spans.SetWindow(spanWindow)
+		sys.Telemetry().MetricsOf().CounterFunc("dhl_telemetry_dropped_records_total",
+			func() float64 { return float64(spans.Dropped()) })
 	}
 	s.ops = make([]opRecord, sys.NumCarts()+1)
 	for i := range s.ops {

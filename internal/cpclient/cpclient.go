@@ -146,6 +146,14 @@ func (b *Budget) Withdraw() bool {
 	return true
 }
 
+// refund returns the token Withdraw took for a retry that was then not
+// made, capped at the burst.
+func (b *Budget) refund() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tenths = min(b.tenths+tenthsPerToken, budgetBurst*tenthsPerToken)
+}
+
 // Success earns back a tenth of a token, capped at the burst.
 func (b *Budget) Success() {
 	b.mu.Lock()
@@ -261,11 +269,11 @@ func (c *Client) Close() error {
 // Do performs one request with retries, never exceeding the overall
 // deadline (zero means none): each attempt's I/O deadline is the earlier
 // of attemptTimeout and the overall deadline, and a retry whose backoff
-// would overshoot the deadline is abandoned immediately — the deadline
-// propagates rather than being discovered by timing out. An attempt that
-// fails at or after the deadline ends the request, counted as an attempt
-// only. A request that fails Validate returns that error without an
-// attempt.
+// would overshoot the deadline is abandoned immediately, its budget token
+// returned — the deadline propagates rather than being discovered by
+// timing out. An attempt that fails at or after the deadline ends the
+// request, counted as an attempt only. A request that fails Validate
+// returns that error without an attempt.
 func (c *Client) Do(req controlplane.Request, deadline time.Time) (controlplane.Response, error) {
 	c.stats.Requests++
 	if err := req.Validate(); err != nil {
@@ -297,7 +305,9 @@ func (c *Client) Do(req controlplane.Request, deadline time.Time) (controlplane.
 			return resp, fmt.Errorf("%w (after %v)", ErrBudgetExhausted, err)
 		case !deadline.IsZero() && time.Now().Add(wait).After(deadline):
 			// The backoff would outlive the caller's deadline: fail fast
-			// instead of sleeping into certain failure.
+			// instead of sleeping into certain failure, and give back the
+			// token Next took for the retry that will not happen.
+			c.policy.budget.refund()
 			c.stats.DeadlineDenied++
 			if err == nil {
 				err = fmt.Errorf("cpclient: deadline would expire during %v backoff", wait)

@@ -317,6 +317,26 @@ func TestClientDeadlineStopsBackoff(t *testing.T) {
 	}
 }
 
+// TestClientDeadlineDenialKeepsBudget: a busy reply whose retry-after
+// hint outlives the deadline is refused a retry, and the token the policy
+// took for that retry goes back to the budget.
+func TestClientDeadlineDenialKeepsBudget(t *testing.T) {
+	busy := &controlplane.Response{OK: false, Code: controlplane.CodeServerBusy, RetryAfterS: 30}
+	srv := newScriptServer(t, busy)
+	budget := NewBudget()
+	c, slept := newTestClient(srv, budget)
+	defer c.Close()
+	if _, err := c.Do(controlplane.Request{Op: controlplane.OpStatus}, time.Now().Add(time.Second)); err == nil {
+		t.Fatal("a shed request past its deadline succeeded")
+	}
+	if st := c.Stats(); st.Attempts != 1 || st.DeadlineDenied != 1 || st.Retries != 0 || len(*slept) != 0 {
+		t.Errorf("stats = %+v, slept %v; want 1 attempt, 1 deadline denial and no retry", st, *slept)
+	}
+	if want := budgetBurst * tenthsPerToken; budget.tenths != want {
+		t.Errorf("budget holds %d tenths after a refused retry, want the full %d", budget.tenths, want)
+	}
+}
+
 // TestClientDeadlineCutIsNoFault: an attempt that the caller's own
 // deadline ends, against a peer that reads the request and never replies,
 // or that the deadline overtakes before its dial, is counted as an

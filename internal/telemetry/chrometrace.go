@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"sort"
+	"strconv"
 )
 
 // Chrome trace_event exporter: renders a SpanLog as the JSON object format
@@ -28,6 +29,14 @@ type chromeEvent struct {
 type chromeTraceFile struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	OtherData       *traceWindow  `json:"otherData,omitempty"`
+}
+
+// traceWindow is the otherData of a trace whose log has dropped records:
+// the trace is a window, and DroppedRecords says how many records came
+// before it. The format's otherData values are strings.
+type traceWindow struct {
+	DroppedRecords string `json:"dropped_records"`
 }
 
 // secondsToMicros converts simulated seconds to trace microseconds.
@@ -56,8 +65,10 @@ func argsJSON(kv []KV) json.RawMessage {
 // ChromeTrace renders the span log as Chrome trace_event JSON. The output
 // is byte-deterministic for a given log: tracks get thread IDs in
 // first-appearance order (named via thread_name metadata), and events are
-// sorted by timestamp with recording order breaking ties. A nil log
-// yields an empty (but valid) trace.
+// sorted by timestamp with recording order breaking ties. A log whose
+// window has dropped records says so in otherData.dropped_records; any
+// other log's trace has no otherData. A nil log yields an empty (but
+// valid) trace.
 func ChromeTrace(l *SpanLog) ([]byte, error) {
 	const pid = 1
 	tids := make(map[string]int)
@@ -105,6 +116,9 @@ func ChromeTrace(l *SpanLog) ([]byte, error) {
 	f := chromeTraceFile{TraceEvents: events, DisplayTimeUnit: "ms"}
 	if f.TraceEvents == nil {
 		f.TraceEvents = []chromeEvent{}
+	}
+	if d := l.Dropped(); d > 0 {
+		f.OtherData = &traceWindow{DroppedRecords: strconv.FormatUint(d, 10)}
 	}
 	return json.MarshalIndent(f, "", " ")
 }

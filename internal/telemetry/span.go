@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/units"
@@ -80,10 +81,22 @@ type argKey struct {
 // requires it. All methods are no-ops on a nil receiver, making a
 // disabled trace cost one nil check per site.
 //
+// A log keeps every record unless SetWindow bounds it to the last N spans
+// and the last N instants; every reader then walks that window, oldest
+// first.
+//
 // Like Registry, a SpanLog belongs to one single-threaded simulation.
 type SpanLog struct {
 	recs     []spanRec
 	instRecs []instRec
+
+	// window, when positive, bounds each slab to its last window records.
+	// A full slab is a ring: the next record overwrites the oldest, at
+	// spanHead or instHead, in place, and dropped counts the records
+	// overwritten. An unbounded log keeps both heads at 0.
+	window             int
+	spanHead, instHead int
+	dropped            uint64
 
 	// strs is the intern table StrIDs index. Intern appends without
 	// dedup (hot callers intern each constant exactly once, at
@@ -118,7 +131,8 @@ func NewSpanLog() *SpanLog { return &SpanLog{} }
 // arg-store backing arrays — after a warm-up run, a recycled log records
 // with no allocations at all. Interned StrIDs and ArgIDs from before the
 // Reset are invalidated (both tables empty); re-intern after each Reset.
-// Safe on a nil receiver.
+// The window stays, and the dropped count restarts at 0. Safe on a nil
+// receiver.
 //
 //dhllint:hotpath
 func (l *SpanLog) Reset() {
@@ -127,11 +141,52 @@ func (l *SpanLog) Reset() {
 	}
 	l.recs = l.recs[:0]
 	l.instRecs = l.instRecs[:0]
+	l.spanHead, l.instHead, l.dropped = 0, 0, 0
 	l.strs = l.strs[:0]
 	clear(l.strIDs)
 	l.argLog = l.argLog[:0]
 	l.argSets = l.argSets[:0]
 	clear(l.argIDs)
+}
+
+// SetWindow bounds the log to its last n spans and its last n instants;
+// n ≤ 0 removes the bound. Records beyond the window are dropped, oldest
+// first, now and as later records arrive, and Dropped counts them; the
+// string and annotation tables are not trimmed. Once a slab holds n
+// records, recording overwrites in place and allocates nothing. Safe on a
+// nil receiver.
+func (l *SpanLog) SetWindow(n int) {
+	if l == nil {
+		return
+	}
+	n = max(n, 0)
+	var spans, insts int
+	l.recs, spans = rewindow(l.recs, l.spanHead, n)
+	l.instRecs, insts = rewindow(l.instRecs, l.instHead, n)
+	l.dropped += uint64(spans + insts)
+	l.window, l.spanHead, l.instHead = n, 0, 0
+}
+
+// rewindow returns a ring's records oldest first, trimmed to the newest n
+// when n > 0, and the number it trimmed.
+func rewindow[T any](ring []T, head, n int) ([]T, int) {
+	if head > 0 {
+		ring = slices.Concat(ring[head:], ring[:head])
+	}
+	if n == 0 || len(ring) <= n {
+		return ring, 0
+	}
+	drop := len(ring) - n
+	return append(ring[:0], ring[drop:]...), drop
+}
+
+// Dropped returns how many records the window has evicted since the log
+// was made or last Reset (0 on an unbounded or nil log).
+func (l *SpanLog) Dropped() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.dropped
 }
 
 // Intern adds s to the log's string table and returns its ID. It does not
@@ -230,14 +285,21 @@ func (l *SpanLog) RecordSpan(track, name StrID, start, end units.Seconds, args A
 	if end < start {
 		end = start
 	}
+	rec := spanRec{
+		start: float64(start), end: float64(end),
+		track: track, name: name, args: args,
+	}
+	if l.window > 0 && len(l.recs) == l.window {
+		l.recs[l.spanHead] = rec
+		l.spanHead = ringNext(l.spanHead, l.window)
+		l.dropped++
+		return
+	}
 	if l.recs == nil {
 		//dhllint:allow allocflow -- lazy first-use growth; steady state appends within capacity
 		l.recs = make([]spanRec, 0, spanLogInitialSpans)
 	}
-	l.recs = append(l.recs, spanRec{
-		start: float64(start), end: float64(end),
-		track: track, name: name, args: args,
-	})
+	l.recs = append(l.recs, rec)
 }
 
 // RecordInstant records a zero-duration event on interned IDs.
@@ -247,13 +309,35 @@ func (l *SpanLog) RecordInstant(track, name StrID, at units.Seconds, args ArgID)
 	if l == nil {
 		return
 	}
+	rec := instRec{at: float64(at), track: track, name: name, args: args}
+	if l.window > 0 && len(l.instRecs) == l.window {
+		l.instRecs[l.instHead] = rec
+		l.instHead = ringNext(l.instHead, l.window)
+		l.dropped++
+		return
+	}
 	if l.instRecs == nil {
 		//dhllint:allow allocflow -- lazy first-use growth; steady state appends within capacity
 		l.instRecs = make([]instRec, 0, spanLogInitialInstants)
 	}
-	l.instRecs = append(l.instRecs, instRec{
-		at: float64(at), track: track, name: name, args: args,
-	})
+	l.instRecs = append(l.instRecs, rec)
+}
+
+// ringNext returns the ring slot after i in a ring of n slots.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+// ringSlot returns the slab index of the k-th oldest of a ring's n
+// records, the oldest being at head.
+func ringSlot(k, head, n int) int {
+	if k += head; k >= n {
+		return k - n
+	}
+	return k
 }
 
 // Span records a completed interval by name — the string-keyed
@@ -276,9 +360,9 @@ func (l *SpanLog) argsOf(id ArgID) []KV {
 	return l.argLog[w.start:w.end:w.end]
 }
 
-// spanAt materialises record i.
-func (l *SpanLog) spanAt(i int) Span {
-	r := &l.recs[i]
+// spanAt materialises the k-th oldest span.
+func (l *SpanLog) spanAt(k int) Span {
+	r := &l.recs[ringSlot(k, l.spanHead, len(l.recs))]
 	return Span{
 		Track: l.strs[r.track], Name: l.strs[r.name],
 		Start: units.Seconds(r.start), End: units.Seconds(r.end),
@@ -286,9 +370,9 @@ func (l *SpanLog) spanAt(i int) Span {
 	}
 }
 
-// instantAt materialises instant record i.
-func (l *SpanLog) instantAt(i int) Instant {
-	r := &l.instRecs[i]
+// instantAt materialises the k-th oldest instant.
+func (l *SpanLog) instantAt(k int) Instant {
+	r := &l.instRecs[ringSlot(k, l.instHead, len(l.instRecs))]
 	return Instant{
 		Track: l.strs[r.track], Name: l.strs[r.name],
 		At:   units.Seconds(r.at),
@@ -296,7 +380,7 @@ func (l *SpanLog) instantAt(i int) Instant {
 	}
 }
 
-// Len returns the number of recorded spans plus instants (0 on nil).
+// Len returns the number of retained spans plus instants (0 on nil).
 func (l *SpanLog) Len() int {
 	if l == nil {
 		return 0
@@ -304,7 +388,7 @@ func (l *SpanLog) Len() int {
 	return len(l.recs) + len(l.instRecs)
 }
 
-// NumInstants returns the number of recorded instants (0 on nil).
+// NumInstants returns the number of retained instants (0 on nil).
 func (l *SpanLog) NumInstants() int {
 	if l == nil {
 		return 0
@@ -312,7 +396,7 @@ func (l *SpanLog) NumInstants() int {
 	return len(l.instRecs)
 }
 
-// EachSpan calls fn for every recorded span in recording order without
+// EachSpan calls fn for every retained span in recording order without
 // copying the log. fn must not record into the log.
 func (l *SpanLog) EachSpan(fn func(Span)) {
 	if l == nil {
@@ -323,7 +407,7 @@ func (l *SpanLog) EachSpan(fn func(Span)) {
 	}
 }
 
-// EachInstant calls fn for every recorded instant in recording order
+// EachInstant calls fn for every retained instant in recording order
 // without copying the log. fn must not record into the log.
 func (l *SpanLog) EachInstant(fn func(Instant)) {
 	if l == nil {
@@ -334,7 +418,7 @@ func (l *SpanLog) EachInstant(fn func(Instant)) {
 	}
 }
 
-// Spans returns a copy of the recorded spans in recording order. Exporters
+// Spans returns a copy of the retained spans in recording order. Exporters
 // that only walk the log should prefer EachSpan, which materialises
 // in place.
 func (l *SpanLog) Spans() []Span {
@@ -348,7 +432,7 @@ func (l *SpanLog) Spans() []Span {
 	return out
 }
 
-// Tracks returns every track name appearing in the log, first-appearance
+// Tracks returns every track name in the retained records, first-appearance
 // ordered (spans scanned before instants). The ordering is deterministic
 // because recording order is.
 func (l *SpanLog) Tracks() []string {
@@ -357,15 +441,15 @@ func (l *SpanLog) Tracks() []string {
 	}
 	seen := make(map[string]bool)
 	var out []string
-	for i := range l.recs {
-		t := l.strs[l.recs[i].track]
+	for k := range l.recs {
+		t := l.strs[l.recs[ringSlot(k, l.spanHead, len(l.recs))].track]
 		if !seen[t] {
 			seen[t] = true
 			out = append(out, t)
 		}
 	}
-	for i := range l.instRecs {
-		t := l.strs[l.instRecs[i].track]
+	for k := range l.instRecs {
+		t := l.strs[l.instRecs[ringSlot(k, l.instHead, len(l.instRecs))].track]
 		if !seen[t] {
 			seen[t] = true
 			out = append(out, t)

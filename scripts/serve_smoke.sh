@@ -4,9 +4,11 @@
 # stdout line, drives it with `dhlload -live` (two cpclient loops for two
 # wall seconds), requires failed=0, transport_errors=0 and
 # deadline_denied=0 (the requests the run's own deadline cuts count as
-# cut=, not as client errors), then sends SIGTERM and requires the server
-# to log "drained cleanly". The exit trap stops the server on
-# every path, so no process outlives the script.
+# cut=, not as client errors), then sends one metrics request over bash's
+# /dev/tcp and requires dhl_telemetry_dropped_records_total > 0 (the load
+# records far more spans than the server's span window keeps), then sends
+# SIGTERM and requires the server to log "drained cleanly". The exit trap
+# stops the server on every path, so no process outlives the script.
 #
 # Usage: scripts/serve_smoke.sh
 set -euo pipefail
@@ -51,6 +53,20 @@ for want in ' failed=0 ' ' transport_errors=0 ' ' deadline_denied=0$'; do
         exit 1
     fi
 done
+
+echo "== metrics: the span window has dropped records"
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '{"op":"metrics"}\n' >&3
+reply=""
+IFS= read -r -t 10 reply <&3 || true
+exec 3<&-
+dropped="$(grep -o 'dhl_telemetry_dropped_records_total [0-9][0-9.e+]*' <<<"$reply" | cut -d' ' -f2 || true)"
+echo "dhl_telemetry_dropped_records_total ${dropped:-missing}"
+if ! awk -v d="$dropped" 'BEGIN { exit !(d + 0 > 0) }'; then
+    echo "FAIL: metrics reply has no positive dhl_telemetry_dropped_records_total" >&2
+    echo "$reply" >&2
+    exit 1
+fi
 
 echo "== SIGTERM: graceful drain"
 kill -TERM "$pid"
