@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,7 +23,7 @@ import (
 // fills every field from dhlload's flags.
 type Config struct {
 	Mode     string  // "closed" or "open"
-	Clients  int     // concurrent clients (closed) or connections (open)
+	Clients  int     // concurrent clients (closed loop and -live)
 	Duration float64 // virtual seconds of offered load
 	Seed     int64
 
@@ -57,30 +56,6 @@ type Config struct {
 	RequestTimeout float64
 
 	Admission admit.Options
-}
-
-// MarshalJSON writes the config in the schema earlier reports used, so
-// -json output and the report goldens keep their bytes. The admission
-// block still leads with the executor slot count, now always 1, and the
-// retry block, whose settings are now cpclient's constants, records only
-// the seed; its other fields read 0, as they did when left at their
-// defaults.
-func (c Config) MarshalJSON() ([]byte, error) {
-	type fields Config // the same fields, without this method
-	type admission struct {
-		MaxInFlight int
-		admit.Options
-	}
-	type retry struct {
-		MaxAttempts, BaseDelay, Multiplier, MaxDelay, Jitter int
-		Seed                                                 int64
-		BudgetBurst, BudgetPerSuccess                        int
-	}
-	return json.Marshal(struct {
-		fields
-		Admission admission
-		Retry     retry
-	}{fields(c), admission{1, c.Admission}, retry{Seed: c.Seed}})
 }
 
 // apiCost and ctlCost are the fixed per-request overheads (seconds) added
@@ -256,10 +231,10 @@ func (h *harness) Run() (*Result, error) {
 // submit routes one request through the server's admission phase.
 // deliver is invoked exactly once, at the virtual time the response
 // reaches the client.
-func (h *harness) submit(conn int64, req controlplane.Request, deliver func(controlplane.Response)) {
+func (h *harness) submit(req controlplane.Request, deliver func(controlplane.Response)) {
 	h.res.Issued++
 	p := &inflight{req: req, deliver: deliver}
-	resp, out := h.srv.Admit(&p.tk, conn, req)
+	resp, out := h.srv.Admit(&p.tk, req)
 	if !out.Admitted {
 		h.res.ShedBusy++
 		// The shed reply still crosses the wire: deliver after the API
@@ -343,7 +318,6 @@ func (h *harness) statusProbe() {
 // loadClient is one closed-loop client: a state machine cycling
 // open → Ops×IO → close, retrying by cpclient's rule.
 type loadClient struct {
-	id      int64
 	cart    int
 	policy  *cpclient.Policy
 	rng     *rand.Rand
@@ -359,7 +333,6 @@ func (h *harness) startClosedLoop() {
 	}
 	for i := 0; i < h.cfg.Clients; i++ {
 		c := &loadClient{
-			id:     int64(i),
 			cart:   i % h.cfg.Carts,
 			policy: cpclient.NewPolicy(h.cfg.Seed*1_000_003+int64(i), h.budget),
 			rng:    rand.New(rand.NewSource(h.cfg.Seed*7_919 + int64(i))),
@@ -395,7 +368,7 @@ func (h *harness) clientIssue(c *loadClient) {
 
 func (h *harness) clientAttempt(c *loadClient) {
 	req := c.request(h.cfg)
-	h.submit(c.id, req, func(resp controlplane.Response) { h.clientDone(c, resp) })
+	h.submit(req, func(resp controlplane.Response) { h.clientDone(c, resp) })
 }
 
 func (h *harness) clientDone(c *loadClient, resp controlplane.Response) {
@@ -481,13 +454,13 @@ func (h *harness) startOpenLoop() error {
 			return
 		}
 		cart := rng.Intn(h.cfg.Carts)
-		conn := int64(rng.Intn(h.cfg.Clients))
+		rng.Intn(h.cfg.Clients) // the retired connection draw, kept for the RNG stream
 		op := controlplane.OpWrite
 		if rng.Float64() < h.cfg.ReadFrac {
 			op = controlplane.OpRead
 		}
 		began := h.now()
-		h.submit(conn, controlplane.Request{Op: op, Cart: cart, Bytes: h.cfg.Bytes},
+		h.submit(controlplane.Request{Op: op, Cart: cart, Bytes: h.cfg.Bytes},
 			func(resp controlplane.Response) {
 				if resp.OK {
 					h.succeeded(began)
@@ -540,11 +513,11 @@ func (r *Result) Report() string {
 	fmt.Fprintf(&b, "rates:     offered=%.6g/s goodput=%.6g/s utilization=%.4f\n",
 		r.OfferedRPS, r.GoodputRPS, r.Utilization)
 	b.WriteString("admission:\n")
-	fmt.Fprintf(&b, "  %-8s %-9s %-8s %-10s %-10s %-9s %-9s %s\n",
-		"class", "admitted", "queued", "rate-lim", "queue-full", "brownout", "per-conn", "abandoned")
+	fmt.Fprintf(&b, "  %-8s %-9s %-8s %-10s %-10s %-9s %s\n",
+		"class", "admitted", "queued", "rate-lim", "queue-full", "brownout", "abandoned")
 	for _, c := range r.Admission.Classes {
-		fmt.Fprintf(&b, "  %-8s %-9d %-8d %-10d %-10d %-9d %-9d %d\n",
-			c.Class, c.Admitted, c.Queued, c.RateLimited, c.QueueFull, c.Brownout, c.PerConn, c.Abandoned)
+		fmt.Fprintf(&b, "  %-8s %-9d %-8d %-10d %-10d %-9d %d\n",
+			c.Class, c.Admitted, c.Queued, c.RateLimited, c.QueueFull, c.Brownout, c.Abandoned)
 	}
 	fmt.Fprintf(&b, "sim:       time=%.6gs launches=%d bytes=%.6g faults=%d\n",
 		r.SimTimeS, r.Launches, r.BytesIO, r.Faults)

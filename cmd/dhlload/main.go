@@ -17,8 +17,8 @@
 //	               independent variable
 //
 // A -chaos scenario (see internal/faults) composes fault injection into
-// the same run. -max-queue, -admit-rate and -per-conn configure the
-// server's admission controller, which has one executor slot; closed-loop
+// the same run. -max-queue and -admit-rate configure the server's
+// admission controller, which has one executor slot; closed-loop
 // clients retry by internal/cpclient's one rule, whose only setting is
 // the seed (derived from -seed). -live ADDR switches to a wall-clock
 // driver hammering a real dhlserve over TCP instead of the virtual
@@ -94,7 +94,7 @@ func parseArgs(args []string) (cliOptions, error) {
 	var o cliOptions
 	c, fs := &o.cfg, flag.NewFlagSet("dhlload", flag.ContinueOnError)
 	fs.StringVar(&c.Mode, "mode", "closed", "load shape: closed or open")
-	fs.IntVar(&c.Clients, "clients", 100, "concurrent clients (closed) / connections (open)")
+	fs.IntVar(&c.Clients, "clients", 100, "concurrent clients, closed loop and -live only")
 	fs.Float64Var(&c.Duration, "duration", 120, "virtual seconds of offered load (wall seconds with -live)")
 	fs.Int64Var(&c.Seed, "seed", 1, "master seed: same seed, same report, byte for byte")
 	fs.Float64Var(&c.Think, "think", 1, "closed-loop think time between cycles, seconds")
@@ -109,7 +109,6 @@ func parseArgs(args []string) (cliOptions, error) {
 
 	fs.IntVar(&c.Admission.MaxQueue, "max-queue", admit.DefaultMaxQueue, "admission: bounded waiting room")
 	fs.Float64Var(&c.Admission.Rate, "admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
-	fs.IntVar(&c.Admission.PerConn, "per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 
 	fs.BoolVar(&o.json, "json", false, "print the result as JSON instead of the text report")
 	fs.StringVar(&o.live, "live", "", "drive a real server at this TCP address (wall clock)")
@@ -138,7 +137,6 @@ func parseArgs(args []string) (cliOptions, error) {
 		{"timeout", positive(c.RequestTimeout), "a positive number of seconds"},
 		{"max-queue", c.Admission.MaxQueue >= 1, "at least 1"},
 		{"admit-rate", nonNegative(c.Admission.Rate), "0 (off) or a positive rate"},
-		{"per-conn", c.Admission.PerConn >= 0, "0 (off) or more"},
 	} {
 		if !f.ok {
 			err := fmt.Errorf("invalid value %s for flag -%s: want %s", fs.Lookup(f.name).Value, f.name, f.want)

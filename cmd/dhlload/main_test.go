@@ -43,12 +43,12 @@ var update = flag.Bool("update", false, "rewrite the report goldens under testda
 
 // goldenRuns are command lines whose full reports are pinned under
 // testdata/: the CI overload run, an open loop, a chaos run and a
-// rate-limited, per-connection-capped run.
+// rate-limited run.
 var goldenRuns = []struct{ name, args string }{
 	{"ci-closed", "-mode closed -clients 48 -duration 30 -seed 9 -think 0.1 -status-every 0.5 -max-queue 8"},
 	{"open", "-mode open -rate 200 -duration 60 -seed 3"},
 	{"chaos-rough-day", "-chaos rough-day"},
-	{"admit-rate", "-admit-rate 5 -per-conn 1"},
+	{"admit-rate", "-admit-rate 5"},
 }
 
 // TestReportGoldens pins each golden run's text report and JSON result
@@ -122,7 +122,7 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 		"-duration NaN", "-duration -5", "-duration +Inf", "-think NaN", "-think -1",
 		"-clients 0", "-ops 0", "-read 1.5", "-read NaN", "-bytes -1", "-bytes NaN",
 		"-rate -3", "-rate NaN", "-carts -1", "-status-every NaN", "-timeout 0",
-		"-max-queue 0", "-admit-rate NaN", "-admit-rate -1", "-per-conn -1",
+		"-max-queue 0", "-admit-rate NaN", "-admit-rate -1",
 	} {
 		flagName := strings.Fields(args)[0]
 		_, err := parseArgs(strings.Fields(args))

@@ -11,9 +11,10 @@
 //
 //	dhlserve [-addr 127.0.0.1:7070] [-carts N] [-docks N] [-dual]
 //	         [-pprof ADDR] [-drain 5s] [-max-conns N]
-//	         [-max-queue N] [-admit-rate R] [-per-conn N]
+//	         [-max-queue N] [-admit-rate R]
 //
-// -max-queue defaults to admit.DefaultMaxQueue (64). A connection must
+// -max-queue defaults to admit.DefaultMaxQueue (64). A connection has one
+// request in flight at most: a pipelining peer waits its turn. It must
 // deliver each request frame within 30 s and keep it under 1 MiB; both
 // limits are fixed. SIGINT/SIGTERM drains in-flight exchanges for -drain,
 // then severs the stragglers and logs how many were cut off.
@@ -59,7 +60,6 @@ func main() {
 		maxConns  = flag.Int("max-conns", 0, "connection cap (0 off); excess connections get a busy reply")
 		maxQueue  = flag.Int("max-queue", admit.DefaultMaxQueue, "admission: bounded waiting room behind the simulation")
 		admitRate = flag.Float64("admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
-		perConn   = flag.Int("per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 	)
 	flag.Parse()
 
@@ -95,7 +95,6 @@ func main() {
 	sopt.MaxConns = *maxConns
 	sopt.Admission.MaxQueue = *maxQueue
 	sopt.Admission.Rate = *admitRate
-	sopt.Admission.PerConn = *perConn
 	srv, err := controlplane.NewServerWithOptions(sys, sopt)
 	if err != nil {
 		log.Fatal(err)

@@ -7,12 +7,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
+	"repro/internal/controlplane"
+	"repro/internal/cpclient"
 	"repro/internal/faults"
 	"repro/internal/lint"
 )
@@ -156,6 +160,30 @@ func TestDocsListEveryFaultKindAndScenario(t *testing.T) {
 	}
 	if got := tableNames(sec, "| Scenario |"); !slices.Equal(got, faults.ScenarioNames()) {
 		t.Errorf("DESIGN.md §8 scenarios list %v, faults.ScenarioNames() is %v", got, faults.ScenarioNames())
+	}
+}
+
+// TestDocsListEverySetting checks that DESIGN.md §11's "Settings kept"
+// paragraph names, in backticks, every exported field of the control
+// plane's three option types, so a setting cannot be added unlisted.
+func TestDocsListEverySetting(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(b), "\n## 11. ")
+	_, para, ok := strings.Cut(sec, "\n**Settings kept.**")
+	if !ok {
+		t.Fatal(`DESIGN.md §11 has no "Settings kept" paragraph`)
+	}
+	para, _, _ = strings.Cut(para, "\n\n")
+	for _, opt := range []any{controlplane.ServerOptions{}, admit.Options{}, cpclient.Options{}} {
+		typ := reflect.TypeOf(opt)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && !strings.Contains(para, "`"+f.Name+"`") {
+				t.Errorf("DESIGN.md §11 \"Settings kept\" does not name %s.%s", typ, f.Name)
+			}
+		}
 	}
 }
 

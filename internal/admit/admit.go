@@ -3,21 +3,22 @@
 // to run it now, let it wait in a bounded queue, or shed it with an
 // explicit retry-after hint.
 //
-// The controller composes four defences:
+// It models the control plane's one executor with three defences:
 //
 //   - A token-bucket rate limiter bounds sustained admission rate.
-//     Control-class requests (status/metrics reads) bypass the bucket so
-//     observability survives overload.
 //   - One executor slot plus a bounded waiting room replace unbounded
 //     queueing: once MaxQueue waiters are parked, further
 //     requests are rejected immediately with Outcome.RetryAfter derived
-//     from the queue depth and a smoothed service-time estimate.
-//   - A per-connection outstanding-request cap stops one pipelining peer
-//     from monopolising the waiting room.
+//     from the queue depth and a smoothed service-time estimate. An
+//     arrival runs at once only when the slot is free and nobody waits,
+//     so no arrival overtakes a queued request.
 //   - Brownout mode sheds expensive work first: when the queue passes
 //     half its capacity, launch-class requests (cart
 //     open/close — the multi-second operations) are rejected while
-//     cheaper IO continues to queue, and control reads still pass.
+//     cheaper IO continues to queue.
+//
+// Status and metrics reads never arrive here, and no connection has two
+// requests here at once: see controlplane.Server.
 //
 // Determinism contract: the controller never reads the wall clock, an
 // RNG, or the environment. Every method takes the caller's notion of
@@ -41,12 +42,8 @@ import (
 type Class int
 
 const (
-	// ClassControl: status/metrics reads. Never rate-limited, shed only
-	// when the waiting room is completely full (the server normally
-	// answers these from a cached snapshot without queueing at all).
-	ClassControl Class = iota
 	// ClassIO: read/write against a docked cart.
-	ClassIO
+	ClassIO Class = iota
 	// ClassLaunch: cart open/close — the expensive multi-second
 	// operations, first to go in brownout.
 	ClassLaunch
@@ -57,8 +54,6 @@ const (
 // String implements fmt.Stringer.
 func (c Class) String() string {
 	switch c {
-	case ClassControl:
-		return "control"
 	case ClassIO:
 		return "io"
 	case ClassLaunch:
@@ -69,7 +64,7 @@ func (c Class) String() string {
 }
 
 // Classes lists the priority classes in shed order (last shed first).
-func Classes() []Class { return []Class{ClassControl, ClassIO, ClassLaunch} }
+func Classes() []Class { return []Class{ClassIO, ClassLaunch} }
 
 // Reason explains a shed decision.
 type Reason int
@@ -84,9 +79,6 @@ const (
 	// ReasonBrownout: the queue passed the brownout threshold and the
 	// request's class is shed under brownout.
 	ReasonBrownout
-	// ReasonPerConn: the connection already has PerConn requests
-	// outstanding.
-	ReasonPerConn
 
 	numReasons
 )
@@ -102,8 +94,6 @@ func (r Reason) String() string {
 		return "queue-full"
 	case ReasonBrownout:
 		return "brownout"
-	case ReasonPerConn:
-		return "per-conn-limit"
 	default:
 		return "unknown"
 	}
@@ -116,13 +106,9 @@ type Options struct {
 	// MaxQueue bounds the waiting room behind the executor. Arrivals
 	// beyond it are shed with ReasonQueueFull. Default DefaultMaxQueue.
 	MaxQueue int
-	// PerConn caps outstanding (queued + running) requests per
-	// connection; 0 disables. A serial request/response connection never
-	// exceeds 1, so this bites only for pipelining peers.
-	PerConn int
 	// Rate is the token-bucket sustained admission rate in requests per
 	// second; 0 disables rate limiting. The bucket holds max(Rate, 1)
-	// tokens. Control-class requests bypass the bucket.
+	// tokens.
 	Rate float64
 }
 
@@ -169,7 +155,6 @@ type Outcome struct {
 // owned by a single request handler and must not be shared.
 type Ticket struct {
 	class  Class
-	conn   int64
 	start  time.Time
 	queued bool
 	done   bool
@@ -186,13 +171,12 @@ type ClassCounters struct {
 	RateLimited uint64 `json:"shed_rate_limited"`
 	QueueFull   uint64 `json:"shed_queue_full"`
 	Brownout    uint64 `json:"shed_brownout"`
-	PerConn     uint64 `json:"shed_per_conn"`
 	Abandoned   uint64 `json:"abandoned"`
 }
 
 // Shed is the total number of rejected requests in this class.
 func (c ClassCounters) Shed() uint64 {
-	return c.RateLimited + c.QueueFull + c.Brownout + c.PerConn
+	return c.RateLimited + c.QueueFull + c.Brownout
 }
 
 // Stats is a deterministic point-in-time snapshot of the controller:
@@ -214,8 +198,6 @@ type Controller struct {
 	inflight int
 	//dhllint:guardedby mu
 	queued int
-	//dhllint:guardedby mu
-	perConn map[int64]int
 	//dhllint:guardedby mu
 	tokens float64
 	//dhllint:guardedby mu
@@ -240,7 +222,6 @@ func New(opt Options) *Controller {
 	opt = opt.withDefaults()
 	return &Controller{
 		opt:        opt,
-		perConn:    make(map[int64]int),
 		tokens:     opt.burst(),
 		estService: serviceTimeHint.Seconds(),
 	}
@@ -303,13 +284,12 @@ func (c *Controller) brownoutLocked() bool {
 }
 
 // ArriveInto decides one request, filling the caller-owned ticket t,
-// which it overwrites. conn identifies the requesting connection for the
-// per-connection cap (pass a negative value to opt out). When the outcome
-// is Admitted, *t tracks the request and the caller must hand it back via
-// Done (after running) or Abandon (if it gave up while queued); otherwise
-// it reads as released. A handler that serves one request at a time can
-// reuse one Ticket and arrive without allocating.
-func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Time) Outcome {
+// which it overwrites. When the outcome is Admitted, *t tracks the request
+// and the caller must hand it back via Done (after running) or Abandon (if
+// it gave up while queued); otherwise it reads as released. A handler that
+// serves one request at a time can reuse one Ticket and arrive without
+// allocating.
+func (c *Controller) ArriveInto(t *Ticket, class Class, now time.Time) Outcome {
 	if class < 0 || class >= numClasses {
 		class = ClassIO
 	}
@@ -319,23 +299,23 @@ func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Tim
 	c.refillLocked(now)
 
 	// Rate limit first: it bounds offered work before any state is
-	// touched. Control reads bypass it — observability must survive.
-	if class != ClassControl && c.opt.Rate > 0 && c.tokens < 1 {
+	// touched.
+	if c.opt.Rate > 0 && c.tokens < 1 {
 		c.shed[class][ReasonRateLimited]++
 		return Outcome{Reason: ReasonRateLimited, RetryAfter: c.tokenRetryLocked()}
 	}
-	if c.opt.PerConn > 0 && conn >= 0 && c.perConn[conn] >= c.opt.PerConn {
-		c.shed[class][ReasonPerConn]++
-		return Outcome{Reason: ReasonPerConn, RetryAfter: c.retryAfterLocked()}
-	}
 
-	*t = Ticket{class: class, conn: conn, start: now}
-	if c.inflight == 0 {
-		c.admitLocked(t, now)
+	// Run at once only when the slot is free and nobody waits for it: a
+	// queued request that has not yet started keeps its turn.
+	if c.inflight == 0 && c.queued == 0 {
+		c.inflight++
+		c.admitted[class]++
+		c.chargeLocked()
+		*t = Ticket{class: class, start: now}
 		return Outcome{Admitted: true}
 	}
 
-	// Executor saturated: queue or shed.
+	// Executor busy or spoken for: queue or shed.
 	if c.queued >= c.opt.MaxQueue {
 		c.shed[class][ReasonQueueFull]++
 		return Outcome{Reason: ReasonQueueFull, RetryAfter: c.retryAfterLocked()}
@@ -344,43 +324,17 @@ func (c *Controller) ArriveInto(t *Ticket, class Class, conn int64, now time.Tim
 		c.shed[class][ReasonBrownout]++
 		return Outcome{Reason: ReasonBrownout, RetryAfter: c.retryAfterLocked()}
 	}
-	t.queued = true
 	c.queued++
 	c.everQueued[class]++
-	c.chargeLocked(t)
+	c.chargeLocked()
+	*t = Ticket{class: class, start: now, queued: true}
 	return Outcome{Admitted: true, Queued: true}
 }
 
-// admitLocked moves a ticket straight to running. Callers hold mu.
-func (c *Controller) admitLocked(t *Ticket, now time.Time) {
-	c.inflight++
-	c.admitted[t.class]++
-	t.start = now
-	c.chargeLocked(t)
-}
-
-// chargeLocked spends a token and takes a per-conn slot. Callers hold mu.
-func (c *Controller) chargeLocked(t *Ticket) {
-	if t.class != ClassControl && c.opt.Rate > 0 {
-		c.tokens--
-		if c.tokens < 0 {
-			c.tokens = 0
-		}
-	}
-	if c.opt.PerConn > 0 && t.conn >= 0 {
-		c.perConn[t.conn]++
-	}
-}
-
-// releaseConnLocked returns a per-conn slot. Callers hold mu.
-func (c *Controller) releaseConnLocked(t *Ticket) {
-	if c.opt.PerConn <= 0 || t.conn < 0 {
-		return
-	}
-	if n := c.perConn[t.conn] - 1; n > 0 {
-		c.perConn[t.conn] = n
-	} else {
-		delete(c.perConn, t.conn)
+// chargeLocked spends a token. Callers hold mu.
+func (c *Controller) chargeLocked() {
+	if c.opt.Rate > 0 {
+		c.tokens = max(c.tokens-1, 0)
 	}
 }
 
@@ -419,7 +373,6 @@ func (c *Controller) Abandon(t *Ticket) error {
 		c.inflight--
 	}
 	c.abandoned[t.class]++
-	c.releaseConnLocked(t)
 	return nil
 }
 
@@ -436,7 +389,6 @@ func (c *Controller) Done(t *Ticket, now time.Time) error {
 	}
 	t.done = true
 	c.inflight--
-	c.releaseConnLocked(t)
 	if dur := now.Sub(t.start).Seconds(); dur > 0 {
 		// EWMA with alpha 0.2: stable enough to price hints, fast
 		// enough to track a chaos-degraded service rate.
@@ -465,7 +417,6 @@ func (c *Controller) Snapshot() Stats {
 			RateLimited: c.shed[cl][ReasonRateLimited],
 			QueueFull:   c.shed[cl][ReasonQueueFull],
 			Brownout:    c.shed[cl][ReasonBrownout],
-			PerConn:     c.shed[cl][ReasonPerConn],
 			Abandoned:   c.abandoned[cl],
 		})
 	}

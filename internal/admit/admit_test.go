@@ -8,9 +8,9 @@ import (
 )
 
 // arrive runs ArriveInto on a fresh ticket, returned only when admitted.
-func arrive(c *Controller, class Class, conn int64, now time.Time) (*Ticket, Outcome) {
+func arrive(c *Controller, class Class, now time.Time) (*Ticket, Outcome) {
 	t := new(Ticket)
-	out := c.ArriveInto(t, class, conn, now)
+	out := c.ArriveInto(t, class, now)
 	if !out.Admitted {
 		return nil, out
 	}
@@ -37,19 +37,19 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 	c := New(Options{MaxQueue: 2})
 	now := at(0)
 
-	t1, o1 := arrive(c, ClassIO, 1, now)
+	t1, o1 := arrive(c, ClassIO, now)
 	if !o1.Admitted || o1.Queued || t1 == nil {
 		t.Fatalf("first arrival should run immediately: %+v", o1)
 	}
-	t2, o2 := arrive(c, ClassIO, 2, now)
+	t2, o2 := arrive(c, ClassIO, now)
 	if !o2.Admitted || !o2.Queued {
 		t.Fatalf("second arrival should queue: %+v", o2)
 	}
-	_, o3 := arrive(c, ClassIO, 3, now)
+	_, o3 := arrive(c, ClassIO, now)
 	if !o3.Admitted || !o3.Queued {
 		t.Fatalf("third arrival should queue: %+v", o3)
 	}
-	tk4, o4 := arrive(c, ClassIO, 4, now)
+	tk4, o4 := arrive(c, ClassIO, now)
 	if o4.Admitted || tk4 != nil {
 		t.Fatalf("fourth arrival should shed: %+v", o4)
 	}
@@ -60,12 +60,17 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 		t.Errorf("shed outcome must carry a retry-after hint, got %v", o4.RetryAfter)
 	}
 
-	// Finish the runner; promote a waiter; room opens up.
+	// Finish the runner. The free slot belongs to the waiters, so an
+	// arrival before the next one starts cannot run at once.
 	if err := c.Done(t1, at(0.2)); err != nil {
 		t.Fatal(err)
 	}
+	if _, o := arrive(c, ClassIO, at(0.2)); o.Admitted || o.Reason != ReasonQueueFull {
+		t.Fatalf("arrival with the slot free but two waiting = %+v, want a queue-full shed", o)
+	}
+	// Promote a waiter; room opens up.
 	c.Started(t2, at(0.2))
-	_, o5 := arrive(c, ClassIO, 5, at(0.2))
+	_, o5 := arrive(c, ClassIO, at(0.2))
 	if !o5.Admitted {
 		t.Fatalf("slot freed, arrival should queue again: %+v", o5)
 	}
@@ -78,17 +83,17 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 	c := New(Options{MaxQueue: 100})
 	now := at(0)
-	arrive(c, ClassIO, -1, now) // running
+	arrive(c, ClassIO, now) // running
 	var prev time.Duration
 	for i := 0; i < 20; i++ {
-		arrive(c, ClassIO, -1, now) // queue up
+		arrive(c, ClassIO, now) // queue up
 	}
 	// Shed probes at increasing depth must see non-decreasing hints.
 	c2 := New(Options{MaxQueue: 5})
-	arrive(c2, ClassIO, -1, now)
+	arrive(c2, ClassIO, now)
 	for i := 0; i < 5; i++ {
-		arrive(c2, ClassIO, -1, now)
-		_, o := arrive(c2, ClassControl, -1, now)
+		arrive(c2, ClassIO, now)
+		_, o := arrive(c2, ClassIO, now)
 		if o.Admitted {
 			continue
 		}
@@ -97,7 +102,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		}
 		prev = o.RetryAfter
 	}
-	_, o := arrive(c, ClassIO, -1, now)
+	_, o := arrive(c, ClassIO, now)
 	if !o.Admitted {
 		t.Fatalf("queue of 100 should still admit: %+v", o)
 	}
@@ -109,7 +114,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 		var got []bool
 		// 10 arrivals at 0.25s spacing against a 2/s bucket of burst 2.
 		for i := 0; i < 10; i++ {
-			tk, o := arrive(c, ClassIO, -1, at(float64(i)*0.25))
+			tk, o := arrive(c, ClassIO, at(float64(i)*0.25))
 			got = append(got, o.Admitted)
 			if tk != nil {
 				c.Done(tk, at(float64(i)*0.25+0.01))
@@ -133,81 +138,43 @@ func TestTokenBucketDeterministic(t *testing.T) {
 	}
 }
 
-func TestControlClassBypassesRateLimit(t *testing.T) {
-	c := New(Options{MaxQueue: 10, Rate: 1})
-	now := at(0)
-	arrive(c, ClassIO, -1, now) // drains the only token
-	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
-		t.Fatal("bucket empty, IO should shed")
-	} else if o.Reason != ReasonRateLimited {
-		t.Errorf("reason = %v", o.Reason)
-	}
-	if _, o := arrive(c, ClassControl, -1, now); !o.Admitted {
-		t.Errorf("control reads must bypass the bucket: %+v", o)
-	}
-}
-
 func TestBrownoutShedsLaunchFirst(t *testing.T) {
 	c := New(Options{MaxQueue: 10})
 	now := at(0)
-	arrive(c, ClassIO, -1, now) // running
-	for i := 0; i < 5; i++ {    // queue to the brownout threshold
-		if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
+	arrive(c, ClassIO, now)  // running
+	for i := 0; i < 5; i++ { // queue to the brownout threshold
+		if _, o := arrive(c, ClassIO, now); !o.Admitted {
 			t.Fatalf("fill %d: %+v", i, o)
 		}
 	}
-	if _, o := arrive(c, ClassLaunch, -1, now); o.Admitted {
+	if _, o := arrive(c, ClassLaunch, now); o.Admitted {
 		t.Fatal("launch should shed in brownout")
 	} else if o.Reason != ReasonBrownout {
 		t.Errorf("reason = %v, want brownout", o.Reason)
 	}
-	if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, now); !o.Admitted {
 		t.Errorf("IO should still queue during brownout: %+v", o)
-	}
-	if _, o := arrive(c, ClassControl, -1, now); !o.Admitted {
-		t.Errorf("control should still queue during brownout: %+v", o)
 	}
 	if !c.Snapshot().Brownout {
 		t.Error("snapshot should report brownout")
 	}
 }
 
-func TestPerConnCap(t *testing.T) {
-	c := New(Options{MaxQueue: 10, PerConn: 2})
-	now := at(0)
-	t1, _ := arrive(c, ClassIO, 7, now)
-	arrive(c, ClassIO, 7, now)
-	if _, o := arrive(c, ClassIO, 7, now); o.Admitted {
-		t.Fatal("third outstanding request on conn 7 should shed")
-	} else if o.Reason != ReasonPerConn {
-		t.Errorf("reason = %v", o.Reason)
-	}
-	// Other connections are unaffected.
-	if _, o := arrive(c, ClassIO, 8, now); !o.Admitted {
-		t.Errorf("conn 8 should admit: %+v", o)
-	}
-	// Finishing one frees the slot.
-	c.Done(t1, at(0.1))
-	if _, o := arrive(c, ClassIO, 7, now); !o.Admitted {
-		t.Errorf("slot freed, conn 7 should admit: %+v", o)
-	}
-}
-
 func TestAbandonReleasesQueueSlot(t *testing.T) {
 	c := New(Options{MaxQueue: 1})
 	now := at(0)
-	arrive(c, ClassIO, -1, now)
-	tq, o := arrive(c, ClassIO, -1, now)
+	arrive(c, ClassIO, now)
+	tq, o := arrive(c, ClassIO, now)
 	if !o.Queued {
 		t.Fatalf("should queue: %+v", o)
 	}
-	if _, o := arrive(c, ClassIO, -1, now); o.Admitted {
+	if _, o := arrive(c, ClassIO, now); o.Admitted {
 		t.Fatal("queue full")
 	}
 	if err := c.Abandon(tq); err != nil {
 		t.Fatal(err)
 	}
-	if _, o := arrive(c, ClassIO, -1, now); !o.Admitted {
+	if _, o := arrive(c, ClassIO, now); !o.Admitted {
 		t.Errorf("abandon should free the queue slot: %+v", o)
 	}
 	if err := c.Abandon(tq); err != ErrTicketReused {
@@ -222,7 +189,7 @@ func TestServiceEstimateTracksCompletions(t *testing.T) {
 	c := New(Options{})
 	est0 := c.Snapshot().EstServiceS
 	for i := 0; i < 40; i++ {
-		tk, _ := arrive(c, ClassIO, -1, at(float64(i)))
+		tk, _ := arrive(c, ClassIO, at(float64(i)))
 		c.Done(tk, at(float64(i)+2)) // 2s services
 	}
 	est := c.Snapshot().EstServiceS
@@ -238,7 +205,7 @@ func TestSnapshotJSONDeterministicOrder(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("snapshot marshal differs:\n%s\n%s", a, b)
 	}
-	want := `"classes":[{"class":"control"`
+	want := `"classes":[{"class":"io"`
 	if got := string(a); !contains(got, want) {
 		t.Errorf("classes not in fixed order: %s", got)
 	}
@@ -257,16 +224,16 @@ func contains(s, sub string) bool {
 // race detector can vet the locking (the counts themselves are checked
 // for conservation).
 func TestConcurrentUse(t *testing.T) {
-	c := New(Options{MaxQueue: 8, PerConn: 3, Rate: 1e9})
+	c := New(Options{MaxQueue: 8, Rate: 1e9})
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(conn int64) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				now := at(float64(i))
-				tk, o := arrive(c, ClassIO, conn, now)
+				tk, o := arrive(c, ClassIO, now)
 				if !o.Admitted {
 					continue
 				}
@@ -279,7 +246,7 @@ func TestConcurrentUse(t *testing.T) {
 				}
 				c.Done(tk, now.Add(time.Millisecond))
 			}
-		}(int64(w))
+		}()
 	}
 	wg.Wait()
 	s := c.Snapshot()
@@ -292,10 +259,10 @@ func TestConcurrentUse(t *testing.T) {
 // after request, an admitted ticket goes back exactly once, and a shed
 // arrival leaves the ticket reading as released.
 func TestArriveIntoReusesOneTicket(t *testing.T) {
-	c := New(Options{MaxQueue: 1, PerConn: 1})
+	c := New(Options{MaxQueue: 1})
 	var tk Ticket
 	for i := 0; i < 3; i++ {
-		if o := c.ArriveInto(&tk, ClassIO, 7, at(float64(i))); !o.Admitted || o.Queued {
+		if o := c.ArriveInto(&tk, ClassIO, at(float64(i))); !o.Admitted || o.Queued {
 			t.Fatalf("arrival %d: %+v", i, o)
 		}
 		if err := c.Done(&tk, at(float64(i)+0.5)); err != nil {
@@ -306,17 +273,20 @@ func TestArriveIntoReusesOneTicket(t *testing.T) {
 		}
 	}
 
-	var running Ticket
-	if o := c.ArriveInto(&running, ClassIO, 7, at(5)); !o.Admitted {
+	var running, waiting Ticket
+	if o := c.ArriveInto(&running, ClassIO, at(5)); !o.Admitted {
 		t.Fatalf("arrival: %+v", o)
 	}
-	if o := c.ArriveInto(&tk, ClassIO, 7, at(5)); o.Admitted || o.Reason != ReasonPerConn {
-		t.Fatalf("second arrival on conn 7 = %+v, want a per-conn shed", o)
+	if o := c.ArriveInto(&waiting, ClassIO, at(5)); !o.Queued {
+		t.Fatalf("second arrival = %+v, want it queued", o)
+	}
+	if o := c.ArriveInto(&tk, ClassIO, at(5)); o.Admitted || o.Reason != ReasonQueueFull {
+		t.Fatalf("third arrival = %+v, want a queue-full shed", o)
 	}
 	if err := c.Abandon(&tk); err != ErrTicketReused {
 		t.Errorf("abandon of a shed ticket: %v, want ErrTicketReused", err)
 	}
-	if s := c.Snapshot(); s.InFlight != 1 || s.QueueDepth != 0 {
-		t.Errorf("snapshot = %+v, want the one running request", s)
+	if s := c.Snapshot(); s.InFlight != 1 || s.QueueDepth != 1 {
+		t.Errorf("snapshot = %+v, want one running and one queued request", s)
 	}
 }

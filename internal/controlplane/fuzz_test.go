@@ -192,7 +192,7 @@ func serverReplyLines(tb testing.TB) []string {
 	}
 	var lines []string
 	for _, req := range []Request{{Op: OpOpen}, {Op: OpStatus}, {Op: OpMetrics}} {
-		line, err := AppendResponse(nil, srv.handle(1, req))
+		line, err := AppendResponse(nil, srv.handle(req))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func handleCycle(srv *Server) (func(), *int) {
 	failed := 0
 	return func() {
 		for _, req := range cycle {
-			if resp := srv.handle(1, req); !resp.OK {
+			if resp := srv.handle(req); !resp.OK {
 				failed++
 			}
 		}

@@ -1,8 +1,11 @@
 package controlplane
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,7 +61,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	srv := newOverloadServer(t, opt)
 
 	// Prime the snapshot cache, then saturate the simulation.
-	if resp := srv.handle(1, Request{Op: OpStatus}); !resp.OK || resp.Stale {
+	if resp := srv.handle(Request{Op: OpStatus}); !resp.OK || resp.Stale {
 		t.Fatalf("priming status = %+v", resp)
 	}
 	srv.sem <- struct{}{} // hold the simulation like a long-running op
@@ -70,7 +73,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = srv.handle(int64(10+i), Request{Op: OpWrite, Cart: 0, Bytes: 1e9})
+			results[i] = srv.handle(Request{Op: OpWrite, Cart: 0, Bytes: 1e9})
 		}(i)
 	}
 	waitFor(t, func() bool {
@@ -79,7 +82,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	})
 
 	// Queue is at the brownout threshold: launches shed first.
-	if resp := srv.handle(20, Request{Op: OpOpen, Cart: 0}); resp.Code != CodeServerBusy {
+	if resp := srv.handle(Request{Op: OpOpen, Cart: 0}); resp.Code != CodeServerBusy {
 		t.Errorf("launch during brownout = %+v", resp)
 	} else {
 		if !strings.Contains(resp.Error, "brownout") {
@@ -94,18 +97,18 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	var third Response
 	go func() {
 		defer wg.Done()
-		third = srv.handle(21, Request{Op: OpRead, Cart: 0, Bytes: 1e9})
+		third = srv.handle(Request{Op: OpRead, Cart: 0, Bytes: 1e9})
 	}()
 	waitFor(t, func() bool { return srv.adm.Snapshot().QueueDepth == 2 })
 	// ...and the next IO request finds the room full.
-	if resp := srv.handle(22, Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code != CodeServerBusy {
+	if resp := srv.handle(Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code != CodeServerBusy {
 		t.Errorf("IO past queue cap = %+v", resp)
 	} else if !strings.Contains(resp.Error, "queue-full") {
 		t.Errorf("want queue-full reason, got %q", resp.Error)
 	}
 
 	// Status and metrics stay answerable from the cached snapshot.
-	if resp := srv.handle(30, Request{Op: OpStatus}); !resp.OK || !resp.Stale {
+	if resp := srv.handle(Request{Op: OpStatus}); !resp.OK || !resp.Stale {
 		t.Errorf("status during saturation = %+v", resp)
 	} else if resp.Stats == nil {
 		t.Error("stale status must still carry stats")
@@ -124,7 +127,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	<-srv.sem // release
 
 	// Recovery: with the simulation free again, requests flow.
-	if resp := srv.handle(40, Request{Op: OpOpen, Cart: 0}); !resp.OK {
+	if resp := srv.handle(Request{Op: OpOpen, Cart: 0}); !resp.OK {
 		t.Errorf("post-overload open = %+v", resp)
 	}
 	st := srv.Admission()
@@ -161,7 +164,7 @@ func TestRateLimitDeterministicOnVirtualClock(t *testing.T) {
 		srv := newOverloadServer(t, opt)
 		var codes []string
 		for i := 0; i < 6; i++ {
-			resp := srv.handle(1, Request{Op: OpWrite, Cart: 0, Bytes: 1e9})
+			resp := srv.handle(Request{Op: OpWrite, Cart: 0, Bytes: 1e9})
 			codes = append(codes, resp.Code)
 			clk.Advance(400 * time.Millisecond)
 		}
@@ -194,16 +197,16 @@ func TestControlBypassesRateLimit(t *testing.T) {
 	opt := DefaultServerOptions()
 	opt.Admission = admit.Options{MaxQueue: 4, Rate: 0.001}
 	srv := newOverloadServer(t, opt)
-	if resp := srv.handle(1, Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code == CodeServerBusy {
+	if resp := srv.handle(Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code == CodeServerBusy {
 		t.Fatalf("first write should consume the only token, got %+v", resp)
 	}
-	if resp := srv.handle(1, Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code != CodeServerBusy {
+	if resp := srv.handle(Request{Op: OpWrite, Cart: 0, Bytes: 1e9}); resp.Code != CodeServerBusy {
 		t.Fatalf("second write should be rate-limited, got %+v", resp)
 	}
-	if resp := srv.handle(1, Request{Op: OpStatus}); !resp.OK {
+	if resp := srv.handle(Request{Op: OpStatus}); !resp.OK {
 		t.Errorf("status must bypass the bucket: %+v", resp)
 	}
-	if resp := srv.handle(1, Request{Op: OpMetrics}); resp.Code == CodeServerBusy {
+	if resp := srv.handle(Request{Op: OpMetrics}); resp.Code == CodeServerBusy {
 		t.Errorf("metrics must bypass the bucket: %+v", resp)
 	}
 }
@@ -223,16 +226,16 @@ func TestStaleMetricsServedDuringSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.handle(1, Request{Op: OpMetrics}); !resp.OK || resp.Stale {
+	if resp := srv.handle(Request{Op: OpMetrics}); !resp.OK || resp.Stale {
 		t.Fatalf("fresh metrics = %+v", resp)
 	}
 	srv.sem <- struct{}{}
 	defer func() { <-srv.sem }()
-	resp := srv.handle(1, Request{Op: OpMetrics})
+	resp := srv.handle(Request{Op: OpMetrics})
 	if !resp.OK || !resp.Stale || resp.Text == "" {
 		t.Errorf("saturated metrics = %+v", resp)
 	}
-	if resp := srv.handle(1, Request{Op: OpStatus}); !resp.OK || !resp.Stale {
+	if resp := srv.handle(Request{Op: OpStatus}); !resp.OK || !resp.Stale {
 		t.Errorf("saturated status = %+v", resp)
 	}
 }
@@ -245,7 +248,7 @@ func TestColdCacheFallsBackToWaiting(t *testing.T) {
 	srv := newOverloadServer(t, opt)
 	srv.sem <- struct{}{}
 	defer func() { <-srv.sem }()
-	resp := srv.handle(1, Request{Op: OpStatus})
+	resp := srv.handle(Request{Op: OpStatus})
 	if resp.OK || resp.Code != CodeServerBusy {
 		t.Errorf("cold-cache saturated status = %+v", resp)
 	}
@@ -265,11 +268,11 @@ func TestStaleStatusSurvivesRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.handle(1, Request{Op: OpOpen}); !resp.OK {
+	if resp := srv.handle(Request{Op: OpOpen}); !resp.OK {
 		t.Fatalf("open = %+v", resp)
 	}
 	srv.sem <- struct{}{}
-	stale := srv.handle(1, Request{Op: OpStatus})
+	stale := srv.handle(Request{Op: OpStatus})
 	<-srv.sem
 	if !stale.OK || !stale.Stale || stale.Metrics == nil {
 		t.Fatalf("saturated status = %+v", stale)
@@ -278,7 +281,7 @@ func TestStaleStatusSurvivesRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.handle(1, Request{Op: OpClose}); !resp.OK {
+	if resp := srv.handle(Request{Op: OpClose}); !resp.OK {
 		t.Fatalf("close = %+v", resp)
 	}
 	after, err := json.Marshal(stale)
@@ -293,5 +296,156 @@ func TestStaleStatusSurvivesRefresh(t *testing.T) {
 	srv.cacheMu.Unlock()
 	if launches != stale.Stats.Launches+1 {
 		t.Errorf("cache shows %d launches after the close, stale reply %d; want one more", launches, stale.Stats.Launches)
+	}
+}
+
+// TestQueuedRequestKeepsItsTurn drives the request phases as two handlers
+// and a late arrival would: A runs, B waits for the simulation, A
+// finishes, and C arrives before B has taken the simulation. C must queue
+// behind B, so the ledger never shows two requests on the one executor.
+func TestQueuedRequestKeepsItsTurn(t *testing.T) {
+	srv := newOverloadServer(t, DefaultServerOptions())
+	reqA := Request{Op: OpOpen, Cart: 0}
+	reqB := Request{Op: OpOpen, Cart: 1}
+	reqC := Request{Op: OpWrite, Cart: 0, Bytes: 1e9}
+	var a, b, c admit.Ticket
+
+	if _, out := srv.Admit(&a, reqA); !out.Admitted || out.Queued {
+		t.Fatalf("A = %+v, want it run at once", out)
+	}
+	if !srv.TryAcquire() {
+		t.Fatal("A found the simulation held")
+	}
+	srv.Start(&a)
+	srv.Execute(reqA)
+	if _, out := srv.Admit(&b, reqB); !out.Queued {
+		t.Fatalf("B = %+v, want it queued behind A", out)
+	}
+	srv.Finish(&a)
+
+	_, outC := srv.Admit(&c, reqC)
+	if !outC.Admitted || !outC.Queued {
+		t.Errorf("C = %+v, want it queued behind B", outC)
+	}
+	if !srv.TryAcquire() {
+		t.Fatal("B found the simulation held after A finished")
+	}
+	srv.Start(&b)
+	if s := srv.Admission(); s.InFlight != 1 {
+		t.Errorf("with B started, in flight = %d, want 1", s.InFlight)
+	}
+	srv.Execute(reqB)
+	srv.Finish(&b)
+
+	if !srv.TryAcquire() {
+		t.Fatal("C found the simulation held after B finished")
+	}
+	srv.Start(&c)
+	if resp := srv.Execute(reqC); !resp.OK {
+		t.Errorf("C = %+v", resp)
+	}
+	srv.Finish(&c)
+	if s := srv.Admission(); s.InFlight != 0 || s.QueueDepth != 0 {
+		t.Errorf("after all three finished: %+v", s)
+	}
+}
+
+// TestPipelinedFramesRunOneAtATime: a peer that writes several op frames
+// in one write gets one reply per frame, in order, and the connection
+// never has two requests in admission at once, so none of them queues.
+func TestPipelinedFramesRunOneAtATime(t *testing.T) {
+	srv, addr := startServer(t, dhlsys.DefaultOptions())
+	reqs := []Request{
+		{Op: OpOpen, Cart: 0},
+		{Op: OpRead, Cart: 1, Bytes: 1e9}, // cart 1 is still in the library
+		{Op: OpWrite, Cart: 0, Bytes: 1e9},
+		{Op: OpRead, Cart: 0, Bytes: 1e9},
+		{Op: OpClose, Cart: 0},
+		{Op: OpClose, Cart: 0}, // already back in the library
+	}
+	wantCodes := []string{"", CodeNotDocked, "", "", "", CodeNotDocked}
+	var frames []byte
+	for _, req := range reqs {
+		var err error
+		if frames, err = AppendRequest(frames, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for i, want := range wantCodes {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		resp, err := DecodeResponse(line)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if resp.Code != want {
+			t.Errorf("reply %d to %+v has code %q, want %q", i, reqs[i], resp.Code, want)
+		}
+	}
+	st := srv.Admission()
+	var admitted, queued uint64
+	for _, c := range st.Classes {
+		admitted += c.Admitted
+		queued += c.Queued
+	}
+	if admitted != uint64(len(reqs)) || queued != 0 || st.InFlight != 0 || st.QueueDepth != 0 {
+		t.Errorf("ledger after %d pipelined ops: admitted %d, queued %d, %+v; want every op admitted unqueued",
+			len(reqs), admitted, queued, st)
+	}
+}
+
+// TestControlReadsBypassAdmission: status and metrics reads never reach
+// the admission controller, whether answered fresh, stale while the
+// simulation is held, or refused after the cold-cache wait, so its ledger
+// stays that of a new controller.
+func TestControlReadsBypassAdmission(t *testing.T) {
+	sysOpt := dhlsys.DefaultOptions()
+	sysOpt.Telemetry = telemetry.NewSet()
+	sys, err := dhlsys.New(sysOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultServerOptions()
+	opt.RequestTimeout = 50 * time.Millisecond
+	srv, err := NewServerWithOptions(sys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []Request{{Op: OpStatus}, {Op: OpMetrics}}
+
+	srv.sem <- struct{}{} // cold cache, simulation held: wait, then busy
+	for _, req := range reads {
+		if resp := srv.handle(req); resp.Code != CodeServerBusy {
+			t.Errorf("cold-cache %s = %+v, want busy", req.Op, resp)
+		}
+	}
+	<-srv.sem
+	for _, req := range reads {
+		if resp := srv.handle(req); !resp.OK || resp.Stale {
+			t.Errorf("fresh %s = %+v", req.Op, resp)
+		}
+	}
+	srv.sem <- struct{}{}
+	for _, req := range reads {
+		if resp := srv.handle(req); !resp.OK || !resp.Stale {
+			t.Errorf("stale %s = %+v", req.Op, resp)
+		}
+	}
+	<-srv.sem
+
+	if got, want := srv.Admission(), admit.New(opt.Admission).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("control reads touched admission:\n got  %+v\n want %+v", got, want)
 	}
 }

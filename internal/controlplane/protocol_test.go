@@ -411,7 +411,7 @@ func TestServerRepliesParseCanonically(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, req := range []Request{{Op: OpOpen}, {Op: OpWrite, Bytes: 1e9}, {Op: OpRead, Bytes: 1e9}} {
-			if resp := srv.handle(1, req); !resp.OK {
+			if resp := srv.handle(req); !resp.OK {
 				t.Fatalf("%+v: %+v", req, resp)
 			}
 		}
@@ -461,7 +461,7 @@ func TestFreshAndCachedControlRepliesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, req := range []Request{{Op: OpOpen}, {Op: OpWrite, Bytes: 1e9}, {Op: OpRead, Bytes: 1e9}} {
-			if resp := srv.handle(1, req); !resp.OK {
+			if resp := srv.handle(req); !resp.OK {
 				t.Fatalf("%+v: %+v", req, resp)
 			}
 		}

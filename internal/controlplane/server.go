@@ -101,10 +101,6 @@ type Server struct {
 	// conns tracks live connections so Close can sever stragglers.
 	//dhllint:guardedby connMu
 	conns map[net.Conn]struct{}
-	// nextConnID numbers connections for the per-connection admission
-	// cap.
-	//dhllint:guardedby connMu
-	nextConnID int64
 	// severed counts connections forcibly closed by Close's drain
 	// deadline.
 	//dhllint:guardedby connMu
@@ -266,8 +262,7 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		backoff = 0
-		id, st := s.track(conn)
-		switch st {
+		switch s.track(conn) {
 		case trackRefused:
 			// Over the connection cap: answer structurally so a
 			// well-behaved client backs off instead of redialling hot.
@@ -289,7 +284,7 @@ func (s *Server) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
-			s.serveConn(id, conn)
+			s.serveConn(conn)
 		}()
 	}
 }
@@ -302,22 +297,21 @@ const (
 	trackClosing
 )
 
-// track registers a live connection and assigns its ID; it refuses once
-// shutdown has begun or the connection cap is reached.
-func (s *Server) track(conn net.Conn) (int64, trackStatus) {
+// track registers a live connection; it refuses once shutdown has begun
+// or the connection cap is reached.
+func (s *Server) track(conn net.Conn) trackStatus {
 	select {
 	case <-s.closed:
-		return 0, trackClosing
+		return trackClosing
 	default:
 	}
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.opt.MaxConns > 0 && len(s.conns) >= s.opt.MaxConns {
-		return 0, trackRefused
+		return trackRefused
 	}
 	s.conns[conn] = struct{}{}
-	s.nextConnID++
-	return s.nextConnID, trackOK
+	return trackOK
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -400,7 +394,10 @@ func framePending(conn net.Conn, br *bufio.Reader) bool {
 	return err == nil
 }
 
-func (s *Server) serveConn(connID int64, conn net.Conn) {
+// serveConn answers a connection's requests in order, reading each frame
+// only after writing the last reply, so a connection never has two
+// requests in admission, even when its peer pipelines.
+func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	var out []byte // the reply frame, reused for every request
@@ -440,7 +437,7 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 			writeResponse(conn, out, Response{OK: false, Error: err.Error(), Code: CodeBadRequest})
 			return // malformed frame: the stream may be desynchronised
 		}
-		if out, err = writeResponse(conn, out, s.handle(connID, req)); err != nil {
+		if out, err = writeResponse(conn, out, s.handle(req)); err != nil {
 			return
 		}
 	}
@@ -487,14 +484,10 @@ func (s *Server) release() {
 
 // classOf maps an op to its admission priority class.
 func classOf(op Op) admit.Class {
-	switch op {
-	case OpStatus, OpMetrics:
-		return admit.ClassControl
-	case OpOpen, OpClose:
+	if op == OpOpen || op == OpClose {
 		return admit.ClassLaunch
-	default:
-		return admit.ClassIO
 	}
+	return admit.ClassIO
 }
 
 // busyResponse builds the structured load-shed reply.
@@ -508,16 +501,17 @@ func busyResponse(msg string, retryAfter time.Duration) Response {
 }
 
 // handle executes one request: control reads through the snapshot path,
-// everything else through admission and the simulation. It composes the
-// request phases below around acquire, the one wall-clock wait, which is
-// both the admission queue's and the simulation semaphore's.
-func (s *Server) handle(connID int64, req Request) Response {
+// which never enters admission, everything else through admission and the
+// simulation. It composes the request phases below around acquire, the one
+// wall-clock wait, which is both the admission queue's and the simulation
+// semaphore's.
+func (s *Server) handle(req Request) Response {
 	if req.Op == OpStatus || req.Op == OpMetrics {
 		return s.handleControl(req)
 	}
 	// The admit methods do not keep the ticket, so it stays on the stack.
 	var tk admit.Ticket
-	if resp, out := s.Admit(&tk, connID, req); !out.Admitted {
+	if resp, out := s.Admit(&tk, req); !out.Admitted {
 		return resp
 	}
 	if !s.acquire() {
@@ -538,11 +532,11 @@ func (s *Server) handle(connID int64, req Request) Response {
 // filling tk. A request the outcome does not admit is answered with the
 // returned reply; an admitted one may run at once, or must wait for the
 // simulation when the outcome is Queued.
-func (s *Server) Admit(tk *admit.Ticket, connID int64, req Request) (Response, admit.Outcome) {
+func (s *Server) Admit(tk *admit.Ticket, req Request) (Response, admit.Outcome) {
 	if err := req.Validate(); err != nil {
 		return Response{OK: false, Error: err.Error(), Code: CodeBadRequest}, admit.Outcome{}
 	}
-	out := s.adm.ArriveInto(tk, classOf(req.Op), connID, s.now())
+	out := s.adm.ArriveInto(tk, classOf(req.Op), s.now())
 	if !out.Admitted {
 		return busyResponse("overloaded: "+out.Reason.String(), out.RetryAfter), out
 	}
@@ -612,16 +606,17 @@ func (s *Server) Execute(req Request) Response {
 
 // Finish completes a request that held the simulation and releases it.
 // An op (tk non-nil) publishes its snapshot to control reads and closes
-// its ticket; a status or metrics read (tk nil) was not admitted, and
-// Execute has already refreshed the snapshot it answered from. A
-// virtual-time driver calls Finish at the request's completion instant,
-// so an op's snapshot appears no earlier.
+// its ticket before the simulation is released, so the ledger never
+// counts the op's successor as running beside it; a status or metrics
+// read (tk nil) was not admitted, and Execute has already refreshed the
+// snapshot it answered from. A virtual-time driver calls Finish at the
+// request's completion instant, so an op's snapshot appears no earlier.
 func (s *Server) Finish(tk *admit.Ticket) {
 	if tk != nil {
 		s.refreshCache()
 	}
-	s.release()
 	s.adm.Done(tk, s.now())
+	s.release()
 }
 
 // handleControl answers status/metrics. Fast path: the simulation is

@@ -4,8 +4,10 @@
 # stdout line, drives it with `dhlload -live` (two cpclient loops for two
 # wall seconds), requires failed=0, transport_errors=0 and
 # deadline_denied=0 (the requests the run's own deadline cuts count as
-# cut=, not as client errors), then sends one metrics request over bash's
-# /dev/tcp and requires dhl_telemetry_dropped_records_total > 0 (the load
+# cut=, not as client errors), then pipelines status, status and metrics
+# in one write over bash's /dev/tcp and requires their three replies in
+# order (two with "stats":, then one with "text":), then sends one metrics
+# request and requires dhl_telemetry_dropped_records_total > 0 (the load
 # records far more spans than the server's span window keeps), then sends
 # SIGTERM and requires the server to log "drained cleanly". The exit trap
 # stops the server on every path, so no process outlives the script.
@@ -53,6 +55,20 @@ for want in ' failed=0 ' ' transport_errors=0 ' ' deadline_denied=0$'; do
         exit 1
     fi
 done
+
+echo "== pipelined frames: three requests in one write, three replies in order"
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '{"op":"status"}\n{"op":"status"}\n{"op":"metrics"}\n' >&3
+for want in '"stats":' '"stats":' '"text":'; do
+    reply=""
+    IFS= read -r -t 10 reply <&3 || true
+    if ! grep -qF -- "$want" <<<"$reply"; then
+        echo "FAIL: pipelined reply lacks ${want}: ${reply:0:200}" >&2
+        exit 1
+    fi
+done
+exec 3<&-
+echo "three replies, in order"
 
 echo "== metrics: the span window has dropped records"
 exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
