@@ -454,7 +454,6 @@ func (h *harness) startOpenLoop() error {
 			return
 		}
 		cart := rng.Intn(h.cfg.Carts)
-		rng.Intn(h.cfg.Clients) // the retired connection draw, kept for the RNG stream
 		op := controlplane.OpWrite
 		if rng.Float64() < h.cfg.ReadFrac {
 			op = controlplane.OpRead
