@@ -272,8 +272,10 @@ func TestHotPathAllocsCampusDispatch(t *testing.T) {
 }
 
 // TestHotPathAllocsRouterRecompute pins tubenet.Router.Recompute: a warm
-// router on the default campus, replanning around one dead segment under
-// non-zero entry queues, must rebuild its tables without allocating.
+// router on the default campus, under non-zero entry queues, replanning
+// alternately around one dead segment and one dead junction, must rebuild
+// its tables without allocating, both when the usable edges change (the
+// forced-hop table is rebuilt) and when they do not (it is reused).
 func TestHotPathAllocsRouterRecompute(t *testing.T) {
 	topo, err := tubenet.NewCampus(tubenet.DefaultCampusConfig())
 	if err != nil {
@@ -287,14 +289,17 @@ func TestHotPathAllocsRouterRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := tubenet.Liveness{NodeUp: make([]bool, topo.NumNodes()), EdgeUp: make([]bool, topo.NumEdges())}
-	for i := range live.NodeUp {
-		live.NodeUp[i] = true
+	liveness := func(deadEdge, deadNode int) tubenet.Liveness {
+		live := tubenet.Liveness{NodeUp: make([]bool, topo.NumNodes()), EdgeUp: make([]bool, topo.NumEdges())}
+		for i := range live.NodeUp {
+			live.NodeUp[i] = i != deadNode
+		}
+		for i := range live.EdgeUp {
+			live.EdgeUp[i] = i != deadEdge
+		}
+		return live
 	}
-	for i := range live.EdgeUp {
-		live.EdgeUp[i] = true
-	}
-	live.EdgeUp[0] = false
+	edgeDown, nodeDown := liveness(0, -1), liveness(-1, 0)
 	queues := make([]int, topo.NumEdges())
 	for i := range queues {
 		queues[i] = i % 3
@@ -302,8 +307,10 @@ func TestHotPathAllocsRouterRecompute(t *testing.T) {
 	ctx := context.Background()
 	var failed error
 	zeroAllocs(t, "router recompute", func() {
-		if err := r.Recompute(ctx, live, queues); err != nil {
-			failed = err
+		for _, live := range []tubenet.Liveness{edgeDown, edgeDown, nodeDown, nodeDown} {
+			if err := r.Recompute(ctx, live, queues); err != nil {
+				failed = err
+			}
 		}
 	})
 	if failed != nil {

@@ -18,10 +18,13 @@ import (
 // the determinism contract.
 //
 // Recompute first builds a CSR adjacency of the edges usable under the
-// given liveness, priced once each, then runs one Dijkstra per source
-// node on the calling goroutine. Each Dijkstra settles nodes from its
-// frontier (reached, unsettled nodes) in smallest-(dist, NodeID) order.
-// Every buffer is sized in NewRouter, so a recompute allocates nothing.
+// given liveness, priced once each. A row whose every entry is forced by
+// reachability alone is copied from the forced-hop table, which is rebuilt
+// only when the usable edges or the live nodes change; Dijkstra runs, on
+// the calling goroutine, only for the rows that hold a choice. Each
+// Dijkstra settles nodes from its frontier (reached, unsettled nodes) in
+// smallest-(dist, NodeID) order. Every buffer is sized in NewRouter, so a
+// recompute allocates nothing.
 type Router struct {
 	topo *Topology
 	n    int
@@ -48,6 +51,17 @@ type Router struct {
 	dist  []float64
 	done  []bool
 	front []NodeID
+
+	// forced[src*n+dst] is the first hop of every src→dst path that does
+	// not return to src, NoEdge when there is no path, under the usable
+	// edges and live nodes recorded in usableAt and upAt. choice[src] marks
+	// a row where paths to some dst leave src over two or more edges; its
+	// forced entries are not kept. The zero record (no usable edge, every
+	// node down) matches the all-NoEdge table NewRouter starts with.
+	forced   []EdgeID
+	choice   []bool
+	usableAt []bool
+	upAt     []bool
 }
 
 // arc is one usable edge as Dijkstra relaxes it.
@@ -66,16 +80,20 @@ type Liveness struct {
 }
 
 // NewRouter builds a router over topo with the given congestion-free edge
-// costs (seconds; from Topology.TransitTimes). alpha ≤ 0 disables
-// congestion weighting. workers is accepted for API stability and unused:
-// a whole recompute of the default campus takes about as long as fanning
-// it out to goroutines would cost, so it runs sequentially.
+// costs (seconds; from Topology.TransitTimes), each positive and finite.
+// alpha ≤ 0 disables congestion weighting; a NaN or +Inf alpha is
+// rejected. workers is accepted for API stability and unused: a whole
+// recompute of the default campus takes about as long as fanning it out
+// to goroutines would cost, so it runs sequentially.
 func NewRouter(topo *Topology, base []units.Seconds, alpha float64, workers int) (*Router, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("%w: nil topology", ErrBadTopology)
 	}
 	if len(base) != topo.NumEdges() {
 		return nil, fmt.Errorf("%w: %d base costs for %d edges", ErrBadTopology, len(base), topo.NumEdges())
+	}
+	if math.IsNaN(alpha) || math.IsInf(alpha, 1) {
+		return nil, fmt.Errorf("%w: congestion weight %v is not finite", ErrBadTopology, alpha)
 	}
 	if alpha < 0 {
 		alpha = 0
@@ -87,10 +105,12 @@ func NewRouter(topo *Topology, base []units.Seconds, alpha float64, workers int)
 		next: make([]EdgeID, n*n), back: make([]EdgeID, n*n),
 		off: make([]int32, n+1), arcs: make([]arc, 0, m),
 		dist: make([]float64, n), done: make([]bool, n), front: make([]NodeID, 0, n),
+		forced: make([]EdgeID, n*n), choice: make([]bool, n),
+		usableAt: make([]bool, m), upAt: make([]bool, n),
 	}
 	for i, b := range base {
-		if b <= 0 {
-			return nil, fmt.Errorf("%w: edge %d has non-positive base cost %v", ErrBadTopology, i, b)
+		if !(b > 0) || math.IsInf(float64(b), 1) {
+			return nil, fmt.Errorf("%w: edge %d has base cost %v, want positive and finite", ErrBadTopology, i, b)
 		}
 		r.base[i] = float64(b)
 		ed := topo.edgeAt(EdgeID(i))
@@ -99,6 +119,7 @@ func NewRouter(topo *Topology, base []units.Seconds, alpha float64, workers int)
 	}
 	for i := range r.next {
 		r.next[i] = NoEdge
+		r.forced[i] = NoEdge
 	}
 	return r, nil
 }
@@ -126,26 +147,97 @@ func (r *Router) Recompute(ctx context.Context, live Liveness, queues []int) err
 		return err
 	}
 	r.arcs = r.arcs[:0]
+	stale := false
+	total := 0.0 // Σ|cost| over the usable edges
 	for u := 0; u < r.n; u++ {
 		r.off[u] = int32(len(r.arcs))
 		for _, e := range r.topo.Out(NodeID(u)) {
-			if !r.usable(e, live) {
+			ok := r.usable(e, live)
+			if ok != r.usableAt[e] {
+				r.usableAt[e], stale = ok, true
+			}
+			if !ok {
 				continue
 			}
 			q := 0.0
 			if queues != nil {
 				q = float64(queues[e])
 			}
-			r.arcs = append(r.arcs, arc{to: r.to[e], e: e, cost: r.base[e] * (1 + r.alpha*q)})
+			c := r.base[e] * (1 + r.alpha*q)
+			total += math.Abs(c)
+			r.arcs = append(r.arcs, arc{to: r.to[e], e: e, cost: c})
 		}
 	}
 	r.off[r.n] = int32(len(r.arcs))
+	for u := range r.upAt {
+		up := live.NodeUp == nil || live.NodeUp[u]
+		if up != r.upAt[u] {
+			r.upAt[u], stale = up, true
+		}
+	}
+	if stale {
+		r.rebuildForced()
+	}
+	// Forced rows need every path cost to stay finite; half the largest
+	// float leaves room for rounding. Past it, Dijkstra runs every row.
+	finite := total <= math.MaxFloat64/2
 	for src := 0; src < r.n; src++ {
-		r.dijkstra(NodeID(src), live, r.back[src*r.n:(src+1)*r.n])
+		row := r.back[src*r.n : (src+1)*r.n]
+		if finite && !r.choice[src] {
+			copy(row, r.forced[src*r.n:(src+1)*r.n])
+			continue
+		}
+		r.dijkstra(NodeID(src), live, row)
 	}
 	r.next, r.back = r.back, r.next
 	r.epochs++
 	return nil
+}
+
+// rebuildForced refills forced and choice from the current CSR and upAt.
+// Dijkstra never relaxes into its settled source, so the first hop it
+// picks toward dst is an out-edge of src whose head reaches dst without
+// passing src; and with finite costs it reaches every such dst. So a
+// search from each out-edge's head, in the usable graph minus src, fixes
+// every entry that only one out-edge reaches, whatever the costs. A row
+// stops at its first contested entry, since Dijkstra recomputes it whole.
+//
+//dhllint:hotpath
+func (r *Router) rebuildForced() {
+	n, seen, queue := r.n, r.done, r.front[:r.n]
+rows:
+	for src := 0; src < n; src++ {
+		row := r.forced[src*n : (src+1)*n]
+		for i := range row {
+			row[i] = NoEdge
+		}
+		r.choice[src] = false
+		if !r.upAt[src] {
+			continue // a dead node routes nowhere
+		}
+		for _, a := range r.arcs[r.off[src]:r.off[src+1]] {
+			for i := range seen {
+				seen[i] = false
+			}
+			seen[src], seen[a.to] = true, true
+			queue[0] = a.to
+			for head, tail := 0, 1; head < tail; head++ {
+				v := queue[head]
+				if row[v] != NoEdge {
+					r.choice[src] = true
+					continue rows
+				}
+				row[v] = a.e
+				for _, b := range r.arcs[r.off[v]:r.off[v+1]] {
+					if !seen[b.to] {
+						seen[b.to] = true
+						queue[tail] = b.to
+						tail++
+					}
+				}
+			}
+		}
+	}
 }
 
 // usable reports whether edge e may carry traffic under live: the edge is

@@ -2,6 +2,7 @@ package tubenet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -182,10 +183,19 @@ func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(topo, base[:2], 0, 1); err == nil {
 		t.Error("cost/edge length mismatch must be rejected")
 	}
-	bad := append([]units.Seconds(nil), base...)
-	bad[1] = 0
-	if _, err := NewRouter(topo, bad, 0, 1); err == nil {
-		t.Error("non-positive base cost must be rejected")
+	for _, b := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := append([]units.Seconds(nil), base...)
+		bad[1] = units.Seconds(b)
+		if _, err := NewRouter(topo, bad, 0, 1); !errors.Is(err, ErrBadTopology) {
+			t.Errorf("base cost %v: err = %v, want ErrBadTopology", b, err)
+		}
+	}
+	// A NaN or +Inf weight makes every zero-queue cost NaN (∞·0), so a
+	// live graph would route nowhere.
+	for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewRouter(topo, base, alpha, 1); !errors.Is(err, ErrBadTopology) {
+			t.Errorf("alpha %v: err = %v, want ErrBadTopology", alpha, err)
+		}
 	}
 	// Unrecomputed router answers NoEdge rather than panicking.
 	r, err := NewRouter(topo, base, 0, 1)
@@ -330,31 +340,36 @@ func randomState(rng *rand.Rand, topo *Topology) (Liveness, []int) {
 	return live, queues
 }
 
+// topoCase is a topology under test with its congestion-free edge costs.
+type topoCase struct {
+	name string
+	topo *Topology
+	base []units.Seconds
+}
+
+// campus builds the campus of j junctions with s spur stations each.
+func campus(t *testing.T, j, s int) topoCase {
+	t.Helper()
+	cfg := DefaultCampusConfig()
+	cfg.Junctions, cfg.SpurStations = j, s
+	topo, err := NewCampus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := topo.TransitTimes(DefaultCartMass, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topoCase{fmt.Sprintf("campus-%dx%d", j, s), topo, base}
+}
+
 // TestRouterMatchesScanReference drives one warm Router per topology and
 // α through thousands of seeded liveness/queue vectors and compares every
 // NextHop against the scan-based reference table.
 func TestRouterMatchesScanReference(t *testing.T) {
-	type topoCase struct {
-		name string
-		topo *Topology
-		base []units.Seconds
-	}
-	campus := func(j, s int) topoCase {
-		cfg := DefaultCampusConfig()
-		cfg.Junctions, cfg.SpurStations = j, s
-		topo, err := NewCampus(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := topo.TransitTimes(DefaultCartMass, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return topoCase{fmt.Sprintf("campus-%dx%d", j, s), topo, base}
-	}
 	var cases []topoCase
 	for _, js := range [][2]int{{1, 1}, {2, 3}, {3, 2}, {6, 4}, {8, 8}} {
-		cases = append(cases, campus(js[0], js[1]))
+		cases = append(cases, campus(t, js[0], js[1]))
 	}
 	ft, err := FromFatTree(netmodel.DefaultFatTree())
 	if err != nil {
@@ -368,7 +383,7 @@ func TestRouterMatchesScanReference(t *testing.T) {
 	dia, diaBase := diamond(t)
 	cases = append(cases, topoCase{"diamond", dia, diaBase})
 	// A campus with every fifth tube closed (zero capacity).
-	c := campus(3, 2)
+	c := campus(t, 3, 2)
 	nodes := make([]Node, c.topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = c.topo.Node(NodeID(i))
@@ -413,6 +428,115 @@ func TestRouterMatchesScanReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// matchReference fails t unless every entry of r's table equals the
+// scan-based reference's under the same state.
+func matchReference(t *testing.T, label string, r *Router, tc topoCase, alpha float64, live Liveness, queues []int) {
+	t.Helper()
+	want := referenceTable(tc.topo, tc.base, alpha, live, queues)
+	for src := range want {
+		for dst, w := range want[src] {
+			if got := r.NextHop(NodeID(src), NodeID(dst)); got != w {
+				t.Fatalf("%s: NextHop(%d,%d) = %d, reference %d", label, src, dst, got, w)
+			}
+		}
+	}
+}
+
+// TestRouterHeldLivenessMatchesReference holds each liveness draw for 40
+// queue vectors, so most recomputes reuse the forced-hop table instead of
+// rebuilding it, and compares every entry with the reference.
+func TestRouterHeldLivenessMatchesReference(t *testing.T) {
+	draws := 25
+	if testing.Short() {
+		draws = 5
+	}
+	for ci, js := range [][2]int{{1, 1}, {2, 3}, {4, 5}, {6, 4}} {
+		tc := campus(t, js[0], js[1])
+		for _, alpha := range []float64{0, 0.25, 1} {
+			r, err := NewRouter(tc.topo, tc.base, alpha, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(100*ci) + int64(alpha*100)))
+			for d := 0; d < draws; d++ {
+				live, _ := randomState(rng, tc.topo)
+				for k := 0; k < 40; k++ {
+					_, queues := randomState(rng, tc.topo)
+					if err := r.Recompute(context.Background(), live, queues); err != nil {
+						t.Fatal(err)
+					}
+					matchReference(t, fmt.Sprintf("%s α=%v draw %d vector %d", tc.name, alpha, d, k), r, tc, alpha, live, queues)
+				}
+			}
+		}
+	}
+}
+
+// TestRouterSourceFlipKeepsUsableEdges flips one node's liveness while
+// every edge into it is down, so the usable edge set stays the same. The
+// node's own row still changes between routing and routing nowhere, so
+// the forced-hop table must be rebuilt.
+func TestRouterSourceFlipKeepsUsableEdges(t *testing.T) {
+	tc := campus(t, 4, 5)
+	r, err := NewRouter(tc.topo, tc.base, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < tc.topo.NumNodes(); x++ {
+		live := allUp(tc.topo)
+		for e := range live.EdgeUp {
+			live.EdgeUp[e] = tc.topo.edges[e].To != NodeID(x)
+		}
+		for _, up := range []bool{true, false, true} {
+			live.NodeUp[x] = up
+			if err := r.Recompute(context.Background(), live, nil); err != nil {
+				t.Fatal(err)
+			}
+			matchReference(t, fmt.Sprintf("node %d up=%v", x, up), r, tc, 0.25, live, nil)
+		}
+	}
+}
+
+// TestRouterOverflowingCostsMatchReference prices every queued edge at
+// +Inf: Dijkstra cannot cross such an edge, so reachability alone no
+// longer decides a row, and every row must fall back to Dijkstra.
+func TestRouterOverflowingCostsMatchReference(t *testing.T) {
+	tc := campus(t, 4, 5)
+	alpha := math.MaxFloat64
+	r, err := NewRouter(tc.topo, tc.base, alpha, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	live := allUp(tc.topo)
+	for k := 0; k < 50; k++ {
+		_, queues := randomState(rng, tc.topo)
+		if err := r.Recompute(context.Background(), live, queues); err != nil {
+			t.Fatal(err)
+		}
+		matchReference(t, fmt.Sprintf("vector %d", k), r, tc, alpha, live, queues)
+	}
+}
+
+// TestRouterChoiceRowsAreTheJunctions pins where the forced-hop table
+// saves work: on the fully live default campus only a junction chooses
+// (between trunk directions), so only junction rows run Dijkstra.
+func TestRouterChoiceRowsAreTheJunctions(t *testing.T) {
+	tc := campus(t, 4, 5)
+	r, err := NewRouter(tc.topo, tc.base, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Recompute(context.Background(), allUp(tc.topo), nil); err != nil {
+		t.Fatal(err)
+	}
+	for src, choice := range r.choice {
+		if junction := tc.topo.Node(NodeID(src)).Junction; choice != junction {
+			t.Errorf("node %d: choice = %v, want %v (junction)", src, choice, junction)
 		}
 	}
 }
