@@ -23,7 +23,7 @@ import (
 // fills every field from dhlload's flags.
 type Config struct {
 	Mode     string  // "closed" or "open"
-	Clients  int     // concurrent clients (closed loop and -live)
+	Clients  int     `json:",omitempty"` // concurrent clients (closed loop and -live); 0 in open mode
 	Duration float64 // virtual seconds of offered load
 	Seed     int64
 
@@ -65,8 +65,12 @@ const (
 	ctlCost = 50e-6
 )
 
-// withDefaults works out the fleet size from the mode when Carts is 0.
+// withDefaults works out the fleet size from the mode when Carts is 0,
+// and clears Clients in open mode, whose arrivals no client count shapes.
 func (c Config) withDefaults() Config {
+	if c.Mode == "open" {
+		c.Clients = 0
+	}
 	if c.Carts <= 0 {
 		if c.Mode == "open" {
 			c.Carts = dhlsys.DefaultOptions().DockStations
@@ -485,9 +489,11 @@ func (h *harness) finish() {
 	h.res.Admission = h.srv.Admission()
 	snap := h.reg.Snapshot()
 	h.res.Latency = snap.Histograms[0]
-	h.res.P50S = telemetry.Quantile(h.res.Latency, 0.5)
-	h.res.P90S = telemetry.Quantile(h.res.Latency, 0.9)
-	h.res.P99S = telemetry.Quantile(h.res.Latency, 0.99)
+	// Quantiles interpolate within a histogram bucket, so they can land
+	// past the exact maximum; no quantile may exceed it.
+	h.res.P50S = min(telemetry.Quantile(h.res.Latency, 0.5), h.res.MaxS)
+	h.res.P90S = min(telemetry.Quantile(h.res.Latency, 0.9), h.res.MaxS)
+	h.res.P99S = min(telemetry.Quantile(h.res.Latency, 0.99), h.res.MaxS)
 	h.res.GoodputRPS = float64(h.res.OK) / h.cfg.Duration
 	h.res.OfferedRPS = float64(h.res.Issued) / h.cfg.Duration
 	h.res.Utilization = h.busyTime / h.cfg.Duration
@@ -501,8 +507,12 @@ func (h *harness) finish() {
 // Report renders the result as a deterministic text table.
 func (r *Result) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "dhlload report: mode=%s clients=%d duration=%gs seed=%d carts=%d chaos=%q\n",
-		r.Config.Mode, r.Config.Clients, r.Config.Duration, r.Config.Seed, r.Config.Carts, r.Config.Chaos)
+	fmt.Fprintf(&b, "dhlload report: mode=%s", r.Config.Mode)
+	if r.Config.Clients > 0 {
+		fmt.Fprintf(&b, " clients=%d", r.Config.Clients)
+	}
+	fmt.Fprintf(&b, " duration=%gs seed=%d carts=%d chaos=%q\n",
+		r.Config.Duration, r.Config.Seed, r.Config.Carts, r.Config.Chaos)
 	fmt.Fprintf(&b, "requests:  issued=%d ok=%d failed=%d shed_busy=%d queue_timeouts=%d retries=%d budget_denied=%d\n",
 		r.Issued, r.OK, r.Failed, r.ShedBusy, r.QueueTimeout, r.Retries, r.BudgetDenied)
 	fmt.Fprintf(&b, "control:   probes=%d fresh=%d stale=%d dropped=%d\n",

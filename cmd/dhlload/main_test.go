@@ -53,7 +53,8 @@ var goldenRuns = []struct{ name, args string }{
 
 // TestReportGoldens pins each golden run's text report and JSON result
 // byte for byte, so a change to the harness or to the server code it
-// drives shows up as a diff. Run with -update to re-record.
+// drives shows up as a diff, and checks that no quantile exceeds the
+// next or the exact maximum. Run with -update to re-record.
 func TestReportGoldens(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
@@ -62,6 +63,9 @@ func TestReportGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := runHarness(t, o.cfg)
+			if !(res.P50S <= res.P90S && res.P90S <= res.P99S && res.P99S <= res.MaxS) {
+				t.Errorf("quantiles out of order: p50=%g p90=%g p99=%g max=%g", res.P50S, res.P90S, res.P99S, res.MaxS)
+			}
 			js, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				t.Fatal(err)
