@@ -187,7 +187,7 @@ func (r *Router) Recompute(ctx context.Context, live Liveness, queues []int) err
 			copy(row, r.forced[src*r.n:(src+1)*r.n])
 			continue
 		}
-		r.dijkstra(NodeID(src), live, row)
+		r.dijkstra(NodeID(src), row)
 	}
 	r.next, r.back = r.back, r.next
 	r.epochs++
@@ -243,7 +243,7 @@ rows:
 // usable reports whether edge e may carry traffic under live: the edge is
 // up, has capacity at all, and its destination node is up. (The source
 // node's liveness gates departures in the dispatch layer; a dead node's
-// table row is cleared in dijkstra.)
+// table row is all NoEdge.)
 //
 //dhllint:hotpath
 func (r *Router) usable(e EdgeID, live Liveness) bool {
@@ -266,14 +266,14 @@ func (r *Router) usable(e EdgeID, live Liveness) bool {
 // explicit tie-break the equal-cost determinism test pins.
 //
 //dhllint:hotpath
-func (r *Router) dijkstra(src NodeID, live Liveness, hop []EdgeID) {
+func (r *Router) dijkstra(src NodeID, hop []EdgeID) {
 	dist, done := r.dist, r.done
 	for i := range hop {
 		dist[i] = math.Inf(1)
 		hop[i] = NoEdge
 		done[i] = false
 	}
-	if live.NodeUp != nil && !live.NodeUp[src] {
+	if !r.upAt[src] {
 		return // a dead node routes nowhere
 	}
 	dist[src] = 0
