@@ -68,15 +68,14 @@ const (
 // withDefaults works out the fleet size from the mode when Carts is 0,
 // and clears Clients in open mode, whose arrivals no client count shapes.
 func (c Config) withDefaults() Config {
-	if c.Mode == "open" {
+	switch {
+	case c.Mode == "open":
 		c.Clients = 0
-	}
-	if c.Carts <= 0 {
-		if c.Mode == "open" {
+		if c.Carts <= 0 {
 			c.Carts = dhlsys.DefaultOptions().DockStations
-		} else {
-			c.Carts = c.Clients
 		}
+	case c.Carts <= 0:
+		c.Carts = c.Clients
 	}
 	return c
 }
