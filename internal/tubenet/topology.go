@@ -15,7 +15,9 @@
 // sweep pool (internal/sweep) running replica studies — while every
 // simulation stays byte-identical given a seed.
 // A route recompute is sequential and allocation-free: one CSR adjacency
-// of the usable edges, then one frontier-driven Dijkstra per source.
+// of the usable edges, then a frontier-driven Dijkstra for each source
+// whose routes depend on the costs; every other source's row is copied
+// from a table of hops that reachability alone forces.
 package tubenet
 
 import (
