@@ -393,8 +393,8 @@ func BenchmarkEventKernel(b *testing.B) {
 // BenchmarkEventKernelSteadyState measures the engine at a fixed queue
 // depth: 64 concurrent self-rescheduling timers firing 16384 events per
 // iteration. This is the arena's steady state — after warm-up every
-// schedule reuses a slot the free-list just recycled, so the heap and
-// arena never grow and the per-event cost is pure heap-sift plus slot
+// schedule reuses a slot the free-list just recycled, so the arena never
+// grows and the per-event cost is the radix queue's re-linking plus slot
 // bookkeeping.
 func BenchmarkEventKernelSteadyState(b *testing.B) {
 	const depth = 64

@@ -51,12 +51,12 @@ func zeroAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestHotPathAllocsEventKernel pins the sim.Engine schedule/step cycle:
-// At/After/MustAfter, the heap push/pop/sift family, Cancel, and
-// EventTime, all against a warm arena.
+// At/After/MustAfter, the radix queue's push, pop, advance and remove,
+// Cancel, EventTime and RunUntil, all against a warm arena.
 func TestHotPathAllocsEventKernel(t *testing.T) {
 	e := sim.New()
 	nop := func() {}
-	// Warm the arena and heap past the burst size below.
+	// Warm the arena past the burst size below.
 	for i := 0; i < 64; i++ {
 		e.MustAfter(units.Seconds(i), "warm", nop)
 	}
@@ -78,8 +78,41 @@ func TestHotPathAllocsEventKernel(t *testing.T) {
 		for e.Step() {
 		}
 	})
+	hs := make([]sim.Handle, 32)
+	zeroAllocs(t, "schedule/cancel", func() {
+		e.MustAfter(0.25, "tick", nop)
+		for i := range hs {
+			hs[i] = e.MustAfter(units.Seconds(i%7+1)*0.5, "cancelled", nop)
+		}
+		e.Step() // fires the tick, so the cancels below unlink from re-linked buckets
+		for i := len(hs) - 1; i >= 0; i -= 2 {
+			if !e.Cancel(hs[i]) {
+				misses++
+			}
+		}
+		for i := 0; i < len(hs); i += 2 {
+			if !e.Cancel(hs[i]) {
+				misses++
+			}
+		}
+		for e.Step() {
+		}
+	})
+	zeroAllocs(t, "schedule/RunUntil", func() {
+		base := e.Now()
+		for i := 0; i < 32; i++ {
+			e.MustAfter(units.Seconds(i%9+1), "tick", nop)
+		}
+		if e.RunUntil(base+4.5) != 16 {
+			misses++
+		}
+		e.MustAfter(0.25, "early", nop)
+		if e.RunUntil(base+100) != 17 {
+			misses++
+		}
+	})
 	if misses != 0 {
-		t.Fatalf("%d handle lookups missed", misses)
+		t.Fatalf("%d handle lookups or RunUntil counts missed", misses)
 	}
 }
 

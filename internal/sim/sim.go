@@ -7,8 +7,9 @@
 // reads the wall clock.
 //
 // The kernel is allocation-flat: events live in a slot arena owned by the
-// engine, ordered by an index-based 4-ary heap, with freed slots recycled
-// through a free list. Steady-state schedule/fire cycles therefore allocate
+// engine, ordered by a monotone radix queue whose buckets are lists
+// threaded through the arena, with freed slots recycled through a free
+// list. Steady-state schedule/fire cycles therefore allocate
 // nothing — the arena grows only when the peak queue depth does. Callers
 // hold generation-counted Handles rather than pointers, so Cancel and
 // reschedule stay safe after a slot is reused (see DESIGN.md §10).
@@ -37,32 +38,35 @@ type Event struct {
 	Name string
 }
 
-// slot is one arena entry: either a queued event (pos ≥ 0) or a free-list
-// node (pos < 0, nextFree chaining to the next free slot).
+// slot is one arena entry: either a queued event (fn != nil) linked into
+// its radix bucket's list, or a free-list node (fn == nil, next chaining
+// to the next free slot). Links are arena index+1, 0 at a list end.
 type slot struct {
-	time     units.Seconds
-	name     string
-	fn       func()
-	seq      uint64 // scheduling order, the deterministic tie-break
-	gen      uint32 // bumped on every free; invalidates outstanding Handles
-	pos      int32  // heap position, -1 when not queued
-	nextFree int32  // next free slot, -1 at the list tail
+	time       units.Seconds
+	key        uint64 // radixKey(time), the slot's place in the queue
+	name       string
+	fn         func()
+	gen        uint32 // bumped on every free; invalidates outstanding Handles
+	prev, next int32
 }
 
 // Engine is the simulation clock and event queue.
 type Engine struct {
 	now units.Seconds
-	// arena owns every event slot; heap orders the queued ones by index.
+	// arena owns every event slot; the radix queue (queue.go) orders the
+	// queued ones through their links.
 	arena     []slot
-	heap      []int32
-	freeHead  int32 // head of the free-slot list, -1 when empty
-	seq       uint64
+	nonEmpty  uint64 // bit b set iff buckets[b] holds a slot
+	last      uint64 // radix base: the key of the last minimum taken
+	queued    int
+	freeHead  int32 // head of the free-slot list as index+1, 0 when empty
 	processed int
 	tracers   []func(Event)
+	buckets   [64]bucket
 }
 
 // New returns an engine at time 0.
-func New() *Engine { return &Engine{freeHead: -1} }
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Seconds { return e.now }
@@ -84,17 +88,17 @@ func (e *Engine) AddTracer(fn func(Event)) {
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
 
-// allocSlot returns a free arena index, recycling the free list before
-// growing the arena.
+// allocSlot returns a free slot as arena index+1, recycling the free list
+// before growing the arena.
 //
 //dhllint:hotpath
 func (e *Engine) allocSlot() int32 {
-	if i := e.freeHead; i >= 0 {
-		e.freeHead = e.arena[i].nextFree
-		return i
+	if r := e.freeHead; r != 0 {
+		e.freeHead = e.arena[r-1].next
+		return r
 	}
-	e.arena = append(e.arena, slot{pos: -1, nextFree: -1})
-	return int32(len(e.arena) - 1)
+	e.arena = append(e.arena, slot{})
+	return int32(len(e.arena))
 }
 
 // freeSlot returns a dequeued slot to the free list. The generation bump
@@ -102,14 +106,13 @@ func (e *Engine) allocSlot() int32 {
 // now mismatches and can never cancel the slot's next tenant.
 //
 //dhllint:hotpath
-func (e *Engine) freeSlot(i int32) {
-	s := &e.arena[i]
+func (e *Engine) freeSlot(r int32) {
+	s := &e.arena[r-1]
 	s.fn = nil // drop the closure so the arena does not pin captured state
 	s.name = ""
 	s.gen++
-	s.pos = -1
-	s.nextFree = e.freeHead
-	e.freeHead = i
+	s.next = e.freeHead
+	e.freeHead = r
 }
 
 // At schedules fn at absolute time t and returns a cancellable handle.
@@ -124,12 +127,12 @@ func (e *Engine) At(t units.Seconds, name string, fn func()) (Handle, error) {
 		//dhllint:allow allocflow -- nil-callback rejection is a caller bug, never the steady state
 		return Handle{}, errors.New("sim: nil event callback")
 	}
-	i := e.allocSlot()
-	s := &e.arena[i]
-	s.time, s.name, s.fn, s.seq = t, name, fn, e.seq
-	e.seq++
-	e.heapPush(i)
-	return Handle{idx: i + 1, gen: s.gen}, nil
+	r := e.allocSlot()
+	s := &e.arena[r-1]
+	s.time, s.key, s.name, s.fn = t, radixKey(t), name, fn
+	e.link(r, s.key)
+	e.queued++
+	return Handle{idx: r, gen: s.gen}, nil
 }
 
 // After schedules fn after delay d.
@@ -154,21 +157,20 @@ func (e *Engine) MustAfter(d units.Seconds, name string, fn func()) Handle {
 	return h
 }
 
-// lookup resolves a handle to its arena index if it still refers to a
-// queued event; ok is false for the zero Handle, fired or cancelled
+// lookup resolves a handle to its slot (arena index+1) if it still refers
+// to a queued event; ok is false for the zero Handle, fired or cancelled
 // events, and recycled slots.
 //
 //dhllint:hotpath
 func (e *Engine) lookup(h Handle) (int32, bool) {
-	i := h.idx - 1
-	if i < 0 || int(i) >= len(e.arena) {
+	if h.idx <= 0 || int(h.idx) > len(e.arena) {
 		return 0, false
 	}
-	s := &e.arena[i]
-	if s.gen != h.gen || s.pos < 0 {
+	s := &e.arena[h.idx-1]
+	if s.gen != h.gen || s.fn == nil {
 		return 0, false
 	}
-	return i, true
+	return h.idx, true
 }
 
 // EventTime returns the scheduled time of a still-pending event; ok is
@@ -176,11 +178,11 @@ func (e *Engine) lookup(h Handle) (int32, bool) {
 //
 //dhllint:hotpath
 func (e *Engine) EventTime(h Handle) (units.Seconds, bool) {
-	i, ok := e.lookup(h)
+	r, ok := e.lookup(h)
 	if !ok {
 		return 0, false
 	}
-	return e.arena[i].time, true
+	return e.arena[r-1].time, true
 }
 
 // Cancel removes a pending event. Cancelling a fired, already-cancelled,
@@ -188,27 +190,27 @@ func (e *Engine) EventTime(h Handle) (units.Seconds, bool) {
 //
 //dhllint:hotpath
 func (e *Engine) Cancel(h Handle) bool {
-	i, ok := e.lookup(h)
+	r, ok := e.lookup(h)
 	if !ok {
 		return false
 	}
-	e.heapRemove(e.arena[i].pos)
-	e.freeSlot(i)
+	e.remove(r)
+	e.freeSlot(r)
 	return true
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.queued }
 
 // Step executes the next event, if any, and reports whether one ran.
 //
 //dhllint:hotpath
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if e.queued == 0 {
 		return false
 	}
-	i := e.heapPop()
-	s := &e.arena[i]
+	r := e.pop()
+	s := &e.arena[r-1]
 	e.now = s.time
 	fn := s.fn
 	if len(e.tracers) > 0 {
@@ -219,7 +221,7 @@ func (e *Engine) Step() bool {
 	}
 	// Free before firing: the callback may schedule into (and recycle) this
 	// slot, and a stale Handle to the fired event must already be dead.
-	e.freeSlot(i)
+	e.freeSlot(r)
 	e.processed++
 	fn()
 	return true
@@ -232,8 +234,8 @@ func (e *Engine) Run(maxEvents int) (int, error) {
 	for e.Step() {
 		n++
 		if maxEvents > 0 && n >= maxEvents {
-			if len(e.heap) > 0 {
-				return n, fmt.Errorf("sim: event budget %d exhausted with %d pending", maxEvents, len(e.heap))
+			if e.queued > 0 {
+				return n, fmt.Errorf("sim: event budget %d exhausted with %d pending", maxEvents, e.queued)
 			}
 			break
 		}
@@ -242,9 +244,12 @@ func (e *Engine) Run(maxEvents int) (int, error) {
 }
 
 // RunUntil executes events with Time ≤ t, then advances the clock to t.
+// It peeks at the next time rather than popping it: a pop would move the
+// radix base to that time, past a new now of t, and an event scheduled
+// afterwards between the two would then be filed in the wrong bucket.
 func (e *Engine) RunUntil(t units.Seconds) int {
 	n := 0
-	for len(e.heap) > 0 && e.arena[e.heap[0]].time <= t {
+	for e.queued > 0 && e.peekTime() <= t {
 		e.Step()
 		n++
 	}

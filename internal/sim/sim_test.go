@@ -240,7 +240,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-// TestCancelRandomSubsetKeepsOrdering hammers heapRemove from arbitrary
+// TestCancelRandomSubsetKeepsOrdering cancels from arbitrary queue
 // positions: survivors must still fire in (time, seq) order.
 func TestCancelRandomSubsetKeepsOrdering(t *testing.T) {
 	f := func(seed int64) bool {
@@ -248,11 +248,12 @@ func TestCancelRandomSubsetKeepsOrdering(t *testing.T) {
 		e := New()
 		const total = 300
 		hs := make([]Handle, total)
+		at := make([]units.Seconds, total)
 		fired := make([]int, 0, total)
 		for i := 0; i < total; i++ {
 			i := i
-			at := units.Seconds(rng.Intn(40)) // heavy ties
-			hs[i] = e.MustAfter(at, "r", func() { fired = append(fired, i) })
+			at[i] = units.Seconds(rng.Intn(40)) // heavy ties
+			hs[i] = e.MustAfter(at[i], "r", func() { fired = append(fired, i) })
 		}
 		cancelled := make(map[int]bool)
 		for i := 0; i < total/3; i++ {
@@ -267,12 +268,16 @@ func TestCancelRandomSubsetKeepsOrdering(t *testing.T) {
 		if len(fired)+len(cancelled) != total {
 			return false
 		}
-		last := units.Seconds(math.Inf(-1))
-		for _, i := range fired {
+		for k, i := range fired {
 			if cancelled[i] {
 				return false
 			}
-			_ = last
+			if k > 0 {
+				p := fired[k-1]
+				if at[i] < at[p] || (at[i] == at[p] && i < p) {
+					return false
+				}
+			}
 		}
 		return true
 	}
