@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -147,6 +148,7 @@ type harness struct {
 	lat    *telemetry.Histogram
 
 	queue []*inflight
+	lats  []float64 // every successful request's latency, for the quantiles
 
 	res      Result
 	busyTime float64 // executor busy seconds clipped to the horizon
@@ -403,9 +405,7 @@ func (h *harness) succeeded(began float64) {
 	h.res.OK++
 	l := h.now() - began
 	h.lat.Observe(l)
-	if l > h.res.MaxS {
-		h.res.MaxS = l
-	}
+	h.lats = append(h.lats, l)
 }
 
 // failureBackoff floors the pause after a terminal failure so a fleet of
@@ -488,11 +488,14 @@ func (h *harness) finish() {
 	h.res.Admission = h.srv.Admission()
 	snap := h.reg.Snapshot()
 	h.res.Latency = snap.Histograms[0]
-	// Quantiles interpolate within a histogram bucket, so they can land
-	// past the exact maximum; no quantile may exceed it.
-	h.res.P50S = min(telemetry.Quantile(h.res.Latency, 0.5), h.res.MaxS)
-	h.res.P90S = min(telemetry.Quantile(h.res.Latency, 0.9), h.res.MaxS)
-	h.res.P99S = min(telemetry.Quantile(h.res.Latency, 0.99), h.res.MaxS)
+	// Exact nearest-rank quantiles, as tubenet reports transit times: the
+	// latency a sort puts at index ⌊q·(n−1)⌋.
+	sort.Float64s(h.lats)
+	if n := len(h.lats); n > 0 {
+		rank := func(q float64) float64 { return h.lats[int(q*float64(n-1))] }
+		h.res.P50S, h.res.P90S, h.res.P99S = rank(0.5), rank(0.9), rank(0.99)
+		h.res.MaxS = h.lats[n-1]
+	}
 	h.res.GoodputRPS = float64(h.res.OK) / h.cfg.Duration
 	h.res.OfferedRPS = float64(h.res.Issued) / h.cfg.Duration
 	h.res.Utilization = h.busyTime / h.cfg.Duration
