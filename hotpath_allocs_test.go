@@ -51,7 +51,7 @@ func zeroAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestHotPathAllocsEventKernel pins the sim.Engine schedule/step cycle:
-// At/After/MustAfter, the radix queue's push, pop, advance and remove,
+// At/After/MustAfter, the radix queue's link, pop, advance and remove,
 // Cancel, EventTime and RunUntil, all against a warm arena.
 func TestHotPathAllocsEventKernel(t *testing.T) {
 	e := sim.New()
