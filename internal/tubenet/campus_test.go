@@ -456,6 +456,8 @@ func pinnedTopologies(t *testing.T) []namedTopology {
 		{"campus-2x3", campus(2, 3)},
 		{"campus-6x4", campus(6, 4)},
 		{"mixed-line", mixedLineTopology(t)},
+		// Each spur line holds 80 edges, wider than one 64-bit word.
+		{"campus-2x40", campus(2, 40)},
 	}
 }
 
@@ -491,6 +493,15 @@ func TestCampusResultsMatchPinnedDigests(t *testing.T) {
 		"mixed-line/campus-partition/seed1": "76d3c70c89e3190575995155dfc67e2de2b600e9362ea13ba2e2bf4f8f382992",
 		"mixed-line/campus-partition/seed2": "603f4316bb6a2994ae0ee5898439a88275f2c5820a50dd631520825a36059ae9",
 		"mixed-line/campus-partition/seed3": "081dae872db89e4e802353f4e103a2f69f8478964925d4ef75e657f04958e7ac",
+		// Recorded with the per-edge blocked counters, before line
+		// occupancy became bitmasks: campus-2x40's 80-edge spur lines
+		// pin the multiword mask path against them.
+		"campus-2x40/calm/seed1":             "67c9bc841a87d3cec01d5b76637141b29011701710070507212a0841a614c8f1",
+		"campus-2x40/calm/seed2":             "b4900312a57df4bbbb0b4cd7e36663730732505961e22280768260ec435af55e",
+		"campus-2x40/calm/seed3":             "ff69a5b14c294e20cc020c339456b708559c711beddcd69ba9d06be19b951f09",
+		"campus-2x40/campus-partition/seed1": "bdeb1229f1e396bb6d4f5f112bfc71c77e7dd36a7c08880bea589954d5b7c5b3",
+		"campus-2x40/campus-partition/seed2": "4392203d55ab79ef7f8cf1266224249033e1bbe9fc3831f5f77b816dfddbd82b",
+		"campus-2x40/campus-partition/seed3": "4ff01e0c343f22900997876a2dd7285e753ab9a73aafe1ffed5d93cfa410b1f2",
 	}
 	for _, tp := range pinnedTopologies(t) {
 		for _, chaos := range []string{"calm", faults.ScenarioCampusPartition} {
