@@ -392,7 +392,9 @@ func BenchmarkEventKernel(b *testing.B) {
 
 // BenchmarkEventKernelSteadyState measures the engine at a fixed queue
 // depth: 64 concurrent self-rescheduling timers firing 16384 events per
-// iteration. This is the arena's steady state — after warm-up every
+// iteration. Timer j first fires at j+1 and then every 64 s, so the 64
+// pending events always sit at 64 distinct times and no two fire
+// together. This is the arena's steady state — after warm-up every
 // schedule reuses a slot the free-list just recycled, so the arena never
 // grows and the per-event cost is the radix queue's re-linking plus slot
 // bookkeeping.
@@ -407,7 +409,7 @@ func BenchmarkEventKernelSteadyState(b *testing.B) {
 		tick = func() {
 			n++
 			if n <= events-depth {
-				eng.MustAfter(1, "tick", tick)
+				eng.MustAfter(depth, "tick", tick)
 			}
 		}
 		for j := 0; j < depth; j++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 
@@ -223,9 +224,12 @@ type Campus struct {
 	edgeOcc       []int
 	edgeQueue     []cartQueue
 	edgeOccupants [][]int32
-	// blocked[e] counts the carts on edges in e's conflict set (their
-	// spans overlap e's); a line edge is admissible only at zero.
-	blocked      []int
+	// occ and queued are bitmasks over the topology's line-bit space
+	// (lineSlot): a line edge's bit is set in occ while the edge holds a
+	// cart, and in queued while its entry queue is non-empty. A line edge
+	// is admissible only while occ shares no bit with its conflict mask.
+	occ          []uint64
+	queued       []uint64
 	queueScratch []int
 
 	carts     []campusCart
@@ -342,7 +346,6 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		edgeOcc:       make([]int, m),
 		edgeQueue:     make([]cartQueue, m),
 		edgeOccupants: make([][]int32, m),
-		blocked:       make([]int, m),
 		queueScratch:  make([]int, m),
 
 		carts:     make([]campusCart, opt.Carts),
@@ -370,6 +373,9 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		k := occupants(i)
 		c.edgeOccupants[i], slab = slab[:0:k], slab[k:]
 	}
+	w := topo.lineWords()
+	masks := make([]uint64, 2*w)
+	c.occ, c.queued = masks[:w:w], masks[w:]
 	c.initTelemetry(opt.Telemetry)
 
 	for i := range c.carts {
@@ -616,12 +622,29 @@ func (c *Campus) tryDepart(ci int32) {
 //
 //dhllint:hotpath
 func (c *Campus) admissible(e EdgeID) bool {
-	if !c.edgeUp[e] || c.blocked[e] > 0 {
+	if !c.edgeUp[e] {
 		return false
 	}
-	ed := c.topo.edgeAt(e)
-	return ed.Capacity > 0 && c.edgeOcc[e] < ed.Capacity
+	s := c.topo.slotOf(e)
+	if c.occ[s.lo]&s.first != 0 {
+		return false
+	}
+	for i, m := range s.rest {
+		if c.occ[int(s.lo)+1+i]&m != 0 {
+			return false
+		}
+	}
+	// A zero-capacity edge fails here too: edgeOcc is never negative.
+	return c.edgeOcc[e] < c.topo.edgeAt(e).Capacity
 }
+
+// setBit and clearBit set and clear bit b (≥ 0) of the mask words.
+//
+//dhllint:hotpath
+func setBit(words []uint64, b int32) { words[b>>6] |= 1 << (b & 63) }
+
+//dhllint:hotpath
+func clearBit(words []uint64, b int32) { words[b>>6] &^= 1 << (b & 63) }
 
 // enqueueEdge parks the cart in e's FIFO entry queue.
 //
@@ -629,6 +652,9 @@ func (c *Campus) admissible(e EdgeID) bool {
 func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
 	q := &c.edgeQueue[e]
 	c.push(q, ci)
+	if b := c.topo.slotOf(e).bit; b >= 0 && q.n == 1 {
+		setBit(c.queued, b)
+	}
 	if n := int(q.n); n > c.perEdge[e].MaxQueue {
 		c.perEdge[e].MaxQueue = n
 		if n > c.maxQueue {
@@ -645,8 +671,8 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	ed := c.topo.edgeAt(e)
 	c.edgeOcc[e]++
 	c.edgeOccupants[e] = append(c.edgeOccupants[e], ci)
-	for _, g := range c.topo.conflictsOf(e) {
-		c.blocked[g]++
+	if b := c.topo.slotOf(e).bit; b >= 0 {
+		setBit(c.occ, b)
 	}
 	c.perEdge[e].Entries++
 	c.perEdge[e].Busy += c.baseTransit[e]
@@ -686,34 +712,45 @@ func (c *Campus) arrive(ci int32) {
 }
 
 // releaseEdge frees the cart's capacity slot and span, then retries the
-// entry queues the release may have unblocked: those of e's conflict set
-// in ascending EdgeID order for a single-rail edge, or just e's for a
-// trunk.
+// entry queues the release may have unblocked: for a single-rail edge,
+// the non-empty queues of e's conflict set (conflict mask AND queued) in
+// ascending EdgeID order; for a trunk, just e's.
 //
-// Retrying only the conflict set admits exactly the carts that retrying
-// every edge of the line would. After every event no edge is both
-// admissible and holding a non-empty queue: a cart queues only on an edge
-// that is not admissible, and every release and every heal retries the
-// queues it may unblock. The release changes admissibility only for the
-// edges whose span overlaps the freed one — e's conflict set — and the
-// admissions the retry makes can only block further edges, never unblock
-// them. So an edge outside the set is still either blocked or idle when
-// its turn would come, and retrying it would admit no one.
+// This admits exactly the carts that retrying every edge of the line
+// would. After every event no live edge is both admissible and holding a
+// non-empty queue: a cart queues only on an edge that is not admissible,
+// and every release and every heal retries the queues it may unblock. The
+// release changes admissibility only for the edges whose span overlaps
+// the freed one — e's conflict set — and the admissions the retry makes
+// can only set occ bits, so block further edges, never unblock them. An
+// edge outside the set, or with an empty queue, would admit no one. The
+// walk reads each word of queued as it reaches it, and a retry of edge g
+// clears only g's own queued bit, so it visits every edge that was
+// queued when the release began. A window spans one or more words, and
+// bits ascend with EdgeID word by word, so the order is the line's
+// ascending EdgeID order on a line of any width.
 //
 //dhllint:hotpath
 func (c *Campus) releaseEdge(e EdgeID, ci int32) {
 	c.edgeOcc[e]--
 	c.removeOccupant(e, ci)
-	conflicts := c.topo.conflictsOf(e)
-	if conflicts == nil {
+	s := c.topo.slotOf(e)
+	if s.bit < 0 {
 		c.retryEdgeQueue(e)
 		return
 	}
-	for _, g := range conflicts {
-		c.blocked[g]--
+	if c.edgeOcc[e] == 0 {
+		clearBit(c.occ, s.bit)
 	}
-	for _, g := range conflicts {
-		c.retryEdgeQueue(g)
+	w, m, rest := int(s.lo), s.first, s.rest
+	for {
+		for q := m & c.queued[w]; q != 0; q &= q - 1 {
+			c.retryEdgeQueue(c.topo.bitEdge[w<<6|bits.TrailingZeros64(q)])
+		}
+		if len(rest) == 0 {
+			return
+		}
+		w, m, rest = w+1, rest[0], rest[1:]
 	}
 }
 
@@ -738,8 +775,20 @@ func (c *Campus) removeOccupant(e EdgeID, ci int32) {
 //dhllint:hotpath
 func (c *Campus) retryEdgeQueue(e EdgeID) {
 	for c.edgeQueue[e].n > 0 && c.admissible(e) {
-		c.enterEdge(c.pop(&c.edgeQueue[e]), e)
+		c.enterEdge(c.popEdge(e), e)
 	}
+}
+
+// popEdge removes and returns the cart at the head of e's non-empty entry
+// queue, clearing e's queued bit when the queue empties.
+//
+//dhllint:hotpath
+func (c *Campus) popEdge(e EdgeID) int32 {
+	ci := c.pop(&c.edgeQueue[e])
+	if b := c.topo.slotOf(e).bit; b >= 0 && c.edgeQueue[e].n == 0 {
+		clearBit(c.queued, b)
+	}
+	return ci
 }
 
 // tryDock claims a dock slot at the cart's destination or joins the
@@ -940,7 +989,7 @@ func (c *Campus) healEdge(e EdgeID) {
 // keeps its committed (now dead) plan, so its eventual escape over a
 // different edge is counted as a reroute.
 func (c *Campus) drainQueueToLoiter(e EdgeID) {
-	for q := &c.edgeQueue[e]; q.n > 0; {
-		c.loiterCart(c.pop(q))
+	for c.edgeQueue[e].n > 0 {
+		c.loiterCart(c.popEdge(e))
 	}
 }

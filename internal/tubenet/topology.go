@@ -112,10 +112,27 @@ type Topology struct {
 	// out[n] lists the edges leaving node n in ascending EdgeID order —
 	// the deterministic relaxation order of the router.
 	out [][]EdgeID
-	// conflicts[e] lists, for a line edge e, the edges of its line whose
-	// Span overlaps e's (e included) in ascending EdgeID order; nil for
-	// trunk edges.
-	conflicts [][]EdgeID
+	// slots[e] places edge e in the line-bit space.
+	slots []lineSlot
+	// bitEdge maps each bit of the line-bit space back to its edge;
+	// NoEdge on the unused tail bits of a line's last word.
+	bitEdge []EdgeID
+}
+
+// lineSlot places an edge in the line-bit space: one bit per line edge,
+// where each line owns whole 64-bit words and numbers its edges in
+// ascending EdgeID order, so ascending bits are ascending EdgeIDs.
+//
+// An edge's conflict mask holds the bits of the edges of its line whose
+// Span overlaps its own, itself included. It is kept as the window of
+// words from the first that holds one of those bits to the last: first
+// masks word lo, and rest the words after it. On a line of at most 64
+// edges rest is nil. A trunk edge has bit -1 and an empty mask (first 0
+// at word 0), so it conflicts with nothing.
+type lineSlot struct {
+	bit, lo int32
+	first   uint64
+	rest    []uint64
 }
 
 // ErrBadTopology reports a malformed graph.
@@ -165,27 +182,47 @@ func NewTopology(nodes []Node, edges []Edge) (*Topology, error) {
 		}
 	}
 	t := &Topology{
-		nodes:     append([]Node(nil), nodes...),
-		edges:     append([]Edge(nil), edges...),
-		out:       make([][]EdgeID, len(nodes)),
-		conflicts: make([][]EdgeID, len(edges)),
+		nodes: append([]Node(nil), nodes...),
+		edges: append([]Edge(nil), edges...),
+		out:   make([][]EdgeID, len(nodes)),
+		slots: make([]lineSlot, len(edges)),
 	}
 	// lines[l] lists the edges of conflict domain l in ascending EdgeID
 	// order.
 	lines := make([][]EdgeID, maxLine+1)
 	for i, e := range t.edges {
 		t.out[e.From] = append(t.out[e.From], EdgeID(i))
+		t.slots[i].bit = -1
 		if e.Line != NoLine {
 			lines[e.Line] = append(lines[e.Line], EdgeID(i))
 		}
 	}
 	for _, line := range lines {
+		base := len(t.bitEdge)
 		for _, e := range line {
+			t.slots[e].bit = int32(len(t.bitEdge))
+			t.bitEdge = append(t.bitEdge, e)
+		}
+		for len(t.bitEdge)%64 != 0 {
+			t.bitEdge = append(t.bitEdge, NoEdge)
+		}
+		mask := make([]uint64, (len(t.bitEdge)-base)/64)
+		for _, e := range line {
+			lo, hi := len(mask), 0
 			for _, g := range line {
 				if t.edges[g].Span.Overlaps(t.edges[e].Span) {
-					t.conflicts[e] = append(t.conflicts[e], g)
+					b := int(t.slots[g].bit) - base
+					mask[b/64] |= 1 << (b % 64)
+					lo, hi = min(lo, b/64), max(hi, b/64)
 				}
 			}
+			// e overlaps itself, so the window holds at least its word.
+			s := &t.slots[e]
+			s.lo, s.first = int32(base/64+lo), mask[lo]
+			if hi > lo {
+				s.rest = append([]uint64(nil), mask[lo+1:hi+1]...)
+			}
+			clear(mask)
 		}
 	}
 	return t, nil
@@ -208,11 +245,13 @@ func (t *Topology) edgeAt(e EdgeID) *Edge { return &t.edges[e] }
 // owned by the topology; callers must not mutate it.
 func (t *Topology) Out(n NodeID) []EdgeID { return t.out[n] }
 
-// conflictsOf returns the edges that may not be occupied while e is: for a
-// line edge, those of its line whose Span overlaps e's, e included, in
-// ascending EdgeID order; nil for a trunk edge. The slice is owned by the
-// topology; callers must not mutate it.
-func (t *Topology) conflictsOf(e EdgeID) []EdgeID { return t.conflicts[e] }
+// slotOf returns edge e's place in the line-bit space, by pointer for the
+// dispatch hot loop. Callers must not mutate it.
+func (t *Topology) slotOf(e EdgeID) *lineSlot { return &t.slots[e] }
+
+// lineWords returns the number of 64-bit words in the line-bit space, at
+// least one: a trunk edge's empty mask tests word 0.
+func (t *Topology) lineWords() int { return max(len(t.bitEdge)/64, 1) }
 
 // Stations returns the IDs of all non-junction nodes in ascending order —
 // the trip-destination pool.

@@ -2,6 +2,7 @@ package tubenet
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -246,6 +247,22 @@ func TestCampusTransitTimesAreSane(t *testing.T) {
 	}
 }
 
+// conflictsOf decodes e's conflict mask into the edges it names, in bit
+// order.
+func conflictsOf(topo *Topology, e EdgeID) []EdgeID {
+	s := topo.slotOf(e)
+	var out []EdgeID
+	for i, m := range append([]uint64{s.first}, s.rest...) {
+		for ; m != 0; m &= m - 1 {
+			out = append(out, topo.bitEdge[(int(s.lo)+i)*64+bits.TrailingZeros64(m)])
+		}
+	}
+	return out
+}
+
+// TestConflictsMatchBruteForceOverlapScan checks each edge's conflict mask
+// against a scan of every edge pair, on lines narrower and wider than one
+// 64-bit word, and that bits ascend with EdgeID.
 func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
 	def, err := NewCampus(DefaultCampusConfig())
 	if err != nil {
@@ -264,8 +281,11 @@ func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
 					}
 				}
 			}
-			if got := topo.conflictsOf(e); !slices.Equal(got, want) {
-				t.Errorf("%s: conflictsOf(%d) = %v, want %v", tp.name, e, got, want)
+			if got := conflictsOf(topo, e); !slices.Equal(got, want) {
+				t.Errorf("%s: conflicts of %d = %v, want %v", tp.name, e, got, want)
+			}
+			if b := topo.slotOf(e).bit; (b >= 0) != (ed.Line != NoLine) || b >= 0 && topo.bitEdge[b] != e {
+				t.Errorf("%s: edge %d (line %d) has bit %d", tp.name, e, ed.Line, b)
 			}
 		}
 	}
@@ -275,7 +295,7 @@ func TestConflictsMatchBruteForceOverlapScan(t *testing.T) {
 		if def.edges[e].Line == NoLine {
 			continue
 		}
-		if n := len(def.conflictsOf(e)); n != 4 && n != 6 {
+		if n := len(conflictsOf(def, e)); n != 4 && n != 6 {
 			t.Errorf("default campus edge %d has %d conflicts, want 4 or 6", e, n)
 		}
 	}
