@@ -38,11 +38,11 @@ type launchScratch struct {
 	ioArgs  telemetry.ArgID // degraded=true on a degraded read, else none
 	ioErr   error           // reported with the duration (ErrDegradedRead)
 
-	// Pre-bound steps, allocated once per cart.
-	try      func() bool
+	// Pre-bound event steps, allocated once per cart. The two steps that
+	// may wait for resources, launch and dock, are retried by cart
+	// (System.tryStep) and need no closure.
 	undock   func()
 	arrive   func()
-	tryDock  func() bool
 	dock     func()
 	ioFinish func()
 }
@@ -69,12 +69,21 @@ var legs = [2]launchLeg{
 // cart at system construction.
 func (s *System) bindLaunchSteps(c *cart) {
 	sc := &c.scratch
-	sc.try = func() bool { return s.tryLaunchStep(c) }
 	sc.undock = func() { s.undockStep(c) }
 	sc.arrive = func() { s.arriveStep(c) }
-	sc.tryDock = func() bool { return s.tryDockStep(c) }
 	sc.dock = func() { s.dockStep(c) }
 	sc.ioFinish = func() { s.ioFinishStep(c) }
+}
+
+// tryStep attempts the step the cart waits on: the dock of an arrived
+// cart, which is still on the rail, or else its launch.
+//
+//dhllint:hotpath
+func (s *System) tryStep(c *cart) bool {
+	if c.Loc == inTransit {
+		return s.tryDockStep(c)
+	}
+	return s.tryLaunchStep(c)
 }
 
 // tryLaunchStep acquires a launch's resources: the leg's LIM energised,
@@ -143,7 +152,7 @@ func (s *System) arriveStep(c *cart) {
 	c.transitEv = sim.Handle{}
 	s.recordTransit(c, sc.depart, s.Engine.Now(), sc.dyn, sc.dir)
 	sc.arrivedAt = s.Engine.Now()
-	s.enqueue(sc.tryDock)
+	s.enqueue(c)
 }
 
 // tryDockStep starts the dock of an arrived cart. The library always takes

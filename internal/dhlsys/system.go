@@ -216,10 +216,10 @@ type System struct {
 	// (index 0 = outbound LIM at the library, 1 = inbound at the endpoint).
 	limDown [2]int
 
-	// waiting holds the launch and dock attempts that lacked resources
+	// waiting holds the carts whose launch or dock lacked resources
 	// (FIFO): Open and Close launches, and arrived carts awaiting a free
-	// endpoint station.
-	waiting []func() bool
+	// endpoint station. tryStep retries each.
+	waiting []*cart
 
 	// autoReload refills cart arrays on return to the library (the dataset
 	// resides in the library; reload time is not charged, per §V-B). Enabled
@@ -308,20 +308,22 @@ func (s *System) transitTime() units.Seconds {
 // retryWaiting re-attempts queued requests after any resource release.
 func (s *System) retryWaiting() {
 	remaining := s.waiting[:0]
-	for _, try := range s.waiting {
-		if !try() {
-			remaining = append(remaining, try)
+	for _, c := range s.waiting {
+		if !s.tryStep(c) {
+			remaining = append(remaining, c)
 		}
 	}
 	s.waiting = remaining
 }
 
-func (s *System) enqueue(try func() bool) {
-	if try() {
+// enqueue attempts the cart's waiting step and queues the cart if it
+// lacks resources.
+func (s *System) enqueue(c *cart) {
+	if s.tryStep(c) {
 		return
 	}
 	s.stats.Queued++
-	s.waiting = append(s.waiting, try)
+	s.waiting = append(s.waiting, c)
 }
 
 // maybeFailSSD rolls the in-flight failure dice for one launch. The draw
@@ -403,7 +405,7 @@ func (s *System) startLeg(id track.CartID, l *launchLeg, done func(error)) {
 	c.Busy = true
 	sc := &c.scratch
 	sc.leg, sc.done, sc.reqAt = l, done, s.Engine.Now()
-	s.enqueue(sc.try)
+	s.enqueue(c)
 }
 
 // checkLaunchTimeout applies the recovery policy's launch timeout to the

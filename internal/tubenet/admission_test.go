@@ -3,6 +3,7 @@ package tubenet
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
@@ -18,58 +19,66 @@ import (
 // checkLineAdmission returns the first line-admission invariant c breaks,
 // or "" when it keeps them all:
 //   - no two occupied edges of one line have overlapping spans
-//   - no edge holds more carts than its capacity, and its occupant list
-//     holds its count
+//   - no edge holds more carts than its capacity
 //   - no live edge that may admit a cart holds a non-empty entry queue
 //     (releaseEdge's exactness invariant)
 //   - each occ and queued bit equals "occupied" and "queue non-empty",
 //     and the bits no edge owns are clear
-//   - every cart waits in at most one place (an entry queue, a dock queue
-//     or the loiter list), and a waiting cart holds no segment
+//   - each edge's occupant list holds exactly the carts whose edge it is
+//   - every cart is in at most one list (an occupant list, an entry
+//     queue, a dock queue or the loiter list), and a waiting cart holds
+//     no segment
 //
 // It reads the topology's edges, not its conflict masks, so a wrong mask
-// shows as a broken invariant.
+// shows as a broken invariant. It takes O(E log E + carts) per call: the
+// occupied line edges are sorted by (line, span start), so overlaps are
+// checked between neighbours and an edge's blockers found by binary
+// search.
 func checkLineAdmission(c *Campus) string {
 	topo := c.topo
-	// overlapped reports whether an occupied edge of e's line, e itself
-	// included, holds a span overlapping e's.
-	overlapped := func(e EdgeID) bool {
-		ed := topo.edgeAt(e)
-		for g := range topo.edges {
-			og := topo.edgeAt(EdgeID(g))
-			if c.edgeOcc[g] > 0 && og.Line == ed.Line && og.Span.Overlaps(ed.Span) {
-				return true
-			}
+	var occupied []EdgeID
+	for i := range topo.edges {
+		e, ed := EdgeID(i), topo.edgeAt(EdgeID(i))
+		if n := int(c.occupants[e].n); n > ed.Capacity {
+			return fmt.Sprintf("edge %d holds %d carts, capacity %d", e, n, ed.Capacity)
+		} else if n > 0 && ed.Line != NoLine {
+			occupied = append(occupied, e)
 		}
-		return false
+	}
+	before := func(a, b *Edge) bool { return a.Line < b.Line || a.Line == b.Line && a.Span.Lo < b.Span.Lo }
+	sort.Slice(occupied, func(i, j int) bool { return before(topo.edgeAt(occupied[i]), topo.edgeAt(occupied[j])) })
+	for i := 1; i < len(occupied); i++ {
+		a, b := topo.edgeAt(occupied[i-1]), topo.edgeAt(occupied[i])
+		if a.Line == b.Line && a.Span.Overlaps(b.Span) {
+			return fmt.Sprintf("line %d: occupied edges %d %v and %d %v overlap", a.Line, occupied[i-1], a.Span, occupied[i], b.Span)
+		}
+	}
+	// blocked reports whether an occupied edge of e's line, e itself
+	// included, holds a span overlapping e's. A line's occupied spans are
+	// disjoint and sorted, so the last one starting at or before e's end
+	// reaches furthest.
+	blocked := func(ed *Edge) bool {
+		end := &Edge{Line: ed.Line, Span: Span{Lo: ed.Span.Hi + 1}}
+		i := sort.Search(len(occupied), func(i int) bool { return !before(topo.edgeAt(occupied[i]), end) })
+		if i == 0 {
+			return false
+		}
+		g := topo.edgeAt(occupied[i-1])
+		return g.Line == ed.Line && g.Span.Overlaps(ed.Span)
 	}
 	for i := range topo.edges {
 		e, ed := EdgeID(i), topo.edgeAt(EdgeID(i))
-		if c.edgeOcc[e] > ed.Capacity || len(c.edgeOccupants[e]) != c.edgeOcc[e] {
-			return fmt.Sprintf("edge %d holds %d carts (%d listed), capacity %d", e, c.edgeOcc[e], len(c.edgeOccupants[e]), ed.Capacity)
-		}
-		queued := c.edgeQueue[e].n > 0
-		if ed.Line == NoLine {
-			if queued && c.edgeUp[e] && c.edgeOcc[e] < ed.Capacity {
-				return fmt.Sprintf("live trunk edge %d has room but %d carts queued", e, c.edgeQueue[e].n)
-			}
-			continue
-		}
-		if c.edgeOcc[e] > 0 {
-			for g := i + 1; g < len(topo.edges); g++ {
-				og := topo.edgeAt(EdgeID(g))
-				if c.edgeOcc[g] > 0 && og.Line == ed.Line && og.Span.Overlaps(ed.Span) {
-					return fmt.Sprintf("line %d: occupied edges %d %v and %d %v overlap", ed.Line, e, ed.Span, g, og.Span)
-				}
-			}
-		}
-		if queued && c.edgeUp[e] && c.edgeOcc[e] < ed.Capacity && !overlapped(e) {
+		n, queued := int(c.occupants[e].n), c.edgeQueue[e].n > 0
+		if queued && c.edgeUp[e] && n < ed.Capacity && (ed.Line == NoLine || !blocked(ed)) {
 			return fmt.Sprintf("live edge %d may admit but %d carts are queued", e, c.edgeQueue[e].n)
 		}
+		if ed.Line == NoLine {
+			continue
+		}
 		b := topo.slotOf(e).bit
-		if bitSet(c.occ, b) != (c.edgeOcc[e] > 0) || bitSet(c.queued, b) != queued {
+		if bitSet(c.occ, b) != (n > 0) || bitSet(c.queued, b) != queued {
 			return fmt.Sprintf("edge %d: occ bit %v with %d carts, queued bit %v with %d queued",
-				e, bitSet(c.occ, b), c.edgeOcc[e], bitSet(c.queued, b), c.edgeQueue[e].n)
+				e, bitSet(c.occ, b), n, bitSet(c.queued, b), c.edgeQueue[e].n)
 		}
 	}
 	for b, e := range topo.bitEdge {
@@ -78,14 +87,16 @@ func checkLineAdmission(c *Campus) string {
 		}
 	}
 	places := make([]int, len(c.carts))
-	walk := func(q cartQueue, what string) string {
+	// walk visits q's carts, counting a place for each, and checks that
+	// each is on edge `on` (NoEdge for a waiting cart).
+	walk := func(q cartQueue, on EdgeID, what string) string {
 		ci := q.head
 		for k := int32(0); k < q.n; k++ {
 			if k > 0 {
 				ci = c.carts[ci].next
 			}
-			if places[ci]++; c.carts[ci].edge != NoEdge {
-				return fmt.Sprintf("cart %d waits in %s while on edge %d", ci, what, c.carts[ci].edge)
+			if places[ci]++; c.carts[ci].edge != on {
+				return fmt.Sprintf("cart %d is in %s but on edge %d", ci, what, c.carts[ci].edge)
 			}
 		}
 		if q.n > 0 && ci != q.tail {
@@ -93,22 +104,32 @@ func checkLineAdmission(c *Campus) string {
 		}
 		return ""
 	}
+	for e, q := range c.occupants {
+		if msg := walk(q, EdgeID(e), fmt.Sprintf("edge %d's occupant list", e)); msg != "" {
+			return msg
+		}
+	}
+	for ci := range c.carts {
+		if e := c.carts[ci].edge; e != NoEdge && places[ci] == 0 {
+			return fmt.Sprintf("cart %d is on edge %d but not in its occupant list", ci, e)
+		}
+	}
 	for e, q := range c.edgeQueue {
-		if msg := walk(q, fmt.Sprintf("edge %d's entry queue", e)); msg != "" {
+		if msg := walk(q, NoEdge, fmt.Sprintf("edge %d's entry queue", e)); msg != "" {
 			return msg
 		}
 	}
 	for v, q := range c.dockQueue {
-		if msg := walk(q, fmt.Sprintf("node %d's dock queue", v)); msg != "" {
+		if msg := walk(q, NoEdge, fmt.Sprintf("node %d's dock queue", v)); msg != "" {
 			return msg
 		}
 	}
-	for _, ci := range c.loiterers {
-		places[ci]++
+	if msg := walk(c.loiter, NoEdge, "the loiter list"); msg != "" {
+		return msg
 	}
 	for ci, n := range places {
 		if n > 1 {
-			return fmt.Sprintf("cart %d waits in %d places", ci, n)
+			return fmt.Sprintf("cart %d is in %d lists", ci, n)
 		}
 	}
 	return ""

@@ -79,17 +79,15 @@ type campusCart struct {
 	// later-invalidated one), NoEdge when there is none. Entering a
 	// different edge than planned counts as a reroute.
 	planned   EdgeID
-	loitering bool
 	stalled   bool
 	parked    bool
-	arriveAt  units.Seconds
 	remaining units.Seconds
 	arriveH   sim.Handle
 	tripStart units.Seconds
 	entryT    units.Seconds
 	dockStart units.Seconds
 	trackID   telemetry.StrID
-	// next is the cart behind this one in its entry or dock queue.
+	// next is the cart behind this one in the one cartQueue that holds it.
 	next int32
 
 	departFn func()
@@ -98,8 +96,9 @@ type campusCart struct {
 }
 
 // cartQueue is a FIFO of carts threaded through their next links. A cart
-// waits in at most one queue, an edge's entry queue or a station's dock
-// queue, so one link per cart serves both and a queue never allocates.
+// is in at most one of the campus's lists: the occupants of the edge it
+// is on, an edge's entry queue, a station's dock queue or the loiter
+// list. So one link per cart serves them all and no list allocates.
 type cartQueue struct{ head, tail, n int32 }
 
 // push appends cart ci to q.
@@ -119,6 +118,27 @@ func (c *Campus) pop(q *cartQueue) int32 {
 	q.head = c.carts[ci].next
 	q.n--
 	return ci
+}
+
+// unlink removes cart ci from q, keeping the rest in order. The cart is
+// at the head in the usual case: carts leave an edge in the order they
+// entered it.
+//
+//dhllint:hotpath
+func (c *Campus) unlink(q *cartQueue, ci int32) {
+	if q.head == ci {
+		c.pop(q)
+		return
+	}
+	p := q.head
+	for c.carts[p].next != ci {
+		p = c.carts[p].next
+	}
+	c.carts[p].next = c.carts[ci].next
+	if q.tail == ci {
+		q.tail = p
+	}
+	q.n--
 }
 
 // EdgeStats is the per-segment utilisation summary.
@@ -207,7 +227,6 @@ type Campus struct {
 	topo   *Topology
 	eng    *sim.Engine
 	router *Router
-	ctx    context.Context
 
 	baseTransit []units.Seconds
 
@@ -221,9 +240,10 @@ type Campus struct {
 	dockFree  []int
 	dockQueue []cartQueue
 
-	edgeOcc       []int
-	edgeQueue     []cartQueue
-	edgeOccupants [][]int32
+	// occupants holds the carts on each edge in entry order, edgeQueue
+	// the carts waiting to enter it.
+	occupants []cartQueue
+	edgeQueue []cartQueue
 	// occ and queued are bitmasks over the topology's line-bit space
 	// (lineSlot): a line edge's bit is set in occ while the edge holds a
 	// cart, and in queued while its entry queue is non-empty. A line edge
@@ -232,20 +252,19 @@ type Campus struct {
 	queued       []uint64
 	queueScratch []int
 
-	carts     []campusCart
-	dests     []NodeID
-	loiterers []int32
-	retrySet  []int32
+	carts []campusCart
+	dests []NodeID
+	// loiter holds the carts with no live route, retried after every heal
+	// and epoch.
+	loiter cartQueue
 
-	transits     []units.Seconds
-	totalTransit units.Seconds
-	tripsDone    int
-	nReroutes    int
-	nLoiters     int
-	nStalls      int
-	parked       int
-	maxQueue     int
-	perEdge      []EdgeStats
+	// transits holds each completed trip's duration in completion order;
+	// result derives the trip count and the total from it.
+	transits  []units.Seconds
+	nReroutes int
+	nLoiters  int
+	nStalls   int
+	perEdge   []EdgeStats
 
 	tel campusTel
 	ran bool
@@ -332,7 +351,6 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		topo:        topo,
 		eng:         sim.New(),
 		router:      router,
-		ctx:         context.Background(),
 		baseTransit: base,
 
 		nodeDown: make([]int, n),
@@ -343,35 +361,21 @@ func newCampus(opt Options, plan tripPlan) (*Campus, error) {
 		dockFree:  make([]int, n),
 		dockQueue: make([]cartQueue, n),
 
-		edgeOcc:       make([]int, m),
-		edgeQueue:     make([]cartQueue, m),
-		edgeOccupants: make([][]int32, m),
-		queueScratch:  make([]int, m),
+		queueScratch: make([]int, m),
 
-		carts:     make([]campusCart, opt.Carts),
-		dests:     plan.dests,
-		loiterers: make([]int32, 0, opt.Carts),
-		retrySet:  make([]int32, 0, opt.Carts),
-		transits:  make([]units.Seconds, 0, opt.Carts*opt.TripsPerCart),
-		perEdge:   make([]EdgeStats, m),
+		carts:    make([]campusCart, opt.Carts),
+		dests:    plan.dests,
+		transits: make([]units.Seconds, 0, opt.Carts*opt.TripsPerCart),
+		perEdge:  make([]EdgeStats, m),
 	}
+	lists := make([]cartQueue, 2*m)
+	c.occupants, c.edgeQueue = lists[:m:m], lists[m:]
 	for i := range c.nodeUp {
 		c.nodeUp[i] = true
 		c.dockFree[i] = topo.Node(NodeID(i)).Docks
 	}
-	// An edge holds at most Capacity carts, and never more than the
-	// fleet, so each occupant list is a window of one slab sized to that
-	// and never grows.
-	occupants := func(e int) int { return min(topo.edgeAt(EdgeID(e)).Capacity, opt.Carts) }
-	slots := 0
 	for i := range c.edgeUp {
 		c.edgeUp[i] = true
-		slots += occupants(i)
-	}
-	slab := make([]int32, slots)
-	for i := range c.edgeOccupants {
-		k := occupants(i)
-		c.edgeOccupants[i], slab = slab[:0:k], slab[k:]
 	}
 	w := topo.lineWords()
 	masks := make([]uint64, 2*w)
@@ -412,7 +416,7 @@ func (c *Campus) initTelemetry(set *telemetry.Set) {
 		tripSeconds: reg.Histogram("tubenet_trip_seconds", tripBuckets),
 	}
 	if reg != nil {
-		reg.CounterFunc("tubenet_trips_total", func() float64 { return float64(c.tripsDone) })
+		reg.CounterFunc("tubenet_trips_total", func() float64 { return float64(len(c.transits)) })
 		reg.CounterFunc("tubenet_reroutes_total", func() float64 { return float64(c.nReroutes) })
 		reg.CounterFunc("tubenet_loiters_total", func() float64 { return float64(c.nLoiters) })
 		reg.CounterFunc("tubenet_stalls_total", func() float64 { return float64(c.nStalls) })
@@ -490,24 +494,31 @@ func (c *Campus) Run() (Result, error) {
 func (c *Campus) result() Result {
 	r := Result{
 		Carts:          c.opt.Carts,
-		TripsCompleted: c.tripsDone,
-		TripsPending:   c.opt.Carts*c.opt.TripsPerCart - c.tripsDone,
-		Parked:         c.parked,
+		TripsCompleted: len(c.transits),
+		TripsPending:   c.opt.Carts*c.opt.TripsPerCart - len(c.transits),
 		Reroutes:       c.nReroutes,
 		Loiters:        c.nLoiters,
 		Stalls:         c.nStalls,
-		MaxQueue:       c.maxQueue,
+		LoiteringAtEnd: int(c.loiter.n),
 		RouteEpochs:    c.router.Epochs(),
 		Events:         c.eng.Processed(),
 		Elapsed:        c.eng.Now(),
-		TotalTransit:   c.totalTransit,
 		PerEdge:        append([]EdgeStats(nil), c.perEdge...),
 	}
-	r.LoiteringAtEnd = len(c.loiterers)
 	for i := range c.carts {
+		if c.carts[i].parked {
+			r.Parked++
+		}
 		if c.carts[i].stalled {
 			r.StalledAtEnd++
 		}
+	}
+	// Summed in completion order, the order dockCart appends in.
+	for _, d := range c.transits {
+		r.TotalTransit += d
+	}
+	for _, s := range c.perEdge {
+		r.MaxQueue = max(r.MaxQueue, s.MaxQueue)
 	}
 	if len(c.transits) > 0 {
 		scratch := append([]units.Seconds(nil), c.transits...)
@@ -564,7 +575,7 @@ func (c *Campus) recomputeRoutes() error {
 	for e := range c.queueScratch {
 		c.queueScratch[e] = int(c.edgeQueue[e].n)
 	}
-	return c.router.Recompute(c.ctx, Liveness{NodeUp: c.nodeUp, EdgeUp: c.edgeUp}, c.queueScratch)
+	return c.router.Recompute(context.Background(), Liveness{NodeUp: c.nodeUp, EdgeUp: c.edgeUp}, c.queueScratch)
 }
 
 // mustRecompute is recomputeRoutes for event context, where the only
@@ -634,8 +645,9 @@ func (c *Campus) admissible(e EdgeID) bool {
 			return false
 		}
 	}
-	// A zero-capacity edge fails here too: edgeOcc is never negative.
-	return c.edgeOcc[e] < c.topo.edgeAt(e).Capacity
+	// A zero-capacity edge fails here too: a list's count is never
+	// negative.
+	return int(c.occupants[e].n) < c.topo.edgeAt(e).Capacity
 }
 
 // setBit and clearBit set and clear bit b (≥ 0) of the mask words.
@@ -657,9 +669,6 @@ func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
 	}
 	if n := int(q.n); n > c.perEdge[e].MaxQueue {
 		c.perEdge[e].MaxQueue = n
-		if n > c.maxQueue {
-			c.maxQueue = n
-		}
 	}
 }
 
@@ -669,8 +678,7 @@ func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
 func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	ct := &c.carts[ci]
 	ed := c.topo.edgeAt(e)
-	c.edgeOcc[e]++
-	c.edgeOccupants[e] = append(c.edgeOccupants[e], ci)
+	c.push(&c.occupants[e], ci)
 	if b := c.topo.slotOf(e).bit; b >= 0 {
 		setBit(c.occ, b)
 	}
@@ -678,7 +686,6 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	c.perEdge[e].Busy += c.baseTransit[e]
 	ct.edge = e
 	ct.entryT = c.eng.Now()
-	ct.arriveAt = ct.entryT + c.baseTransit[e]
 	ct.arriveH = c.eng.MustAfter(c.baseTransit[e], evArrive, ct.arriveFn)
 	ct.stalled = false
 	// Commit the onward hop the cart expects from the far end under the
@@ -732,14 +739,13 @@ func (c *Campus) arrive(ci int32) {
 //
 //dhllint:hotpath
 func (c *Campus) releaseEdge(e EdgeID, ci int32) {
-	c.edgeOcc[e]--
-	c.removeOccupant(e, ci)
+	c.unlink(&c.occupants[e], ci)
 	s := c.topo.slotOf(e)
 	if s.bit < 0 {
 		c.retryEdgeQueue(e)
 		return
 	}
-	if c.edgeOcc[e] == 0 {
+	if c.occupants[e].n == 0 {
 		clearBit(c.occ, s.bit)
 	}
 	w, m, rest := int(s.lo), s.first, s.rest
@@ -751,21 +757,6 @@ func (c *Campus) releaseEdge(e EdgeID, ci int32) {
 			return
 		}
 		w, m, rest = w+1, rest[0], rest[1:]
-	}
-}
-
-// removeOccupant drops ci from e's occupant list, preserving order so
-// stall processing stays deterministic.
-//
-//dhllint:hotpath
-func (c *Campus) removeOccupant(e EdgeID, ci int32) {
-	occ := c.edgeOccupants[e]
-	for i, o := range occ {
-		if o == ci {
-			copy(occ[i:], occ[i+1:])
-			c.edgeOccupants[e] = occ[:len(occ)-1]
-			return
-		}
 	}
 }
 
@@ -817,8 +808,6 @@ func (c *Campus) dockCart(ci int32) {
 	ct.dockStart = now
 	d := now - ct.tripStart
 	c.transits = append(c.transits, d)
-	c.totalTransit += d
-	c.tripsDone++
 	c.tel.tripSeconds.Observe(float64(d))
 	c.tel.spans.RecordSpan(ct.trackID, c.tel.idDock, ct.tripStart, now, 0)
 	ct.trip++
@@ -841,7 +830,6 @@ func (c *Campus) endDwell(ci int32) {
 	c.retryDockQueue(ct.at)
 	if ct.trip >= c.opt.TripsPerCart {
 		ct.parked = true
-		c.parked++
 		return
 	}
 	ct.tripStart = now
@@ -865,23 +853,18 @@ func (c *Campus) loiterCart(ci int32) {
 	ct := &c.carts[ci]
 	c.nLoiters++
 	c.tel.spans.RecordInstant(ct.trackID, c.tel.idLoiter, c.eng.Now(), 0)
-	if !ct.loitering {
-		ct.loitering = true
-		c.loiterers = append(c.loiterers, ci)
-	}
+	c.push(&c.loiter, ci)
 }
 
-// retryLoiterers re-attempts departure for every loitering cart (the
-// copy-then-clear idiom: a retry may legitimately re-loiter the cart).
+// retryLoiterers re-attempts departure for every loitering cart, in the
+// order they loitered. It detaches the list first, since a retry may
+// loiter the cart again; a retry only enters, queues or loiters the cart
+// it retries, so the detached rest stays intact.
 func (c *Campus) retryLoiterers() {
-	if len(c.loiterers) == 0 {
-		return
-	}
-	c.retrySet = append(c.retrySet[:0], c.loiterers...)
-	c.loiterers = c.loiterers[:0]
-	for _, ci := range c.retrySet {
-		c.carts[ci].loitering = false
-		c.tryDepart(ci)
+	q := c.loiter
+	c.loiter = cartQueue{}
+	for q.n > 0 {
+		c.tryDepart(c.pop(&q))
 	}
 }
 
@@ -947,13 +930,16 @@ func (c *Campus) killEdge(e EdgeID) {
 	c.edgeUp[e] = false
 	c.drainQueueToLoiter(e)
 	now := c.eng.Now()
-	for _, ci := range c.edgeOccupants[e] {
+	ci := c.occupants[e].head
+	for k := c.occupants[e].n; k > 0; k, ci = k-1, c.carts[ci].next {
 		ct := &c.carts[ci]
 		if ct.stalled {
 			continue
 		}
+		// Read the arrival time before the cancel frees its slot.
+		arriveAt, _ := c.eng.EventTime(ct.arriveH)
 		c.eng.Cancel(ct.arriveH)
-		ct.remaining = ct.arriveAt - now
+		ct.remaining = arriveAt - now
 		ct.stalled = true
 		c.nStalls++
 		c.tel.spans.RecordInstant(ct.trackID, c.tel.idStall, now, 0)
@@ -970,13 +956,13 @@ func (c *Campus) healEdge(e EdgeID) {
 	}
 	c.edgeUp[e] = true
 	now := c.eng.Now()
-	for _, ci := range c.edgeOccupants[e] {
+	ci := c.occupants[e].head
+	for k := c.occupants[e].n; k > 0; k, ci = k-1, c.carts[ci].next {
 		ct := &c.carts[ci]
 		if !ct.stalled {
 			continue
 		}
 		ct.stalled = false
-		ct.arriveAt = now + ct.remaining
 		ct.arriveH = c.eng.MustAfter(ct.remaining, evArrive, ct.arriveFn)
 		c.tel.spans.RecordInstant(ct.trackID, c.tel.idResume, now, 0)
 	}

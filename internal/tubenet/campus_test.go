@@ -567,3 +567,35 @@ func TestQuantileSecondsMatchesFullSort(t *testing.T) {
 		}
 	}
 }
+
+// TestUnlinkKeepsListOrder unlinks every position of cart lists of one to
+// five carts, then pushes one more cart, checking the order left behind.
+// The push links behind the tail, so a tail unlink must leave a good
+// one. Carts leave an edge in entry order on every campus run, so
+// releases only ever unlink the head; this covers the rest.
+func TestUnlinkKeepsListOrder(t *testing.T) {
+	const last = 5
+	for n := 1; n <= last; n++ {
+		for at := int32(0); at < int32(n); at++ {
+			c := &Campus{carts: make([]campusCart, last+1)}
+			var q cartQueue
+			var want []int32
+			for ci := int32(0); ci < int32(n); ci++ {
+				c.push(&q, ci)
+				if ci != at {
+					want = append(want, ci)
+				}
+			}
+			c.unlink(&q, at)
+			c.push(&q, last)
+			want = append(want, last)
+			var got []int32
+			for q.n > 0 {
+				got = append(got, c.pop(&q))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("unlink cart %d of %d, push %d: list reads %v, want %v", at, n, last, got, want)
+			}
+		}
+	}
+}
