@@ -38,9 +38,8 @@ type launchScratch struct {
 	ioArgs  telemetry.ArgID // degraded=true on a degraded read, else none
 	ioErr   error           // reported with the duration (ErrDegradedRead)
 
-	// Pre-bound event steps, allocated once per cart. The two steps that
-	// may wait for resources, launch and dock, are retried by cart
-	// (System.tryStep) and need no closure.
+	// Pre-bound event steps, allocated once per cart. A launch or dock
+	// that waits for resources is retried by cart (System.tryStep).
 	undock   func()
 	arrive   func()
 	dock     func()
